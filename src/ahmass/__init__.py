@@ -14,8 +14,8 @@ Library layout:
   infinity and the weighted group/algebra actions.
 * :mod:`ahmass.invariants` -- the classified linear masses (conformal,
   Weyl, chiral) and their equivariance checks.
-* :mod:`ahmass.charges` -- curvature-operator eigenvalue checks and
-  numeric boundary charge integrals.
+* :mod:`ahmass.quadrature` -- product quadrature on spheres for the
+  numeric checks of the finite group action.
 * :mod:`ahmass.cli` -- the ``ahmass`` command-line front end.
 """
 

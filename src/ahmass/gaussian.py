@@ -144,12 +144,3 @@ def imag_part(c: Scalar) -> Fraction:
     if isinstance(c, GaussianRational):
         return c.im
     return Fraction(0)
-
-
-def as_fraction(c: Scalar) -> Fraction:
-    """Demote a real coefficient to ``Fraction``; reject true complexes."""
-    if isinstance(c, GaussianRational):
-        if c.im != 0:
-            raise ValueError(f"coefficient {c} is not real")
-        return c.re
-    return Fraction(c)

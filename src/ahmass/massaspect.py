@@ -4,8 +4,10 @@ A mass aspect is a symmetric 2-tensor on S^{n-1} stored through ambient
 polynomial components m_ij(x^1..x^n); the transverse representative
 (zero contraction with the position vector, as an on-sphere identity) is
 the canonical one.  All equalities between such tensors are equalities
-of the on-sphere classes and are decided exactly with
-:func:`ahmass.poly.vanishes_on_sphere`.
+of the on-sphere classes.  Every component is stored in the sphere normal
+form of :func:`ahmass.poly.quadric_normal_form`, which is unique on each
+class, so on-sphere equality is plain structural equality of the stored
+components, and chained actions keep the degrees of the on-sphere classes.
 
 The sphere covariant calculus is extrinsic: ambient flat derivative
 followed by tangential projection (Gauss formula).  The decay order k of
@@ -22,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .lorentz import LorentzElement, u_of_A
-from .poly import ExactPoly, sphere_integral, vanishes_on_sphere
+from .poly import ExactPoly, quadric_normal_form, vanishes_on_sphere
 
 F = Fraction
 
@@ -39,8 +41,9 @@ def _x(n: int, i: int) -> ExactPoly:
 class SphereTensor:
     """Symmetric 2-tensor with polynomial ambient components.
 
-    ``comp[(i, j)]`` with i <= j holds the polynomial component; ``k`` is
-    the decay order carried by the aspect (0 admitted only for raw data).
+    ``comp[(i, j)]`` with i <= j holds the polynomial component, reduced
+    to its sphere normal form; ``k`` is the decay order carried by the
+    aspect (0 admitted only for raw data).
     """
 
     n: int
@@ -48,14 +51,15 @@ class SphereTensor:
     comp: Dict[Tuple[int, int], ExactPoly]
 
     def __post_init__(self):
-        clean = {}
+        merged = {}
         for (i, j), p in self.comp.items():
             if i > j:
                 i, j = j, i
-            if not p.is_zero():
-                prev = clean.get((i, j))
-                clean[(i, j)] = p if prev is None else prev + p
-        self.comp = clean
+            prev = merged.get((i, j))
+            merged[(i, j)] = p if prev is None else prev + p
+        self.comp = {
+            ij: nf for ij, p in merged.items() if not (nf := quadric_normal_form(p)).is_zero()
+        }
 
     def get(self, i: int, j: int) -> ExactPoly:
         if i > j:
@@ -99,11 +103,12 @@ class SphereTensor:
         return out
 
     def equal_on_sphere(self, other: "SphereTensor") -> bool:
-        d = self - other
-        return all(vanishes_on_sphere(p) for p in d.comp.values())
+        return self.comp.keys() == other.comp.keys() and all(
+            p.terms == other.comp[ij].terms for ij, p in self.comp.items()
+        )
 
     def is_zero_on_sphere(self) -> bool:
-        return all(vanishes_on_sphere(p) for p in self.comp.values())
+        return not self.comp
 
     def conjugate(self) -> "SphereTensor":
         return self.map(lambda p: p.conjugate())
@@ -404,20 +409,27 @@ def _boundary_map_and_jacobian(a_inv_matrix: np.ndarray, x: np.ndarray):
     return y, jac
 
 
+def _require_real(m: SphereTensor):
+    if any(p.imag() for p in m.comp.values()):
+        raise ValueError("mass aspect has a nonzero imaginary part")
+
+
 def group_action_numeric(
     a: LorentzElement, m: SphereTensor, k: int, nodes: np.ndarray
 ) -> np.ndarray:
     """Sampled values of u[A]^{k-2} (Abar_* m) at sphere nodes.
 
     Returns an array of shape (len(nodes), n, n) holding the transverse
-    ambient representative (tangentially projected) at each node.
+    ambient representative (tangentially projected) at each node.  The
+    aspect must be real.
     """
+    _require_real(m)
     n = m.n
     ainv = np.array([[float(v) for v in row] for row in a.inverse().matrix])
     out = np.zeros((len(nodes), n, n))
     for q, x in enumerate(nodes):
         y, jac = _boundary_map_and_jacobian(ainv, x)
-        mval = np.real(m.evaluate_float(y))
+        mval = m.evaluate_float(y)
         pushed = jac.T @ mval @ jac
         proj = np.eye(n) - np.outer(x, x)
         pushed = proj @ pushed @ proj
@@ -428,9 +440,11 @@ def group_action_numeric(
 
 
 def sample_tensor(m: SphereTensor, nodes: np.ndarray) -> np.ndarray:
+    """Values of a real aspect at sphere nodes, shape (len(nodes), n, n)."""
+    _require_real(m)
     out = np.zeros((len(nodes), m.n, m.n))
     for q, x in enumerate(nodes):
-        out[q] = np.real(m.evaluate_float(x))
+        out[q] = m.evaluate_float(x)
     return out
 
 

@@ -1,4 +1,4 @@
-"""Exact multivariate polynomials and the two quadric reductions.
+"""Exact multivariate polynomials and the quadric reduction.
 
 ``ExactPoly`` stores a sparse map from exponent tuples to coefficients
 (``Fraction`` or :class:`~ahmass.gaussian.GaussianRational`).  Two variable
@@ -10,14 +10,19 @@ conventions are used throughout the package:
   the unit sphere.
 
 The module supplies the wave operator, normalized sphere integration
-(every value is relative to the sphere volume, hence rational), identity
-testing on the sphere, and reduction modulo the unit-hyperboloid quadric
-``1 + X^mu X_mu``.
+(every value is relative to the sphere volume, hence rational) and one
+quadric reduction, :func:`quadric_normal_form`.  It substitutes
+``x_v^2 -> 1 +- sum_{i != v} x_i^2``; the unit sphere ``|x|^2 = 1`` and
+the unit hyperboloid ``1 + X^mu X_mu = 0`` are its two instances.  The
+sphere normal form is unique, because ``|x|^2 - 1`` generates the whole
+real vanishing ideal of the sphere, so a polynomial vanishes on the
+sphere exactly when its normal form is the zero polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .gaussian import GaussianRational, conj, imag_part, real_part
@@ -267,14 +272,6 @@ class ExactPoly:
         }
         return out
 
-    def map_coefficients(self, fn) -> "ExactPoly":
-        out = ExactPoly(self.nvars)
-        for e, c in self.terms.items():
-            v = fn(c)
-            if not _is_zero(v):
-                out.terms[e] = v
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -321,34 +318,53 @@ def euler_degree(p: ExactPoly) -> ExactPoly:
     return out
 
 
+@lru_cache(maxsize=256)
+def _remainder_power(nvars: int, var: int, sign: int, k: int) -> tuple:
+    """Terms of (1 + sign * sum_{i != var} x_i^2)^k as (exponents, int) pairs."""
+    r = ExactPoly.constant(nvars, 1)
+    for i in range(nvars):
+        if i != var:
+            r = r + ExactPoly.monomial(nvars, [2 if j == i else 0 for j in range(nvars)], sign)
+    return tuple((e, int(c)) for e, c in (r ** k).terms.items())
+
+
+def quadric_normal_form(p: ExactPoly, var: int = -1, sign: int = -1) -> ExactPoly:
+    """Reduce modulo x_var^2 - 1 - sign * sum_{i != var} x_i^2.
+
+    Every power x_var^(2q+b) becomes x_var^b (1 + sign * sum x_i^2)^q, so
+    the result has degree at most 1 in x_var and is congruent to the input.
+    The defaults (last variable, sign -1) reduce modulo |x|^2 - 1, the unit
+    sphere.  The reduction is idempotent: a reduced input is returned as is.
+    """
+    nv = p.nvars
+    if nv < 1:
+        raise ValueError("need at least one variable")
+    var %= nv
+    if all(e[var] < 2 for e in p.terms):
+        return p
+    terms: Dict[Exponents, object] = {}
+    for e, c in p.terms.items():
+        k = e[var]
+        base = e[:var] + (k & 1,) + e[var + 1:]
+        for er, cr in _remainder_power(nv, var, sign, k >> 1):
+            key = tuple(a + b for a, b in zip(base, er))
+            s = terms.get(key, _ZERO) + c * cr
+            if _is_zero(s):
+                terms.pop(key, None)
+            else:
+                terms[key] = s
+    out = ExactPoly(nv)
+    out.terms = terms
+    return out
+
+
 def hyperboloid_normal_form(p: ExactPoly) -> ExactPoly:
     """Reduce modulo 1 + X^mu X_mu by substituting (X^0)^2 -> 1 + |vec X|^2.
 
     The result has degree at most 1 in X^0 and is congruent to the input
     modulo the hyperboloid ideal.  The reduction is idempotent.
     """
-    nv = p.nvars
-    spatial = ExactPoly.constant(nv, 1)
-    for i in range(1, nv):
-        spatial = spatial + ExactPoly.variable(nv, i) ** 2
-    pow_cache: Dict[int, ExactPoly] = {0: ExactPoly.constant(nv, 1)}
-
-    def spatial_pow(k: int) -> ExactPoly:
-        if k not in pow_cache:
-            pow_cache[k] = spatial_pow(k - 1) * spatial
-        return pow_cache[k]
-
-    out = ExactPoly(nv)
-    x0 = ExactPoly.variable(nv, 0)
-    for e, c in p.terms.items():
-        k0 = e[0]
-        rest = list(e)
-        rest[0] = k0 % 2
-        term = ExactPoly.monomial(nv, tuple(rest), c)
-        if k0 >= 2:
-            term = term * spatial_pow(k0 // 2)
-        out = out + term
-    return out
+    return quadric_normal_form(p, var=0, sign=1)
 
 
 # ---------------------------------------------------------------------------
@@ -393,27 +409,31 @@ def sphere_integral(p: ExactPoly):
 def vanishes_on_sphere(p: ExactPoly) -> bool:
     """True iff the polynomial is identically zero on the unit sphere.
 
-    Uses the integral of the squared modulus: a continuous function with
-    zero mean square vanishes.  Gaussian-rational input is handled by
-    testing real and imaginary parts separately.
+    ``|x|^2 - 1`` generates the whole real vanishing ideal of S^{n-1}, so
+    the test is exact: the sphere normal form is the zero polynomial.
+    Gaussian-rational input needs no split into real and imaginary parts,
+    because the reduction acts on each coefficient linearly.
     """
-    re, im = p.real(), p.imag()
-    for q in (re, im):
-        if q.terms and sphere_integral(q * q) != 0:
-            return False
-    return True
+    return quadric_normal_form(p).is_zero()
 
 
 def sphere_restrict(p: ExactPoly) -> ExactPoly:
     """Evaluate a Minkowski polynomial at (1, x^1 .. x^n).
 
-    The result is Euclidean, in one fewer variable.
+    The result is Euclidean, in one fewer variable: each term drops its
+    X^0 exponent.
     """
-    nv = p.nvars - 1
-    values = [ExactPoly.constant(nv, 1)] + [
-        ExactPoly.variable(nv, i) for i in range(nv)
-    ]
-    return p.substitute(values)
+    terms: Dict[Exponents, object] = {}
+    for e, c in p.terms.items():
+        key = e[1:]
+        s = terms.get(key, _ZERO) + c
+        if _is_zero(s):
+            terms.pop(key, None)
+        else:
+            terms[key] = s
+    out = ExactPoly(p.nvars - 1)
+    out.terms = terms
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,3 @@ def sphere_nodes(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     weights = np.concatenate(weights)
     weights /= weights.sum()
     return nodes, weights
-
-
-def integrate(values: np.ndarray, weights: np.ndarray) -> float | complex:
-    return np.tensordot(weights, values, axes=1)

@@ -431,10 +431,17 @@ def de_donder_fix(h: PolySym2) -> Tuple[PolySym2, List[ExactPoly]]:
 # ---------------------------------------------------------------------------
 
 
+def _check_closed_form_args(n: int, p: int):
+    if n < 2 or p < 0:
+        raise ValueError(f"closed forms need n >= 2 and p >= 0, got n={n}, p={p}")
+
+
 def dim_Wp(n: int, p: int) -> int:
+    _check_closed_form_args(n, p)
     num = (n + 1) * math.comb(p + n, p + 3) * (p + 1) * (p + n + 2) * (2 * p + n + 3)
     den = 2 * (n - 1) * (p + n)
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError(f"dim W_p closed form is not an integer at n={n}, p={p}")
     return num // den
 
 
@@ -886,10 +893,12 @@ def _assert_form_invariance(space: WeylSpace, samples: int = 4):
 
 
 def signature_Wp_expected(n: int, p: int) -> Tuple[int, int]:
+    _check_closed_form_args(n, p)
     common = F((p + 1) * (p + n + 2), (n - 1) * (p + n)) * math.comb(p + n, p + 3)
     plus = F(n * n + (n + 1) * p + 3, 2) * common
     minus = F(n * p + 4 * n + p, 2) * common
-    assert plus.denominator == 1 and minus.denominator == 1
+    if plus.denominator != 1 or minus.denominator != 1:
+        raise ArithmeticError(f"W_p signature closed form is not integral at n={n}, p={p}")
     return int(plus), int(minus)
 
 

@@ -1,0 +1,65 @@
+"""Reference routines and input strategies for the on-sphere tests.
+
+The square-and-integrate zero test is kept here only as an oracle for
+the normal-form test of :func:`ahmass.poly.vanishes_on_sphere`.
+"""
+
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
+from ahmass.gaussian import GaussianRational
+from ahmass.poly import ExactPoly, monomials_of_degree, sphere_integral
+
+
+def square_and_integrate_vanishes(p: ExactPoly) -> bool:
+    """True iff p is zero on the sphere, by the mean square of its real
+    and imaginary parts: a continuous function with zero mean square
+    vanishes."""
+    re, im = p.real(), p.imag()
+    for q in (re, im):
+        if q.terms and sphere_integral(q * q) != 0:
+            return False
+    return True
+
+
+def sphere_ideal(n: int) -> ExactPoly:
+    """|x|^2 - 1 in n variables."""
+    return sum((ExactPoly.variable(n, i) ** 2 for i in range(n)), ExactPoly.zero(n)) - 1
+
+
+def rational_sphere_point(t) -> tuple:
+    """Inverse stereographic image of t in Q^{n-1}: an exact point of S^{n-1}."""
+    s = sum(ti * ti for ti in t)
+    return tuple(2 * ti / (s + 1) for ti in t) + ((s - 1) / (s + 1),)
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def coefficients(gaussian: bool):
+    if gaussian:
+        return st.builds(GaussianRational, rationals, rationals)
+    return rationals
+
+
+@st.composite
+def polys(draw, n: int, gaussian: bool, max_degree: int = 4, max_terms: int = 6) -> ExactPoly:
+    monos = [e for d in range(max_degree + 1) for e in monomials_of_degree(n, d)]
+    terms = draw(st.dictionaries(st.sampled_from(monos), coefficients(gaussian), max_size=max_terms))
+    return ExactPoly(n, terms)
+
+
+@st.composite
+def sphere_polys(draw, count: int = 2):
+    """(n, [p_1 .. p_count]) with n in 1..4, all rational or all Gaussian."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    gaussian = draw(st.booleans())
+    return n, [draw(polys(n, gaussian)) for _ in range(count)]
+
+
+def points_on_sphere(n: int):
+    """Exact rational points of S^{n-1}."""
+    if n == 1:
+        return st.sampled_from([(Fraction(1),), (Fraction(-1),)])
+    return st.lists(rationals, min_size=n - 1, max_size=n - 1).map(rational_sphere_point)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ahmass.lorentz import (
     all_generators,
@@ -29,7 +31,8 @@ from ahmass.massaspect import (
     sphere_covariant_derivative,
     transversalize,
 )
-from ahmass.poly import ExactPoly, sphere_integral, vanishes_on_sphere
+from ahmass.poly import ExactPoly, quadric_normal_form, sphere_integral, vanishes_on_sphere
+from sphere_oracles import polys, sphere_ideal, square_and_integrate_vanishes
 
 F = Fraction
 
@@ -205,6 +208,7 @@ def test_bracket_relation_rotation_vs_boosts():
         ba = boost_action(j, boost_action(i, m))
         rhs = (ab - ba).scale(F(-1))
         assert lhs.equal_on_sphere(rhs)
+        assert not lhs.equal_on_sphere(rhs.scale(F(-1)))
 
 
 def test_rotation_regression_value():
@@ -244,6 +248,48 @@ def test_conformal_anomaly_weight():
     m_bad = random_mass_aspect(n, n, rng)
     vals = [sphere_integral(boost_action(i, m_bad).trace_sigma()) for i in (1, 2, 3)]
     assert any(v != 0 for v in vals)
+
+
+# ---------------------------------------------------------------------------
+# components in sphere normal form, n = 2..4, rational and Gaussian
+# ---------------------------------------------------------------------------
+
+
+def is_reduced(t: SphereTensor) -> bool:
+    return all(quadric_normal_form(p) is p for p in t.comp.values())
+
+
+@st.composite
+def raw_tensors(draw, count):
+    """(n, [comp_1 .. comp_count]): raw upper-triangle component dicts."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    gaussian = draw(st.booleans())
+    keys = [(i, j) for i in range(n) for j in range(i, n)]
+    return n, [
+        {ij: draw(polys(n, gaussian, max_degree=3, max_terms=3)) for ij in keys}
+        for _ in range(count)
+    ]
+
+
+@given(raw_tensors(count=3))
+@settings(max_examples=25, deadline=None)
+def test_components_stored_in_normal_form(case):
+    n, (raw, shift, other) = case
+    m = SphereTensor(n, 4, raw)
+    assert is_reduced(m)
+    shifted = SphereTensor(n, 4, {ij: p + sphere_ideal(n) * shift[ij] for ij, p in raw.items()})
+    assert m.equal_on_sphere(shifted)
+    expect = all(square_and_integrate_vanishes(raw[ij] - other[ij]) for ij in raw)
+    assert m.equal_on_sphere(SphereTensor(n, 4, other)) == expect
+    assert (m - shifted).is_zero_on_sphere()
+
+
+@given(st.integers(min_value=2, max_value=4), st.booleans(), st.randoms(use_true_random=False))
+@settings(max_examples=8, deadline=None)
+def test_actions_return_reduced_components(n, gaussian, rng):
+    m = random_mass_aspect(n, 4, rng, degree=1, gaussian=gaussian)
+    assert is_reduced(boost_action(1, m))
+    assert is_reduced(rotation_action(1, 2, m))
 
 
 # ---------------------------------------------------------------------------
@@ -305,3 +351,14 @@ def test_group_action_derivative_matches_boost_action():
     r2 = (4 * d3 - d2) / 3
     rich = (16 * r2 - r1) / 15
     assert np.max(np.abs(rich - exact)) < 1e-8
+
+
+def test_numeric_sampling_rejects_imaginary_parts():
+    rng = random.Random(2)
+    m = random_mass_aspect(3, 4, rng, gaussian=True)
+    assert any(p.imag() for p in m.comp.values())
+    nodes = fibonacci_nodes(4)
+    with pytest.raises(ValueError):
+        sample_tensor(m, nodes)
+    with pytest.raises(ValueError):
+        group_action_numeric(identity_element(3), m, 4, nodes)

@@ -12,11 +12,18 @@ from ahmass.poly import (
     hyperboloid_normal_form,
     minkowski_norm_poly,
     monomials_of_degree,
+    quadric_normal_form,
     sphere_integral,
     sphere_monomial_integral,
     sphere_restrict,
     vanishes_on_sphere,
     wave_operator,
+)
+from sphere_oracles import (
+    points_on_sphere,
+    sphere_ideal,
+    sphere_polys,
+    square_and_integrate_vanishes,
 )
 
 
@@ -124,6 +131,54 @@ def test_ideal_members_vanish(d0, d1):
 
 
 # ---------------------------------------------------------------------------
+# sphere normal form, n = 1..4, rational and Gaussian coefficients
+# ---------------------------------------------------------------------------
+
+
+@given(sphere_polys(count=1))
+@settings(max_examples=60, deadline=None)
+def test_sphere_normal_form_is_idempotent_and_reduced(case):
+    n, (p,) = case
+    nf = quadric_normal_form(p)
+    assert all(e[-1] <= 1 for e in nf.terms)
+    assert quadric_normal_form(nf) is nf
+
+
+@given(sphere_polys())
+@settings(max_examples=60, deadline=None)
+def test_sphere_normal_form_kills_the_ideal(case):
+    n, (p, q) = case
+    assert quadric_normal_form(sphere_ideal(n) * q).is_zero()
+    assert quadric_normal_form(p + sphere_ideal(n) * q) == quadric_normal_form(p)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_sphere_normal_form_agrees_on_the_sphere(data):
+    n, (p,) = data.draw(sphere_polys(count=1))
+    x = data.draw(points_on_sphere(n))
+    assert quadric_normal_form(p).evaluate(x) == p.evaluate(x)
+
+
+@given(sphere_polys(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_zero_test_agrees_with_square_and_integrate(case, in_ideal):
+    n, (p, q) = case
+    r = sphere_ideal(n) * q
+    if not in_ideal:
+        r = r + p
+    assert vanishes_on_sphere(r) == square_and_integrate_vanishes(r)
+
+
+def test_normal_form_needs_a_variable():
+    p = ExactPoly.constant(0, 1)
+    with pytest.raises(ValueError):
+        quadric_normal_form(p)
+    with pytest.raises(ValueError):
+        vanishes_on_sphere(p)
+
+
+# ---------------------------------------------------------------------------
 # hyperboloid normal form
 # ---------------------------------------------------------------------------
 
@@ -174,6 +229,14 @@ def test_substitute_and_restrict():
     r = sphere_restrict(p)
     assert r.nvars == 3
     assert r == ExactPoly.constant(3, 1) - X(3, 0) * X(3, 1)
+
+
+@given(sphere_polys(count=1))
+@settings(max_examples=60, deadline=None)
+def test_sphere_restrict_matches_substitution(case):
+    n, (p,) = case
+    values = [ExactPoly.constant(n - 1, 1)] + [X(n - 1, i) for i in range(n - 1)]
+    assert sphere_restrict(p) == p.substitute(values)
 
 
 def test_euler_degree_operator():

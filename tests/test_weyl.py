@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -194,6 +195,21 @@ def test_signature_diff_p0_formula():
     for n in (3, 4, 5):
         plus, minus = signature_Wp_expected(n, 0)
         assert plus - minus == (n + 2) * (n - 1) * (n - 2) * (n - 3) // 12
+
+
+@pytest.mark.parametrize("closed_form", [dim_Wp, signature_Wp_expected])
+@pytest.mark.parametrize("n,p", [(1, 0), (3, -1)])
+def test_closed_forms_reject_bad_input(closed_form, n, p):
+    with pytest.raises(ValueError):
+        closed_form(n, p)
+
+
+@pytest.mark.parametrize("closed_form", [dim_Wp, signature_Wp_expected])
+def test_closed_forms_raise_when_not_integral(closed_form, monkeypatch):
+    # with every binomial replaced by 1 both closed forms are fractions at n = 4
+    monkeypatch.setattr(math, "comb", lambda a, b: 1)
+    with pytest.raises(ArithmeticError):
+        closed_form(4, 0)
 
 
 # ---------------------------------------------------------------------------
