@@ -16,7 +16,6 @@ Library layout:
   Weyl, chiral) and their equivariance checks.
 * :mod:`ahmass.quadrature` -- product quadrature on spheres for the
   numeric checks of the finite group action.
-* :mod:`ahmass.cli` -- the ``ahmass`` command-line front end.
 """
 
 __version__ = "0.1.0"

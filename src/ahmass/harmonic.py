@@ -19,14 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from .linalg import Row, nullspace, signature_of_form
+from .linalg import nullspace, signature_of_form
 from .poly import (
     ExactPoly,
+    from_coords,
     minkowski_norm_poly,
-    monomial_index,
     monomials_of_degree,
+    operator_rows,
     wave_operator,
 )
 
@@ -36,17 +37,6 @@ F = Fraction
 def dim_Hp(n: int, p: int) -> int:
     """binom(p+n-2, p) (2p+n-1) / (n-1)."""
     return math.comb(p + n - 2, p) * (2 * p + n - 1) // (n - 1)
-
-
-def poly_to_row(p: ExactPoly, index: Dict[tuple, int]) -> Row:
-    return {index[e]: c for e, c in p.terms.items()}
-
-
-def row_to_poly(row: Row, rev: Dict[int, tuple], nvars: int) -> ExactPoly:
-    out = ExactPoly(nvars)
-    for i, c in row.items():
-        out = out + ExactPoly.monomial(nvars, rev[i], c)
-    return out
 
 
 @dataclass
@@ -65,20 +55,9 @@ def build_Hp(n: int, p: int) -> HarmonicSpace:
     if n < 3 or p < 0:
         raise ValueError("need n >= 3 and p >= 0")
     nv = n + 1
-    monos = monomials_of_degree(nv, p)
-    index = {e: i for i, e in enumerate(monos)}
-    if p < 2:
-        basis = [ExactPoly.monomial(nv, e) for e in monos]
-    else:
-        target = monomial_index(nv, p - 2)
-        rows: List[Row] = [dict() for _ in range(len(target))]
-        for j, e in enumerate(monos):
-            img = wave_operator(ExactPoly.monomial(nv, e))
-            for e2, c in img.terms.items():
-                rows[target[e2]][j] = c
-        kernel = nullspace(rows, len(monos))
-        rev = {i: e for e, i in index.items()}
-        basis = [row_to_poly(v, rev, nv) for v in kernel]
+    box = operator_rows(wave_operator, nv, p, p - 2)
+    kernel = nullspace(box, len(monomials_of_degree(nv, p)))
+    basis = [from_coords(v, nv, p) for v in kernel]
     space = HarmonicSpace(n, p, basis)
     if space.dim != dim_Hp(n, p):
         raise AssertionError(f"dim H_{p} mismatch for n={n}")

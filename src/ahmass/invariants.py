@@ -25,9 +25,15 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .gaussian import GaussianRational
-from .lorentz import LorentzElement, act_on_poly, algebra_act_on_poly
+from .lorentz import (
+    LorentzElement,
+    act_on_poly,
+    algebra_act_on_poly,
+    mat_scale,
+    mat_transpose,
+)
 from .massaspect import SphereTensor, generator_action, group_action_numeric
-from .poly import ExactPoly, sphere_integral, sphere_restrict, vanishes_on_sphere
+from .poly import ExactPoly, operator_rows, sphere_integral, sphere_restrict
 from .quadrature import sphere_nodes
 from .weyl import PolyTensor4, algebra_action_tensor4, index_pairs
 
@@ -226,36 +232,6 @@ def weyl_mass_chiral(m: SphereTensor, w: PolyTensor4, sign: int, check_weight: b
     return total
 
 
-def south_pole_J() -> Dict[int, Tuple]:
-    """The boundary complex structure at the south pole, J(d_2), J(d_3).
-
-    Solves *(e+ ^ X) = e+ ^ J(X) with e+ = d_0 - d_1 at (-1, 0, 0);
-    J is defined up to adding multiples of e+, which never enter the
-    masses.  Returned as coefficient tuples over (d_0 .. d_3).
-    """
-    out = {}
-    for i in (2, 3):
-        b = {}  # e+ ^ d_i at the south pole: e+ = d_0 - d_1
-        b[(0, i)] = F(1)
-        b[(1, i)] = F(-1)
-        sb = hodge_star_bivector(b)
-        # solve e+ ^ v = sb with v = c2 d_2 + c3 d_3 (+ multiples of e+)
-        c2 = sb.get((0, 2), F(0))
-        c3 = sb.get((0, 3), F(0))
-        # consistency of the remaining components
-        expect = {}
-        if c2:
-            expect[(0, 2)] = c2
-            expect[(1, 2)] = -c2
-        if c3:
-            expect[(0, 3)] = c3
-            expect[(1, 3)] = -c3
-        if {k: v for k, v in sb.items() if v} != {k: v for k, v in expect.items() if v}:
-            raise AssertionError("*(e+ ^ X) is not of the form e+ ^ J(X)")
-        out[i] = (F(0), F(0), c2, c3)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # equivariance checks
 # ---------------------------------------------------------------------------
@@ -406,34 +382,14 @@ def finite_action_tensor4(a: LorentzElement, w: PolyTensor4) -> PolyTensor4:
 
 
 def symmetric_power_action(mat, nv: int, power: int) -> List[Dict[int, object]]:
-    """Matrix of the derivation action of ``mat`` on Sym^power(R^{nv})."""
-    from .poly import monomial_index, monomials_of_degree
+    """Matrix of the derivation action of ``mat`` on Sym^power(R^{nv}).
 
-    monos = monomials_of_degree(nv, power)
-    midx = {e: i for i, e in enumerate(monos)}
+    a . xi^e = sum_{mu nu} a^mu_nu xi_mu d_{xi_nu} xi^e, which is the
+    polynomial action -(bX).d of b = -a^T.
+    """
     m = mat.matrix if hasattr(mat, "matrix") else mat
-    cols: List[Dict[int, object]] = []
-    for e in monos:
-        out: Dict[int, object] = {}
-        # a . xi^e = sum_{mu nu} a^mu_nu xi_mu d_{xi_nu} xi^e
-        for nu in range(nv):
-            if not e[nu]:
-                continue
-            for mu in range(nv):
-                c = m[mu][nu]
-                if not c:
-                    continue
-                e2 = list(e)
-                e2[nu] -= 1
-                e2[mu] += 1
-                t = midx[tuple(e2)]
-                out[t] = out.get(t, F(0)) + c * e[nu]
-        cols.append(out)
-    rows: List[Dict[int, object]] = [dict() for _ in range(len(monos))]
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            rows[i][j] = v
-    return rows
+    b = mat_scale(mat_transpose(m), -1)
+    return operator_rows(lambda p: algebra_act_on_poly(b, p), nv, power, power)
 
 
 def density_null_power(n: int, n1: int, k: int) -> List[SphereTensor]:

@@ -350,3 +350,30 @@ def signature_of_form(gram: Sequence[Sequence], dim: int | None = None) -> Tuple
 
 def dense_to_rows(mat: Sequence[Sequence]) -> List[Row]:
     return [{j: v for j, v in enumerate(r) if v} for r in mat]
+
+
+def identity_rows(n: int) -> List[Row]:
+    return [{i: Fraction(1)} for i in range(n)]
+
+
+def kron_rows(terms: Sequence[Tuple[Sequence[Row], Sequence[Row]]], b_cols: int) -> List[Row]:
+    """Sparse rows of sum_k A_k (x) B_k.
+
+    Every A_k has the shape of A_0 and every B_k that of B_0, with
+    ``b_cols`` columns.  Entry A[i][j] B[r][s] lands in row
+    ``i * len(B) + r`` and column ``j * b_cols + s``: the index of A is
+    major, the index of B minor.  Entries that cancel are dropped.
+    """
+    na, nb = len(terms[0][0]), len(terms[0][1])
+    if any(len(a) != na or len(b) != nb for a, b in terms):
+        raise ValueError("Kronecker terms of different shapes")
+    out: List[Row] = [dict() for _ in range(na * nb)]
+    for a, b in terms:
+        for i, arow in enumerate(a):
+            for r, brow in enumerate(b):
+                row = out[i * nb + r]
+                for j, x in arow.items():
+                    for s, y in brow.items():
+                        c = j * b_cols + s
+                        row[c] = row.get(c, 0) + x * y
+    return [{c: v for c, v in row.items() if v} for row in out]

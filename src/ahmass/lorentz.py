@@ -310,13 +310,6 @@ def algebra_act_on_poly(a, p: ExactPoly) -> ExactPoly:
     return out
 
 
-def null_position_field(n: int) -> List[ExactPoly]:
-    """Components of the null field (1, x^1, ..., x^n) along the sphere."""
-    e = [ExactPoly.constant(n, 1)]
-    e += [ExactPoly.variable(n, i) for i in range(n)]
-    return e
-
-
 # ---------------------------------------------------------------------------
 # Cartan subalgebra, roots and highest-weight machinery
 # ---------------------------------------------------------------------------

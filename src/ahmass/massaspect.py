@@ -23,6 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .gaussian import GaussianRational
 from .lorentz import LorentzElement, u_of_A
 from .poly import ExactPoly, quadric_normal_form, vanishes_on_sphere
 
@@ -113,15 +114,22 @@ class SphereTensor:
     def conjugate(self) -> "SphereTensor":
         return self.map(lambda p: p.conjugate())
 
+    def is_real(self) -> bool:
+        """True when no coefficient has a nonzero imaginary part (exact)."""
+        return not any(
+            isinstance(c, GaussianRational) and c.im
+            for p in self.comp.values()
+            for c in p.terms.values()
+        )
+
     def evaluate_float(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=complex)
+        """Values at a point; a real array exactly when every coefficient is real."""
+        out = np.zeros((self.n, self.n), dtype=float if self.is_real() else complex)
         for (i, j), p in self.comp.items():
-            v = complex(p.evaluate_float(x))
+            v = p.evaluate_float(x)
             out[i, j] += v
             if i != j:
                 out[j, i] += v
-        if np.allclose(out.imag, 0.0):
-            return out.real
         return out
 
 
@@ -410,7 +418,7 @@ def _boundary_map_and_jacobian(a_inv_matrix: np.ndarray, x: np.ndarray):
 
 
 def _require_real(m: SphereTensor):
-    if any(p.imag() for p in m.comp.values()):
+    if not m.is_real():
         raise ValueError("mass aspect has a nonzero imaginary part")
 
 
@@ -455,7 +463,6 @@ def sample_tensor(m: SphereTensor, nodes: np.ndarray) -> np.ndarray:
 
 def random_mass_aspect(n: int, k: int, rng, degree: int = 2, gaussian: bool = False) -> SphereTensor:
     """Random rational symmetric tensor, transversalized to order k."""
-    from .gaussian import GaussianRational
     from .poly import monomials_of_degree
 
     comp = {}

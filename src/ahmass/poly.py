@@ -460,3 +460,41 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Exponents]:
 
 def monomial_index(nvars: int, degree: int) -> Dict[Exponents, int]:
     return {e: i for i, e in enumerate(monomials_of_degree(nvars, degree))}
+
+
+# ---------------------------------------------------------------------------
+# Monomial coordinates and linear operators on them
+# ---------------------------------------------------------------------------
+
+
+def to_coords(p: ExactPoly, degree: int) -> Dict[int, object]:
+    """Sparse coordinates of a degree-``degree`` form on the monomial basis."""
+    index = monomial_index(p.nvars, degree)
+    return {index[e]: c for e, c in p.terms.items()}
+
+
+def from_coords(row: Dict[int, object], nvars: int, degree: int) -> ExactPoly:
+    """The form with the given sparse coordinates; inverse of :func:`to_coords`."""
+    monos = monomials_of_degree(nvars, degree)
+    return ExactPoly(nvars, {monos[i]: c for i, c in row.items()})
+
+
+def operator_rows(op, nvars: int, degree: int, target_degree: int) -> list[Dict[int, object]]:
+    """Sparse matrix of a linear map between spaces of homogeneous forms.
+
+    ``op`` maps degree-``degree`` polynomials to degree-``target_degree``
+    ones.  Row ``t`` holds the coefficient of target monomial ``t`` in the
+    images of the source monomials, keyed by source monomial index (the
+    order of :func:`monomials_of_degree`); a negative target degree gives
+    no rows.  This is the one place where an operator is assembled from
+    its images of single monomials.
+    """
+    target = monomial_index(nvars, target_degree)
+    rows: list[Dict[int, object]] = [dict() for _ in target]
+    for j, e in enumerate(monomials_of_degree(nvars, degree)):
+        for e2, c in op(ExactPoly.monomial(nvars, e)).terms.items():
+            t = target.get(e2)
+            if t is None:
+                raise ValueError(f"image term {e2} is not of degree {target_degree}")
+            rows[t][j] = c
+    return rows

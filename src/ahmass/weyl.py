@@ -17,6 +17,18 @@ The chain implemented here:
   tensor spaces, with comparison reports against cataloged closed forms.
 
 All tensors are stored over the ambient Minkowski variables X^0..X^n.
+
+Every linear system on polynomial coefficients is assembled from two
+pieces: :func:`ahmass.poly.operator_rows`, the sparse matrix of a map
+between homogeneous forms on monomial coordinates (Box, d_nu, X^mu and
+the derivation -(aX).d of an algebra element), and
+:func:`ahmass.linalg.kron_rows`, which forms sum_k A_k (x) B_k with a
+slot or vector factor.  A symmetric 2-tensor of degree d has coordinates
+monomial index major, slot minor; on them the constraints are
+Box (x) I, I (x) tr and sum_mu X^mu (x) c_mu, and the action of a is
+D_a (x) I + I (x) S_a (:func:`_sym2_action_terms`).  The gauge vector
+field of :func:`de_donder_fix` is laid out component major, so its
+operators are I (x) Box and sum_nu eta_nu e_nu (x) d_nu.
 """
 
 from __future__ import annotations
@@ -27,12 +39,23 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .gaussian import GaussianRational
-from .linalg import Row, SpanSolver, nullspace, signature_of_form, solve_min_support
-from .lorentz import Matrix, cartan_rank
+from .linalg import (
+    Row,
+    SpanSolver,
+    identity_rows,
+    kron_rows,
+    nullspace,
+    signature_of_form,
+    solve_min_support,
+)
+from .lorentz import Matrix, algebra_act_on_poly, cartan_rank
 from .poly import (
     ExactPoly,
+    from_coords,
     monomial_index,
     monomials_of_degree,
+    operator_rows,
+    to_coords,
     wave_operator,
 )
 
@@ -325,23 +348,13 @@ def linearized_riemann(h: PolySym2) -> PolyTensor4:
 
 def _solve_box(nv: int, rhs: ExactPoly, degree: int) -> ExactPoly:
     """One exact minimum-support solution of Box xi = rhs, xi of ``degree``."""
-    monos = monomials_of_degree(nv, degree)
     if rhs.is_zero():
         return ExactPoly.zero(nv)
-    target = monomial_index(nv, degree - 2)
-    rows: List[Row] = [dict() for _ in range(len(target))]
-    for j, e in enumerate(monos):
-        img = wave_operator(ExactPoly.monomial(nv, e))
-        for e2, c in img.terms.items():
-            rows[target[e2]][j] = c
-    b = [F(0)] * len(target)
-    for e, c in rhs.terms.items():
-        b[target[e]] = c
-    sol = solve_min_support(rows, len(monos), b)
-    out = ExactPoly.zero(nv)
-    for j, c in sol.items():
-        out = out + ExactPoly.monomial(nv, monos[j], c)
-    return out
+    box = operator_rows(wave_operator, nv, degree, degree - 2)
+    b = to_coords(rhs, degree - 2)
+    ncols = len(monomials_of_degree(nv, degree))
+    sol = solve_min_support(box, ncols, [b.get(t, 0) for t in range(len(box))])
+    return from_coords(sol, nv, degree)
 
 
 def de_donder_fix(h: PolySym2) -> Tuple[PolySym2, List[ExactPoly]]:
@@ -369,52 +382,25 @@ def de_donder_fix(h: PolySym2) -> Tuple[PolySym2, List[ExactPoly]]:
         xi1.append(_solve_box(nv, rhs, xdeg))
     h1 = h + sym_gauge(xi1)
 
-    # second step: Box xi = 0 with d.xi = -tr(h1)/2, solved jointly
-    tr1 = h1.eta_trace()
-    monos = monomials_of_degree(nv, xdeg)
-    midx = {e: i for i, e in enumerate(monos)}
-    ncols = nv * len(monos)
-
-    def col(nu, j):
-        return nu * len(monos) + j
-
-    rows: List[Row] = []
-    rhs_vec: List[Fraction] = []
-    lower = monomial_index(nv, xdeg - 2)
-    # wave equation on every component
-    for nu in range(nv):
-        block: List[Row] = [dict() for _ in range(len(lower))]
-        for j, e in enumerate(monos):
-            img = wave_operator(ExactPoly.monomial(nv, e))
-            for e2, c in img.terms.items():
-                block[lower[e2]][col(nu, j)] = c
-        rows.extend(block)
-        rhs_vec.extend([F(0)] * len(lower))
-    # divergence condition d^mu xi_mu = -tr1/2, degree xdeg-1
-    dtarget = monomial_index(nv, xdeg - 1)
-    dblock: List[Row] = [dict() for _ in range(len(dtarget))]
-    for nu in range(nv):
-        for j, e in enumerate(monos):
-            img = _eta_sign(nu) * ExactPoly.monomial(nv, e).diff(nu)
-            for e2, c in img.terms.items():
-                dblock[dtarget[e2]][col(nu, j)] = (
-                    dblock[dtarget[e2]].get(col(nu, j), F(0)) + c
-                )
-    drhs = [F(0)] * len(dtarget)
-    half_tr = tr1 / (-2)
-    for e, c in half_tr.terms.items():
-        drhs[dtarget[e]] = c
-    rows.extend(dblock)
-    rhs_vec.extend(drhs)
-    sol = solve_min_support(rows, ncols, rhs_vec)
-    xi2 = []
-    for nu in range(nv):
-        p = ExactPoly.zero(nv)
-        for j in range(len(monos)):
-            c = sol.get(col(nu, j))
-            if c:
-                p = p + ExactPoly.monomial(nv, monos[j], c)
-        xi2.append(p)
+    # second step: Box xi = 0 with d.xi = -tr(h1)/2, solved jointly; the
+    # coordinates of xi are component index major, so the rows are
+    # I (x) Box stacked over sum_nu eta_nu e_nu (x) d_nu
+    nmonos = len(monomials_of_degree(nv, xdeg))
+    box = operator_rows(wave_operator, nv, xdeg, xdeg - 2)
+    rows = kron_rows([(identity_rows(nv), box)], nmonos)
+    div_terms = [
+        ([{nu: F(_eta_sign(nu))}], operator_rows(lambda p, nu=nu: p.diff(nu), nv, xdeg, xdeg - 1))
+        for nu in range(nv)
+    ]
+    div_rows = kron_rows(div_terms, nmonos)
+    half_tr = to_coords(h1.eta_trace() / (-2), xdeg - 1)
+    rhs_vec = [0] * len(rows) + [half_tr.get(t, 0) for t in range(len(div_rows))]
+    sol = solve_min_support(rows + div_rows, nv * nmonos, rhs_vec)
+    parts: List[Row] = [dict() for _ in range(nv)]
+    for flat, c in sol.items():
+        nu, j = divmod(flat, nmonos)
+        parts[nu][j] = c
+    xi2 = [from_coords(part, nv, xdeg) for part in parts]
     out = h1 + sym_gauge(xi2)
     if not out.eta_trace().is_zero():
         raise AssertionError("gauge fixing failed to remove the trace")
@@ -843,10 +829,6 @@ def _tensor4_q(n: int, p: int, w1: PolyTensor4, w2: PolyTensor4) -> Fraction:
     return total
 
 
-def invariant_form_Wp(space: WeylSpace, w1: PolyTensor4, w2: PolyTensor4) -> Fraction:
-    return _tensor4_q(space.n, space.p, w1, w2)
-
-
 def signature_Wp(n: int, p: int, space: WeylSpace | None = None, check_invariance: bool = True) -> Tuple[int, int]:
     """Signature of the invariant form on W_p, normalized so n+ >= n-.
 
@@ -975,63 +957,48 @@ def algebra_action_tensor4(mat, w: PolyTensor4) -> PolyTensor4:
 # ---------------------------------------------------------------------------
 
 
-def _sym2_coords(nv: int, degree: int):
-    monos = monomials_of_degree(nv, degree)
-    midx = {e: i for i, e in enumerate(monos)}
-    slots = [(mu, nu) for mu in range(nv) for nu in range(mu, nv)]
-    sidx = {s: i for i, s in enumerate(slots)}
-    return monos, midx, slots, sidx
+def _sym2_slots(nv: int) -> List[Tuple[int, int]]:
+    """Independent components (mu <= nu) of a symmetric 2-tensor, in order.
 
-
-def sym2_to_row(h: PolySym2, degree: int) -> Row:
-    monos, midx, slots, sidx = _sym2_coords(h.nv, degree)
-    out: Row = {}
-    for (mu, nu), p in h.comp.items():
-        for e, c in p.terms.items():
-            out[midx[e] * len(slots) + sidx[(mu, nu)]] = c
-    return out
+    The coordinates of a degree-d tensor are laid out monomial index
+    major, slot minor: h_{mu nu} X^e sits at e * len(slots) + slot.
+    """
+    return [(mu, nu) for mu in range(nv) for nu in range(mu, nv)]
 
 
 def row_to_sym2(row: Row, nv: int, degree: int) -> PolySym2:
-    monos, midx, slots, sidx = _sym2_coords(nv, degree)
-    comp: Dict[Tuple[int, int], ExactPoly] = {}
+    slots = _sym2_slots(nv)
+    parts: Dict[Tuple[int, int], Row] = {}
     for flat, c in row.items():
         m, s = divmod(flat, len(slots))
-        key = slots[s]
-        comp[key] = comp.get(key, ExactPoly.zero(nv)) + ExactPoly.monomial(
-            nv, monos[m], c
-        )
-    return PolySym2(nv, comp)
+        parts.setdefault(slots[s], {})[m] = c
+    return PolySym2(nv, {key: from_coords(part, nv, degree) for key, part in parts.items()})
 
 
-def harmonic_tracefree_sym2_space(n: int, degree: int) -> List[PolySym2]:
-    """Basis of componentwise wave-harmonic, eta-trace-free Sym^2 tensors."""
+def _sym2_constraint_rows(n: int, degree: int, transverse: bool) -> Tuple[List[Row], int]:
+    """Rows cutting out the wave-harmonic, eta-trace-free degree-d tensors.
+
+    Box (x) I stacked over I (x) tr; with ``transverse`` also the radial
+    contraction sum_mu X^mu (x) c_mu, where c_mu h = (h_{mu nu})_nu.
+    Returns the rows and the number of coordinates.
+    """
     nv = n + 1
-    monos, midx, slots, sidx = _sym2_coords(nv, degree)
-    ncols = len(monos) * len(slots)
-
-    def col(e, mu, nu):
-        if mu > nu:
-            mu, nu = nu, mu
-        return midx[e] * len(slots) + sidx[(mu, nu)]
-
-    rows: List[Row] = []
-    if degree >= 2:
-        lower = monomial_index(nv, degree - 2)
-        for (mu, nu) in slots:
-            block: List[Row] = [dict() for _ in range(len(lower))]
-            for e in monos:
-                img = wave_operator(ExactPoly.monomial(nv, e))
-                for e2, c in img.terms.items():
-                    block[lower[e2]][col(e, mu, nu)] = c
-            rows.extend(r for r in block if r)
-    for e in monos:
-        r: Row = {}
+    slots = _sym2_slots(nv)
+    sidx = {s: i for i, s in enumerate(slots)}
+    nmonos = len(monomials_of_degree(nv, degree))
+    box = operator_rows(wave_operator, nv, degree, degree - 2)
+    rows = kron_rows([(box, identity_rows(len(slots)))], len(slots))
+    trace = [{sidx[(mu, mu)]: F(_eta_sign(mu)) for mu in range(nv)}]
+    rows += kron_rows([(identity_rows(nmonos), trace)], len(slots))
+    if transverse:
+        terms = []
         for mu in range(nv):
-            r[col(e, mu, mu)] = r.get(col(e, mu, mu), F(0)) + _eta_sign(mu)
-        rows.append(r)
-    kernel = nullspace(rows, ncols)
-    return [row_to_sym2(v, nv, degree) for v in kernel]
+            x_mu = ExactPoly.variable(nv, mu)
+            times_x = operator_rows(lambda p, x=x_mu: p * x, nv, degree, degree + 1)
+            contract = [{sidx[(min(mu, nu), max(mu, nu))]: F(1)} for nu in range(nv)]
+            terms.append((times_x, contract))
+        rows += kron_rows(terms, len(slots))
+    return rows, nmonos * len(slots)
 
 
 def transverse_solution_space(n: int, degree: int) -> List[PolySym2]:
@@ -1040,42 +1007,8 @@ def transverse_solution_space(n: int, degree: int) -> List[PolySym2]:
     These solve the linearized Einstein equations (they are automatically
     divergence free) and realize the same representation as W_{degree-2}.
     """
-    nv = n + 1
-    monos, midx, slots, sidx = _sym2_coords(nv, degree)
-    ncols = len(monos) * len(slots)
-
-    def col(e, mu, nu):
-        if mu > nu:
-            mu, nu = nu, mu
-        return midx[e] * len(slots) + sidx[(mu, nu)]
-
-    rows: List[Row] = []
-    if degree >= 2:
-        lower = monomial_index(nv, degree - 2)
-        for (mu, nu) in slots:
-            block: List[Row] = [dict() for _ in range(len(lower))]
-            for e in monos:
-                img = wave_operator(ExactPoly.monomial(nv, e))
-                for e2, c in img.terms.items():
-                    block[lower[e2]][col(e, mu, nu)] = c
-            rows.extend(r for r in block if r)
-    for e in monos:
-        r = {}
-        for mu in range(nv):
-            r[col(e, mu, mu)] = r.get(col(e, mu, mu), F(0)) + _eta_sign(mu)
-        rows.append(r)
-    upper = monomial_index(nv, degree + 1)
-    for nu in range(nv):
-        block = [dict() for _ in range(len(upper))]
-        for e in monos:
-            for mu in range(nv):
-                img = ExactPoly.variable(nv, mu) * ExactPoly.monomial(nv, e)
-                for e2, c in img.terms.items():
-                    key = col(e, mu, nu)
-                    block[upper[e2]][key] = block[upper[e2]].get(key, F(0)) + c
-        rows.extend(r for r in block if r)
-    kernel = nullspace(rows, ncols)
-    return [row_to_sym2(v, nv, degree) for v in kernel]
+    kernel = nullspace(*_sym2_constraint_rows(n, degree, True))
+    return [row_to_sym2(v, n + 1, degree) for v in kernel]
 
 
 # ---------------------------------------------------------------------------
@@ -1083,63 +1016,25 @@ def transverse_solution_space(n: int, degree: int) -> List[PolySym2]:
 # ---------------------------------------------------------------------------
 
 
-def _sym2_constraint_rows(n: int, degree: int, transverse: bool):
-    nv = n + 1
-    monos, midx, slots, sidx = _sym2_coords(nv, degree)
-    ncols = len(monos) * len(slots)
+def _sym2_action_terms(mat, nv: int, degree: int) -> List[Tuple[List[Row], List[Row]]]:
+    """The algebra action on degree-d Sym^2 coordinates, D_a (x) I + I (x) S_a.
 
-    def col(e, mu, nu):
-        if mu > nu:
-            mu, nu = nu, mu
-        return midx[e] * len(slots) + sidx[(mu, nu)]
-
-    rows: List[Row] = []
-    if degree >= 2:
-        lower = monomial_index(nv, degree - 2)
-        for (mu, nu) in slots:
-            block: List[Row] = [dict() for _ in range(len(lower))]
-            for e in monos:
-                img = wave_operator(ExactPoly.monomial(nv, e))
-                for e2, c in img.terms.items():
-                    block[lower[e2]][col(e, mu, nu)] = c
-            rows.extend(r for r in block if r)
-    for e in monos:
-        r: Row = {}
-        for mu in range(nv):
-            r[col(e, mu, mu)] = r.get(col(e, mu, mu), F(0)) + _eta_sign(mu)
-        rows.append(r)
-    if transverse:
-        upper = monomial_index(nv, degree + 1)
-        for nu in range(nv):
-            block = [dict() for _ in range(len(upper))]
-            for e in monos:
-                for mu in range(nv):
-                    img = ExactPoly.variable(nv, mu) * ExactPoly.monomial(nv, e)
-                    for e2, c in img.terms.items():
-                        key = col(e, mu, nu)
-                        block[upper[e2]][key] = block[upper[e2]].get(key, F(0)) + c
-            rows.extend(r for r in block if r)
-    return rows, ncols
-
-
-def _sym2_operator_rows(mat, n: int, degree: int) -> List[Row]:
-    """Sparse rows of the algebra action on the degree-d Sym^2 coordinates."""
-    nv = n + 1
-    monos, midx, slots, sidx = _sym2_coords(nv, degree)
-    rows: List[Row] = [dict() for _ in range(len(monos) * len(slots))]
-    for j_m, e in enumerate(monos):
-        for (mu, nu) in slots:
-            src = j_m * len(slots) + sidx[(mu, nu)]
-            unit = PolySym2(nv, {(mu, nu): ExactPoly.monomial(nv, e)})
-            img = algebra_action_sym2(mat, unit)
-            for (a, b), poly in img.comp.items():
-                for e2, c in poly.terms.items():
-                    tgt = midx[e2] * len(slots) + sidx[(a, b)]
-                    rows[tgt][src] = rows[tgt].get(src, F(0)) + c
-    for r in rows:
-        for k in [k for k, v in r.items() if not v]:
-            del r[k]
-    return rows
+    D_a = -(aX).d is the action on the coefficient monomials and S_a the
+    action on the slots, (S_a h)_{mu nu} = -a^s_mu h_{s nu} - a^s_nu h_{mu s};
+    :func:`algebra_action_sym2` is the same map on one tensor.
+    """
+    m = mat.matrix if hasattr(mat, "matrix") else mat
+    slots = _sym2_slots(nv)
+    sidx = {s: i for i, s in enumerate(slots)}
+    slot_rows: List[Row] = [dict() for _ in slots]
+    for (mu, nu), row in zip(slots, slot_rows):
+        for s in range(nv):
+            for c, pair in ((m[s][mu], (s, nu)), (m[s][nu], (mu, s))):
+                if c:
+                    j = sidx[(min(pair), max(pair))]
+                    row[j] = row.get(j, 0) - c
+    mono_rows = operator_rows(lambda p: algebra_act_on_poly(m, p), nv, degree, degree)
+    return [(mono_rows, identity_rows(len(slots))), (identity_rows(len(mono_rows)), slot_rows)]
 
 
 def hw_vectors_sym2(
@@ -1157,24 +1052,14 @@ def hw_vectors_sym2(
     from .lorentz import cartan_generators, raising_operators
 
     nv = n + 1
+    nslots = len(_sym2_slots(nv))
     rows, ncols = _sym2_constraint_rows(n, degree, transverse)
-    rows = list(rows)
     for hmat, lam in zip(cartan_generators(n), weight):
-        op = _sym2_operator_rows(hmat, n, degree)
-        for i, r in enumerate(op):
-            rr = dict(r)
-            if lam:
-                v = rr.get(i, F(0)) - lam
-                if v:
-                    rr[i] = v
-                else:
-                    rr.pop(i, None)
-            if rr:
-                rows.append(rr)
+        # H - lam, with lam carried on the monomial factor
+        shift = ([{i: -lam} for i in range(ncols // nslots)], identity_rows(nslots))
+        rows += kron_rows(_sym2_action_terms(hmat, nv, degree) + [shift], nslots)
     for _, rmat in raising_operators(n):
-        for r in _sym2_operator_rows(rmat, n, degree):
-            if r:
-                rows.append(r)
+        rows += kron_rows(_sym2_action_terms(rmat, nv, degree), nslots)
     kernel = nullspace(rows, ncols)
     return [row_to_sym2(v, nv, degree) for v in kernel]
 

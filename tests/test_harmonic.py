@@ -79,14 +79,12 @@ def random_homogeneous(nv, d, rng):
 def test_harmonic_decompose_reconstructs_and_cross_checks_nullspace():
     rng = random.Random(4)
     norm = minkowski_norm_poly(4)
-    from ahmass.harmonic import poly_to_row
     from ahmass.linalg import SpanSolver
-    from ahmass.poly import monomial_index
+    from ahmass.poly import to_coords
 
     for d in (2, 3, 4):
         space = build_Hp(3, d)
-        index = monomial_index(4, d)
-        solver = SpanSolver([poly_to_row(b, index) for b in space.basis])
+        solver = SpanSolver([to_coords(b, d) for b in space.basis])
         for _ in range(4):
             p = random_homogeneous(4, d, rng)
             h, q = harmonic_decompose(p)
@@ -94,7 +92,7 @@ def test_harmonic_decompose_reconstructs_and_cross_checks_nullspace():
             assert wave_operator(h).is_zero()
             # the harmonic part lies in the nullspace-built space
             if not h.is_zero():
-                assert solver.contains(poly_to_row(h, index))
+                assert solver.contains(to_coords(h, d))
 
 
 def test_decompose_rejects_inhomogeneous():

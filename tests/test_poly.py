@@ -6,20 +6,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahmass.gaussian import GaussianRational
+from ahmass.linalg import matvec
+from ahmass.lorentz import (
+    algebra_act_on_poly,
+    all_generators,
+    cartan_generators,
+    raising_operators,
+)
 from ahmass.poly import (
     ExactPoly,
     euler_degree,
+    from_coords,
     hyperboloid_normal_form,
     minkowski_norm_poly,
     monomials_of_degree,
+    operator_rows,
     quadric_normal_form,
     sphere_integral,
     sphere_monomial_integral,
     sphere_restrict,
+    to_coords,
     vanishes_on_sphere,
     wave_operator,
 )
 from sphere_oracles import (
+    coefficients,
     points_on_sphere,
     sphere_ideal,
     sphere_polys,
@@ -55,6 +66,51 @@ def test_wave_operator_norm(n):
 def test_wave_operator_needs_two_vars():
     with pytest.raises(ValueError):
         wave_operator(ExactPoly.variable(1, 0))
+
+
+# ---------------------------------------------------------------------------
+# operator rows on monomial coordinates, against the element-wise maps
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def minkowski_forms(draw):
+    """(n, degree, P): P homogeneous in the n + 1 Minkowski variables, n = 3, 4."""
+    n = draw(st.sampled_from([3, 4]))
+    d = draw(st.integers(min_value=0, max_value=3))
+    monos = monomials_of_degree(n + 1, d)
+    coeffs = coefficients(draw(st.booleans()))
+    terms = draw(st.dictionaries(st.sampled_from(monos), coeffs, max_size=6))
+    return n, d, ExactPoly(n + 1, terms)
+
+
+def algebra_matrices(n):
+    """Every so(n,1) generator, Cartan generator and raising operator."""
+    mats = [g.matrix for _, g in all_generators(n)] + cartan_generators(n)
+    return mats + [m for _, m in raising_operators(n)]
+
+
+@given(minkowski_forms())
+@settings(max_examples=40, deadline=None)
+def test_operator_rows_of_wave_operator(case):
+    n, d, h = case
+    assert from_coords(to_coords(h, d), n + 1, d) == h
+    rows = operator_rows(wave_operator, n + 1, d, d - 2)
+    assert matvec(rows, to_coords(h, d)) == to_coords(wave_operator(h), d - 2)
+
+
+@given(minkowski_forms())
+@settings(max_examples=20, deadline=None)
+def test_operator_rows_of_algebra_action(case):
+    n, d, h = case
+    for m in algebra_matrices(n):
+        rows = operator_rows(lambda p: algebra_act_on_poly(m, p), n + 1, d, d)
+        assert matvec(rows, to_coords(h, d)) == to_coords(algebra_act_on_poly(m, h), d)
+
+
+def test_operator_rows_rejects_wrong_target_degree():
+    with pytest.raises(ValueError):
+        operator_rows(wave_operator, 4, 3, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ahmass.gaussian import GaussianRational
-from ahmass.lorentz import all_generators
+from ahmass.linalg import kron_rows, matvec
+from ahmass.lorentz import all_generators, cartan_generators, raising_operators
 from ahmass.poly import ExactPoly, minkowski_norm_poly, monomials_of_degree
 from ahmass.weyl import (
     PolyForm,
     PolySym2,
     PolyTensor4,
+    _sym2_action_terms,
+    _sym2_slots,
+    algebra_action_sym2,
     algebra_action_tensor4,
     build_Wp,
     catalog_weyl_type,
@@ -23,6 +29,7 @@ from ahmass.weyl import (
     linearized_einstein,
     linearized_riemann,
     poincare_homotopy,
+    row_to_sym2,
     signature_Wp,
     signature_Wp_expected,
     sym_gauge,
@@ -30,6 +37,7 @@ from ahmass.weyl import (
     weyl_to_potential,
     weyl_type_hw_vector,
 )
+from sphere_oracles import coefficients
 
 F = Fraction
 
@@ -359,3 +367,26 @@ def test_transverse_space_dimension_matches_wp():
     assert len(transverse_solution_space(3, 2)) == dim_Wp(3, 0)
     assert len(transverse_solution_space(3, 3)) == dim_Wp(3, 1)
     assert len(transverse_solution_space(4, 2)) == dim_Wp(4, 0)
+
+
+# ---------------------------------------------------------------------------
+# Sym^2 action rows against the element-wise action
+# ---------------------------------------------------------------------------
+
+
+@given(st.data())
+@settings(max_examples=12, deadline=None)
+def test_sym2_action_rows_match_algebra_action_sym2(data):
+    # h is drawn as sparse coordinates (monomial index major, slot minor)
+    n = data.draw(st.sampled_from([3, 4]))
+    d = data.draw(st.integers(min_value=0, max_value=3))
+    nv, nslots = n + 1, len(_sym2_slots(n + 1))
+    ncols = len(monomials_of_degree(nv, d)) * nslots
+    coeffs = coefficients(data.draw(st.booleans()))
+    v = data.draw(st.dictionaries(st.integers(0, ncols - 1), coeffs, max_size=6))
+    v = {k: c for k, c in v.items() if c}
+    h = row_to_sym2(v, nv, d)
+    mats = [g.matrix for _, g in all_generators(n)] + cartan_generators(n)
+    for m in mats + [m for _, m in raising_operators(n)]:
+        rows = kron_rows(_sym2_action_terms(m, nv, d), nslots)
+        assert row_to_sym2(matvec(rows, v), nv, d) == algebra_action_sym2(m, h)
