@@ -120,11 +120,17 @@ def harmonic_decompose(p: ExactPoly) -> Tuple[ExactPoly, ExactPoly]:
 # ---------------------------------------------------------------------------
 
 
+def monomial_weight(e: Tuple[int, ...]) -> Fraction:
+    """q(X^alpha, X^alpha) = (-1)^{alpha_0} alpha!/|alpha|! for alpha = ``e``."""
+    w = F(math.prod(math.factorial(k) for k in e), math.factorial(sum(e)))
+    return -w if e[0] % 2 else w
+
+
 def invariant_form_q(p1: ExactPoly, p2: ExactPoly):
     """Bilinear invariant pairing of two homogeneous polynomials.
 
     Only same-degree pairs are meaningful; distinct monomials are
-    orthogonal and q(X^alpha) = (-1)^{alpha_0} alpha!/|alpha|!.
+    orthogonal and each monomial has :func:`monomial_weight`.
     """
     if not (p1.is_homogeneous() and p2.is_homogeneous()):
         raise ValueError("inputs must be homogeneous")
@@ -132,16 +138,11 @@ def invariant_form_q(p1: ExactPoly, p2: ExactPoly):
         return F(0)
     if p1.degree() != p2.degree() or p1.nvars != p2.nvars:
         raise ValueError("inputs not in the same homogeneous space")
-    d = p1.degree()
     total = F(0)
-    fact_d = math.factorial(d)
     for e, c1 in p1.terms.items():
         c2 = p2.terms.get(e)
-        if not c2:
-            continue
-        w = F(math.prod(math.factorial(k) for k in e), fact_d)
-        sign = -w if e[0] % 2 else w
-        total = total + c1 * c2 * sign
+        if c2:
+            total = total + c1 * c2 * monomial_weight(e)
     return total
 
 

@@ -35,7 +35,7 @@ from .lorentz import (
 from .massaspect import SphereTensor, generator_action, group_action_numeric
 from .poly import ExactPoly, operator_rows, sphere_integral, sphere_restrict
 from .quadrature import sphere_nodes
-from .weyl import PolyTensor4, algebra_action_tensor4, index_pairs
+from .weyl import PolyTensor4, algebra_action_tensor4, index_pairs, tensor4_slots
 
 F = Fraction
 _I = GaussianRational.i()
@@ -70,14 +70,11 @@ def conformal_mass(m: SphereTensor, p: ExactPoly, check_weight: bool = True):
 
 
 def wang_mass_vector(m: SphereTensor) -> Tuple:
-    """The n1 = 1 dual vector in the standard basis (energy-momentum)."""
+    """The n1 = 1 dual vector (energy-momentum): component mu pairs m with X^mu."""
     n = m.n
     if m.k != n:
         raise ValueError("the energy-momentum vector needs decay order k = n")
-    comps = [conformal_mass(m, ExactPoly.constant(n + 1, 1), check_weight=False)]
-    for i in range(1, n + 1):
-        comps.append(conformal_mass(m, ExactPoly.variable(n + 1, i), check_weight=False))
-    return tuple(comps)
+    return tuple(conformal_mass(m, ExactPoly.variable(n + 1, mu), check_weight=False) for mu in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +307,6 @@ def check_equivariance_finite(
         raise ValueError(f"decay order {m.k} does not match weight {k}")
     nodes, weights = sphere_nodes(n, order)
     sampled = group_action_numeric(a, m, k, nodes)
-    ainv = a.inverse()
     worst = 0.0
     if family == "conformal":
         traces = np.einsum("qii->q", sampled) - np.einsum(
@@ -348,31 +344,30 @@ def finite_action_tensor4(a: LorentzElement, w: PolyTensor4) -> PolyTensor4:
     nv = w.nv
     pairs = index_pairs(nv)
     comp = {}
-    for ai, (mu, nu) in enumerate(pairs):
-        for bi in range(ai, len(pairs)):
-            al, be = pairs[bi]
-            s = ExactPoly.zero(nv)
-            for m_ in range(nv):
-                c1 = inv.matrix[m_][mu]
-                if not c1:
+    for ai, bi in tensor4_slots(nv):
+        (mu, nu), (al, be) = pairs[ai], pairs[bi]
+        s = ExactPoly.zero(nv)
+        for m_ in range(nv):
+            c1 = inv.matrix[m_][mu]
+            if not c1:
+                continue
+            for n_ in range(nv):
+                c2 = inv.matrix[n_][nu]
+                if not c2:
                     continue
-                for n_ in range(nv):
-                    c2 = inv.matrix[n_][nu]
-                    if not c2:
+                for a_ in range(nv):
+                    c3 = inv.matrix[a_][al]
+                    if not c3:
                         continue
-                    for a_ in range(nv):
-                        c3 = inv.matrix[a_][al]
-                        if not c3:
+                    for b_ in range(nv):
+                        c4 = inv.matrix[b_][be]
+                        if not c4:
                             continue
-                        for b_ in range(nv):
-                            c4 = inv.matrix[b_][be]
-                            if not c4:
-                                continue
-                            base = w.get4(m_, n_, a_, b_)
-                            if not base.is_zero():
-                                s = s + act_on_poly(a, base) * (c1 * c2 * c3 * c4)
-            if not s.is_zero():
-                comp[(ai, bi)] = s
+                        base = w.get4(m_, n_, a_, b_)
+                        if not base.is_zero():
+                            s = s + act_on_poly(a, base) * (c1 * c2 * c3 * c4)
+        if not s.is_zero():
+            comp[(ai, bi)] = s
     return PolyTensor4(nv, comp)
 
 

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .gaussian import GaussianRational
-from .lorentz import LorentzElement, u_of_A
+from .lorentz import LorentzElement
 from .poly import ExactPoly, quadric_normal_form, vanishes_on_sphere
 
 F = Fraction
@@ -227,25 +227,25 @@ def rotation_field(n: int, i: int, j: int) -> TangentField:
 
 
 def _project_slots(n: int, t: Dict[Tuple[int, int], ExactPoly]) -> Dict[Tuple[int, int], ExactPoly]:
-    """Sandwich a (possibly asymmetric) 2-index array with Pi = Id - x (x) x."""
+    """Sandwich a symmetric 2-index array with Pi = Id - x (x) x.
+
+    Takes and returns the i <= j entries; with the radial vector
+    r_i = t_ib x^b and s = r_a x^a the entries are
+    t_ij - x_i r_j - x_j r_i + x_i x_j s.
+    """
 
     def entry(i, j):
-        return t.get((i, j), _zero(n))
+        return t.get((i, j) if i <= j else (j, i), _zero(n))
 
-    rad_right = [
-        sum((entry(i, b) * _x(n, b) for b in range(n)), _zero(n)) for i in range(n)
-    ]
-    rad_left = [
-        sum((_x(n, a) * entry(a, j) for a in range(n)), _zero(n)) for j in range(n)
-    ]
-    scalar = sum((rad_right[a] * _x(n, a) for a in range(n)), _zero(n))
+    rad = [sum((entry(i, b) * _x(n, b) for b in range(n)), _zero(n)) for i in range(n)]
+    scalar = sum((rad[a] * _x(n, a) for a in range(n)), _zero(n))
     out = {}
     for i in range(n):
-        for j in range(n):
+        for j in range(i, n):
             p = (
                 entry(i, j)
-                - _x(n, i) * rad_left[j]
-                - _x(n, j) * rad_right[i]
+                - _x(n, i) * rad[j]
+                - _x(n, j) * rad[i]
                 + _x(n, i) * _x(n, j) * scalar
             )
             if not p.is_zero():
@@ -271,16 +271,9 @@ def sphere_covariant_derivative(t, X: TangentField):
             n, [der[a] - _x(n, a) * radial for a in range(n)]
         )
     if isinstance(t, SphereTensor):
-        der = {}
-        for i in range(n):
-            for j in range(n):
-                der[(i, j)] = X.derive(t.get(i, j))
-        full = _project_slots(n, der)
         # derivative and projection both preserve the symmetry
-        upper = {
-            (i, j): p for (i, j), p in full.items() if i <= j and not p.is_zero()
-        }
-        return SphereTensor(t.n, t.k, upper)
+        der = {ij: X.derive(p) for ij, p in t.comp.items()}
+        return SphereTensor(t.n, t.k, _project_slots(n, der))
     raise TypeError(f"cannot differentiate {type(t)!r}")
 
 
@@ -348,7 +341,7 @@ def rotation_endomorphism_action(n: int, i: int, j: int, m: SphereTensor) -> Sph
     a, b = i - 1, j - 1
     raw: Dict[Tuple[int, int], ExactPoly] = {}
     for c in range(n):
-        for d in range(n):
+        for d in range(c, n):
             p = _zero(n)
             if c == a:
                 p = p + m.get(b, d)
@@ -360,9 +353,7 @@ def rotation_endomorphism_action(n: int, i: int, j: int, m: SphereTensor) -> Sph
                 p = p - m.get(c, a)
             if not p.is_zero():
                 raw[(c, d)] = p
-    full = _project_slots(n, raw)
-    upper = {(c, d): p for (c, d), p in full.items() if c <= d}
-    return SphereTensor(n, m.k, upper)
+    return SphereTensor(n, m.k, _project_slots(n, raw))
 
 
 def boost_action(i: int, m: SphereTensor, k: int | None = None) -> SphereTensor:

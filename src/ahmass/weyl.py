@@ -23,12 +23,15 @@ pieces: :func:`ahmass.poly.operator_rows`, the sparse matrix of a map
 between homogeneous forms on monomial coordinates (Box, d_nu, X^mu and
 the derivation -(aX).d of an algebra element), and
 :func:`ahmass.linalg.kron_rows`, which forms sum_k A_k (x) B_k with a
-slot or vector factor.  A symmetric 2-tensor of degree d has coordinates
-monomial index major, slot minor; on them the constraints are
-Box (x) I, I (x) tr and sum_mu X^mu (x) c_mu, and the action of a is
-D_a (x) I + I (x) S_a (:func:`_sym2_action_terms`).  The gauge vector
-field of :func:`de_donder_fix` is laid out component major, so its
-operators are I (x) Box and sum_nu eta_nu e_nu (x) d_nu.
+slot or vector factor.  Tensors of degree d have coordinates monomial
+index major, slot minor (:func:`_tensor_to_coords`).  For a symmetric
+2-tensor the constraints are Box (x) I, I (x) tr and
+sum_mu X^mu (x) c_mu, and the action of a is D_a (x) I + I (x) S_a
+(:func:`_sym2_action_terms`).  For W_p the slots are the pairs of index
+pairs (:func:`tensor4_slot_sign`) and the constraints are I (x) T, I (x) B_1
+and sum_s d_s (x) C_s (:func:`build_Wp`).  The gauge vector field of
+:func:`de_donder_fix` is laid out component major, so its operators are
+I (x) Box and sum_nu eta_nu e_nu (x) d_nu.
 """
 
 from __future__ import annotations
@@ -36,9 +39,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .gaussian import GaussianRational
+from .harmonic import monomial_weight
 from .linalg import (
     Row,
     SpanSolver,
@@ -52,7 +57,6 @@ from .lorentz import Matrix, algebra_act_on_poly, cartan_rank
 from .poly import (
     ExactPoly,
     from_coords,
-    monomial_index,
     monomials_of_degree,
     operator_rows,
     to_coords,
@@ -202,8 +206,35 @@ def linearized_einstein(h: PolySym2) -> PolySym2:
 # ---------------------------------------------------------------------------
 
 
-def index_pairs(nv: int) -> List[Tuple[int, int]]:
-    return [(mu, nu) for mu in range(nv) for nu in range(mu + 1, nv)]
+@lru_cache(maxsize=None)
+def index_pairs(nv: int) -> Tuple[Tuple[int, int], ...]:
+    return tuple((mu, nu) for mu in range(nv) for nu in range(mu + 1, nv))
+
+
+def tensor4_slots(nv: int) -> List[Tuple[int, int]]:
+    """Independent components (a <= b) of a Weyl-symmetric 4-tensor, in order.
+
+    ``a`` and ``b`` index :func:`index_pairs`; as for Sym^2, the
+    coordinates of a degree-d tensor are monomial index major, slot minor.
+    """
+    npairs = len(index_pairs(nv))
+    return [(a, b) for a in range(npairs) for b in range(a, npairs)]
+
+
+@lru_cache(maxsize=None)
+def tensor4_slot_sign(nv: int, mu: int, nu: int, al: int, be: int) -> Tuple[Tuple[int, int], int] | None:
+    """Stored slot (a, b) and sign of W_{mu nu al be}; None where the
+    antisymmetry of a pair makes the component zero."""
+    if mu == nu or al == be:
+        return None
+    sign = 1
+    if mu > nu:
+        mu, nu, sign = nu, mu, -sign
+    if al > be:
+        al, be, sign = be, al, -sign
+    pairs = index_pairs(nv)
+    a, b = pairs.index((mu, nu)), pairs.index((al, be))
+    return ((a, b) if a <= b else (b, a)), sign
 
 
 @dataclass
@@ -218,8 +249,6 @@ class PolyTensor4:
     comp: Dict[Tuple[int, int], ExactPoly]
 
     def __post_init__(self):
-        self.pairs = index_pairs(self.nv)
-        self.pidx = {p: i for i, p in enumerate(self.pairs)}
         clean = {}
         for (a, b), p in self.comp.items():
             if a > b:
@@ -230,20 +259,11 @@ class PolyTensor4:
         self.comp = clean
 
     def get4(self, mu: int, nu: int, al: int, be: int) -> ExactPoly:
-        if mu == nu or al == be:
-            return ExactPoly.zero(self.nv)
-        sign = 1
-        if mu > nu:
-            mu, nu, sign = nu, mu, -sign
-        if al > be:
-            al, be, sign = be, al, -sign
-        a, b = self.pidx[(mu, nu)], self.pidx[(al, be)]
-        if a > b:
-            a, b = b, a
-        p = self.comp.get((a, b))
+        hit = tensor4_slot_sign(self.nv, mu, nu, al, be)
+        p = None if hit is None else self.comp.get(hit[0])
         if p is None:
             return ExactPoly.zero(self.nv)
-        return p if sign == 1 else -p
+        return p if hit[1] == 1 else -p
 
     def map(self, fn) -> "PolyTensor4":
         return PolyTensor4(self.nv, {k: fn(p) for k, p in self.comp.items()})
@@ -327,17 +347,16 @@ def linearized_riemann(h: PolySym2) -> PolyTensor4:
     nv = h.nv
     comp = {}
     pairs = index_pairs(nv)
-    for a, (mu, nu) in enumerate(pairs):
-        for b in range(a, len(pairs)):
-            al, be = pairs[b]
-            p = (
-                h.get(nu, be).diff(mu).diff(al)
-                + h.get(mu, al).diff(nu).diff(be)
-                - h.get(nu, al).diff(mu).diff(be)
-                - h.get(mu, be).diff(nu).diff(al)
-            )
-            if not p.is_zero():
-                comp[(a, b)] = p / (-2)
+    for a, b in tensor4_slots(nv):
+        (mu, nu), (al, be) = pairs[a], pairs[b]
+        p = (
+            h.get(nu, be).diff(mu).diff(al)
+            + h.get(mu, al).diff(nu).diff(be)
+            - h.get(nu, al).diff(mu).diff(be)
+            - h.get(mu, be).diff(nu).diff(al)
+        )
+        if not p.is_zero():
+            comp[(a, b)] = p / (-2)
     return PolyTensor4(nv, comp)
 
 
@@ -431,6 +450,29 @@ def dim_Wp(n: int, p: int) -> int:
     return num // den
 
 
+def _tensor_to_coords(comp: Dict[tuple, ExactPoly], slots: List[tuple], degree: int) -> Row:
+    """Monomial-major, slot-minor coordinates of degree-d tensor components.
+
+    ``comp`` maps slot keys (entries of ``slots``) to homogeneous forms;
+    h_slot X^e sits at e * len(slots) + slot index.
+    """
+    sidx = {key: i for i, key in enumerate(slots)}
+    out: Row = {}
+    for key, poly in comp.items():
+        for m, c in to_coords(poly, degree).items():
+            out[m * len(slots) + sidx[key]] = c
+    return out
+
+
+def _coords_to_tensor(row: Row, slots: List[tuple], nv: int, degree: int) -> Dict[tuple, ExactPoly]:
+    """Tensor components from their coordinates; inverse of :func:`_tensor_to_coords`."""
+    parts: Dict[tuple, Row] = {}
+    for flat, c in row.items():
+        m, s = divmod(flat, len(slots))
+        parts.setdefault(slots[s], {})[m] = c
+    return {key: from_coords(part, nv, degree) for key, part in parts.items()}
+
+
 @dataclass
 class WeylSpace:
     n: int
@@ -443,14 +485,7 @@ class WeylSpace:
         return len(self.basis)
 
     def coordinate_row(self, w: PolyTensor4) -> Row:
-        monos = monomial_index(self.n + 1, self.p)
-        npp = len(index_pairs(self.n + 1))
-        out: Row = {}
-        for (a, b), poly in w.comp.items():
-            pp = a * npp + b  # a <= b
-            for e, c in poly.terms.items():
-                out[monos[e] * npp * npp + pp] = c
-        return out
+        return _tensor_to_coords(w.comp, tensor4_slots(self.n + 1), self.p)
 
     def solver(self) -> SpanSolver:
         if self._solver is None:
@@ -464,123 +499,56 @@ class WeylSpace:
         return self.solver().contains(self.coordinate_row(w))
 
 
-def build_Wp(n: int, p: int) -> WeylSpace:
-    """Exact basis of W_p from the stacked linear constraints.
+def _cyclic(a: int, b: int, c: int) -> Tuple[Tuple[int, int, int], ...]:
+    return (a, b, c), (b, c, a), (c, a, b)
 
-    Index symmetries are enforced by the storage; the eta-trace, first
-    and second (differential) Bianchi identities are stacked as a sparse
-    system over the coefficient coordinates.  The system splits under
-    the per-variable parity grading (every constraint is homogeneous for
-    it), which keeps each elimination block small.
+
+def build_Wp(n: int, p: int) -> WeylSpace:
+    """Exact basis of W_p as the kernel of its linear constraints.
+
+    Index symmetries are enforced by the storage (:func:`tensor4_slot_sign`).
+    On the degree-p coordinates the eta-trace and first Bianchi rows are
+    I (x) T and I (x) B_1 for slot matrices T and B_1, and the second
+    (differential) Bianchi rows are sum_s d_s (x) C_s, where C_s picks the
+    terms of the cyclic sum that are differentiated along X^s.
     """
     nv = n + 1
-    pairs = index_pairs(nv)
-    npairs = len(pairs)
-    monos = monomials_of_degree(nv, p)
-    midx = {e: i for i, e in enumerate(monos)}
-    coords: List[Tuple[int, int, int]] = []  # (mono idx, a, b)
-    for m in range(len(monos)):
-        for a in range(npairs):
-            for b in range(a, npairs):
-                coords.append((m, a, b))
-    cidx = {c: i for i, c in enumerate(coords)}
+    slots = tensor4_slots(nv)
+    sidx = {key: i for i, key in enumerate(slots)}
 
-    pidx = {pr: i for i, pr in enumerate(pairs)}
+    def slot_row(terms) -> Row:
+        """Sum of c W_{mu nu al be} over ``terms`` as a row on the slots."""
+        row: Row = {}
+        for c, idx in terms:
+            hit = tensor4_slot_sign(nv, *idx)
+            if hit is not None:
+                j = sidx[hit[0]]
+                row[j] = row.get(j, 0) + c * hit[1]
+        return {j: v for j, v in row.items() if v}
 
-    def coord_of_fast(m, mu, nu, al, be):
-        sign = 1
-        if mu > nu:
-            mu, nu, sign = nu, mu, -sign
-        if al > be:
-            al, be, sign = be, al, -sign
-        a, b = pidx[(mu, nu)], pidx[(al, be)]
-        if a > b:
-            a, b = b, a
-        return cidx[(m, a, b)], sign
-
-    rows: List[Row] = []
-    # eta trace: W_{mu nu mu be} vanishes structurally when mu hits nu or be
-    for nu in range(nv):
-        for be in range(nu, nv):
-            for m, e in enumerate(monos):
-                r: Row = {}
-                for mu in range(nv):
-                    if mu == nu or mu == be:
-                        continue
-                    c, s = coord_of_fast(m, mu, nu, mu, be)
-                    r[c] = r.get(c, F(0)) + _eta_sign(mu) * s
-                r = {k: v for k, v in r.items() if v}
-                if r:
-                    rows.append(r)
-    # first Bianchi
-    for mu in range(nv):
-        for nu in range(mu + 1, nv):
-            for al in range(nu + 1, nv):
-                for be in range(nv):
-                    for m in range(len(monos)):
-                        r = {}
-                        for (x, y, z) in ((mu, nu, al), (nu, al, mu), (al, mu, nu)):
-                            if x == y or z == be:
-                                continue
-                            c, s = coord_of_fast(m, x, y, z, be)
-                            r[c] = r.get(c, F(0)) + s
-                        r = {k: v for k, v in r.items() if v}
-                        if r:
-                            rows.append(r)
-    # second Bianchi (rows indexed by degree p-1 monomials)
-    if p >= 1:
-        lower = monomials_of_degree(nv, p - 1)
-        for si in range(nv):
-            for mu in range(si + 1, nv):
-                for nu in range(mu + 1, nv):
-                    for (al, be) in pairs:
-                        for e_low in lower:
-                            r = {}
-                            for (d, x, y) in ((si, mu, nu), (mu, nu, si), (nu, si, mu)):
-                                if x == y:
-                                    continue
-                                e = list(e_low)
-                                e[d] += 1
-                                m = midx[tuple(e)]
-                                c, s = coord_of_fast(m, x, y, al, be)
-                                r[c] = r.get(c, F(0)) + s * (e_low[d] + 1)
-                            r = {k: v for k, v in r.items() if v}
-                            if r:
-                                rows.append(r)
-
-    # parity classes
-    def coord_class(idx: int) -> Tuple[int, ...]:
-        m, a, b = coords[idx]
-        e = monos[m]
-        mult = list(e)
-        for t in pairs[a] + pairs[b]:
-            mult[t] += 1
-        return tuple(v % 2 for v in mult)
-
-    classes: Dict[Tuple[int, ...], List[int]] = {}
-    for i in range(len(coords)):
-        classes.setdefault(coord_class(i), []).append(i)
-    rows_by_class: Dict[Tuple[int, ...], List[Row]] = {k: [] for k in classes}
-    for r in rows:
-        key = coord_class(next(iter(r)))
-        rows_by_class[key].append(r)
-
-    basis: List[PolyTensor4] = []
-    for key in sorted(classes):
-        cols = classes[key]
-        local = {g: i for i, g in enumerate(cols)}
-        lrows = [
-            {local[c]: v for c, v in r.items()} for r in rows_by_class[key]
+    triples = [(a, b, c) for a in range(nv) for b in range(a + 1, nv) for c in range(b + 1, nv)]
+    trace = [
+        slot_row([(_eta_sign(mu), (mu, nu, mu, be)) for mu in range(nv)])
+        for nu in range(nv)
+        for be in range(nu, nv)
+    ]
+    bianchi1 = [
+        slot_row([(1, (x, y, z, be)) for x, y, z in _cyclic(*t)]) for t in triples for be in range(nv)
+    ]
+    nmonos = len(monomials_of_degree(nv, p))
+    rows = kron_rows([(identity_rows(nmonos), trace + bianchi1)], len(slots))
+    bianchi2 = []
+    for s in range(nv):
+        d_s = operator_rows(lambda f, s=s: f.diff(s), nv, p, p - 1)
+        c_s = [
+            slot_row([(1, (x, y, al, be)) for d, x, y in _cyclic(*t) if d == s])
+            for t in triples
+            for al, be in index_pairs(nv)
         ]
-        for vec in nullspace(lrows, len(cols)):
-            comp: Dict[Tuple[int, int], ExactPoly] = {}
-            for lc, val in vec.items():
-                m, a, b = coords[cols[lc]]
-                key2 = (a, b)
-                term = ExactPoly.monomial(nv, monos[m], val)
-                comp[key2] = comp.get(key2, ExactPoly.zero(nv)) + term
-            basis.append(PolyTensor4(nv, comp))
-    space = WeylSpace(n, p, basis)
+        bianchi2.append((d_s, c_s))
+    rows += kron_rows(bianchi2, len(slots))
+    kernel = nullspace(rows, nmonos * len(slots))
+    space = WeylSpace(n, p, [PolyTensor4(nv, _coords_to_tensor(v, slots, nv, p)) for v in kernel])
     if space.dim != dim_Wp(n, p):
         raise AssertionError(f"dim W_{p} mismatch for n={n}: {space.dim}")
     return space
@@ -806,26 +774,23 @@ def weyl_to_potential(w: PolyTensor4) -> PolySym2:
 # ---------------------------------------------------------------------------
 
 
-def _tensor4_q(n: int, p: int, w1: PolyTensor4, w2: PolyTensor4) -> Fraction:
+def _tensor4_q(w1: PolyTensor4, w2: PolyTensor4) -> Fraction:
     """Full eta-contraction on the slots, weighted monomial form on the
     coefficients; diagonal on stored coordinates."""
     total = F(0)
-    fact = math.factorial(p) if p >= 0 else 1
+    pairs = index_pairs(w1.nv)
     for (a, b), p1 in w1.comp.items():
         p2 = w2.comp.get((a, b))
         if p2 is None:
             continue
-        mu, nu = w1.pairs[a]
-        al, be = w1.pairs[b]
+        mu, nu = pairs[a]
+        al, be = pairs[b]
         sgn = _eta_sign(mu) * _eta_sign(nu) * _eta_sign(al) * _eta_sign(be)
         mult = 4 * (2 if a != b else 1)
         for e, c1 in p1.terms.items():
             c2 = p2.terms.get(e)
-            if not c2:
-                continue
-            w_e = F(math.prod(math.factorial(k) for k in e), fact)
-            sign_e = -w_e if e[0] % 2 else w_e
-            total = total + c1 * c2 * sign_e * sgn * mult
+            if c2:
+                total = total + c1 * c2 * monomial_weight(e) * sgn * mult
     return total
 
 
@@ -846,7 +811,7 @@ def signature_Wp(n: int, p: int, space: WeylSpace | None = None, check_invarianc
     ]
     for i in range(space.dim):
         for j in range(i, space.dim):
-            v = _tensor4_q(n, p, space.basis[i], space.basis[j])
+            v = _tensor4_q(space.basis[i], space.basis[j])
             gram[i][j] = v
             gram[j][i] = v
     plus, minus, zero = signature_of_form(gram)
@@ -868,8 +833,8 @@ def _assert_form_invariance(space: WeylSpace, samples: int = 4):
         name, g = rng.choice(gens)
         w1 = rng.choice(space.basis)
         w2 = rng.choice(space.basis)
-        lhs = _tensor4_q(space.n, space.p, algebra_action_tensor4(g.matrix, w1), w2)
-        rhs = _tensor4_q(space.n, space.p, w1, algebra_action_tensor4(g.matrix, w2))
+        lhs = _tensor4_q(algebra_action_tensor4(g.matrix, w1), w2)
+        rhs = _tensor4_q(w1, algebra_action_tensor4(g.matrix, w2))
         if lhs + rhs != 0:
             raise AssertionError("constructed form is not infinitesimally invariant")
 
@@ -929,26 +894,25 @@ def algebra_action_tensor4(mat, w: PolyTensor4) -> PolyTensor4:
     ax = _ax_fields(m, nv)
     pairs = index_pairs(nv)
     comp = {}
-    for a, (mu, nu) in enumerate(pairs):
-        for b in range(a, len(pairs)):
-            al, be = pairs[b]
-            base = w.get4(mu, nu, al, be)
-            p = ExactPoly.zero(nv)
-            for s in range(nv):
-                if ax[s]:
-                    d = base.diff(s)
-                    if not d.is_zero():
-                        p = p - ax[s] * d
-                if m[s][mu]:
-                    p = p - m[s][mu] * w.get4(s, nu, al, be)
-                if m[s][nu]:
-                    p = p - m[s][nu] * w.get4(mu, s, al, be)
-                if m[s][al]:
-                    p = p - m[s][al] * w.get4(mu, nu, s, be)
-                if m[s][be]:
-                    p = p - m[s][be] * w.get4(mu, nu, al, s)
-            if not p.is_zero():
-                comp[(a, b)] = p
+    for a, b in tensor4_slots(nv):
+        (mu, nu), (al, be) = pairs[a], pairs[b]
+        base = w.get4(mu, nu, al, be)
+        p = ExactPoly.zero(nv)
+        for s in range(nv):
+            if ax[s]:
+                d = base.diff(s)
+                if not d.is_zero():
+                    p = p - ax[s] * d
+            if m[s][mu]:
+                p = p - m[s][mu] * w.get4(s, nu, al, be)
+            if m[s][nu]:
+                p = p - m[s][nu] * w.get4(mu, s, al, be)
+            if m[s][al]:
+                p = p - m[s][al] * w.get4(mu, nu, s, be)
+            if m[s][be]:
+                p = p - m[s][be] * w.get4(mu, nu, al, s)
+        if not p.is_zero():
+            comp[(a, b)] = p
     return PolyTensor4(nv, comp)
 
 
@@ -967,12 +931,7 @@ def _sym2_slots(nv: int) -> List[Tuple[int, int]]:
 
 
 def row_to_sym2(row: Row, nv: int, degree: int) -> PolySym2:
-    slots = _sym2_slots(nv)
-    parts: Dict[Tuple[int, int], Row] = {}
-    for flat, c in row.items():
-        m, s = divmod(flat, len(slots))
-        parts.setdefault(slots[s], {})[m] = c
-    return PolySym2(nv, {key: from_coords(part, nv, degree) for key, part in parts.items()})
+    return PolySym2(nv, _coords_to_tensor(row, _sym2_slots(nv), nv, degree))
 
 
 def _sym2_constraint_rows(n: int, degree: int, transverse: bool) -> Tuple[List[Row], int]:

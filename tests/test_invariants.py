@@ -1,14 +1,19 @@
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from ahmass.invariants import (
+    conformal_mass,
     density_null_power,
     intertwining_density_residual,
     symmetric_power_action,
+    wang_mass_vector,
 )
-from ahmass.lorentz import all_generators, bracket
+from ahmass.lorentz import algebra_act_on_poly, all_generators, bracket
+from ahmass.massaspect import generator_action, random_mass_aspect
+from ahmass.poly import ExactPoly, sphere_integral, sphere_restrict
 
 F = Fraction
 
@@ -71,3 +76,48 @@ def test_symmetric_power_action_is_a_lie_homomorphism(power):
         assert lhs == _commutator(ra, rb)
         nonzero += any(lhs)
     assert nonzero > 0 if power else nonzero == 0
+
+
+# ---------------------------------------------------------------------------
+# the standard mass: the n1 = 1 conformal dual vector
+# ---------------------------------------------------------------------------
+
+
+def _wang_residual(m, name, gen, k=None):
+    """wang(a.m)[mu] + Phi(m)(a.X^mu); component 0 pairs with X^0."""
+    nv = m.n + 1
+    am = wang_mass_vector(generator_action(name, m, k))
+    return tuple(
+        am[mu] + conformal_mass(m, algebra_act_on_poly(gen, ExactPoly.variable(nv, mu)), check_weight=False)
+        for mu in range(nv)
+    )
+
+
+def test_wang_mass_vector_equivariant_at_k_equals_n():
+    n = 3
+    m = random_mass_aspect(n, n, random.Random(31))
+    assert any(wang_mass_vector(m))
+    for name, gen in all_generators(n):
+        assert _wang_residual(m, name, gen) == (0,) * (n + 1), name
+
+
+def test_wang_mass_vector_off_weight_residual_is_first_moment():
+    # one weight off, a_1 . m gains x^1 m, so the residual is the moment
+    # int x^1 X^mu tr m of the aspect, and it must not vanish
+    n = 3
+    m = random_mass_aspect(n, n, random.Random(31))
+    gens = dict(all_generators(n))
+    tr = m.trace_sigma()
+    moment = tuple(
+        sphere_integral(ExactPoly.variable(n, 0) * sphere_restrict(ExactPoly.variable(n + 1, mu)) * tr)
+        for mu in range(n + 1)
+    )
+    assert any(moment)
+    assert _wang_residual(m, "a_1", gens["a_1"], k=n + 1) == moment
+
+
+def test_wang_mass_vector_needs_k_equals_n():
+    n = 3
+    for k in (n - 1, n + 1):
+        with pytest.raises(ValueError):
+            wang_mass_vector(random_mass_aspect(n, k, random.Random(1)))

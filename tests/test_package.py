@@ -1,3 +1,4 @@
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -24,3 +25,28 @@ def test_documented_modules_import():
     assert modules
     for name in modules:
         importlib.import_module(name)
+
+
+def unused_imports(source: str) -> list:
+    """Module-level imports whose name is never read (``__all__`` exempt)."""
+    tree = ast.parse(source)
+    imported, exported = {}, set()
+    for node in tree.body:
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_unused_imports_detects_dead_names():
+    source = "from __future__ import annotations\nimport os\nfrom typing import List, Dict\n__all__ = ['Dict']\nx: List[int] = []\n"
+    assert unused_imports(source) == ["os (line 2)"]
+
+
+def test_no_unused_module_imports():
+    package = Path(ahmass.__file__).parent
+    found = {path.name: unused_imports(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert {name: dead for name, dead in found.items() if dead} == {}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ahmass.gaussian import GaussianRational
 from ahmass.linalg import kron_rows, matvec
-from ahmass.lorentz import all_generators, cartan_generators, raising_operators
+from ahmass.lorentz import all_generators, cartan_generators, highest_weight_vectors, raising_operators
 from ahmass.poly import ExactPoly, minkowski_norm_poly, monomials_of_degree
 from ahmass.weyl import (
     PolyForm,
@@ -16,6 +16,7 @@ from ahmass.weyl import (
     PolyTensor4,
     _sym2_action_terms,
     _sym2_slots,
+    _tensor_to_coords,
     algebra_action_sym2,
     algebra_action_tensor4,
     build_Wp,
@@ -178,10 +179,14 @@ def test_wp_dimensions(n, p, dim):
     assert build_Wp(n, p).dim == dim
 
 
-def test_wp_basis_satisfies_constraints():
-    sp = build_Wp(3, 1)
-    for w in sp.basis:
+@pytest.mark.parametrize("n,p", [(3, 0), (3, 1), (4, 0), (3, 2)])
+def test_wp_basis_satisfies_constraints(n, p):
+    # the element-wise residuals are the oracle for the assembled rows;
+    # the coordinates round-trip the monomial-major, slot-minor layout
+    sp = build_Wp(n, p)
+    for j, w in enumerate(sp.basis):
         assert w.satisfies_weyl_constraints()
+        assert sp.coordinates(w) == {j: 1}
 
 
 def test_wp_closed_under_algebra_action():
@@ -352,6 +357,28 @@ def test_chiral_hw_vectors_are_conjugate_and_transverse():
     from ahmass.weyl import proportionality
 
     assert proportionality(k_minus, k_plus.conjugate()) is not None
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_chiral_hw_vector_matches_weight_space_route(sign):
+    # second route: the raising kernel inside the (2, +-2) weight space of
+    # the transverse solutions, with the element-wise Sym^2 action
+    from ahmass.weyl import proportionality
+
+    nv, degree = 4, 2
+    slots = _sym2_slots(nv)
+    basis = [_tensor_to_coords(h.comp, slots, degree) for h in transverse_solution_space(3, degree)]
+
+    def apply_mat(mat, vec):
+        return _tensor_to_coords(algebra_action_sym2(mat, row_to_sym2(vec, nv, degree)).comp, slots, degree)
+
+    hws = highest_weight_vectors(basis, apply_mat, 3, [F(2), F(2 * sign)])
+    assert len(hws) == 1
+    row = {}
+    for j, c in hws[0].items():
+        for col, v in basis[j].items():
+            row[col] = row.get(col, 0) + c * v
+    assert proportionality(row_to_sym2(row, nv, degree), chiral_hw_vector(0, sign)) is not None
 
 
 def test_weyl_type_hw_matches_catalog_pattern():
