@@ -11,6 +11,12 @@ decay order with a finite-dimensional representation:
   where J is the boundary complex structure cut out of the Hodge star
   on bivectors by  *(e+ ^ X) = e+ ^ J(X).
 
+Every family is "pair m with the density of v": the dual element v
+becomes a symmetric tensor K_v on the sphere (its dual density:
+P(1, x) sigma for the conformal family, W(e+, ., e+, .) with the twist
+for the Weyl families), and the mass is :func:`pair` (m, K_v), the one
+integral of an aspect against a density.
+
 All exact values are relative to Vol(S^{n-1}); each mass is canonical
 only up to one overall constant.  The orientation of the volume form is
 fixed so that J(d_2) = +d_3 at the south pole (-1, 0, ..., 0); the
@@ -20,6 +26,7 @@ opposite choice swaps the two chiral families.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, permutations, product
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +39,13 @@ from .lorentz import (
     mat_scale,
     mat_transpose,
 )
-from .massaspect import SphereTensor, generator_action, group_action_numeric
+from .massaspect import (
+    SphereTensor,
+    generator_action,
+    group_action_numeric,
+    round_metric_tensor,
+    sample_tensor,
+)
 from .poly import ExactPoly, operator_rows, sphere_integral, sphere_restrict
 from .quadrature import sphere_nodes
 from .weyl import PolyTensor4, algebra_action_tensor4, index_pairs, tensor4_slots
@@ -50,23 +63,53 @@ def weyl_weight(n: int, n1: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the pairing of an aspect with a dual density
+# ---------------------------------------------------------------------------
+
+
+def pair(m: SphereTensor, density: SphereTensor):
+    """sum_{i<=j} (2 - delta_ij) int m_ij K_ij dmu / Vol, exact.
+
+    The full contraction of two symmetric tensors, integrated over the
+    sphere; the one place where a mass integrates against an aspect.
+    """
+    total = F(0)
+    for (i, j), mij in m.comp.items():
+        kij = density.comp.get((i, j))
+        if kij is not None:
+            val = sphere_integral(mij * kij)
+            total = total + (val if i == j else 2 * val)
+    return total
+
+
+def _check_dual(m: SphereTensor, nv: int, n1: int, weyl: bool, check_weight: bool) -> None:
+    """Dimension and decay-order checks shared by the three masses."""
+    if nv != m.n + 1:
+        raise ValueError(
+            "tensor/aspect dimension mismatch" if weyl else "dual argument must be an ambient polynomial"
+        )
+    weight, label = (weyl_weight, "Weyl") if weyl else (conformal_weight, "conformal")
+    if check_weight and m.k != weight(m.n, n1):
+        raise ValueError(f"decay order {m.k} does not match the {label} weight {weight(m.n, n1)}")
+
+
+# ---------------------------------------------------------------------------
 # conformal family
 # ---------------------------------------------------------------------------
 
 
+def conformal_density(p: ExactPoly, k: int) -> SphereTensor:
+    """K_P = P(1, x) sigma, of decay order k; pair(m, K_P) = int P(1, x) tr m."""
+    restricted = sphere_restrict(p)
+    return round_metric_tensor(p.nvars - 1, k).map(lambda s: s * restricted)
+
+
 def conformal_mass(m: SphereTensor, p: ExactPoly, check_weight: bool = True):
     """int P(1, x) tr^sigma(m) dmu / Vol, exact."""
-    n = m.n
-    if p.nvars != n + 1:
-        raise ValueError("dual argument must be an ambient polynomial")
     if not p.is_homogeneous():
         raise ValueError("dual argument must be homogeneous")
-    n1 = max(p.degree(), 0)
-    if check_weight and m.k != conformal_weight(n, n1):
-        raise ValueError(
-            f"decay order {m.k} does not match the conformal weight {conformal_weight(n, n1)}"
-        )
-    return sphere_integral(sphere_restrict(p) * m.trace_sigma())
+    _check_dual(m, p.nvars, max(p.degree(), 0), False, check_weight)
+    return pair(m, conformal_density(p, m.k))
 
 
 def wang_mass_vector(m: SphereTensor) -> Tuple:
@@ -78,71 +121,16 @@ def wang_mass_vector(m: SphereTensor) -> Tuple:
 
 
 # ---------------------------------------------------------------------------
-# Weyl family
-# ---------------------------------------------------------------------------
-
-
-def _weyl_slot_tensor(w: PolyTensor4, i: int, j: int) -> ExactPoly:
-    """W(e+, d_i, e+, d_j)(1, x) as a Euclidean polynomial (i, j spatial)."""
-    nv = w.nv
-    s = ExactPoly.zero(nv)
-    for mu in range(nv):
-        xm = ExactPoly.variable(nv, mu)
-        for al in range(nv):
-            val = w.get4(mu, i + 1, al, j + 1)
-            if not val.is_zero():
-                s = s + val * xm * ExactPoly.variable(nv, al)
-    return sphere_restrict(s)
-
-
-def weyl_mass(m: SphereTensor, w: PolyTensor4, check_weight: bool = True, check_constraints: bool = False):
-    """int < m, W(e+, ., e+, .) > dmu / Vol, exact (n >= 4 real case)."""
-    n = m.n
-    if w.nv != n + 1:
-        raise ValueError("tensor/aspect dimension mismatch")
-    n1 = max(w.degree(), 0)
-    if check_weight and m.k != weyl_weight(n, n1):
-        raise ValueError(
-            f"decay order {m.k} does not match the Weyl weight {weyl_weight(n, n1)}"
-        )
-    if check_constraints and not w.satisfies_weyl_constraints():
-        raise ValueError("dual argument fails the Weyl constraints")
-    total = F(0)
-    for i in range(n):
-        for j in range(n):
-            mij = m.get(i, j)
-            if mij.is_zero():
-                continue
-            total = total + sphere_integral(mij * _weyl_slot_tensor(w, i, j))
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Hodge star, J, and the chiral family (n = 3)
+# Hodge star and J (n = 3), and the Weyl and chiral families
 # ---------------------------------------------------------------------------
 
 # Levi-Civita orientation on R^{3,1}: eps_{0123} = ORIENTATION; the sign
-# is pinned by J(d_2) = +d_3 at the south pole, see test suite.
+# is pinned by J(d_2) = +d_3 at the south pole, see
+# tests/test_invariants.py::test_chiral_orientation_at_the_south_pole.
 ORIENTATION = 1
-
-
-def _eps4():
-    eps = {}
-    from itertools import permutations
-
-    base = (0, 1, 2, 3)
-    for perm in permutations(base):
-        sign = 1
-        lst = list(perm)
-        for a in range(4):
-            for b in range(a + 1, 4):
-                if lst[a] > lst[b]:
-                    sign = -sign
-        eps[perm] = sign * ORIENTATION
-    return eps
-
-
-_EPS4 = _eps4()
+_EPS4 = {
+    perm: ORIENTATION * (-1) ** sum(a > b for a, b in combinations(perm, 2)) for perm in permutations(range(4))
+}
 
 
 def hodge_star_bivector(b: Dict[Tuple[int, int], object]) -> Dict[Tuple[int, int], object]:
@@ -151,41 +139,32 @@ def hodge_star_bivector(b: Dict[Tuple[int, int], object]) -> Dict[Tuple[int, int
     ``b`` maps ordered pairs (mu < nu) to components (scalars or
     polynomials); the result uses the same convention.
     """
-    def eta_sign(mu):
-        return -1 if mu == 0 else 1
-
     out: Dict[Tuple[int, int], object] = {}
     for (al, be), val in b.items():
-        for mu in range(4):
-            for nu in range(mu + 1, 4):
-                e = _EPS4.get((mu, nu, al, be))
-                if e:
-                    coef = e * eta_sign(mu) * eta_sign(nu)
-                    cur = out.get((mu, nu))
-                    term = val * coef
-                    out[(mu, nu)] = term if cur is None else cur + term
+        for mu, nu in combinations(range(4), 2):
+            e = _EPS4.get((mu, nu, al, be))
+            if e:
+                coef = -e if mu == 0 else e  # eta^{mu mu} eta^{nu nu}, nu > 0
+                cur = out.get((mu, nu))
+                term = val * coef
+                out[(mu, nu)] = term if cur is None else cur + term
     return out
 
 
 def _eplus_wedge(nv: int, i: int) -> Dict[Tuple[int, int], ExactPoly]:
     """Bivector e+ ^ d_i with position polynomials for e+ (i spatial)."""
-    out = {}
     slot = i + 1
-    for mu in range(nv):
-        if mu == slot:
-            continue
-        a, b = (mu, slot) if mu < slot else (slot, mu)
-        sign = 1 if mu < slot else -1
-        x = ExactPoly.variable(nv, mu)
-        cur = out.get((a, b))
-        out[(a, b)] = x * sign if cur is None else cur + x * sign
-    return out
+    return {
+        (min(mu, slot), max(mu, slot)): ExactPoly.variable(nv, mu) * (1 if mu < slot else -1)
+        for mu in range(nv)
+        if mu != slot
+    }
 
 
 def _pair_with_w(w: PolyTensor4, b1, b2) -> ExactPoly:
     """1/4 W_{mu nu al be} B1^{mu nu} B2^{al be} over all index pairs.
 
-    Normalized so that the pairing of e+ ^ d_i with e+ ^ d_j reproduces
+    Normalized so that the pairing of e+ ^ d_i with e+ ^ d_j is
     W(e+, d_i, e+, d_j).
     """
     s = ExactPoly.zero(w.nv)
@@ -197,36 +176,45 @@ def _pair_with_w(w: PolyTensor4, b1, b2) -> ExactPoly:
     return s
 
 
+def weyl_density(w: PolyTensor4, k: int, sign: int = 0) -> SphereTensor:
+    """K_W = W(e+, ., e+, .)(1, x), of decay order k; chiral for sign = +-1.
+
+    Entry (i, j) pairs e+ ^ d_i with e+ ^ d_j.  The pair symmetry of W
+    makes it symmetric; the chiral density (n = 3) subtracts
+    sign i times the symmetric part of W(*(e+ ^ d_i), e+ ^ d_j).
+    """
+    n = w.nv - 1
+    wedges = [_eplus_wedge(w.nv, i) for i in range(n)]
+    stars = [hodge_star_bivector(b) for b in wedges] if sign else []
+    comp = {}
+    for i in range(n):
+        for j in range(i, n):
+            entry = sphere_restrict(_pair_with_w(w, wedges[i], wedges[j]))
+            if sign:
+                twist = _pair_with_w(w, stars[i], wedges[j]) + _pair_with_w(w, stars[j], wedges[i])
+                entry = entry - sign * _I * sphere_restrict(twist) / 2
+            comp[(i, j)] = entry
+    return SphereTensor(n, k, comp)
+
+
+def weyl_mass(m: SphereTensor, w: PolyTensor4, check_weight: bool = True, check_constraints: bool = False):
+    """int < m, W(e+, ., e+, .) > dmu / Vol, exact (n >= 4 real case)."""
+    _check_dual(m, w.nv, max(w.degree(), 0), True, check_weight)
+    if check_constraints and not w.satisfies_weyl_constraints():
+        raise ValueError("dual argument fails the Weyl constraints")
+    return pair(m, weyl_density(w, m.k))
+
+
 def weyl_mass_chiral(m: SphereTensor, w: PolyTensor4, sign: int, check_weight: bool = True):
     """Chiral mass (n = 3): the second slot twisted by (Id -+ i J).
 
     ``sign`` +1 computes Phi_{w,+} (Id - iJ), -1 the conjugate family.
     Returns a Gaussian rational, relative to Vol(S^2).
     """
-    n = m.n
-    if n != 3:
+    if m.n != 3:
         raise ValueError("chiral masses exist only for n = 3")
-    if w.nv != 4:
-        raise ValueError("tensor/aspect dimension mismatch")
-    n1 = max(w.degree(), 0)
-    if check_weight and m.k != weyl_weight(n, n1):
-        raise ValueError(
-            f"decay order {m.k} does not match the Weyl weight {weyl_weight(n, n1)}"
-        )
-    total = GaussianRational(0)
-    for i in range(n):
-        bi = _eplus_wedge(4, i)
-        star_bi = hodge_star_bivector(bi)
-        for j in range(n):
-            mij = m.get(i, j)
-            if mij.is_zero():
-                continue
-            plain = _pair_with_w(w, bi, _eplus_wedge(4, j))
-            twist = _pair_with_w(w, star_bi, _eplus_wedge(4, j))
-            integrand = sphere_restrict(plain) - sign * _I * sphere_restrict(twist)
-            val = sphere_integral(mij * integrand)
-            total = total + val
-    return total
+    _check_dual(m, w.nv, max(w.degree(), 0), True, check_weight)
+    return pair(m, weyl_density(w, m.k, sign))
 
 
 # ---------------------------------------------------------------------------
@@ -286,88 +274,47 @@ def check_equivariance_finite(
     """Max |Phi(A.m)(A.v) - Phi(m)(v)| over the dual basis, numerically.
 
     A.m is sampled with the weighted pushforward at product-quadrature
-    nodes; A.v is exact.
+    nodes and paired with the sampled density of A.v, which is exact.
     """
     n = m.n
     if family == "conformal":
-        k = conformal_weight(n, n1)
-        if dual_basis is None:
-            from .harmonic import build_Hp
+        from .harmonic import build_Hp
 
-            dual_basis = build_Hp(n, n1).basis
+        k, act, density, build = conformal_weight(n, n1), act_on_poly, conformal_density, build_Hp
     elif family == "weyl":
-        k = weyl_weight(n, n1)
-        if dual_basis is None:
-            from .weyl import build_Wp
+        from .weyl import build_Wp
 
-            dual_basis = build_Wp(n, n1).basis
+        k, act, density, build = weyl_weight(n, n1), finite_action_tensor4, weyl_density, build_Wp
     else:
         raise ValueError("finite checks cover the conformal and weyl families")
     if m.k != k:
         raise ValueError(f"decay order {m.k} does not match weight {k}")
+    if dual_basis is None:
+        dual_basis = build(n, n1).basis
     nodes, weights = sphere_nodes(n, order)
     sampled = group_action_numeric(a, m, k, nodes)
     worst = 0.0
-    if family == "conformal":
-        traces = np.einsum("qii->q", sampled) - np.einsum(
-            "qi,qij,qj->q", nodes, sampled, nodes
-        )
-        for v in dual_basis:
-            av = act_on_poly(a, v)
-            pv = np.array(
-                [float(sphere_restrict(av).evaluate_float(x)) for x in nodes]
-            )
-            lhs = float(np.dot(weights, pv * traces))
-            rhs = float(conformal_mass(m, v, check_weight=False))
-            worst = max(worst, abs(lhs - rhs))
-        return worst
-    # weyl family: transform the 4-tensor exactly, pair numerically
     for v in dual_basis:
-        av = finite_action_tensor4(a, v)
-        vals = np.zeros(len(nodes))
-        for i in range(n):
-            for j in range(n):
-                poly = _weyl_slot_tensor(av, i, j)
-                if poly.is_zero():
-                    continue
-                col = np.array([float(poly.evaluate_float(x)) for x in nodes])
-                vals += col * sampled[:, i, j]
-        lhs = float(np.dot(weights, vals))
-        rhs = float(weyl_mass(m, v, check_weight=False))
-        worst = max(worst, abs(lhs - rhs))
+        lhs = np.einsum("q,qij,qij->", weights, sample_tensor(density(act(a, v), k), nodes), sampled)
+        worst = max(worst, abs(float(lhs) - float(_mass(family, m, v))))
     return worst
 
 
 def finite_action_tensor4(a: LorentzElement, w: PolyTensor4) -> PolyTensor4:
     """(A.W)_{mu nu al be} = W_{m n a b}(A^{-1}X) (A^{-1})^m_mu ... exact."""
-    inv = a.inverse()
+    inv = a.inverse().matrix
     nv = w.nv
+    moved = w.map(lambda p: act_on_poly(a, p))
+    column = [[(r, inv[r][c]) for r in range(nv) if inv[r][c]] for c in range(nv)]
     pairs = index_pairs(nv)
     comp = {}
     for ai, bi in tensor4_slots(nv):
-        (mu, nu), (al, be) = pairs[ai], pairs[bi]
         s = ExactPoly.zero(nv)
-        for m_ in range(nv):
-            c1 = inv.matrix[m_][mu]
-            if not c1:
-                continue
-            for n_ in range(nv):
-                c2 = inv.matrix[n_][nu]
-                if not c2:
-                    continue
-                for a_ in range(nv):
-                    c3 = inv.matrix[a_][al]
-                    if not c3:
-                        continue
-                    for b_ in range(nv):
-                        c4 = inv.matrix[b_][be]
-                        if not c4:
-                            continue
-                        base = w.get4(m_, n_, a_, b_)
-                        if not base.is_zero():
-                            s = s + act_on_poly(a, base) * (c1 * c2 * c3 * c4)
-        if not s.is_zero():
-            comp[(ai, bi)] = s
+        for (m_, c1), (n_, c2), (a_, c3), (b_, c4) in product(*(column[t] for t in pairs[ai] + pairs[bi])):
+            base = moved.get4(m_, n_, a_, b_)
+            if not base.is_zero():
+                s = s + base * (c1 * c2 * c3 * c4)
+        comp[(ai, bi)] = s
     return PolyTensor4(nv, comp)
 
 
@@ -388,25 +335,18 @@ def symmetric_power_action(mat, nv: int, power: int) -> List[Dict[int, object]]:
 
 
 def density_null_power(n: int, n1: int, k: int) -> List[SphereTensor]:
-    """Components of Phi = e+^{(x) n1} (x) sigma against Sym^{n1} monomials."""
-    import math
+    """Components of Phi = e+^{(x) n1} (x) sigma against Sym^{n1} monomials.
 
-    from .massaspect import round_metric_tensor
+    Component e is the conformal density of the multinomial-weighted X^e.
+    """
+    from math import factorial, prod
+
     from .poly import monomials_of_degree
 
-    sigma = round_metric_tensor(n, k)
-    monos = monomials_of_degree(n + 1, n1)
-    out = []
-    for e in monos:
-        coef = math.factorial(n1)
-        for a in e:
-            coef //= math.factorial(a)
-        scalar = ExactPoly.constant(n, coef)
-        for mu in range(1, n + 1):
-            if e[mu]:
-                scalar = scalar * ExactPoly.variable(n, mu - 1) ** e[mu]
-        out.append(sigma.map(lambda p, s=scalar: p * s))
-    return out
+    return [
+        conformal_density(ExactPoly.monomial(n + 1, e, factorial(n1) // prod(map(factorial, e))), k)
+        for e in monomials_of_degree(n + 1, n1)
+    ]
 
 
 def intertwining_density_residual(

@@ -398,14 +398,15 @@ def _boundary_map_and_jacobian(a_inv_matrix: np.ndarray, x: np.ndarray):
     """Projective extension of the boundary action and its Jacobian.
 
     G(x) = spatial(A^{-1} (1,x)) / time(A^{-1} (1,x)); on the sphere this
-    is the boundary value of the ball action.
+    is the boundary value of the ball action.  ``x`` holds Q points
+    (Q, n); returns G (Q, n), the Jacobians (Q, n, n) and time(A^{-1} (1,x)) (Q,).
     """
-    n = len(x)
-    w = a_inv_matrix @ np.concatenate(([1.0], x))
-    y = w[1:] / w[0]
+    w = np.concatenate([np.ones((len(x), 1)), x], axis=1) @ a_inv_matrix.T
+    w0 = w[:, :1]
+    y = w[:, 1:] / w0
     dw = a_inv_matrix[:, 1:]  # derivative of (1, x) in x is (0, Id)
-    jac = dw[1:, :] / w[0] - np.outer(y, dw[0, :]) / w[0]
-    return y, jac
+    jac = (dw[None, 1:, :] - y[:, :, None] * dw[None, None, 0, :]) / w0[:, :, None]
+    return y, jac, w0[:, 0]
 
 
 def _require_real(m: SphereTensor):
@@ -422,28 +423,22 @@ def group_action_numeric(
     ambient representative (tangentially projected) at each node.  The
     aspect must be real.
     """
-    _require_real(m)
     n = m.n
     ainv = np.array([[float(v) for v in row] for row in a.inverse().matrix])
-    out = np.zeros((len(nodes), n, n))
-    for q, x in enumerate(nodes):
-        y, jac = _boundary_map_and_jacobian(ainv, x)
-        mval = m.evaluate_float(y)
-        pushed = jac.T @ mval @ jac
-        proj = np.eye(n) - np.outer(x, x)
-        pushed = proj @ pushed @ proj
-        w = ainv @ np.concatenate(([1.0], x))
-        u = 1.0 / w[0]
-        out[q] = u ** (k - 2) * pushed
-    return out
+    y, jac, w0 = _boundary_map_and_jacobian(ainv, nodes)
+    pushed = np.einsum("qai,qab,qbj->qij", jac, sample_tensor(m, y), jac)
+    proj = np.eye(n) - nodes[:, :, None] * nodes[:, None, :]
+    return w0[:, None, None] ** (2 - k) * (proj @ pushed @ proj)  # u[A] = 1 / w0
 
 
 def sample_tensor(m: SphereTensor, nodes: np.ndarray) -> np.ndarray:
-    """Values of a real aspect at sphere nodes, shape (len(nodes), n, n)."""
+    """Values of a real aspect at points (Q, n), shape (Q, n, n); one pass per term."""
     _require_real(m)
     out = np.zeros((len(nodes), m.n, m.n))
-    for q, x in enumerate(nodes):
-        out[q] = m.evaluate_float(x)
+    for (i, j), p in m.comp.items():
+        for e, c in p.terms.items():
+            out[:, i, j] += complex(c).real * np.prod(nodes ** np.array(e), axis=1)
+        out[:, j, i] = out[:, i, j]
     return out
 
 

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .gaussian import GaussianRational, conj, imag_part, real_part
 
@@ -441,10 +442,11 @@ def sphere_restrict(p: ExactPoly) -> ExactPoly:
 # ---------------------------------------------------------------------------
 
 
-def monomials_of_degree(nvars: int, degree: int) -> list[Exponents]:
-    """All exponent tuples of the given total degree, lexicographic."""
+@lru_cache(maxsize=None)
+def monomials_of_degree(nvars: int, degree: int) -> tuple[Exponents, ...]:
+    """All exponent tuples of the given total degree, lexicographic (cached)."""
     if degree < 0:
-        return []
+        return ()
     out: list[Exponents] = []
 
     def rec(prefix, remaining, slots):
@@ -455,11 +457,13 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Exponents]:
             rec(prefix + [k], remaining - k, slots - 1)
 
     rec([], degree, nvars)
-    return out
+    return tuple(out)
 
 
-def monomial_index(nvars: int, degree: int) -> Dict[Exponents, int]:
-    return {e: i for i, e in enumerate(monomials_of_degree(nvars, degree))}
+@lru_cache(maxsize=None)
+def monomial_index(nvars: int, degree: int) -> Mapping[Exponents, int]:
+    """Position of each monomial in :func:`monomials_of_degree` (cached, read-only)."""
+    return MappingProxyType({e: i for i, e in enumerate(monomials_of_degree(nvars, degree))})
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,27 @@ from itertools import product
 
 import pytest
 
+from ahmass.gaussian import GaussianRational
+from ahmass.harmonic import build_Hp
 from ahmass.invariants import (
+    _eplus_wedge,
+    check_equivariance_finite,
+    check_equivariance_infinitesimal,
     conformal_mass,
+    conformal_weight,
     density_null_power,
+    hodge_star_bivector,
     intertwining_density_residual,
     symmetric_power_action,
     wang_mass_vector,
+    weyl_mass,
+    weyl_mass_chiral,
+    weyl_weight,
 )
-from ahmass.lorentz import algebra_act_on_poly, all_generators, bracket
+from ahmass.lorentz import algebra_act_on_poly, all_generators, boost_from_parameter, bracket
 from ahmass.massaspect import generator_action, random_mass_aspect
-from ahmass.poly import ExactPoly, sphere_integral, sphere_restrict
+from ahmass.poly import ExactPoly, monomials_of_degree, sphere_integral, sphere_restrict
+from ahmass.weyl import PolyTensor4, build_Wp, tensor4_slots
 
 F = Fraction
 
@@ -121,3 +132,200 @@ def test_wang_mass_vector_needs_k_equals_n():
     for k in (n - 1, n + 1):
         with pytest.raises(ValueError):
             wang_mass_vector(random_mass_aspect(n, k, random.Random(1)))
+
+
+# ---------------------------------------------------------------------------
+# the mass families: exact equivariance at the weight, nonzero off it
+# ---------------------------------------------------------------------------
+
+MASSES = {
+    "conformal": conformal_mass,
+    "weyl": weyl_mass,
+    "weyl_plus": lambda m, w: weyl_mass_chiral(m, w, +1),
+    "weyl_minus": lambda m, w: weyl_mass_chiral(m, w, -1),
+}
+
+
+def _weight(family, n, n1):
+    return conformal_weight(n, n1) if family == "conformal" else weyl_weight(n, n1)
+
+
+def _dual_basis(family, n, n1):
+    return build_Hp(n, n1).basis if family == "conformal" else build_Wp(n, n1).basis
+
+
+@pytest.mark.parametrize(
+    "family,n,n1,names",
+    [
+        ("conformal", 3, 0, None),
+        ("conformal", 3, 1, None),
+        ("weyl", 4, 0, ("a_1", "r_12")),
+        ("weyl_plus", 3, 0, ("a_1", "r_12")),
+        ("weyl_minus", 3, 0, ("a_1", "r_12")),
+    ],
+)
+def test_mass_is_equivariant_at_its_weight(family, n, n1, names):
+    gens = dict(all_generators(n))
+    m = random_mass_aspect(n, _weight(family, n, n1), random.Random(7))
+    dual = _dual_basis(family, n, n1)
+    assert any(MASSES[family](m, v) for v in dual)
+    for name in names or gens:
+        assert check_equivariance_infinitesimal(family, m, name, gens[name], dual) == 0, name
+
+
+@pytest.mark.parametrize(
+    "family,n,n1",
+    [("conformal", 3, 1), ("weyl", 4, 0), ("weyl_plus", 3, 0), ("weyl_minus", 3, 0)],
+)
+def test_mass_residual_is_nonzero_one_weight_off(family, n, n1):
+    gens = dict(all_generators(n))
+    m = random_mass_aspect(n, _weight(family, n, n1) + 1, random.Random(7))
+    residual = check_equivariance_infinitesimal(family, m, "a_1", gens["a_1"], _dual_basis(family, n, n1))
+    assert residual != 0
+
+
+def test_conformal_n1_0_off_weight_residual_is_the_first_moment():
+    # one weight off, the residual of a_i is (k - n + 1)^2 (int x^i tr m)^2
+    n = 3
+    k = conformal_weight(n, 0) + 1
+    gens = dict(all_generators(n))
+    m = random_mass_aspect(n, k, random.Random(7))
+    tr = m.trace_sigma()
+    dual = build_Hp(n, 0).basis
+    moments = [sphere_integral(ExactPoly.variable(n, i - 1) * tr) for i in range(1, n + 1)]
+    assert any(moments)
+    for i, moment in enumerate(moments, start=1):
+        name = f"a_{i}"
+        assert check_equivariance_infinitesimal("conformal", m, name, gens[name], dual) == moment * moment
+
+
+def test_chiral_pair_sums_to_the_real_family():
+    n = 3
+    m = random_mass_aspect(n, weyl_weight(n, 0), random.Random(7))
+    twisted = 0
+    for w in build_Wp(n, 0).basis:
+        real = weyl_mass(m, w, check_weight=False)
+        plus, minus = weyl_mass_chiral(m, w, +1), weyl_mass_chiral(m, w, -1)
+        assert plus + minus == 2 * real
+        twisted += plus != real
+    assert twisted
+
+
+@pytest.mark.parametrize("n,n1", [(3, 0), (3, 1), (3, 2), (4, 1)])
+def test_conformal_mass_is_the_defining_integral(n, n1):
+    m = random_mass_aspect(n, conformal_weight(n, n1), random.Random(7))
+    tr = m.trace_sigma()
+    values = [conformal_mass(m, p) for p in build_Hp(n, n1).basis]
+    assert values == [sphere_integral(sphere_restrict(p) * tr) for p in build_Hp(n, n1).basis]
+    assert any(values)
+
+
+def _contract(w, b1, b2):
+    """1/4 W_{mu nu al be} B1^{mu nu} B2^{al be}, summed over every index."""
+
+    def full(b):
+        out = {}
+        for (mu, nu), v in b.items():
+            out[(mu, nu)], out[(nu, mu)] = v, -v
+        return out
+
+    total = ExactPoly.zero(w.nv)
+    for (mu, nu), v1 in full(b1).items():
+        for (al, be), v2 in full(b2).items():
+            total = total + w.get4(mu, nu, al, be) * v1 * v2
+    return total * F(1, 4)
+
+
+def _defining_weyl_integral(m, w, sign):
+    """sum_ij int m_ij [W(e+, d_i, e+, d_j) - sign i W(*(e+ ^ d_i), e+ ^ d_j)](1, x)."""
+    nv = w.nv
+    position = [ExactPoly.variable(nv, mu) for mu in range(nv)]
+    total = 0
+    for i, j in product(range(m.n), repeat=2):
+        slot = ExactPoly.zero(nv)
+        for mu, al in product(range(nv), repeat=2):
+            slot = slot + w.get4(mu, i + 1, al, j + 1) * position[mu] * position[al]
+        if sign:
+            slot = slot - sign * GaussianRational.i() * _contract(
+                w, hodge_star_bivector(_eplus_wedge(nv, i)), _eplus_wedge(nv, j)
+            )
+        total = total + sphere_integral(m.get(i, j) * sphere_restrict(slot))
+    return total
+
+
+def _random_tensor4(nv, degree, rng):
+    """A PolyTensor4 with random entries on every slot; no Weyl constraint holds."""
+    terms = [(e, F(rng.randint(-3, 3), rng.randint(1, 2))) for e in monomials_of_degree(nv, degree)]
+    return PolyTensor4(nv, {slot: ExactPoly(nv, dict(rng.sample(terms, min(2, len(terms))))) for slot in tensor4_slots(nv)})
+
+
+@pytest.mark.parametrize("n,n1,signs", [(3, 0, (0, 1, -1)), (3, 1, (0, 1, -1)), (4, 0, (0,))])
+def test_weyl_masses_are_the_defining_integral(n, n1, signs):
+    rng = random.Random(7)
+    m = random_mass_aspect(n, weyl_weight(n, n1), rng)
+    duals = build_Wp(n, n1).basis + [_random_tensor4(n + 1, n1, rng)]
+    for sign in signs:
+        values = [weyl_mass_chiral(m, w, sign) if sign else weyl_mass(m, w) for w in duals]
+        assert values == [_defining_weyl_integral(m, w, sign) for w in duals]
+        assert any(values)
+
+
+def test_mass_argument_errors():
+    m3 = random_mass_aspect(3, 3, random.Random(1))
+    x0 = ExactPoly.variable(4, 0)
+    with pytest.raises(ValueError, match="ambient polynomial"):
+        conformal_mass(m3, ExactPoly.variable(3, 0))
+    with pytest.raises(ValueError, match="homogeneous"):
+        conformal_mass(m3, x0 + 1)
+    with pytest.raises(ValueError, match="does not match the conformal weight 2"):
+        conformal_mass(m3, ExactPoly.constant(4, 1))
+    w3 = build_Wp(3, 0).basis[0]
+    with pytest.raises(ValueError, match="does not match the Weyl weight 4"):
+        weyl_mass(m3, w3)
+    with pytest.raises(ValueError, match="does not match the Weyl weight 4"):
+        weyl_mass_chiral(m3, w3, +1)
+    m4 = random_mass_aspect(4, 5, random.Random(1))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        weyl_mass(m4, w3)
+    with pytest.raises(ValueError, match="only for n = 3"):
+        weyl_mass_chiral(m4, w3, +1)
+
+
+# ---------------------------------------------------------------------------
+# the chiral orientation: J(d_2) = +d_3 at the south pole
+# ---------------------------------------------------------------------------
+
+
+def _at(bivector, point):
+    return {ij: v for ij, p in bivector.items() if (v := p.evaluate(point))}
+
+
+def test_chiral_orientation_at_the_south_pole():
+    pole = (F(1), F(-1), F(0), F(0))
+    e2, e3 = _eplus_wedge(4, 1), _eplus_wedge(4, 2)
+    assert _at(hodge_star_bivector(e2), pole) == _at(e3, pole)
+    assert _at(hodge_star_bivector(e3), pole) == {ij: -v for ij, v in _at(e2, pole).items()}
+    assert _at(e2, pole)
+
+
+# ---------------------------------------------------------------------------
+# finite group action, checked by quadrature
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family,n1", [("conformal", 1), ("weyl", 0), ("weyl", 1)])
+def test_finite_equivariance_by_quadrature(family, n1):
+    n = 3
+    m = random_mass_aspect(n, _weight(family, n, n1), random.Random(7))
+    a = boost_from_parameter(n, 1, F(1, 3))
+    assert check_equivariance_finite(m, a, n1, order=24, family=family) < 1e-9
+
+
+def test_finite_equivariance_argument_errors():
+    n = 3
+    a = boost_from_parameter(n, 1, F(1, 3))
+    m = random_mass_aspect(n, weyl_weight(n, 0), random.Random(7))
+    with pytest.raises(ValueError, match="conformal and weyl"):
+        check_equivariance_finite(m, a, 0, order=8, family="weyl_plus")
+    with pytest.raises(ValueError, match="does not match weight"):
+        check_equivariance_finite(m, a, 1, order=8, family="weyl")

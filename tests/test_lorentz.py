@@ -3,11 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ahmass.gaussian import GaussianRational
-from ahmass.linalg import nullspace
-from ahmass.poly import ExactPoly, minkowski_norm_poly, monomial_index, wave_operator
+from ahmass.poly import ExactPoly, minkowski_norm_poly, monomial_index
 from ahmass.lorentz import (
-    AlgebraElement,
     algebra_act_on_poly,
     all_generators,
     act_on_poly,
@@ -19,7 +16,6 @@ from ahmass.lorentz import (
     cartan_rank,
     highest_weight_vectors,
     identity_element,
-    mat_mul,
     mat_scale,
     mat_sub,
     rational_boost,

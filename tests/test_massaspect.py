@@ -10,7 +10,6 @@ from ahmass.gaussian import GaussianRational
 from ahmass.lorentz import (
     all_generators,
     boost_from_parameter,
-    bracket,
     identity_element,
 )
 from ahmass.massaspect import (
@@ -18,15 +17,11 @@ from ahmass.massaspect import (
     TangentField,
     boost_action,
     boost_field,
-    divergence_sigma,
-    divdiv_sigma,
     generator_action,
     gradient_field,
     group_action_numeric,
-    laplace_sigma,
     random_mass_aspect,
     rotation_action,
-    rotation_field,
     round_metric_tensor,
     sample_tensor,
     sphere_covariant_derivative,

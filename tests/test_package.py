@@ -47,6 +47,6 @@ def test_unused_imports_detects_dead_names():
 
 
 def test_no_unused_module_imports():
-    package = Path(ahmass.__file__).parent
-    found = {path.name: unused_imports(path.read_text()) for path in sorted(package.glob("*.py"))}
+    paths = sorted(Path(ahmass.__file__).parent.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    found = {str(path.relative_to(path.parents[1])): unused_imports(path.read_text()) for path in paths}
     assert {name: dead for name, dead in found.items() if dead} == {}

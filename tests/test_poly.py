@@ -19,6 +19,7 @@ from ahmass.poly import (
     from_coords,
     hyperboloid_normal_form,
     minkowski_norm_poly,
+    monomial_index,
     monomials_of_degree,
     operator_rows,
     quadric_normal_form,
@@ -311,3 +312,14 @@ def test_evaluate_exact():
     p = X(3, 0) ** 2 + 2 * X(3, 1)
     val = p.evaluate([Fraction(1, 2), Fraction(3), Fraction(0)])
     assert val == Fraction(1, 4) + 6
+
+
+def test_monomial_enumeration_is_cached_and_read_only():
+    monos = monomials_of_degree(4, 3)
+    assert isinstance(monos, tuple) and monos is monomials_of_degree(4, 3)
+    index = monomial_index(4, 3)
+    assert index is monomial_index(4, 3)
+    assert [index[e] for e in monos] == list(range(len(monos))) == sorted(index.values())
+    with pytest.raises(TypeError):
+        index[(3, 0, 0, 0)] = 5
+    assert monomials_of_degree(4, -1) == ()
