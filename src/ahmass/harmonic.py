@@ -24,6 +24,7 @@ from typing import List, Tuple
 from .linalg import nullspace, signature_of_form
 from .poly import (
     ExactPoly,
+    euler_degree,
     from_coords,
     minkowski_norm_poly,
     monomials_of_degree,
@@ -207,61 +208,30 @@ def metric_multiplication_scaling(q_poly: ExactPoly, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# numeric eigenfunction check on the ball model
+# exact eigenfunction check on the ball model
 # ---------------------------------------------------------------------------
 
 
-def check_restriction_eigenfunction(p_poly: ExactPoly, points=None, h: float = 1e-3) -> float:
-    """Max residual of Delta_b u = p(p+n-1) u at interior sample points.
+def check_restriction_eigenfunction(p_poly: ExactPoly) -> ExactPoly:
+    """Residual of Delta_b u = p(p+n-1) u with the denominators cleared.
 
-    u is the restriction of the polynomial to the ball model; the
-    hyperbolic Laplacian is evaluated through the conformal formula
-    Delta_b u = rho^2 Delta u + (n-2) rho x . grad u with 4th-order
-    central differences.
+    u = P(1+|x|^2, 2x) / d^p, with d = 1 - |x|^2, is the degree-p
+    polynomial P restricted to the hyperboloid and pulled back to the
+    ball model, whose Laplacian is the conformal formula
+    Delta_b u = rho^2 Delta u + (n-2) rho x . grad u with rho = d/2.
+    With Q = P(1+|x|^2, 2x) the product rule gives the polynomial
+
+        d^p (Delta_b u - p(p+n-1) u) = d/4 (d Delta Q + 2(2p+n-2)(x . grad Q - p Q)),
+
+    which is returned; it is zero exactly when u is an eigenfunction.
     """
-    import numpy as np
-
     if not p_poly.is_homogeneous():
         raise ValueError("input must be homogeneous")
     n = p_poly.nvars - 1
-    deg = max(p_poly.degree(), 0)
-    lam = deg * (deg + n - 1)
-
-    if points is None:
-        rng = np.random.default_rng(20240901)
-        points = []
-        while len(points) < 20:
-            x = rng.uniform(-0.75, 0.75, size=n)
-            if np.linalg.norm(x) <= 0.75:
-                points.append(x)
-    for x in points:
-        if float(np.linalg.norm(x)) > 0.9:
-            raise ValueError("sample point too close to the boundary")
-
-    def u(x):
-        norm2 = float(np.dot(x, x))
-        d = 1.0 - norm2
-        y = [(1.0 + norm2) / d] + [2.0 * v / d for v in x]
-        return float(p_poly.evaluate_float(y))
-
-    # 4th-order central stencils
-    c1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-    c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-    worst = 0.0
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        lap = 0.0
-        grad = np.zeros(n)
-        for i in range(n):
-            vals = []
-            for step in (-2, -1, 0, 1, 2):
-                xi = x.copy()
-                xi[i] += step * h
-                vals.append(u(xi))
-            vals = np.array(vals)
-            grad[i] = float(np.dot(c1, vals)) / h
-            lap += float(np.dot(c2, vals)) / (h * h)
-        rho = (1.0 - float(np.dot(x, x))) / 2.0
-        delta_b = rho * rho * lap + (n - 2) * rho * float(np.dot(x, grad))
-        worst = max(worst, abs(delta_b - lam * u(x)))
-    return worst
+    p = max(p_poly.degree(), 0)
+    x = [ExactPoly.variable(n, i) for i in range(n)]
+    norm2 = sum((xi * xi for xi in x), ExactPoly.zero(n))
+    q = p_poly.substitute([norm2 + 1] + [xi * 2 for xi in x])
+    d = 1 - norm2
+    lap = sum((q.diff(i).diff(i) for i in range(n)), ExactPoly.zero(n))
+    return d * (d * lap + (euler_degree(q) - q * p) * (2 * (2 * p + n - 2))) / 4

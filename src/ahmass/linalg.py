@@ -6,10 +6,13 @@ to integer entries and divided by their gcd after each update, which
 keeps coefficient growth under control on the large, very sparse
 constraint systems produced by the tensor modules (10^3..10^4 unknowns).
 
-Provided operations: row echelon form, nullspace with exact basis
-vectors, minimum-support linear solve (free variables pinned to zero),
-repeated coordinate solves against a fixed spanning set, and Sylvester
-signature of a symmetric form by exact congruence diagonalization.
+One fully reduced row-echelon form, :class:`Echelon`, serves every
+solve: each of its pivot rows is nonzero only on its own pivot column
+and on free columns, so the nullspace basis, the minimum-support
+solution (free variables pinned to zero) and the coordinates against a
+fixed spanning set are all read off its rows without further
+elimination.  The Sylvester signature of a symmetric form is a separate
+algorithm, exact congruence diagonalization.
 """
 
 from __future__ import annotations
@@ -62,11 +65,24 @@ def _normalize_row(row: Row) -> Row:
     return {k: c * factor for k, c in row.items()}
 
 
-class Echelon:
-    """Forward row-echelon reduction of a sparse matrix.
+def _add_multiple(r: Row, f, row: Row):
+    """``r += f * row`` in place, dropping the entries that cancel."""
+    for c, v in row.items():
+        nv = r.get(c, 0) + f * v
+        if nv:
+            r[c] = nv
+        else:
+            r.pop(c, None)
 
-    Pivot columns are chosen left to right (deterministic); among the
-    rows available for a pivot the sparsest is used to limit fill-in.
+
+class Echelon:
+    """Fully reduced row-echelon form of a sparse matrix.
+
+    The forward pass picks pivot columns left to right (deterministic);
+    among the rows available for a pivot the sparsest is used to limit
+    fill-in.  The backward pass then clears every pivot column from the
+    earlier pivot rows, so each row of ``pivots`` is nonzero only on its
+    own pivot column and on free columns.
     """
 
     def __init__(self, rows: Sequence[Row], ncols: int):
@@ -109,6 +125,19 @@ class Echelon:
         # rows never touched by a pivot are identically zero by now
         self.pivot_cols = [c for c, _ in self.pivots]
 
+        # Backward pass, last pivot first: the later rows are reduced
+        # already, so subtracting one of them clears its pivot column
+        # and adds entries on free columns only.
+        where = {c: k for k, c in enumerate(self.pivot_cols)}
+        for k in range(len(self.pivots) - 1, -1, -1):
+            col, r = self.pivots[k]
+            hits = [c for c in r if c != col and c in where]
+            for h in hits:
+                prow = self.pivots[where[h]][1]
+                _add_multiple(r, -r[h] / prow[h], prow)
+            if hits:
+                self.pivots[k] = (col, _normalize_row(r))
+
     @property
     def rank(self) -> int:
         return len(self.pivots)
@@ -117,35 +146,23 @@ class Echelon:
         pc = set(self.pivot_cols)
         return [c for c in range(self.ncols) if c not in pc]
 
-    def back_substitute(self, seed: Row) -> Row:
-        """Complete a partial assignment on free columns to a kernel vector."""
-        v = dict(seed)
-        for col, prow in reversed(self.pivots):
-            s = 0
-            for c, coef in prow.items():
-                if c == col:
-                    continue
-                val = v.get(c)
-                if val is not None:
-                    s = s + coef * val
-            if s:
-                v[col] = -s / prow[col]
-        return v
-
 
 def nullspace(rows: Sequence[Row], ncols: int) -> List[Row]:
     """Exact basis of the right kernel, one vector per free column.
 
-    Each returned vector is a sparse dict; the seed entry of vector ``j``
-    is 1 on its free column, so the basis is in echelon position and the
-    vectors are linearly independent.
+    Vector ``j`` is 1 on the ``j``-th free column and 0 on every other
+    free column; its pivot entries are read off the reduced rows.  The
+    basis is therefore the unique one in echelon position, whatever the
+    route of the elimination, and its vectors are independent.
     """
     ech = Echelon(rows, ncols)
-    basis = []
-    for f in ech.free_columns():
-        v = ech.back_substitute({f: Fraction(1)})
-        basis.append({k: c for k, c in v.items() if c})
-    return basis
+    basis = {f: {f: Fraction(1)} for f in ech.free_columns()}
+    for col, prow in reversed(ech.pivots):
+        pval = prow[col]
+        for c, v in prow.items():
+            if c != col:
+                basis[c][col] = -v / pval
+    return list(basis.values())
 
 
 def rank(rows: Sequence[Row], ncols: int) -> int:
@@ -168,8 +185,9 @@ def matvec(rows: Sequence[Row], vec: Row) -> Row:
 def solve_min_support(rows: Sequence[Row], ncols: int, rhs: Sequence) -> Row:
     """Solve ``A x = b`` exactly, pinning all free variables to zero.
 
-    Raises ``ValueError`` when the system is inconsistent.  Deterministic:
-    the echelon form fixes which variables are free.
+    Raises ``ValueError`` when the system is inconsistent.  The echelon
+    form of ``[A | b]`` fixes which variables are free; each pivot
+    variable is read off its reduced row.
     """
     aug = []
     for i, r in enumerate(rows):
@@ -179,79 +197,57 @@ def solve_min_support(rows: Sequence[Row], ncols: int, rhs: Sequence) -> Row:
             row[ncols] = b
         aug.append(row)
     ech = Echelon(aug, ncols + 1)
-    sol: Row = {}
-    for col, prow in reversed(ech.pivots):
-        if col == ncols:
-            raise ValueError("inconsistent linear system")
-        s = prow.get(ncols, 0)
-        for c, coef in prow.items():
-            if c in (col, ncols):
-                continue
-            val = sol.get(c)
-            if val is not None:
-                s = s - coef * val
-        if s:
-            sol[col] = s / prow[col]
-    return sol
+    if ech.pivot_cols and ech.pivot_cols[-1] == ncols:
+        raise ValueError("inconsistent linear system")
+    return {col: prow[ncols] / prow[col] for col, prow in reversed(ech.pivots) if ncols in prow}
 
 
 class SpanSolver:
-    """Coordinates of vectors in the span of a fixed list of vectors.
+    """Coordinates of vectors in the span of a fixed list of independent vectors.
 
-    The spanning vectors are echelonized once; each query then costs one
-    sparse reduction.  Used for membership tests and for expressing the
-    image of an operator back in a chosen basis.
+    The spanning vectors are echelonized once, input ``j`` with a 1
+    appended on tag column ``j``, so the tag part of each reduced row
+    records which combination of the inputs it is.  A query is read off
+    the pivot rows at its pivot entries.  Used for membership tests and
+    for expressing the image of an operator back in a chosen basis.
     """
 
     def __init__(self, vectors: Sequence[Row]):
-        self.m = len(vectors)
-        # each echelon row carries the combination of input vectors it is
-        self.rows: List[Tuple[int, Row, Row]] = []  # (lead col, row, combo)
-        for j, vec in enumerate(vectors):
-            r = dict(vec)
-            combo: Row = {j: Fraction(1)}
-            self._reduce(r, combo)
-            if r:
-                lead = min(r)
-                self.rows.append((lead, r, combo))
-                self.rows.sort(key=lambda t: t[0])
-            else:
-                raise ValueError("spanning set is linearly dependent")
+        tag = 1 + max((c for v in vectors for c in v), default=-1)
+        tagged = [{**v, tag + j: Fraction(1)} for j, v in enumerate(vectors)]
+        ech = Echelon(tagged, tag + len(vectors))
+        if ech.rank and ech.pivot_cols[-1] >= tag:
+            raise ValueError("spanning set is linearly dependent")
+        # pivot column -> (vector part, combination of the inputs)
+        self.rows: Dict[int, Tuple[Row, Row]] = {
+            col: (
+                {c: v for c, v in prow.items() if c < tag},
+                {c - tag: v for c, v in prow.items() if c >= tag},
+            )
+            for col, prow in ech.pivots
+        }
 
-    def _reduce(self, r: Row, combo: Row):
-        # single pass in increasing lead order: eliminating one lead can
-        # only create entries at strictly later columns
-        for lead, row, rcombo in self.rows:
-            val = r.get(lead)
-            if val:
-                f = val / row[lead]
-                for c, v in row.items():
-                    nv = r.get(c, 0) - f * v
-                    if nv:
-                        r[c] = nv
-                    else:
-                        r.pop(c, None)
-                for c, v in rcombo.items():
-                    nv = combo.get(c, 0) - f * v
-                    if nv:
-                        combo[c] = nv
-                    else:
-                        combo.pop(c, None)
+    def _project(self, vec: Row) -> Tuple[Row, Row]:
+        """(``vec`` minus its projection on the span, coordinates of the projection)."""
+        residue: Row = dict(vec)
+        coords: Row = {}
+        for col, val in vec.items():
+            if col in self.rows:
+                part, combo = self.rows[col]
+                f = val / part[col]
+                _add_multiple(residue, -f, part)
+                _add_multiple(coords, f, combo)
+        return residue, coords
 
     def coordinates(self, vec: Row) -> Row:
         """Express ``vec`` in the spanning set; raises if not in the span."""
-        r = dict(vec)
-        combo: Row = {}
-        self._reduce(r, combo)
-        if r:
+        residue, coords = self._project(vec)
+        if residue:
             raise ValueError("vector not in span")
-        return {k: -v for k, v in combo.items()}
+        return coords
 
     def contains(self, vec: Row) -> bool:
-        r = dict(vec)
-        combo: Row = {}
-        self._reduce(r, combo)
-        return not r
+        return not self._project(vec)[0]
 
 
 def signature_of_form(gram: Sequence[Sequence], dim: int | None = None) -> Tuple[int, int, int]:

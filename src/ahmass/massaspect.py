@@ -122,16 +122,6 @@ class SphereTensor:
             for c in p.terms.values()
         )
 
-    def evaluate_float(self, x: np.ndarray) -> np.ndarray:
-        """Values at a point; a real array exactly when every coefficient is real."""
-        out = np.zeros((self.n, self.n), dtype=float if self.is_real() else complex)
-        for (i, j), p in self.comp.items():
-            v = p.evaluate_float(x)
-            out[i, j] += v
-            if i != j:
-                out[j, i] += v
-        return out
-
 
 def round_metric_tensor(n: int, k: int) -> SphereTensor:
     """Transverse representative of the round metric: delta - x (x) x."""
@@ -282,48 +272,6 @@ def gradient_field(n: int, f: ExactPoly) -> TangentField:
     der = [f.diff(a) for a in range(n)]
     radial = sum((der[a] * _x(n, a) for a in range(n)), _zero(n))
     return TangentField(n, [der[a] - _x(n, a) * radial for a in range(n)])
-
-
-def divergence_sigma(t) -> object:
-    """Round-metric divergence of a tangent field or symmetric 2-tensor."""
-    if isinstance(t, TangentField):
-        n = t.n
-        out = _zero(n)
-        for a in range(n):
-            for b in range(n):
-                d = t.comp[b].diff(a)
-                if a == b:
-                    out = out + d
-                out = out - _x(n, a) * _x(n, b) * d
-        return out
-    if isinstance(t, SphereTensor):
-        n = t.n
-        # (div m)_c = Pi^{ab} (nabla m)_{abc}; projections on a come free
-        # against the Pi-contraction, on b against transversality of m,
-        # so only the c slot needs an explicit projection.
-        raw = []
-        for c in range(n):
-            s = _zero(n)
-            for a in range(n):
-                for b in range(n):
-                    d = t.get(b, c).diff(a)
-                    if a == b:
-                        s = s + d
-                    s = s - _x(n, a) * _x(n, b) * d
-            raw.append(s)
-        radial = sum((raw[c] * _x(n, c) for c in range(n)), _zero(n))
-        return TangentField(n, [raw[c] - _x(n, c) * radial for c in range(n)])
-    raise TypeError(f"cannot take divergence of {type(t)!r}")
-
-
-def laplace_sigma(n: int, f: ExactPoly) -> ExactPoly:
-    """Round-sphere Laplacian of a scalar, as an on-sphere polynomial."""
-    return divergence_sigma(gradient_field(n, f))
-
-
-def divdiv_sigma(m: SphereTensor) -> ExactPoly:
-    """div^sigma div^sigma of a transverse symmetric 2-tensor."""
-    return divergence_sigma(divergence_sigma(m))
 
 
 # ---------------------------------------------------------------------------

@@ -240,18 +240,6 @@ class ExactPoly:
             total = total + v
         return total
 
-    def evaluate_float(self, point) -> complex | float:
-        total = 0.0 + 0.0j
-        for e, c in self.terms.items():
-            v = 1.0
-            for i, k in enumerate(e):
-                if k:
-                    v *= point[i] ** k
-            total += complex(c) * v
-        if abs(total.imag) == 0.0:
-            return total.real
-        return total
-
     # -- structure helpers ----------------------------------------------
 
     def conjugate(self) -> "ExactPoly":

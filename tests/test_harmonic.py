@@ -162,26 +162,31 @@ def test_metric_multiplication_scaling():
 
 
 # ---------------------------------------------------------------------------
-# numeric eigenfunction check
+# exact eigenfunction check
 # ---------------------------------------------------------------------------
 
 
 def test_restriction_eigenfunction_constant():
-    # pure float cancellation noise in the stencil, ~1e-10 at h=1e-3
-    assert check_restriction_eigenfunction(ExactPoly.constant(4, 1)) < 1e-9
+    assert check_restriction_eigenfunction(ExactPoly.constant(4, 1)) == 0
 
 
 def test_restriction_eigenfunction_linear():
-    assert check_restriction_eigenfunction(X(4, 0)) < 1e-6
+    assert check_restriction_eigenfunction(X(4, 0)) == 0
 
 
 def test_restriction_eigenfunction_quadratic():
     space = build_Hp(3, 2)
-    assert check_restriction_eigenfunction(space.basis[0]) < 1e-5
+    assert check_restriction_eigenfunction(space.basis[0]) == 0
 
 
-def test_restriction_rejects_boundary_points():
-    import numpy as np
+def test_restriction_of_quadric_is_not_an_eigenfunction():
+    # X.X restricts to the constant -1, not an eigenfunction at p = 2:
+    # u = -1 gives d^2 (0 - 2(n+1) u) = 2(n+1) d^2, here n = 3
+    q = minkowski_norm_poly(4)
+    d = 1 - sum((X(3, i) ** 2 for i in range(3)), ExactPoly.zero(3))
+    assert check_restriction_eigenfunction(q) == d * d * 8
 
+
+def test_restriction_rejects_inhomogeneous_input():
     with pytest.raises(ValueError):
-        check_restriction_eigenfunction(X(4, 0), points=[np.array([0.95, 0, 0])])
+        check_restriction_eigenfunction(X(4, 0) + 1)

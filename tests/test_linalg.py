@@ -98,6 +98,102 @@ def test_span_solver_roundtrip():
     assert not solver.contains({4: Fraction(1)})
 
 
+def random_sparse(rng, nrows, ncols, gaussian, density=0.3):
+    """Seeded sparse rows over Q (or Q(i)); about one in five combines two earlier rows."""
+
+    def coef():
+        re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if not gaussian:
+            return re
+        return GaussianRational(re, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.2:
+            # an exact combination of earlier rows, so the rank drops
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = coef()
+            r = {k: a.get(k, 0) + c * b.get(k, 0) for k in set(a) | set(b)}
+        else:
+            r = {c: coef() for c in range(ncols) if rng.random() < density}
+        rows.append({k: v for k, v in r.items() if v})
+    return rows
+
+
+CASES = [(seed, gaussian) for seed in range(12) for gaussian in (False, True)]
+
+
+@pytest.mark.parametrize("seed,gaussian", CASES)
+def test_echelon_is_fully_reduced(seed, gaussian):
+    rng = random.Random(seed)
+    ncols = rng.randint(3, 14)
+    rows = random_sparse(rng, rng.randint(1, 12), ncols, gaussian)
+    ech = Echelon(rows, ncols)
+    assert ech.pivot_cols == sorted(ech.pivot_cols)
+    for col, prow in ech.pivots:
+        assert prow[col]
+        assert all(c == col or c not in ech.pivot_cols for c in prow)
+        assert min(prow) == col
+
+
+@pytest.mark.parametrize("seed,gaussian", CASES)
+def test_nullspace_vectors_sit_on_their_free_columns(seed, gaussian):
+    rng = random.Random(100 + seed)
+    ncols = rng.randint(3, 14)
+    rows = random_sparse(rng, rng.randint(1, 12), ncols, gaussian)
+    free = Echelon(rows, ncols).free_columns()
+    basis = nullspace(rows, ncols)
+    assert len(basis) == len(free) == ncols - rank(rows, ncols)
+    for f, v in zip(free, basis):
+        assert matvec(rows, v) == {}
+        assert {c: v.get(c, 0) for c in free} == {c: int(c == f) for c in free}
+
+
+@pytest.mark.parametrize("seed,gaussian", CASES)
+def test_solve_min_support_is_zero_on_free_columns(seed, gaussian):
+    rng = random.Random(200 + seed)
+    ncols = rng.randint(3, 14)
+    rows = random_sparse(rng, rng.randint(1, 12), ncols, gaussian)
+    x0 = random_sparse(rng, 1, ncols, gaussian, density=0.5)[0]
+    b = matvec(rows, x0)
+    x = solve_min_support(rows, ncols, [b.get(i, 0) for i in range(len(rows))])
+    assert matvec(rows, x) == b
+    assert not set(x) & set(Echelon(rows, ncols).free_columns())
+    # a right-hand side outside the column space is refused
+    aug = rows + [{}]
+    with pytest.raises(ValueError):
+        solve_min_support(aug, ncols, [0] * len(rows) + [1])
+
+
+@pytest.mark.parametrize("seed,gaussian", CASES)
+def test_span_solver_roundtrip_random(seed, gaussian):
+    rng = random.Random(300 + seed)
+    ncols = rng.randint(4, 14)
+    vecs = []
+    for v in random_sparse(rng, rng.randint(1, 8), ncols, gaussian, density=0.4):
+        if rank(vecs + [v], ncols) == len(vecs) + 1:
+            vecs.append(v)
+    assert vecs
+    solver = SpanSolver(vecs)
+    for _ in range(5):
+        coeffs = random_sparse(rng, 1, len(vecs), gaussian, density=0.6)[0]
+        target = {}
+        for j, c in coeffs.items():
+            for k, val in vecs[j].items():
+                target[k] = target.get(k, 0) + c * val
+        assert solver.coordinates({k: v for k, v in target.items() if v}) == coeffs
+    for probe in random_sparse(rng, 4, ncols + 1, gaussian, density=0.4):
+        inside = rank(vecs + [probe], ncols + 1) == len(vecs)
+        assert solver.contains(probe) == inside
+        if not inside:
+            with pytest.raises(ValueError):
+                solver.coordinates(probe)
+    with pytest.raises(ValueError):
+        SpanSolver(vecs + [{k: 3 * v for k, v in vecs[-1].items()}])
+    with pytest.raises(ValueError):
+        SpanSolver(vecs + [{}])
+
+
 def test_signature_diagonal():
     assert signature_of_form([[1, 0], [0, -1]]) == (1, 1, 0)
     assert signature_of_form([[2, 0, 0], [0, 3, 0], [0, 0, 0]]) == (2, 0, 1)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahmass.gaussian import GaussianRational
 from ahmass.lorentz import (
     all_generators,
     boost_from_parameter,
@@ -358,14 +357,3 @@ def test_numeric_sampling_rejects_imaginary_parts():
         sample_tensor(m, nodes)
     with pytest.raises(ValueError):
         group_action_numeric(identity_element(3), m, 4, nodes)
-
-
-def test_evaluate_float_keeps_small_imaginary_parts():
-    tiny = F(1, 10**12)
-    x = np.array([0.0, 0.0, 1.0])
-    m = SphereTensor(3, 4, {(0, 1): ExactPoly.constant(3, GaussianRational(1, tiny))})
-    val = m.evaluate_float(x)
-    assert np.iscomplexobj(val)
-    assert val[0, 1] == val[1, 0] == complex(1.0, float(tiny))
-    real = SphereTensor(3, 4, {(0, 1): ExactPoly.constant(3, GaussianRational(1))})
-    assert not np.iscomplexobj(real.evaluate_float(x))

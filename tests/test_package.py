@@ -50,3 +50,44 @@ def test_no_unused_module_imports():
     paths = sorted(Path(ahmass.__file__).parent.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     found = {str(path.relative_to(path.parents[1])): unused_imports(path.read_text()) for path in paths}
     assert {name: dead for name, dead in found.items() if dead} == {}
+
+
+def unreferenced_definitions(sources: dict, corpus: str) -> list:
+    """Top-level functions and class methods in ``sources`` (name -> text)
+    whose name occurs in ``corpus`` only at its own definitions.
+
+    Dunder methods are exempt: the interpreter calls them.
+    """
+    defs = {}
+    for fname, source in sources.items():
+        for node in ast.parse(source).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for member in members:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    member.name.startswith("__") and member.name.endswith("__")
+                ):
+                    defs.setdefault(member.name, []).append(f"{fname}:{member.lineno}")
+    dead = []
+    for name, where in defs.items():
+        if len(re.findall(rf"\b{name}\b", corpus)) <= len(where):
+            dead += [f"{name} ({w})" for w in where]
+    return sorted(dead)
+
+
+def test_unreferenced_definitions_detects_dead_names():
+    lib = (
+        "def used():\n    pass\n\n\ndef dead():\n    pass\n\n\n"
+        "class C:\n    def __init__(self):\n        pass\n\n"
+        "    def called(self):\n        pass\n\n    def orphan(self):\n        pass\n"
+    )
+    caller = "used()\nC().called()\n# used_elsewhere is a different name\n"
+    assert unreferenced_definitions({"lib.py": lib}, lib + caller) == ["dead (lib.py:5)", "orphan (lib.py:16)"]
+
+
+def test_no_unreferenced_definitions():
+    package = Path(ahmass.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    corpus = "\n".join(
+        path.read_text() for folder in (package, ROOT / "tests", ROOT / "perfbench") for path in sorted(folder.glob("*.py"))
+    )
+    assert unreferenced_definitions(sources, corpus) == []
