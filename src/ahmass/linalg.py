@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from .gaussian import GaussianRational
 
@@ -163,6 +163,22 @@ def nullspace(rows: Sequence[Row], ncols: int) -> List[Row]:
             if c != col:
                 basis[c][col] = -v / pval
     return list(basis.values())
+
+
+def kernel_of_columns(columns: Sequence[Dict[Hashable, object]]) -> List[Row]:
+    """Exact basis of the combinations c with sum_j c_j columns[j] = 0.
+
+    Column ``j`` is the image of unknown ``j``, keyed by any hashable
+    label of the target coordinates; zero entries are dropped.  Its
+    transpose is a sparse system over the unknowns, solved by
+    :func:`nullspace`.
+    """
+    rows: Dict[Hashable, Row] = {}
+    for j, col in enumerate(columns):
+        for key, v in col.items():
+            if v:
+                rows.setdefault(key, {})[j] = v
+    return nullspace(list(rows.values()), len(columns))
 
 
 def rank(rows: Sequence[Row], ncols: int) -> int:

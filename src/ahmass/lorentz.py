@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .gaussian import GaussianRational
-from .linalg import Row, SpanSolver, nullspace
+from .linalg import Row, kernel_of_columns
 from .poly import ExactPoly
 
 Matrix = Tuple[Tuple[object, ...], ...]
@@ -367,21 +367,16 @@ def cartan_basis(n: int) -> Dict[int, Tuple]:
 
 
 def _basis_change(n: int) -> Tuple[Matrix, Matrix]:
-    """(E, E^{-1}) where columns of E are the Cartan basis vectors."""
+    """(E, E^{-1}) where columns of E are the Cartan basis vectors.
+
+    Since eta(e_i, e_j) = delta_{i,-j}, row k of E^{-1} is the covector
+    eta e_{-k}.
+    """
     keys = cartan_keys(n)
     basis = cartan_basis(n)
     dim = n + 1
     E = tuple(tuple(basis[k][row] for k in keys) for row in range(dim))
-    # invert by solving E X = I exactly (small dense complex system)
-    rows = [{j: E[i][j] for j in range(dim) if E[i][j]} for i in range(dim)]
-    cols = []
-    from .linalg import solve_min_support
-
-    for j in range(dim):
-        rhs = [GaussianRational(1) if i == j else GaussianRational(0) for i in range(dim)]
-        sol = solve_min_support(rows, dim, rhs)
-        cols.append([sol.get(i, GaussianRational(0)) for i in range(dim)])
-    Einv = tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
+    Einv = tuple(tuple(-c if mu == 0 else c for mu, c in enumerate(basis[-k])) for k in keys)
     return E, Einv
 
 
@@ -397,6 +392,25 @@ def cartan_generators(n: int) -> List[Matrix]:
         d[keys.index(k)][keys.index(k)] = GaussianRational(1)
         d[keys.index(-k)][keys.index(-k)] = GaussianRational(-1)
         out.append(mat_mul(mat_mul(E, tuple(map(tuple, d))), Einv))
+    return out
+
+
+def null_coordinates(n: int) -> Dict[int, Tuple[ExactPoly, Tuple[int, ...]]]:
+    """The linear forms Z^k dual to :func:`cartan_basis`, with their eps-weights.
+
+    Z^k(e_j) = delta_{kj}, keyed in :func:`cartan_keys` order.  Under
+    a . P = -(a X)^mu d_mu P, Z^k and dZ^k have weight -eps_k (with
+    eps_{-k} = -eps_k and eps_0 = 0): Z^{-1} = X^0 + X^1 has weight +eps_1
+    and Z^{-2} = X^2 + i X^3 has +eps_2.
+    """
+    _, Einv = _basis_change(n)
+    out = {}
+    for k, row in zip(cartan_keys(n), Einv):
+        # real coefficients stay Fractions, which keeps real products fast
+        terms = ((c if c.im else c.re) * ExactPoly.variable(n + 1, mu) for mu, c in enumerate(row))
+        sign = -1 if k > 0 else 1
+        weight = tuple(sign if j == abs(k) else 0 for j in range(1, cartan_rank(n) + 1))
+        out[k] = (sum(terms, ExactPoly.zero(n + 1)), weight)
     return out
 
 
@@ -487,37 +501,31 @@ def highest_weight_vectors(
     n: int,
     weight: Sequence[Fraction],
 ) -> List[Row]:
-    """Joint kernel of all raising operators inside a weight space.
+    """Joint kernel of H_k - lambda_k and all raising operators on a span.
 
-    ``basis`` spans an invariant subspace in some ambient coordinates;
-    ``apply_matrix(mat, vec)`` realizes the action of an algebra matrix
-    on such a coordinate vector.  Returns coefficient vectors against
-    ``basis``.  Raises if the requested weight space is empty.
+    ``basis`` lists independent vectors spanning an invariant subspace in
+    some ambient coordinates; ``apply_matrix(mat, vec)`` realizes the
+    action of an algebra matrix on such a coordinate vector.  The images
+    of the basis vectors, keyed (operator, ambient coordinate), are the
+    columns of one :func:`kernel_of_columns`, so no coordinates against
+    ``basis`` are needed.  Returns coefficient vectors against ``basis``.
+    Raises ``ValueError`` if ``weight`` does not have one entry per Cartan
+    generator or the requested weight space is empty.
     """
-    span = SpanSolver(list(basis))
-    dim = len(basis)
+    if len(weight) != cartan_rank(n):
+        raise ValueError(f"weight needs {cartan_rank(n)} entries for n={n}, got {len(weight)}")
 
-    def op_rows(mat) -> List[Row]:
-        cols = [span.coordinates(apply_matrix(mat, b)) for b in basis]
-        rows: List[Row] = [dict() for _ in range(dim)]
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                rows[i][j] = v
-        return rows
+    def image(vec: Row, ops) -> dict:
+        col = {}
+        for k, (mat, lam) in enumerate(ops):
+            img = dict(apply_matrix(mat, vec))
+            for c, v in vec.items():
+                img[c] = img.get(c, 0) - lam * v
+            col.update(((k, c), v) for c, v in img.items())
+        return col
 
-    stacked: List[Row] = []
-    for hmat, lam in zip(cartan_generators(n), weight):
-        rows = op_rows(hmat)
-        if lam:
-            for i in range(dim):
-                v = rows[i].get(i, Fraction(0)) - lam
-                if v:
-                    rows[i][i] = v
-                else:
-                    rows[i].pop(i, None)
-        stacked.extend(r for r in rows if r)
-    if not nullspace(stacked, dim):
+    ops = list(zip(cartan_generators(n), weight))
+    if not kernel_of_columns([image(b, ops) for b in basis]):
         raise ValueError("weight space empty")
-    for _, rmat in raising_operators(n):
-        stacked.extend(r for r in op_rows(rmat) if r)
-    return nullspace(stacked, dim)
+    ops += [(rmat, 0) for _, rmat in raising_operators(n)]
+    return kernel_of_columns([image(b, ops) for b in basis])

@@ -26,12 +26,15 @@ the derivation -(aX).d of an algebra element), and
 slot or vector factor.  Tensors of degree d have coordinates monomial
 index major, slot minor (:func:`_tensor_to_coords`).  For a symmetric
 2-tensor the constraints are Box (x) I, I (x) tr and
-sum_mu X^mu (x) c_mu, and the action of a is D_a (x) I + I (x) S_a
-(:func:`_sym2_action_terms`).  For W_p the slots are the pairs of index
-pairs (:func:`tensor4_slot_sign`) and the constraints are I (x) T, I (x) B_1
+sum_mu X^mu (x) c_mu.  For W_p the slots are the pairs of index pairs
+(:func:`tensor4_slot_sign`) and the constraints are I (x) T, I (x) B_1
 and sum_s d_s (x) C_s (:func:`build_Wp`).  The gauge vector field of
 :func:`de_donder_fix` is laid out component major, so its operators are
 I (x) Box and sum_nu eta_nu e_nu (x) d_nu.
+
+Highest-weight systems are posed on the weight basis instead
+(:func:`_weight_basis`), whose tensors are weight vectors, so only the
+conditions other than the Cartan ones enter their small kernel.
 """
 
 from __future__ import annotations
@@ -42,18 +45,18 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .gaussian import GaussianRational
 from .harmonic import monomial_weight
 from .linalg import (
     Row,
     SpanSolver,
     identity_rows,
+    kernel_of_columns,
     kron_rows,
     nullspace,
     signature_of_form,
     solve_min_support,
 )
-from .lorentz import Matrix, algebra_act_on_poly, cartan_rank
+from .lorentz import Matrix, cartan_basis, cartan_rank, null_coordinates, raising_operators
 from .poly import (
     ExactPoly,
     from_coords,
@@ -934,12 +937,13 @@ def row_to_sym2(row: Row, nv: int, degree: int) -> PolySym2:
     return PolySym2(nv, _coords_to_tensor(row, _sym2_slots(nv), nv, degree))
 
 
-def _sym2_constraint_rows(n: int, degree: int, transverse: bool) -> Tuple[List[Row], int]:
-    """Rows cutting out the wave-harmonic, eta-trace-free degree-d tensors.
+def _sym2_constraint_rows(n: int, degree: int) -> Tuple[List[Row], int]:
+    """Rows cutting out the transverse, wave-harmonic, eta-trace-free
+    degree-d tensors.
 
-    Box (x) I stacked over I (x) tr; with ``transverse`` also the radial
-    contraction sum_mu X^mu (x) c_mu, where c_mu h = (h_{mu nu})_nu.
-    Returns the rows and the number of coordinates.
+    Box (x) I stacked over I (x) tr and the radial contraction
+    sum_mu X^mu (x) c_mu, where c_mu h = (h_{mu nu})_nu.  Returns the rows
+    and the number of coordinates.
     """
     nv = n + 1
     slots = _sym2_slots(nv)
@@ -949,14 +953,13 @@ def _sym2_constraint_rows(n: int, degree: int, transverse: bool) -> Tuple[List[R
     rows = kron_rows([(box, identity_rows(len(slots)))], len(slots))
     trace = [{sidx[(mu, mu)]: F(_eta_sign(mu)) for mu in range(nv)}]
     rows += kron_rows([(identity_rows(nmonos), trace)], len(slots))
-    if transverse:
-        terms = []
-        for mu in range(nv):
-            x_mu = ExactPoly.variable(nv, mu)
-            times_x = operator_rows(lambda p, x=x_mu: p * x, nv, degree, degree + 1)
-            contract = [{sidx[(min(mu, nu), max(mu, nu))]: F(1)} for nu in range(nv)]
-            terms.append((times_x, contract))
-        rows += kron_rows(terms, len(slots))
+    terms = []
+    for mu in range(nv):
+        x_mu = ExactPoly.variable(nv, mu)
+        times_x = operator_rows(lambda p, x=x_mu: p * x, nv, degree, degree + 1)
+        contract = [{sidx[(min(mu, nu), max(mu, nu))]: F(1)} for nu in range(nv)]
+        terms.append((times_x, contract))
+    rows += kron_rows(terms, len(slots))
     return rows, nmonos * len(slots)
 
 
@@ -966,7 +969,7 @@ def transverse_solution_space(n: int, degree: int) -> List[PolySym2]:
     These solve the linearized Einstein equations (they are automatically
     divergence free) and realize the same representation as W_{degree-2}.
     """
-    kernel = nullspace(*_sym2_constraint_rows(n, degree, True))
+    kernel = nullspace(*_sym2_constraint_rows(n, degree))
     return [row_to_sym2(v, n + 1, degree) for v in kernel]
 
 
@@ -975,25 +978,28 @@ def transverse_solution_space(n: int, degree: int) -> List[PolySym2]:
 # ---------------------------------------------------------------------------
 
 
-def _sym2_action_terms(mat, nv: int, degree: int) -> List[Tuple[List[Row], List[Row]]]:
-    """The algebra action on degree-d Sym^2 coordinates, D_a (x) I + I (x) S_a.
+def _weight_basis(n: int, degree: int, weight: Sequence) -> List[PolySym2]:
+    """The tensors Z^e sym(dZ^a (x) dZ^b) of eps-weight ``weight``, in X coordinates.
 
-    D_a = -(aX).d is the action on the coefficient monomials and S_a the
-    action on the slots, (S_a h)_{mu nu} = -a^s_mu h_{s nu} - a^s_nu h_{mu s};
-    :func:`algebra_action_sym2` is the same map on one tensor.
+    Z^e runs over the degree-d monomials in the null coordinates of
+    :func:`ahmass.lorentz.null_coordinates` and (a, b) over their pairs
+    a <= b.  Each such tensor is a weight vector whose weight is the sum
+    of the weights of its factors, and together they form a basis of the
+    degree-d symmetric 2-tensors.
     """
-    m = mat.matrix if hasattr(mat, "matrix") else mat
-    slots = _sym2_slots(nv)
-    sidx = {s: i for i, s in enumerate(slots)}
-    slot_rows: List[Row] = [dict() for _ in slots]
-    for (mu, nu), row in zip(slots, slot_rows):
-        for s in range(nv):
-            for c, pair in ((m[s][mu], (s, nu)), (m[s][nu], (mu, s))):
-                if c:
-                    j = sidx[(min(pair), max(pair))]
-                    row[j] = row.get(j, 0) - c
-    mono_rows = operator_rows(lambda p: algebra_act_on_poly(m, p), nv, degree, degree)
-    return [(mono_rows, identity_rows(len(slots))), (identity_rows(len(mono_rows)), slot_rows)]
+    nv = n + 1
+    forms, weights = zip(*null_coordinates(n).values())
+    covs = [_cov(z) for z in forms]
+    out = []
+    for e in monomials_of_degree(nv, degree):
+        for a, b in _sym2_slots(nv):
+            factors = list(e)
+            factors[a] += 1
+            factors[b] += 1
+            if all(sum(k * w[j] for k, w in zip(factors, weights)) == lam for j, lam in enumerate(weight)):
+                z_e = ExactPoly.monomial(nv, e).substitute(forms)
+                out.append(_outer_sym(nv, z_e, covs[a], covs[b]))
+    return out
 
 
 def hw_vectors_sym2(
@@ -1004,64 +1010,49 @@ def hw_vectors_sym2(
 ) -> List[PolySym2]:
     """Highest-weight vectors in the (transverse) solution space.
 
-    Stacks the space constraints, the Cartan eigenvalue conditions for
-    the requested eps-weight and the kernels of all raising operators
-    into one sparse exact system.
+    The unknowns are the coefficients on the weight basis of ``weight``
+    (:func:`_weight_basis`), so the Cartan eigenvalue conditions hold by
+    construction.  Each basis tensor is mapped by Box, the eta-trace, the
+    radial contraction (with ``transverse``) and every raising operator
+    (:func:`algebra_action_sym2`); the vectors span the kernel of these
+    images, one column per basis tensor (:func:`kernel_of_columns`).
+    Raises ``ValueError`` if ``weight`` does not have one entry per
+    Cartan generator.
     """
-    from .lorentz import cartan_generators, raising_operators
+    if len(weight) != cartan_rank(n):
+        raise ValueError(f"weight needs {cartan_rank(n)} entries for n={n}, got {len(weight)}")
+    basis = _weight_basis(n, degree, weight)
+    raising = [m for _, m in raising_operators(n)]
 
-    nv = n + 1
-    nslots = len(_sym2_slots(nv))
-    rows, ncols = _sym2_constraint_rows(n, degree, transverse)
-    for hmat, lam in zip(cartan_generators(n), weight):
-        # H - lam, with lam carried on the monomial factor
-        shift = ([{i: -lam} for i in range(ncols // nslots)], identity_rows(nslots))
-        rows += kron_rows(_sym2_action_terms(hmat, nv, degree) + [shift], nslots)
-    for _, rmat in raising_operators(n):
-        rows += kron_rows(_sym2_action_terms(rmat, nv, degree), nslots)
-    kernel = nullspace(rows, ncols)
-    return [row_to_sym2(v, nv, degree) for v in kernel]
+    def image(h: PolySym2) -> dict:
+        parts = [("trace", h.eta_trace())] + [(("box", s), p) for s, p in h.box().comp.items()]
+        if transverse:
+            parts += [(("radial", nu), p) for nu, p in enumerate(h.radial_contraction())]
+        for r, m in enumerate(raising):
+            parts += [((r, s), p) for s, p in algebra_action_sym2(m, h).comp.items()]
+        return {(key, e): c for key, p in parts for e, c in p.terms.items()}
+
+    kernel = kernel_of_columns([image(h) for h in basis])
+    return [sum((basis[j].scale(c) for j, c in v.items()), PolySym2(n + 1, {})) for v in kernel]
 
 
 def _zminus(nv: int, which: int, conj: bool = False) -> ExactPoly:
-    """Coordinate functions Z^{-1} = X^0 + X^1, Z^{-2} = X^2 + i X^3."""
-    i = GaussianRational.i()
-    if which == 1:
-        return ExactPoly.variable(nv, 0) + ExactPoly.variable(nv, 1)
-    z = ExactPoly.variable(nv, 2) + ExactPoly.variable(nv, 3) * (-i if conj else i)
-    return z
+    """Null coordinate Z^{-1} = X^0 + X^1 or Z^{-2} = X^2 + i X^3, or its conjugate."""
+    z = null_coordinates(nv - 1)[-which][0]
+    return z.conjugate() if conj else z
 
 
-def _cov(nv: int, which: int, conj: bool = False) -> List[object]:
-    """Covector components of dZ^{-1}, dZ^{-2}."""
-    i = GaussianRational.i()
-    u = [F(0)] * nv
-    if which == 1:
-        u[0] = F(1)
-        u[1] = F(1)
-        return u
-    u[2] = GaussianRational(1)
-    u[3] = -i if conj else i
-    return u
-
-
-def _outer_sq(nv: int, f: ExactPoly, u) -> PolySym2:
-    """f * u (x) u for a covector component list u."""
-    comp = {}
-    for mu in range(nv):
-        for nu in range(mu, nv):
-            c = u[mu] * u[nu]
-            if c:
-                comp[(mu, nu)] = f * c
-    return PolySym2(nv, comp)
+def _cov(z: ExactPoly) -> List[object]:
+    """Covector components of dZ for a linear form Z."""
+    return [z.terms.get(tuple(int(mu == nu) for nu in range(z.nvars)), F(0)) for mu in range(z.nvars)]
 
 
 def _outer_sym(nv: int, f: ExactPoly, u, v) -> PolySym2:
-    """f * (u (x) v + v (x) u)."""
+    """f * sym(u (x) v) = f * (u (x) v + v (x) u) / 2 for covector component lists."""
     comp = {}
     for mu in range(nv):
         for nu in range(mu, nv):
-            c = u[mu] * v[nu] + u[nu] * v[mu]
+            c = (u[mu] * v[nu] + u[nu] * v[mu]) / 2
             if c:
                 comp[(mu, nu)] = f * c
     return PolySym2(nv, comp)
@@ -1070,28 +1061,27 @@ def _outer_sym(nv: int, f: ExactPoly, u, v) -> PolySym2:
 def catalog_gauge1(n: int, p: int) -> PolySym2:
     """(Z^{-1})^{p+2} dZ^{-1} (x) dZ^{-1}."""
     nv = n + 1
-    return _outer_sq(nv, _zminus(nv, 1) ** (p + 2), _cov(nv, 1))
+    z1 = _zminus(nv, 1)
+    return _outer_sym(nv, z1 ** (p + 2), _cov(z1), _cov(z1))
 
 
 def catalog_gauge2(n: int, p: int) -> PolySym2:
     """(Z^{-1})^{p+1} Z^{-2} dZ^{-1}(x)dZ^{-1}
        - (Z^{-1})^{p+2} (dZ^{-1} (x) dZ^{-2} + dZ^{-2} (x) dZ^{-1}) / 2."""
     nv = n + 1
-    u, v = _cov(nv, 1), _cov(nv, 2)
     z1, z2 = _zminus(nv, 1), _zminus(nv, 2)
-    first = _outer_sq(nv, z1 ** (p + 1) * z2, u)
-    second = _outer_sym(nv, z1 ** (p + 2), u, v).scale(F(1, 2))
-    return first - second
+    u, v = _cov(z1), _cov(z2)
+    return _outer_sym(nv, z1 ** (p + 1) * z2, u, u) - _outer_sym(nv, z1 ** (p + 2), u, v)
 
 
 def catalog_weyl_type(n: int, p: int, conj: bool = False) -> PolySym2:
     """(Z^{-1} dZ^{-2} - Z^{-2} dZ^{-1})^{(x)2} (Z^{-1})^p, expanded."""
     nv = n + 1
-    u, v = _cov(nv, 1), _cov(nv, 2, conj)
     z1, z2 = _zminus(nv, 1), _zminus(nv, 2, conj)
-    t1 = _outer_sq(nv, z1 ** (p + 2), v)
-    t2 = _outer_sym(nv, z1 ** (p + 1) * z2, u, v)
-    t3 = _outer_sq(nv, z1**p * z2 * z2, u)
+    u, v = _cov(z1), _cov(z2)
+    t1 = _outer_sym(nv, z1 ** (p + 2), v, v)
+    t2 = _outer_sym(nv, 2 * z1 ** (p + 1) * z2, u, v)
+    t3 = _outer_sym(nv, z1**p * z2 * z2, u, u)
     return t1 - t2 + t3
 
 
@@ -1101,41 +1091,27 @@ def catalog_chiral_printed(n: int, p: int, conj: bool = False) -> PolySym2:
     coefficient repeats Z^{-2} where the pattern of the general family
     suggests Z^{-1}; kept verbatim so the comparison can flag it)."""
     nv = n + 1
-    u = _cov(nv, 1)
-    v = _cov(nv, 2)  # the printed form uses dZ^{-2} unconjugated in both
+    u = _cov(_zminus(nv, 1))
+    v = _cov(_zminus(nv, 2))  # the printed form uses dZ^{-2} unconjugated in both
     z1 = _zminus(nv, 1)
     z2 = _zminus(nv, 2, conj)
     w = [z2 * (a - b) for a, b in zip(u, v)]  # Z^{-2} (dZ^{-1} - dZ^{-2})
-    comp = {}
-    for mu in range(nv):
-        for nu in range(mu, nv):
-            comp[(mu, nu)] = w[mu] * w[nu] * z1**p
-    return PolySym2(nv, comp)
+    return _outer_sym(nv, z1**p, w, w)
 
 
 def gauge_field_1(n: int, p: int) -> List[ExactPoly]:
     """xi = (Z^{-1})^{p+3} e_{+1} / (2(p+3)), contravariant components."""
-    nv = n + 1
-    f = _zminus(nv, 1) ** (p + 3) / (2 * (p + 3))
-    out = [ExactPoly.zero(nv) for _ in range(nv)]
-    out[0] = -f
-    out[1] = f
-    return out
+    f = _zminus(n + 1, 1) ** (p + 3) / (2 * (p + 3))
+    return [f * c for c in cartan_basis(n)[1]]
 
 
 def gauge_field_2(n: int, p: int) -> List[ExactPoly]:
     """xi = ((Z^{-1})^{p+2} Z^{-2} e_{+1} - (Z^{-1})^{p+3} e_{+2}) / (2(p+2))."""
-    nv = n + 1
-    i = GaussianRational.i()
-    z1, z2 = _zminus(nv, 1), _zminus(nv, 2)
+    z1, z2 = _zminus(n + 1, 1), _zminus(n + 1, 2)
     f = z1 ** (p + 2) * z2 / (2 * (p + 2))
     g = z1 ** (p + 3) / (2 * (p + 2))
-    out = [ExactPoly.zero(nv) for _ in range(nv)]
-    out[0] = -f
-    out[1] = f
-    out[2] = -g
-    out[3] = -g * i
-    return out
+    e = cartan_basis(n)
+    return [f * a - g * b for a, b in zip(e[1], e[2])]
 
 
 def proportionality(a: PolySym2, b: PolySym2):

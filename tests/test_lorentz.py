@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ahmass.gaussian import GaussianRational
 from ahmass.poly import ExactPoly, minkowski_norm_poly, monomial_index
 from ahmass.lorentz import (
     algebra_act_on_poly,
@@ -13,11 +14,13 @@ from ahmass.lorentz import (
     boost_generator,
     bracket,
     cartan_generators,
+    cartan_keys,
     cartan_rank,
     highest_weight_vectors,
     identity_element,
     mat_scale,
     mat_sub,
+    null_coordinates,
     rational_boost,
     rational_rotation,
     rational_sphere_point,
@@ -245,3 +248,21 @@ def test_hw_trivial_rep():
 
     hws = highest_weight_vectors(basis, apply_mat, n, [F(0), F(0)])
     assert len(hws) == 1
+
+
+@pytest.mark.parametrize("weight", [[F(0)], [F(0), F(0), F(0)]])
+def test_hw_rejects_weight_of_wrong_length(weight):
+    with pytest.raises(ValueError):
+        highest_weight_vectors([{0: F(1)}], lambda mat, vec: {}, 3, weight)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_null_coordinates_are_weight_vectors(n):
+    null = null_coordinates(n)
+    assert list(null) == cartan_keys(n)
+    for z, weight in null.values():
+        for h, w in zip(cartan_generators(n), weight):
+            assert algebra_act_on_poly(h, z) == z * w
+    nv, i = n + 1, GaussianRational.i()
+    assert null[-1] == (X(nv, 0) + X(nv, 1), (1,) + (0,) * (cartan_rank(n) - 1))
+    assert null[-2][0] == X(nv, 2) + X(nv, 3) * i

@@ -1,22 +1,27 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ahmass.gaussian import GaussianRational
-from ahmass.linalg import kron_rows, matvec
-from ahmass.lorentz import all_generators, cartan_generators, highest_weight_vectors, raising_operators
+from ahmass.lorentz import (
+    algebra_act_on_poly,
+    all_generators,
+    bracket,
+    cartan_generators,
+    cartan_rank,
+    highest_weight_vectors,
+)
 from ahmass.poly import ExactPoly, minkowski_norm_poly, monomials_of_degree
 from ahmass.weyl import (
     PolyForm,
     PolySym2,
     PolyTensor4,
-    _sym2_action_terms,
     _sym2_slots,
     _tensor_to_coords,
+    _weight_basis,
     algebra_action_sym2,
     algebra_action_tensor4,
     build_Wp,
@@ -26,10 +31,12 @@ from ahmass.weyl import (
     dim_Wp,
     eta_tensor,
     exterior_derivative,
+    hw_vectors_sym2,
     hw_vectors_weyl,
     linearized_einstein,
     linearized_riemann,
     poincare_homotopy,
+    proportionality,
     row_to_sym2,
     signature_Wp,
     signature_Wp_expected,
@@ -38,7 +45,6 @@ from ahmass.weyl import (
     weyl_to_potential,
     weyl_type_hw_vector,
 )
-from sphere_oracles import coefficients
 
 F = Fraction
 
@@ -354,38 +360,74 @@ def test_chiral_hw_vectors_are_conjugate_and_transverse():
     assert k_plus.box().is_zero()
     assert linearized_einstein(k_plus).is_zero()
     # the two families are exchanged by conjugation (up to scale)
-    from ahmass.weyl import proportionality
-
     assert proportionality(k_minus, k_plus.conjugate()) is not None
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-def test_chiral_hw_vector_matches_weight_space_route(sign):
-    # second route: the raising kernel inside the (2, +-2) weight space of
+@pytest.mark.parametrize(
+    "n,lam2,target",
+    [
+        pytest.param(3, 2, lambda: chiral_hw_vector(0, 1), id="1"),
+        pytest.param(3, -2, lambda: chiral_hw_vector(0, -1), id="-1"),
+        pytest.param(4, 2, lambda: weyl_type_hw_vector(4, 0), id="weyl-type-4"),
+    ],
+)
+def test_chiral_hw_vector_matches_weight_space_route(n, lam2, target):
+    # second route: the raising kernel inside the (2, lam2) weight space of
     # the transverse solutions, with the element-wise Sym^2 action
-    from ahmass.weyl import proportionality
-
-    nv, degree = 4, 2
+    nv, degree = n + 1, 2
     slots = _sym2_slots(nv)
-    basis = [_tensor_to_coords(h.comp, slots, degree) for h in transverse_solution_space(3, degree)]
+    basis = [_tensor_to_coords(h.comp, slots, degree) for h in transverse_solution_space(n, degree)]
 
     def apply_mat(mat, vec):
         return _tensor_to_coords(algebra_action_sym2(mat, row_to_sym2(vec, nv, degree)).comp, slots, degree)
 
-    hws = highest_weight_vectors(basis, apply_mat, 3, [F(2), F(2 * sign)])
+    hws = highest_weight_vectors(basis, apply_mat, n, [F(2), F(lam2)])
     assert len(hws) == 1
     row = {}
     for j, c in hws[0].items():
         for col, v in basis[j].items():
             row[col] = row.get(col, 0) + c * v
-    assert proportionality(row_to_sym2(row, nv, degree), chiral_hw_vector(0, sign)) is not None
+    assert proportionality(row_to_sym2(row, nv, degree), target()) is not None
 
 
-def test_weyl_type_hw_matches_catalog_pattern():
-    from ahmass.weyl import proportionality
+@pytest.mark.parametrize("n,p", [(4, 1), (5, 1), (6, 2)])
+def test_weyl_type_hw_matches_catalog_pattern(n, p):
+    # one-dimensional (weyl_type_hw_vector raises otherwise) and carrying curvature
+    h = weyl_type_hw_vector(n, p)
+    assert proportionality(h, catalog_weyl_type(n, p)) is not None
+    assert not linearized_riemann(h).is_zero()
 
-    h = weyl_type_hw_vector(4, 1)
-    assert proportionality(h, catalog_weyl_type(4, 1)) is not None
+
+@pytest.mark.parametrize("n,p", [(5, 0), (3, 2)])
+def test_hw_reports_beyond_n4(n, p):
+    reps = hw_vectors_weyl(n, p)
+    assert len(reps) == (4 if n == 3 else 3)
+    assert all(r.dim == 1 for r in reps)
+    gauge, curved = reps[:2], reps[2:]
+    for r in gauge:
+        assert r.in_riemann_kernel and r.catalog_match != "mismatch"
+        assert any("Lie-derivative identity holds" in f for f in r.flags)
+    for r, conj in zip(curved, (False, True)):
+        assert r.transverse and not r.in_riemann_kernel
+        assert proportionality(r.vector, catalog_weyl_type(n, p, conj=conj)) is not None
+        if n == 3:
+            assert r.catalog_match == "mismatch"
+            assert any("replaced by Z^{-1}" in f for f in r.flags)
+        else:
+            assert r.catalog_match != "mismatch"
+
+
+def test_transverse_condition_excludes_the_gauge_vector():
+    # the only weight-(4, 0) vector is (Z^{-1})^2 dZ^{-1} (x) dZ^{-1}, and
+    # its radial contraction (Z^{-1})^3 dZ^{-1} is nonzero
+    assert len(hw_vectors_sym2(3, 2, (F(4), F(0)))) == 1
+    assert hw_vectors_sym2(3, 2, (F(4), F(0)), transverse=True) == []
+
+
+@pytest.mark.parametrize("weight", [(F(2),), (F(2), F(2), F(0))])
+def test_hw_vectors_sym2_rejects_weight_of_wrong_length(weight):
+    with pytest.raises(ValueError):
+        hw_vectors_sym2(4, 2, weight, transverse=True)
 
 
 def test_transverse_space_dimension_matches_wp():
@@ -397,23 +439,52 @@ def test_transverse_space_dimension_matches_wp():
 
 
 # ---------------------------------------------------------------------------
-# Sym^2 action rows against the element-wise action
+# the weight basis and the element-wise Sym^2 action
 # ---------------------------------------------------------------------------
 
 
-@given(st.data())
-@settings(max_examples=12, deadline=None)
-def test_sym2_action_rows_match_algebra_action_sym2(data):
-    # h is drawn as sparse coordinates (monomial index major, slot minor)
-    n = data.draw(st.sampled_from([3, 4]))
-    d = data.draw(st.integers(min_value=0, max_value=3))
-    nv, nslots = n + 1, len(_sym2_slots(n + 1))
-    ncols = len(monomials_of_degree(nv, d)) * nslots
-    coeffs = coefficients(data.draw(st.booleans()))
-    v = data.draw(st.dictionaries(st.integers(0, ncols - 1), coeffs, max_size=6))
-    v = {k: c for k, c in v.items() if c}
-    h = row_to_sym2(v, nv, d)
-    mats = [g.matrix for _, g in all_generators(n)] + cartan_generators(n)
-    for m in mats + [m for _, m in raising_operators(n)]:
-        rows = kron_rows(_sym2_action_terms(m, nv, d), nslots)
-        assert row_to_sym2(matvec(rows, v), nv, d) == algebra_action_sym2(m, h)
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_weight_basis_is_a_basis_of_weight_vectors(n, degree):
+    # each tensor is an eigenvector of every H_j with its weight, and the
+    # weight spaces together have as many vectors as there are coordinates
+    # each of the degree + 2 factors moves the weight by one unit vector or 0
+    nv, hs = n + 1, cartan_generators(n)
+    reach = range(-(degree + 2), degree + 3)
+    total = 0
+    for weight in itertools.product(reach, repeat=cartan_rank(n)):
+        if sum(map(abs, weight)) > degree + 2:
+            continue
+        basis = _weight_basis(n, degree, weight)
+        total += len(basis)
+        for h in basis:
+            for hmat, lam in zip(hs, weight):
+                assert algebra_action_sym2(hmat, h) == h.scale(F(lam))
+    assert total == len(monomials_of_degree(nv, degree)) * len(_sym2_slots(nv))
+
+
+def random_sym2(nv, degree, rng, gaussian):
+    comp = {}
+    for slot in _sym2_slots(nv):
+        terms = {}
+        for e in rng.sample(monomials_of_degree(nv, degree), 2):
+            c = F(rng.randint(-4, 4), rng.randint(1, 3))
+            terms[e] = GaussianRational(c, rng.randint(-2, 2)) if gaussian else c
+        comp[slot] = ExactPoly(nv, terms)
+    return PolySym2(nv, comp)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_algebra_action_sym2_is_a_lie_homomorphism_commuting_with_box_and_trace(n, gaussian):
+    rng = random.Random(100 * n + gaussian)
+    nv = n + 1
+    h = random_sym2(nv, 2, rng, gaussian)
+    gens = [g.matrix for _, g in all_generators(n)]
+    acted = [algebra_action_sym2(m, h) for m in gens]
+    for m, mh in zip(gens, acted):
+        assert algebra_action_sym2(m, h.box()) == mh.box()
+        assert mh.eta_trace() == algebra_act_on_poly(m, h.eta_trace())
+    for (a, ah), (b, bh) in itertools.combinations(zip(gens, acted), 2):
+        lhs = algebra_action_sym2(bracket(a, b), h)
+        assert lhs == algebra_action_sym2(a, bh) - algebra_action_sym2(b, ah)
