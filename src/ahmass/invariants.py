@@ -36,11 +36,13 @@ from .lorentz import (
     LorentzElement,
     act_on_poly,
     algebra_act_on_poly,
+    all_generators,
     mat_scale,
     mat_transpose,
 )
 from .massaspect import (
     SphereTensor,
+    algebra_action_aspect,
     generator_action,
     group_action_numeric,
     round_metric_tensor,
@@ -356,24 +358,16 @@ def intertwining_density_residual(
 ) -> Tuple[Fraction, Fraction]:
     """Exact residual pair (boost, rotation) of the density identities.
 
-    For every boost a_i:      nabla_{frak a_i} Phi + (k+1-n) x^i Phi
-                              - Phi^mu (a_i . v_mu)  = 0,
-    for every rotation r_ij:  nabla_{frak r_ij} Phi + Phi(r_ij ., .)
-                              + Phi(., r_ij .) - Phi^mu (r_ij . v_mu) = 0.
-
-    ``rep_rows_for(name)`` supplies the matrix of the generator on the
-    target representation (sparse rows).  The residual is the total mean
-    square over the sphere; both entries vanish exactly for a density of
-    the matching weight.
+    Every generator a must act on the density components through the
+    weighted action at the dual order n - 1 - k,
+        -a ._{n-1-k} Phi_nu - sum_mu c_mu nu Phi_mu = 0,
+    where c = ``rep_rows_for(name)`` is the matrix of a on the target
+    representation (sparse rows, row nu).  This is the adjoint of the
+    action on aspects of order k under :func:`pair`.  The residual is the
+    total mean square over the sphere, summed separately over the boosts
+    and the rotations; both entries vanish exactly for a density of the
+    matching weight.  The components must be transverse.
     """
-    from .lorentz import all_generators
-    from .massaspect import (
-        boost_field,
-        rotation_endomorphism_action,
-        rotation_field,
-        sphere_covariant_derivative,
-    )
-
     if not components:
         raise ValueError("empty density")
     n = components[0].n
@@ -381,31 +375,15 @@ def intertwining_density_residual(
         for p in c.comp.values():
             if not isinstance(p, ExactPoly):
                 raise ValueError("density components must be polynomial")
-    dim = len(components)
-    boost_total = F(0)
-    rot_total = F(0)
+    totals = [F(0), F(0)]
     for name, gen in all_generators(n):
         rows = rep_rows_for(name)
-        for nu in range(dim):
-            coeffs = rows[nu] if nu < len(rows) else {}
-            if name.startswith("a_"):
-                i = int(name[2:])
-                resid = sphere_covariant_derivative(components[nu], boost_field(n, i))
-                resid = resid + components[nu].map(
-                    lambda p: p * ExactPoly.variable(n, i - 1) * (k + 1 - n)
-                )
-            else:
-                i, j = int(name[2]), int(name[3])
-                resid = sphere_covariant_derivative(components[nu], rotation_field(n, i, j))
-                resid = resid + rotation_endomorphism_action(n, i, j, components[nu])
-            for mu, c in coeffs.items():
+        is_rotation = not any(gen.matrix[0])  # boosts mix time and space
+        for nu, component in enumerate(components):
+            resid = algebra_action_aspect(gen, component, n - 1 - k).scale(F(-1))
+            for mu, c in (rows[nu] if nu < len(rows) else {}).items():
                 resid = resid + components[mu].scale(-c)
             for p in resid.comp.values():
-                sq = p * p.conjugate()
-                val = sphere_integral(sq)
-                mag = val.re if isinstance(val, GaussianRational) else val
-                if name.startswith("a_"):
-                    boost_total += mag
-                else:
-                    rot_total += mag
-    return boost_total, rot_total
+                val = sphere_integral(p * p.conjugate())
+                totals[is_rotation] += val.re if isinstance(val, GaussianRational) else val
+    return totals[0], totals[1]

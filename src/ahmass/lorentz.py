@@ -255,7 +255,9 @@ def _exact_entry(v):
 
 
 def boost_generator(n: int, i: int) -> AlgebraElement:
-    """a_i = dX^0 d_i + dX^i d_0."""
+    """a_i = dX^0 d_i + dX^i d_0 (1 <= i <= n)."""
+    if not 1 <= i <= n:
+        raise ValueError(f"boost direction {i} is not in 1..{n}")
     m = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
     m[i][0] = Fraction(1)
     m[0][i] = Fraction(1)
@@ -263,7 +265,9 @@ def boost_generator(n: int, i: int) -> AlgebraElement:
 
 
 def rotation_generator(n: int, i: int, j: int) -> AlgebraElement:
-    """r_ij = dX^i d_j - dX^j d_i."""
+    """r_ij = dX^i d_j - dX^j d_i (1 <= i, j <= n, i != j)."""
+    if not (1 <= i <= n and 1 <= j <= n) or i == j:
+        raise ValueError(f"rotation plane ({i}, {j}) needs two distinct indices in 1..{n}")
     m = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
     m[j][i] = Fraction(1)
     m[i][j] = Fraction(-1)

@@ -10,9 +10,12 @@ class, so on-sphere equality is plain structural equality of the stored
 components, and chained actions keep the degrees of the on-sphere classes.
 
 The sphere covariant calculus is extrinsic: ambient flat derivative
-followed by tangential projection (Gauss formula).  The decay order k of
-the aspect enters only through the weighted boost action
-``a_i . m = -nabla_{frak a_i} m + k x^i m``.
+followed by tangential projection (Gauss formula).  Every element M of
+so(n,1), real or complexified, acts by one weighted Lie derivative along
+the conformal Killing field V it induces on the sphere,
+``a ._k m = -nabla_V m - Pi (A^T m + m A) Pi - k phi m``
+(:func:`algebra_action_aspect`), and the decay order k of the aspect
+enters only through the conformal factor phi of V.
 """
 
 from __future__ import annotations
@@ -24,7 +27,13 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .gaussian import GaussianRational
-from .lorentz import LorentzElement
+from .lorentz import (
+    AlgebraElement,
+    LorentzElement,
+    all_generators,
+    boost_generator,
+    rotation_generator,
+)
 from .poly import ExactPoly, quadric_normal_form, vanishes_on_sphere
 
 F = Fraction
@@ -190,30 +199,29 @@ class TangentField:
         return out
 
 
+def _linear(row, n: int) -> ExactPoly:
+    """sum_d row[d] x^d over the spatial entries row[1..n] of a matrix row."""
+    return sum((_x(n, d) * row[d + 1] for d in range(n) if row[d + 1]), _zero(n))
+
+
+def _boundary_field(mat) -> Tuple[TangentField, ExactPoly]:
+    """The field V and conformal factor phi that M induces on the sphere.
+
+    V^c = M^c_0 + M^c_d x^d - x^c M^0_d x^d is the projective image of the
+    linear field M X at X = (1, x), and phi = -M^0_d x^d.
+    """
+    n = len(mat) - 1
+    phi = -_linear(mat[0], n)
+    return TangentField(n, [_linear(mat[c + 1], n) + _x(n, c) * phi + mat[c + 1][0] for c in range(n)]), phi
+
+
 def boost_field(n: int, i: int) -> TangentField:
-    """frak a_i = (1+|x|^2)/2 d_i - x^i x^a d_a (1-based direction)."""
-    if not 1 <= i <= n:
-        raise ValueError("direction out of range")
-    idx = i - 1
-    norm2 = _zero(n)
-    for a in range(n):
-        norm2 = norm2 + _x(n, a) ** 2
-    comp = []
-    for a in range(n):
-        p = -_x(n, idx) * _x(n, a)
-        if a == idx:
-            p = p + (norm2 + 1) / 2
-        comp.append(p)
-    return TangentField(n, comp)
+    """frak a_i = d_i - x^i x^a d_a, the boundary field of a_i (1-based direction).
 
-
-def rotation_field(n: int, i: int, j: int) -> TangentField:
-    """frak r_ij = x^i d_j - x^j d_i (1-based)."""
-    a, b = i - 1, j - 1
-    comp = [_zero(n) for _ in range(n)]
-    comp[b] = _x(n, a)
-    comp[a] = -_x(n, b)
-    return TangentField(n, comp)
+    On the sphere it equals the conformal Killing field
+    (1+|x|^2)/2 d_i - x^i x^a d_a.
+    """
+    return _boundary_field(boost_generator(n, i).matrix)[0]
 
 
 def _project_slots(n: int, t: Dict[Tuple[int, int], ExactPoly]) -> Dict[Tuple[int, int], ExactPoly]:
@@ -279,62 +287,53 @@ def gradient_field(n: int, f: ExactPoly) -> TangentField:
 # ---------------------------------------------------------------------------
 
 
-def rotation_endomorphism_action(n: int, i: int, j: int, m: SphereTensor) -> SphereTensor:
-    """Transverse representative of m(r_ij(.), .) + m(., r_ij(.)).
+def algebra_action_aspect(a, m: SphereTensor, k: int | None = None) -> SphereTensor:
+    """a ._k m = -nabla^sigma_V m - Pi (A^T m + m A) Pi - k phi m  (m must be transverse).
 
-    r_ij U = U^i d_j - U^j d_i acts on tangent vectors only modulo the
-    radial direction, so the ambient formula is sandwiched with the
-    tangential projector.
+    ``a`` is an algebra element or its matrix M, real or Gaussian; V and
+    phi are its boundary field and conformal factor (:func:`_boundary_field`)
+    and A = (M^c_d) its spatial block.  A boost a_i acts by
+    -nabla m + k x^i m, a rotation r_ij (phi = 0) by
+    -nabla m - m(r_ij ., .) - m(., r_ij .).
     """
-    a, b = i - 1, j - 1
-    raw: Dict[Tuple[int, int], ExactPoly] = {}
-    for c in range(n):
-        for d in range(c, n):
-            p = _zero(n)
-            if c == a:
-                p = p + m.get(b, d)
-            if c == b:
-                p = p - m.get(a, d)
-            if d == a:
-                p = p + m.get(c, b)
-            if d == b:
-                p = p - m.get(c, a)
-            if not p.is_zero():
-                raw[(c, d)] = p
-    return SphereTensor(n, m.k, _project_slots(n, raw))
-
-
-def boost_action(i: int, m: SphereTensor, k: int | None = None) -> SphereTensor:
-    """a_i . m = -nabla^sigma_{frak a_i} m + k x^i m  (m must be transverse)."""
     if k is None:
         k = m.k
     if not m.is_transverse():
         raise ValueError("mass aspect is not transverse")
+    mat = (a if isinstance(a, AlgebraElement) else AlgebraElement(a)).matrix
     n = m.n
-    out = sphere_covariant_derivative(m, boost_field(n, i)).scale(F(-1))
-    out = out + m.map(lambda p: p * _x(n, i - 1) * k)
-    out.k = m.k
-    return out
+    if len(mat) != n + 1:
+        raise ValueError("algebra element and aspect dimension mismatch")
+    field, phi = _boundary_field(mat)
+    out = sphere_covariant_derivative(m, field)
+    spatial = [(e, c, mat[e + 1][c + 1]) for e in range(n) for c in range(n) if mat[e + 1][c + 1]]
+    if spatial:
+        # (A^T m + m A)_cd = A^e_c m_ed + A^e_d m_ec, kept on c <= d
+        raw: Dict[Tuple[int, int], ExactPoly] = {}
+        for e, c, v in spatial:
+            for d in range(n):
+                key = (min(c, d), max(c, d))
+                raw[key] = raw.get(key, _zero(n)) + m.get(e, d) * (v * 2 if c == d else v)
+        out = out + SphereTensor(n, m.k, _project_slots(n, raw))
+    return out.scale(F(-1)) - m.map(lambda p: p * phi * k)
+
+
+def boost_action(i: int, m: SphereTensor, k: int | None = None) -> SphereTensor:
+    """a_i . m = -nabla^sigma_{frak a_i} m + k x^i m  (m must be transverse)."""
+    return algebra_action_aspect(boost_generator(m.n, i), m, k)
 
 
 def rotation_action(i: int, j: int, m: SphereTensor) -> SphereTensor:
     """r_ij . m = -nabla^sigma_{frak r_ij} m - m(r_ij ., .) - m(., r_ij .)."""
-    if not m.is_transverse():
-        raise ValueError("mass aspect is not transverse")
-    n = m.n
-    out = sphere_covariant_derivative(m, rotation_field(n, i, j)).scale(F(-1))
-    out = out - rotation_endomorphism_action(n, i, j, m)
-    out.k = m.k
-    return out
+    return algebra_action_aspect(rotation_generator(m.n, i, j), m)
 
 
 def generator_action(name: str, m: SphereTensor, k: int | None = None) -> SphereTensor:
-    """Dispatch on generator labels produced by ``lorentz.all_generators``."""
-    if name.startswith("a_"):
-        return boost_action(int(name[2:]), m, k)
-    if name.startswith("r_"):
-        return rotation_action(int(name[2]), int(name[3]), m)
-    raise ValueError(f"unknown generator {name!r}")
+    """The action of the generator labelled ``name`` by ``lorentz.all_generators``."""
+    gens = dict(all_generators(m.n))
+    if name not in gens:
+        raise ValueError(f"unknown generator {name!r}")
+    return algebra_action_aspect(gens[name], m, k)
 
 
 # ---------------------------------------------------------------------------

@@ -1006,16 +1006,15 @@ def hw_vectors_sym2(
     n: int,
     degree: int,
     weight: Sequence[Fraction],
-    transverse: bool = False,
 ) -> List[PolySym2]:
-    """Highest-weight vectors in the (transverse) solution space.
+    """Highest-weight vectors in the solution space.
 
     The unknowns are the coefficients on the weight basis of ``weight``
     (:func:`_weight_basis`), so the Cartan eigenvalue conditions hold by
-    construction.  Each basis tensor is mapped by Box, the eta-trace, the
-    radial contraction (with ``transverse``) and every raising operator
-    (:func:`algebra_action_sym2`); the vectors span the kernel of these
-    images, one column per basis tensor (:func:`kernel_of_columns`).
+    construction.  Each basis tensor is mapped by Box, the eta-trace and
+    every raising operator (:func:`algebra_action_sym2`); the vectors span
+    the kernel of these images, one column per basis tensor
+    (:func:`kernel_of_columns`).
     Raises ``ValueError`` if ``weight`` does not have one entry per
     Cartan generator.
     """
@@ -1026,8 +1025,6 @@ def hw_vectors_sym2(
 
     def image(h: PolySym2) -> dict:
         parts = [("trace", h.eta_trace())] + [(("box", s), p) for s, p in h.box().comp.items()]
-        if transverse:
-            parts += [(("radial", nu), p) for nu, p in enumerate(h.radial_contraction())]
         for r, m in enumerate(raising):
             parts += [((r, s), p) for s, p in algebra_action_sym2(m, h).comp.items()]
         return {(key, e): c for key, p in parts for e, c in p.terms.items()}
@@ -1182,7 +1179,7 @@ def hw_vectors_weyl(n: int, p: int) -> List[HWReport]:
 
     reports: List[HWReport] = []
     for label, weight, catalog, expect_gauge in jobs:
-        vecs = hw_vectors_sym2(n, degree, weight, transverse=False)
+        vecs = hw_vectors_sym2(n, degree, weight)
         flags: List[str] = []
         if len(vecs) != 1:
             flags.append(f"expected a one-dimensional space, got {len(vecs)}")
@@ -1249,20 +1246,24 @@ def hw_vectors_weyl(n: int, p: int) -> List[HWReport]:
     return reports
 
 
+def _one_transverse(vecs: List[PolySym2], label: str) -> PolySym2:
+    """The vector of a one-dimensional space; AssertionError unless it is transverse."""
+    if len(vecs) != 1:
+        raise AssertionError(f"{label} space has dim {len(vecs)}")
+    if not all(r.is_zero() for r in vecs[0].radial_contraction()):
+        raise AssertionError(f"{label} vector is not transverse")
+    return vecs[0]
+
+
 def chiral_hw_vector(p: int, sign: int) -> PolySym2:
     """n = 3 chiral highest-weight solution of degree p+2, transverse.
 
     ``sign`` +1 selects weight (p+2, +2), -1 the conjugate family.
     """
-    vecs = hw_vectors_sym2(3, p + 2, (F(p + 2), F(2 * sign)), transverse=True)
-    if len(vecs) != 1:
-        raise AssertionError(f"chiral highest-weight space has dim {len(vecs)}")
-    return vecs[0]
+    return _one_transverse(hw_vectors_sym2(3, p + 2, (F(p + 2), F(2 * sign))), "chiral highest-weight")
 
 
 def weyl_type_hw_vector(n: int, p: int) -> PolySym2:
     """Transverse trace-free wave solution of degree p+2, highest weight."""
-    vecs = hw_vectors_sym2(n, p + 2, (F(p + 2), F(2)) + (F(0),) * (cartan_rank(n) - 2), transverse=True)
-    if len(vecs) != 1:
-        raise AssertionError(f"highest-weight space has dim {len(vecs)}")
-    return vecs[0]
+    weight = (F(p + 2), F(2)) + (F(0),) * (cartan_rank(n) - 2)
+    return _one_transverse(hw_vectors_sym2(n, p + 2, weight), "highest-weight")

@@ -10,21 +10,30 @@ from ahmass.invariants import (
     _eplus_wedge,
     check_equivariance_finite,
     check_equivariance_infinitesimal,
+    conformal_density,
     conformal_mass,
     conformal_weight,
     density_null_power,
     hodge_star_bivector,
     intertwining_density_residual,
+    pair,
     symmetric_power_action,
     wang_mass_vector,
     weyl_mass,
+    weyl_density,
     weyl_mass_chiral,
     weyl_weight,
 )
 from ahmass.lorentz import algebra_act_on_poly, all_generators, boost_from_parameter, bracket
-from ahmass.massaspect import generator_action, random_mass_aspect
+from ahmass.massaspect import (
+    SphereTensor,
+    _project_slots,
+    algebra_action_aspect,
+    generator_action,
+    random_mass_aspect,
+)
 from ahmass.poly import ExactPoly, monomials_of_degree, sphere_integral, sphere_restrict
-from ahmass.weyl import PolyTensor4, build_Wp, tensor4_slots
+from ahmass.weyl import PolyTensor4, algebra_action_tensor4, build_Wp, tensor4_slots
 
 F = Fraction
 
@@ -46,6 +55,21 @@ def test_intertwining_density_residual(n1, off_boost):
     assert intertwining_density_residual(density_null_power(n, n1, k), rows, k) == (0, 0)
     off = intertwining_density_residual(density_null_power(n, n1, k + 1), rows, k + 1)
     assert off == (off_boost, 0)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_adjoint_of_the_action_is_minus_the_action_at_the_dual_order(n):
+    # pair(a ._k m, K) + pair(m, a ._{n-1-k} K) = 0 for transverse m and K;
+    # at the order n - k a boost a_i leaves pair(m, x^i K), nonzero here
+    k = n + 1
+    rng = random.Random(3)
+    m = random_mass_aspect(n, k, rng, degree=0)
+    K = random_mass_aspect(n, 1, rng, degree=1)
+    for name, gen in all_generators(n):
+        am = pair(algebra_action_aspect(gen, m), K)
+        assert am + pair(m, algebra_action_aspect(gen, K, n - 1 - k)) == 0, name
+        if name.startswith("a_"):
+            assert am + pair(m, algebra_action_aspect(gen, K, n - k)) != 0, name
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +206,46 @@ def test_mass_residual_is_nonzero_one_weight_off(family, n, n1):
     m = random_mass_aspect(n, _weight(family, n, n1) + 1, random.Random(7))
     residual = check_equivariance_infinitesimal(family, m, "a_1", gens["a_1"], _dual_basis(family, n, n1))
     assert residual != 0
+
+
+def _transverse_part(t):
+    return SphereTensor(t.n, t.k, _project_slots(t.n, t.comp))
+
+
+DENSITIES = {
+    "conformal": (conformal_density, algebra_act_on_poly),
+    "weyl": (weyl_density, lambda g, w: algebra_action_tensor4(g.matrix, w)),
+    "weyl_plus": (lambda w, k: weyl_density(w, k, +1), lambda g, w: algebra_action_tensor4(g.matrix, w)),
+    "weyl_minus": (lambda w, k: weyl_density(w, k, -1), lambda g, w: algebra_action_tensor4(g.matrix, w)),
+}
+
+
+@pytest.mark.parametrize(
+    "family,n,n1",
+    [("conformal", 3, 1), ("weyl", 4, 0), ("weyl_plus", 3, 0), ("weyl_minus", 3, 0)],
+)
+def test_density_of_a_moved_element_is_the_moved_density(family, n, n1):
+    # Pi K_{a.v} Pi = a ._{n-1-k} (Pi K_v Pi) at the family's weight k,
+    # the density form of equivariance; one order off the boost fails
+    density, act = DENSITIES[family]
+    k = _weight(family, n, n1)
+    gens = dict(all_generators(n))
+    for v in _dual_basis(family, n, n1)[:2]:
+        k_v = _transverse_part(density(v, k))
+        assert not k_v.is_zero_on_sphere()
+        for name in ("a_1", "r_12"):
+            moved = _transverse_part(density(act(gens[name], v), k))
+            assert moved.equal_on_sphere(algebra_action_aspect(gens[name], k_v, n - 1 - k)), name
+        moved = _transverse_part(density(act(gens["a_1"], v), k))
+        assert not moved.equal_on_sphere(algebra_action_aspect(gens["a_1"], k_v, n - 2 - k))
+
+
+def test_density_residual_needs_transverse_components():
+    n, k = 4, weyl_weight(4, 0)
+    raw = weyl_density(build_Wp(n, 0).basis[0], k)
+    assert not raw.is_transverse()
+    with pytest.raises(ValueError, match="not transverse"):
+        intertwining_density_residual([raw], lambda name: [{}], k)
 
 
 def test_conformal_n1_0_off_weight_residual_is_the_first_moment():

@@ -138,6 +138,22 @@ def test_any_generator_kills_norm():
         assert algebra_act_on_poly(g, p).is_zero()
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: boost_generator(3, 0),
+        lambda: boost_generator(3, 4),
+        lambda: rotation_generator(3, 1, 4),
+        lambda: rotation_generator(3, 0, 2),
+        lambda: rotation_generator(3, 2, 2),
+    ],
+    ids=["boost-0", "boost-4", "rotation-14", "rotation-02", "rotation-22"],
+)
+def test_generator_indices_are_checked(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_rotation_generator_convention():
     # with a . P = d/ds P o A^{-s}: r_23 . X^2 = +X^3 and r_23 . X^3 = -X^2
     r23 = rotation_generator(3, 2, 3)

@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ahmass.gaussian import GaussianRational
 from ahmass.lorentz import (
     all_generators,
     boost_from_parameter,
+    bracket,
     identity_element,
+    raising_operators,
 )
 from ahmass.massaspect import (
     SphereTensor,
     TangentField,
+    algebra_action_aspect,
     boost_action,
     boost_field,
     generator_action,
@@ -243,6 +247,57 @@ def test_conformal_anomaly_weight():
     m_bad = random_mass_aspect(n, n, rng)
     vals = [sphere_integral(boost_action(i, m_bad).trace_sigma()) for i in (1, 2, 3)]
     assert any(v != 0 for v in vals)
+
+
+@pytest.mark.parametrize(
+    "n,pairs",
+    [
+        (3, None),
+        (4, [("a_1", "a_3"), ("a_2", "r_14"), ("r_12", "r_23")]),
+    ],
+)
+def test_action_of_a_bracket_is_the_commutator(n, pairs):
+    # (bracket(A, B)) . m = A . (B . m) - B . (A . m), every pair at n = 3
+    gens = dict(all_generators(n))
+    names = list(gens)
+    pairs = pairs or [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    m = random_mass_aspect(n, 4, random.Random(13), degree=0)
+    once = {name: algebra_action_aspect(gens[name], m) for pair in pairs for name in pair}
+    for a, b in pairs:
+        A, B = gens[a].matrix, gens[b].matrix
+        lhs = algebra_action_aspect(bracket(A, B), m)
+        commutator = algebra_action_aspect(A, once[b]) - algebra_action_aspect(B, once[a])
+        assert lhs.equal_on_sphere(commutator), (a, b)
+
+
+def test_raising_operator_acts_as_its_translation_combination():
+    # e1-e2 = s_2 - i s_3 with s_A = a_A + r_1A
+    n, k = 3, 4
+    m = random_mass_aspect(n, k, random.Random(17), degree=0, gaussian=True)
+
+    def s(A):
+        return boost_action(A, m) + rotation_action(1, A, m)
+
+    out = algebra_action_aspect(dict(raising_operators(n))["e1-e2"], m)
+    assert out.equal_on_sphere(s(2) - s(3).scale(GaussianRational.i()))
+    assert out.is_transverse()
+    assert not out.is_zero_on_sphere()
+
+
+@pytest.mark.parametrize(
+    "act,match",
+    [
+        (lambda m: rotation_action(1, 5, m), "distinct indices in 1..3"),
+        (lambda m: rotation_action(2, 2, m), "distinct indices"),
+        (lambda m: generator_action("r_1", m), "unknown generator"),
+        (lambda m: algebra_action_aspect(all_generators(4)[0][1], m), "dimension mismatch"),
+    ],
+    ids=["index-out-of-range", "equal-indices", "unknown-label", "wrong-dimension"],
+)
+def test_bad_generator_input_raises_value_error(act, match):
+    m = random_mass_aspect(3, 4, random.Random(1), degree=0)
+    with pytest.raises(ValueError, match=match):
+        act(m)
 
 
 # ---------------------------------------------------------------------------

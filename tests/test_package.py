@@ -1,6 +1,7 @@
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 try:
@@ -67,9 +68,10 @@ def unreferenced_definitions(sources: dict, corpus: str) -> list:
                     member.name.startswith("__") and member.name.endswith("__")
                 ):
                     defs.setdefault(member.name, []).append(f"{fname}:{member.lineno}")
+    counts = Counter(re.findall(r"\w+", corpus))
     dead = []
     for name, where in defs.items():
-        if len(re.findall(rf"\b{name}\b", corpus)) <= len(where):
+        if counts[name] <= len(where):
             dead += [f"{name} ({w})" for w in where]
     return sorted(dead)
 

@@ -19,6 +19,7 @@ from ahmass.weyl import (
     PolyForm,
     PolySym2,
     PolyTensor4,
+    _one_transverse,
     _sym2_slots,
     _tensor_to_coords,
     _weight_basis,
@@ -419,15 +420,20 @@ def test_hw_reports_beyond_n4(n, p):
 
 def test_transverse_condition_excludes_the_gauge_vector():
     # the only weight-(4, 0) vector is (Z^{-1})^2 dZ^{-1} (x) dZ^{-1}, and
-    # its radial contraction (Z^{-1})^3 dZ^{-1} is nonzero
-    assert len(hw_vectors_sym2(3, 2, (F(4), F(0)))) == 1
-    assert hw_vectors_sym2(3, 2, (F(4), F(0)), transverse=True) == []
+    # its radial contraction (Z^{-1})^3 dZ^{-1} is nonzero, so the
+    # transversality check behind chiral_hw_vector and weyl_type_hw_vector
+    # rejects it
+    vecs = hw_vectors_sym2(3, 2, (F(4), F(0)))
+    assert len(vecs) == 1
+    assert any(not r.is_zero() for r in vecs[0].radial_contraction())
+    with pytest.raises(AssertionError, match="not transverse"):
+        _one_transverse(vecs, "gauge")
 
 
 @pytest.mark.parametrize("weight", [(F(2),), (F(2), F(2), F(0))])
 def test_hw_vectors_sym2_rejects_weight_of_wrong_length(weight):
     with pytest.raises(ValueError):
-        hw_vectors_sym2(4, 2, weight, transverse=True)
+        hw_vectors_sym2(4, 2, weight)
 
 
 def test_transverse_space_dimension_matches_wp():
