@@ -2,8 +2,8 @@
 
 Library layout:
 
-* :mod:`ahmass.poly`, :mod:`ahmass.linalg` -- exact polynomial and sparse
-  rational linear algebra substrate.
+* :mod:`ahmass.poly`, :mod:`ahmass.linalg` -- exact polynomials, the
+  polynomial tensor base and sparse rational linear algebra.
 * :mod:`ahmass.lorentz` -- Lorentz group/algebra elements, ball-model
   action, boundary conformal factor, highest-weight machinery.
 * :mod:`ahmass.harmonic` -- wave-harmonic polynomial spaces, invariant

@@ -172,7 +172,7 @@ def _pair_with_w(w: PolyTensor4, b1, b2) -> ExactPoly:
     s = ExactPoly.zero(w.nv)
     for (mu, nu), v1 in b1.items():
         for (al, be), v2 in b2.items():
-            val = w.get4(mu, nu, al, be)
+            val = w.get(mu, nu, al, be)
             if not val.is_zero():
                 s = s + val * v1 * v2
     return s
@@ -313,7 +313,7 @@ def finite_action_tensor4(a: LorentzElement, w: PolyTensor4) -> PolyTensor4:
     for ai, bi in tensor4_slots(nv):
         s = ExactPoly.zero(nv)
         for (m_, c1), (n_, c2), (a_, c3), (b_, c4) in product(*(column[t] for t in pairs[ai] + pairs[bi])):
-            base = moved.get4(m_, n_, a_, b_)
+            base = moved.get(m_, n_, a_, b_)
             if not base.is_zero():
                 s = s + base * (c1 * c2 * c3 * c4)
         comp[(ai, bi)] = s

@@ -284,32 +284,24 @@ def all_generators(n: int) -> List[Tuple[str, AlgebraElement]]:
     return gens
 
 
+def linear_forms(m) -> List[ExactPoly]:
+    """The linear forms (MX)^mu = M^mu_nu X^nu, one per row of a square matrix."""
+    nv = len(m)
+    units = [tuple(int(i == nu) for i in range(nv)) for nu in range(nv)]
+    return [ExactPoly(nv, {units[nu]: _exact_entry(c) for nu, c in enumerate(row) if c}) for row in m]
+
+
 def act_on_poly(a: LorentzElement, p: ExactPoly) -> ExactPoly:
     """Group action P -> P o A^{-1} by exact substitution."""
-    inv = a.inverse().matrix
-    nv = p.nvars
-    values = []
-    for mu in range(nv):
-        row = ExactPoly.zero(nv)
-        for nu in range(nv):
-            if inv[mu][nu]:
-                row = row + inv[mu][nu] * ExactPoly.variable(nv, nu)
-        values.append(row)
-    return p.substitute(values)
+    return p.substitute(linear_forms(a.inverse().matrix))
 
 
 def algebra_act_on_poly(a, p: ExactPoly) -> ExactPoly:
     """Algebra action a . P = -(a X)^mu d_mu P (matrices may be complex)."""
     m = a.matrix if isinstance(a, AlgebraElement) else a
-    nv = p.nvars
-    out = ExactPoly.zero(nv)
-    for mu in range(nv):
-        coeffs = m[mu]
-        ax_mu = ExactPoly.zero(nv)
-        for nu in range(nv):
-            if coeffs[nu]:
-                ax_mu = ax_mu + coeffs[nu] * ExactPoly.variable(nv, nu)
-        if not ax_mu.is_zero():
+    out = ExactPoly.zero(p.nvars)
+    for mu, ax_mu in enumerate(linear_forms(m)):
+        if ax_mu:
             out = out - ax_mu * p.diff(mu)
     return out
 

@@ -4,10 +4,12 @@ A mass aspect is a symmetric 2-tensor on S^{n-1} stored through ambient
 polynomial components m_ij(x^1..x^n); the transverse representative
 (zero contraction with the position vector, as an on-sphere identity) is
 the canonical one.  All equalities between such tensors are equalities
-of the on-sphere classes.  Every component is stored in the sphere normal
-form of :func:`ahmass.poly.quadric_normal_form`, which is unique on each
-class, so on-sphere equality is plain structural equality of the stored
-components, and chained actions keep the degrees of the on-sphere classes.
+of the on-sphere classes.  :class:`SphereTensor` is the symmetric-pair
+layout of :class:`ahmass.poly.PolyTensor` reduced to sphere normal form:
+every component is stored in the normal form of
+:func:`ahmass.poly.quadric_normal_form`, which is unique on each class, so
+on-sphere equality is plain structural equality of the stored components,
+and chained actions keep the degrees of the on-sphere classes.
 
 The sphere covariant calculus is extrinsic: ambient flat derivative
 followed by tangential projection (Gauss formula).  Every element M of
@@ -34,7 +36,7 @@ from .lorentz import (
     boost_generator,
     rotation_generator,
 )
-from .poly import ExactPoly, quadric_normal_form, vanishes_on_sphere
+from .poly import ExactPoly, PolyTensor, quadric_normal_form, sorted_pair, vanishes_on_sphere
 
 F = Fraction
 
@@ -47,8 +49,8 @@ def _x(n: int, i: int) -> ExactPoly:
     return ExactPoly.variable(n, i)
 
 
-@dataclass
-class SphereTensor:
+@dataclass(eq=False)
+class SphereTensor(PolyTensor):
     """Symmetric 2-tensor with polynomial ambient components.
 
     ``comp[(i, j)]`` with i <= j holds the polynomial component, reduced
@@ -60,36 +62,9 @@ class SphereTensor:
     k: int
     comp: Dict[Tuple[int, int], ExactPoly]
 
-    def __post_init__(self):
-        merged = {}
-        for (i, j), p in self.comp.items():
-            if i > j:
-                i, j = j, i
-            prev = merged.get((i, j))
-            merged[(i, j)] = p if prev is None else prev + p
-        self.comp = {
-            ij: nf for ij, p in merged.items() if not (nf := quadric_normal_form(p)).is_zero()
-        }
-
-    def get(self, i: int, j: int) -> ExactPoly:
-        if i > j:
-            i, j = j, i
-        return self.comp.get((i, j), _zero(self.n))
-
-    def map(self, fn) -> "SphereTensor":
-        return SphereTensor(self.n, self.k, {ij: fn(p) for ij, p in self.comp.items()})
-
-    def __add__(self, other: "SphereTensor") -> "SphereTensor":
-        out = dict(self.comp)
-        for ij, p in other.comp.items():
-            out[ij] = out.get(ij, _zero(self.n)) + p
-        return SphereTensor(self.n, self.k, out)
-
-    def __sub__(self, other: "SphereTensor") -> "SphereTensor":
-        return self + other.scale(F(-1))
-
-    def scale(self, c) -> "SphereTensor":
-        return self.map(lambda p: p * c)
+    nvars = property(lambda self: self.n)
+    _key = staticmethod(sorted_pair)
+    _reduce = staticmethod(quadric_normal_form)
 
     def radial_contraction(self, i: int) -> ExactPoly:
         """sum_j m_ij x^j."""
@@ -113,15 +88,10 @@ class SphereTensor:
         return out
 
     def equal_on_sphere(self, other: "SphereTensor") -> bool:
+        """Equality of the on-sphere classes, whatever the two decay orders."""
         return self.comp.keys() == other.comp.keys() and all(
             p.terms == other.comp[ij].terms for ij, p in self.comp.items()
         )
-
-    def is_zero_on_sphere(self) -> bool:
-        return not self.comp
-
-    def conjugate(self) -> "SphereTensor":
-        return self.map(lambda p: p.conjugate())
 
     def is_real(self) -> bool:
         """True when no coefficient has a nonzero imaginary part (exact)."""

@@ -17,10 +17,18 @@ the unit hyperboloid ``1 + X^mu X_mu = 0`` are its two instances.  The
 sphere normal form is unique, because ``|x|^2 - 1`` generates the whole
 real vanishing ideal of the sphere, so a polynomial vanishes on the
 sphere exactly when its normal form is the zero polynomial.
+
+:class:`PolyTensor` is the one base of the package's polynomial tensors
+(symmetric 2-tensors, Weyl-symmetric 4-tensors, exterior forms and mass
+aspects).  It keeps the components in a ``comp`` map from canonical
+stored keys to nonzero polynomials and supplies the signed lookup and
+the linear operations; a subclass states only its fields and its layout
+through the hooks ``nvars``, ``_key``, ``_slot`` and ``_reduce``.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -490,3 +498,92 @@ def operator_rows(op, nvars: int, degree: int, target_degree: int) -> list[Dict[
                 raise ValueError(f"image term {e2} is not of degree {target_degree}")
             rows[t][j] = c
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Polynomial tensors
+# ---------------------------------------------------------------------------
+
+
+def sorted_pair(key: Tuple[int, int]) -> Tuple[int, int]:
+    """Stored key of a symmetric pair: its two entries in order."""
+    a, b = key
+    return key if a <= b else (b, a)
+
+
+class PolyTensor:
+    """Base of dataclasses whose ``comp`` field maps stored keys to polynomials.
+
+    A subclass is a ``@dataclass(eq=False)`` with its fields and a layout:
+
+    * ``nvars`` -- the variable count of the components;
+    * ``_key(key)`` -- the canonical stored key of a stored key; it raises
+      ``ValueError`` on a key the layout does not admit;
+    * ``_slot(*indices)`` -- stored key and sign (+1 or -1) of an index
+      tuple, or None where the layout forces a zero (by default the index
+      tuple is a stored key, canonicalized by ``_key``, with sign +1);
+    * ``_reduce(p)`` -- a normal form applied to each component (identity
+      by default).
+
+    Construction merges the components of equal canonical keys, reduces
+    them and drops the zero ones, so ``==`` is structural: equal fields
+    and equal stored terms.
+    """
+
+    def __post_init__(self):
+        merged: Dict[tuple, ExactPoly] = {}
+        for key, p in self.comp.items():
+            key = self._key(key)
+            prev = merged.get(key)
+            merged[key] = p if prev is None else prev + p
+        self.comp = {key: r for key, p in merged.items() if not (r := self._reduce(p)).is_zero()}
+
+    def _slot(self, *indices: int):
+        return self._key(indices), 1
+
+    @staticmethod
+    def _reduce(p: ExactPoly) -> ExactPoly:
+        return p
+
+    def get(self, *indices: int) -> ExactPoly:
+        """The component at an index tuple, with the sign of the layout."""
+        hit = self._slot(*indices)
+        p = None if hit is None else self.comp.get(hit[0])
+        if p is None:
+            return ExactPoly.zero(self.nvars)
+        return p if hit[1] > 0 else -p
+
+    def map(self, fn):
+        return replace(self, comp={key: fn(p) for key, p in self.comp.items()})
+
+    def __add__(self, other):
+        comp = dict(self.comp)
+        for key, p in other.comp.items():
+            prev = comp.get(key)
+            comp[key] = p if prev is None else prev + p
+        return replace(self, comp=comp)
+
+    def __sub__(self, other):
+        return self + other.scale(Fraction(-1))
+
+    def scale(self, c):
+        return self.map(lambda p: p * c)
+
+    def conjugate(self):
+        return self.map(ExactPoly.conjugate)
+
+    def is_zero(self) -> bool:
+        return not self.comp
+
+    def degree(self) -> int:
+        """Largest component degree; -1 for the zero tensor."""
+        return max((p.degree() for p in self.comp.values()), default=-1)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            all(getattr(self, f.name) == getattr(other, f.name) for f in fields(self) if f.name != "comp")
+            and self.comp.keys() == other.comp.keys()
+            and all(p.terms == other.comp[key].terms for key, p in self.comp.items())
+        )

@@ -32,6 +32,12 @@ and sum_s d_s (x) C_s (:func:`build_Wp`).  The gauge vector field of
 :func:`de_donder_fix` is laid out component major, so its operators are
 I (x) Box and sum_nu eta_nu e_nu (x) d_nu.
 
+so(n,1) acts on every covariant polynomial tensor by one slot action
+(:func:`_slot_action`), (a.T)_I = -(aX).d T_I - sum_r a^s_{I_r} T_{I[r -> s]},
+read through the signed lookup of the tensor's layout
+(:class:`ahmass.poly.PolyTensor`); :func:`algebra_action_sym2` and
+:func:`algebra_action_tensor4` are its two instances.
+
 Highest-weight systems are posed on the weight basis instead
 (:func:`_weight_basis`), whose tensors are weight vectors, so only the
 conditions other than the Cartan ones enter their small kernel.
@@ -40,9 +46,10 @@ conditions other than the Cartan ones enter their small kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
 from typing import Dict, List, Sequence, Tuple
 
 from .harmonic import monomial_weight
@@ -56,12 +63,14 @@ from .linalg import (
     signature_of_form,
     solve_min_support,
 )
-from .lorentz import Matrix, cartan_basis, cartan_rank, null_coordinates, raising_operators
+from .lorentz import cartan_basis, cartan_rank, linear_forms, null_coordinates, raising_operators
 from .poly import (
     ExactPoly,
+    PolyTensor,
     from_coords,
     monomials_of_degree,
     operator_rows,
+    sorted_pair,
     to_coords,
     wave_operator,
 )
@@ -78,48 +87,15 @@ def _eta_sign(mu: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PolySym2:
-    """Symmetric 2-tensor h_{mu nu} with polynomial components."""
+@dataclass(eq=False)
+class PolySym2(PolyTensor):
+    """Symmetric 2-tensor h_{mu nu} with polynomial components, stored at mu <= nu."""
 
     nv: int  # ambient dimension n+1
     comp: Dict[Tuple[int, int], ExactPoly]
 
-    def __post_init__(self):
-        clean = {}
-        for (m, n), p in self.comp.items():
-            if m > n:
-                m, n = n, m
-            if not p.is_zero():
-                prev = clean.get((m, n))
-                clean[(m, n)] = p if prev is None else prev + p
-        self.comp = clean
-
-    def get(self, mu: int, nu: int) -> ExactPoly:
-        if mu > nu:
-            mu, nu = nu, mu
-        return self.comp.get((mu, nu), ExactPoly.zero(self.nv))
-
-    def map(self, fn) -> "PolySym2":
-        return PolySym2(self.nv, {k: fn(p) for k, p in self.comp.items()})
-
-    def __add__(self, other):
-        out = dict(self.comp)
-        for k, p in other.comp.items():
-            out[k] = out.get(k, ExactPoly.zero(self.nv)) + p
-        return PolySym2(self.nv, out)
-
-    def __sub__(self, other):
-        return self + other.scale(F(-1))
-
-    def scale(self, c) -> "PolySym2":
-        return self.map(lambda p: p * c)
-
-    def is_zero(self) -> bool:
-        return not self.comp
-
-    def degree(self) -> int:
-        return max((p.degree() for p in self.comp.values()), default=-1)
+    nvars = property(lambda self: self.nv)
+    _key = staticmethod(sorted_pair)
 
     def eta_trace(self) -> ExactPoly:
         out = ExactPoly.zero(self.nv)
@@ -149,14 +125,6 @@ class PolySym2:
                 s = s + self.get(mu, nu) * ExactPoly.variable(self.nv, mu)
             out.append(s)
         return out
-
-    def conjugate(self) -> "PolySym2":
-        return self.map(lambda p: p.conjugate())
-
-    def __eq__(self, other):
-        if not isinstance(other, PolySym2):
-            return NotImplemented
-        return (self - other).is_zero()
 
 
 def eta_tensor(nv: int) -> PolySym2:
@@ -237,60 +205,26 @@ def tensor4_slot_sign(nv: int, mu: int, nu: int, al: int, be: int) -> Tuple[Tupl
         al, be, sign = be, al, -sign
     pairs = index_pairs(nv)
     a, b = pairs.index((mu, nu)), pairs.index((al, be))
-    return ((a, b) if a <= b else (b, a)), sign
+    return sorted_pair((a, b)), sign
 
 
-@dataclass
-class PolyTensor4:
+@dataclass(eq=False)
+class PolyTensor4(PolyTensor):
     """Covariant 4-tensor, antisymmetric in each pair, pair-swap symmetric.
 
     Stored on independent coordinates: ``comp[(a, b)]`` with pair indices
-    a <= b referring to ``index_pairs(nv)``.
+    a <= b referring to ``index_pairs(nv)``; :func:`tensor4_slot_sign`
+    maps an index tuple to its stored key and sign.
     """
 
     nv: int
     comp: Dict[Tuple[int, int], ExactPoly]
 
-    def __post_init__(self):
-        clean = {}
-        for (a, b), p in self.comp.items():
-            if a > b:
-                a, b = b, a
-            if not p.is_zero():
-                prev = clean.get((a, b))
-                clean[(a, b)] = p if prev is None else prev + p
-        self.comp = clean
+    nvars = property(lambda self: self.nv)
+    _key = staticmethod(sorted_pair)
 
-    def get4(self, mu: int, nu: int, al: int, be: int) -> ExactPoly:
-        hit = tensor4_slot_sign(self.nv, mu, nu, al, be)
-        p = None if hit is None else self.comp.get(hit[0])
-        if p is None:
-            return ExactPoly.zero(self.nv)
-        return p if hit[1] == 1 else -p
-
-    def map(self, fn) -> "PolyTensor4":
-        return PolyTensor4(self.nv, {k: fn(p) for k, p in self.comp.items()})
-
-    def __add__(self, other):
-        out = dict(self.comp)
-        for k, p in other.comp.items():
-            out[k] = out.get(k, ExactPoly.zero(self.nv)) + p
-        return PolyTensor4(self.nv, out)
-
-    def __sub__(self, other):
-        return self + other.scale(F(-1))
-
-    def scale(self, c) -> "PolyTensor4":
-        return self.map(lambda p: p * c)
-
-    def is_zero(self) -> bool:
-        return not self.comp
-
-    def conjugate(self) -> "PolyTensor4":
-        return self.map(lambda p: p.conjugate())
-
-    def degree(self) -> int:
-        return max((p.degree() for p in self.comp.values()), default=-1)
+    def _slot(self, mu: int, nu: int, al: int, be: int):
+        return tensor4_slot_sign(self.nv, mu, nu, al, be)
 
     # -- constraint residuals (all must vanish identically on W_p) ------
 
@@ -300,7 +234,7 @@ class PolyTensor4:
             for be in range(nu, self.nv):
                 s = ExactPoly.zero(self.nv)
                 for mu in range(self.nv):
-                    s = s + _eta_sign(mu) * self.get4(mu, nu, mu, be)
+                    s = s + _eta_sign(mu) * self.get(mu, nu, mu, be)
                 out.append(s)
         return out
 
@@ -311,9 +245,9 @@ class PolyTensor4:
                 for al in range(nu + 1, self.nv):
                     for be in range(self.nv):
                         s = (
-                            self.get4(mu, nu, al, be)
-                            + self.get4(nu, al, mu, be)
-                            + self.get4(al, mu, nu, be)
+                            self.get(mu, nu, al, be)
+                            + self.get(nu, al, mu, be)
+                            + self.get(al, mu, nu, be)
                         )
                         out.append(s)
         return out
@@ -325,9 +259,9 @@ class PolyTensor4:
                 for nu in range(mu + 1, self.nv):
                     for (al, be) in index_pairs(self.nv):
                         s = (
-                            self.get4(mu, nu, al, be).diff(si)
-                            + self.get4(nu, si, al, be).diff(mu)
-                            + self.get4(si, mu, al, be).diff(nu)
+                            self.get(mu, nu, al, be).diff(si)
+                            + self.get(nu, si, al, be).diff(mu)
+                            + self.get(si, mu, al, be).diff(nu)
                         )
                         out.append(s)
         return out
@@ -529,7 +463,7 @@ def build_Wp(n: int, p: int) -> WeylSpace:
                 row[j] = row.get(j, 0) + c * hit[1]
         return {j: v for j, v in row.items() if v}
 
-    triples = [(a, b, c) for a in range(nv) for b in range(a + 1, nv) for c in range(b + 1, nv)]
+    triples = list(combinations(range(nv), 3))
     trace = [
         slot_row([(_eta_sign(mu), (mu, nu, mu, be)) for mu in range(nv)])
         for nu in range(nv)
@@ -562,40 +496,27 @@ def build_Wp(n: int, p: int) -> WeylSpace:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PolyForm:
-    """Exterior k-form with polynomial coefficients (sorted index tuples)."""
+@dataclass(eq=False)
+class PolyForm(PolyTensor):
+    """Exterior k-form with polynomial coefficients, stored on increasing index tuples."""
 
     nv: int
     k: int
     comp: Dict[Tuple[int, ...], ExactPoly]
 
-    def __post_init__(self):
-        clean = {}
-        for idx, p in self.comp.items():
-            if len(idx) != self.k or list(idx) != sorted(idx) or len(set(idx)) != self.k:
-                raise ValueError(f"bad index tuple {idx} for a {self.k}-form")
-            if not p.is_zero():
-                clean[idx] = p
-        self.comp = clean
+    nvars = property(lambda self: self.nv)
 
-    def get(self, idx: Tuple[int, ...]) -> ExactPoly:
-        return self.comp.get(idx, ExactPoly.zero(self.nv))
+    def _key(self, key: Tuple[int, ...]) -> Tuple[int, ...]:
+        if len(key) != self.k or any(a >= b for a, b in zip(key, key[1:])):
+            raise ValueError(f"bad index tuple {key} for a {self.k}-form")
+        return key
 
-    def __add__(self, other):
-        out = dict(self.comp)
-        for k, p in other.comp.items():
-            out[k] = out.get(k, ExactPoly.zero(self.nv)) + p
-        return PolyForm(self.nv, self.k, out)
-
-    def __sub__(self, other):
-        return self + other.scale(F(-1))
-
-    def scale(self, c) -> "PolyForm":
-        return PolyForm(self.nv, self.k, {k: p * c for k, p in self.comp.items()})
-
-    def is_zero(self) -> bool:
-        return not self.comp
+    def _slot(self, *indices: int):
+        """Sorted indices and the sign of the sorting permutation; None on a repeat."""
+        if len(set(indices)) < len(indices):
+            return None
+        inversions = sum(a > b for i, a in enumerate(indices) for b in indices[i + 1 :])
+        return tuple(sorted(indices)), -1 if inversions % 2 else 1
 
 
 def _insert_index(idx: Tuple[int, ...], mu: int) -> Tuple[Tuple[int, ...], int] | None:
@@ -662,108 +583,49 @@ def weyl_to_potential(w: PolyTensor4) -> PolySym2:
         raise ValueError("input violates the Weyl constraints")
     pairs = index_pairs(nv)
 
-    # stage 1: W_{.. al be} = d f^{(al be)} with f = I_2 of the pair 2-form
-    f: Dict[Tuple[int, int, int], ExactPoly] = {}
+    # stage 1: W_{.. al be} = d f^{(al be)} with f = I_2 of the pair 2-form;
+    # f[mu] is the 2-form f_{mu al be} in (al, be)
+    rows: List[Dict[Tuple[int, int], ExactPoly]] = [{} for _ in range(nv)]
     for (al, be) in pairs:
-        omega = PolyForm(
-            nv,
-            2,
-            {
-                (mu, nu): w.get4(mu, nu, al, be)
-                for (mu, nu) in pairs
-                if not w.get4(mu, nu, al, be).is_zero()
-            },
-        )
+        omega = PolyForm(nv, 2, {(mu, nu): w.get(mu, nu, al, be) for (mu, nu) in pairs})
         if not exterior_derivative(omega).is_zero():
             raise ValueError("second Bianchi identity fails: pair form not closed")
         one = poincare_homotopy(omega)
         for mu in range(nv):
-            f[(mu, al, be)] = one.get((mu,))
+            rows[mu][(al, be)] = one.get(mu)
+    f = [PolyForm(nv, 2, row) for row in rows]
 
-    def f_at(mu, al, be):
-        if al == be:
-            return ExactPoly.zero(nv)
-        if al < be:
-            return f[(mu, al, be)]
-        return -f[(mu, be, al)]
-
-    # stage 2: make the cyclic sum of f vanish by an exact 2-form shift
-    f3 = PolyForm(nv, 3, {})
-    comp3: Dict[Tuple[int, ...], ExactPoly] = {}
-    for a in range(nv):
-        for b in range(a + 1, nv):
-            for c in range(b + 1, nv):
-                # antisymmetrization of f_{nu al be} dX^nu ^ dX^al ^ dX^be:
-                # f is already antisymmetric in its last two slots
-                s = f_at(a, b, c) - f_at(b, a, c) + f_at(c, a, b)
-                if not s.is_zero():
-                    comp3[(a, b, c)] = s
-    f3 = PolyForm(nv, 3, comp3)
+    # stage 2: make the cyclic sum of f vanish by an exact 2-form shift;
+    # the antisymmetrization of f_{nu al be} dX^nu ^ dX^al ^ dX^be, as f is
+    # already antisymmetric in its last two slots
+    triples = combinations(range(nv), 3)
+    f3 = PolyForm(nv, 3, {(a, b, c): f[a].get(b, c) - f[b].get(a, c) + f[c].get(a, b) for a, b, c in triples})
     if not exterior_derivative(f3).is_zero():
         raise ValueError("first Bianchi identity fails: cyclic 3-form not closed")
-    theta_form = poincare_homotopy(f3.scale(F(-1, 3)))
-
-    def theta(al, be):
-        if al == be:
-            return ExactPoly.zero(nv)
-        if al < be:
-            return theta_form.get((al, be))
-        return -theta_form.get((be, al))
-
-    ftil: Dict[Tuple[int, int, int], ExactPoly] = {}
-    for (al, be) in pairs:
-        for mu in range(nv):
-            ftil[(mu, al, be)] = f_at(mu, al, be) + theta(al, be).diff(mu)
-
-    def ftil_at(mu, al, be):
-        if al == be:
-            return ExactPoly.zero(nv)
-        if al < be:
-            return ftil[(mu, al, be)]
-        return -ftil[(mu, be, al)]
-
-    for a in range(nv):
-        for b in range(nv):
-            for c in range(nv):
-                s = ftil_at(a, b, c) + ftil_at(b, c, a) + ftil_at(c, a, b)
-                if not s.is_zero():
-                    raise AssertionError("cyclic correction failed")
+    theta = poincare_homotopy(f3.scale(F(-1, 3)))
+    ftil = [f[mu] + theta.map(lambda p, mu=mu: p.diff(mu)) for mu in range(nv)]
+    for a, b, c in product(range(nv), repeat=3):
+        if not (ftil[a].get(b, c) + ftil[b].get(c, a) + ftil[c].get(a, b)).is_zero():
+            raise AssertionError("cyclic correction failed")
 
     # stage 3: f~_{mu .} = d(potential row) via the homotopy again
     hrow: Dict[Tuple[int, int], ExactPoly] = {}
     for mu in range(nv):
-        psi = PolyForm(
-            nv,
-            2,
-            {
-                (al, be): ftil_at(mu, al, be)
-                for (al, be) in pairs
-                if not ftil_at(mu, al, be).is_zero()
-            },
-        )
-        if not exterior_derivative(psi).is_zero():
+        if not exterior_derivative(ftil[mu]).is_zero():
             raise ValueError("row form not closed at the potential stage")
-        g = poincare_homotopy(psi)
+        g = poincare_homotopy(ftil[mu])
         for be in range(nv):
-            hrow[(mu, be)] = g.get((be,))
+            hrow[(mu, be)] = g.get(be)
 
     # stage 4: symmetrize by a gradient shift
-    chi = PolyForm(
-        nv,
-        2,
-        {
-            (al, be): hrow[(al, be)] - hrow[(be, al)]
-            for (al, be) in pairs
-            if not (hrow[(al, be)] - hrow[(be, al)]).is_zero()
-        },
-    )
+    chi = PolyForm(nv, 2, {(al, be): hrow[(al, be)] - hrow[(be, al)] for (al, be) in pairs})
     if not exterior_derivative(chi).is_zero():
         raise ValueError("antisymmetric part is not closed")
     v = poincare_homotopy(chi)
     comp: Dict[Tuple[int, int], ExactPoly] = {}
     for mu in range(nv):
         for nu in range(mu, nv):
-            comp[(mu, nu)] = hrow[(mu, nu)] + v.get((mu,)).diff(nu)
+            comp[(mu, nu)] = hrow[(mu, nu)] + v.get(mu).diff(nu)
     h = PolySym2(nv, comp)
     # drop degree-(<2) junk: only the top homogeneous part carries curvature
     check = linearized_riemann(h) - w.scale(F(-1, 2))
@@ -857,66 +719,41 @@ def signature_Wp_expected(n: int, p: int) -> Tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _ax_fields(mat: Matrix, nv: int) -> List[ExactPoly]:
-    out = []
-    for mu in range(nv):
+def _slot_action(mat, t: PolyTensor, entries) -> PolyTensor:
+    """(a.T)_I = -(aX).d T_I - sum_r a^s_{I_r} T_{I[r -> s]} for every covariant tensor.
+
+    ``entries`` lists one (stored key, index tuple I) pair per independent
+    component; I[r -> s] is I with its r-th index replaced by s, read
+    through the signed lookup of the layout.
+    """
+    m = mat.matrix if hasattr(mat, "matrix") else mat
+    nv = t.nvars
+    ax = [(s, f) for s, f in enumerate(linear_forms(m)) if f]
+    column = [[(s, m[s][i]) for s in range(nv) if m[s][i]] for i in range(nv)]
+    comp = {}
+    for key, idx in entries:
+        base = t.get(*idx)
         p = ExactPoly.zero(nv)
-        for nu in range(nv):
-            if mat[mu][nu]:
-                p = p + mat[mu][nu] * ExactPoly.variable(nv, nu)
-        out.append(p)
-    return out
+        for s, f in ax:
+            d = base.diff(s)
+            if not d.is_zero():
+                p = p - f * d
+        for r, i in enumerate(idx):
+            for s, c in column[i]:
+                p = p - c * t.get(*idx[:r], s, *idx[r + 1 :])
+        comp[key] = p
+    return replace(t, comp=comp)
 
 
 def algebra_action_sym2(mat, h: PolySym2) -> PolySym2:
     """(a.h)_{mu nu} = -(aX) d h_{mu nu} - a^s_mu h_{s nu} - a^s_nu h_{mu s}."""
-    m = mat.matrix if hasattr(mat, "matrix") else mat
-    nv = h.nv
-    ax = _ax_fields(m, nv)
-    comp = {}
-    for mu in range(nv):
-        for nu in range(mu, nv):
-            p = ExactPoly.zero(nv)
-            base = h.get(mu, nu)
-            for s in range(nv):
-                if ax[s]:
-                    d = base.diff(s)
-                    if not d.is_zero():
-                        p = p - ax[s] * d
-                if m[s][mu]:
-                    p = p - m[s][mu] * h.get(s, nu)
-                if m[s][nu]:
-                    p = p - m[s][nu] * h.get(mu, s)
-            comp[(mu, nu)] = p
-    return PolySym2(nv, comp)
+    return _slot_action(mat, h, [(key, key) for key in _sym2_slots(h.nv)])
 
 
 def algebra_action_tensor4(mat, w: PolyTensor4) -> PolyTensor4:
-    m = mat.matrix if hasattr(mat, "matrix") else mat
-    nv = w.nv
-    ax = _ax_fields(m, nv)
-    pairs = index_pairs(nv)
-    comp = {}
-    for a, b in tensor4_slots(nv):
-        (mu, nu), (al, be) = pairs[a], pairs[b]
-        base = w.get4(mu, nu, al, be)
-        p = ExactPoly.zero(nv)
-        for s in range(nv):
-            if ax[s]:
-                d = base.diff(s)
-                if not d.is_zero():
-                    p = p - ax[s] * d
-            if m[s][mu]:
-                p = p - m[s][mu] * w.get4(s, nu, al, be)
-            if m[s][nu]:
-                p = p - m[s][nu] * w.get4(mu, s, al, be)
-            if m[s][al]:
-                p = p - m[s][al] * w.get4(mu, nu, s, be)
-            if m[s][be]:
-                p = p - m[s][be] * w.get4(mu, nu, al, s)
-        if not p.is_zero():
-            comp[(a, b)] = p
-    return PolyTensor4(nv, comp)
+    """The slot action on the four indices of W_{mu nu al be}."""
+    pairs = index_pairs(w.nv)
+    return _slot_action(mat, w, [((a, b), pairs[a] + pairs[b]) for a, b in tensor4_slots(w.nv)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import re
 from collections import Counter
 from pathlib import Path
@@ -93,3 +94,27 @@ def test_no_unreferenced_definitions():
         path.read_text() for folder in (package, ROOT / "tests", ROOT / "perfbench") for path in sorted(folder.glob("*.py"))
     )
     assert unreferenced_definitions(sources, corpus) == []
+
+
+def test_tracer_targets_are_distinct_class_or_module_bindings():
+    """Every traced target is bound on its own owner, one object per span name.
+
+    The benchmark tracer looks each target up in ``vars(owner)`` and
+    rebinds it by identity, so a method inherited from a base class, or
+    two span names sharing one function object, would go untraced or
+    merge two spans.
+    """
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    spans = {}
+    for mod_name, attr, span in tracer.TARGETS:
+        mod = importlib.import_module(f"ahmass.{mod_name}")
+        owner_name, _, member = attr.rpartition(".")
+        owner = getattr(mod, owner_name) if owner_name else mod
+        assert member in vars(owner), attr
+        spans.setdefault(span, set()).add(id(vars(owner)[member]))
+    names = list(spans)
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            assert not spans[a] & spans[b], (a, b)

@@ -13,6 +13,7 @@ from ahmass.lorentz import (
     cartan_generators,
     raising_operators,
 )
+from ahmass.massaspect import SphereTensor
 from ahmass.poly import (
     ExactPoly,
     euler_degree,
@@ -30,6 +31,7 @@ from ahmass.poly import (
     vanishes_on_sphere,
     wave_operator,
 )
+from ahmass.weyl import PolyForm, PolySym2, PolyTensor4
 from sphere_oracles import (
     coefficients,
     points_on_sphere,
@@ -323,3 +325,45 @@ def test_monomial_enumeration_is_cached_and_read_only():
     with pytest.raises(TypeError):
         index[(3, 0, 0, 0)] = 5
     assert monomials_of_degree(4, -1) == ()
+
+
+# ---------------------------------------------------------------------------
+# polynomial tensors
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["sym2", "tensor4", "sphere", "form"])
+def test_cancelling_components_are_not_stored(kind):
+    x = X(4, 1)
+    pair = {(0, 1): x, (1, 0): -x}
+    form = PolyForm(4, 2, {(0, 1): x})
+    t, zero = {
+        "sym2": (PolySym2(4, pair), PolySym2(4, {})),
+        "tensor4": (PolyTensor4(4, pair), PolyTensor4(4, {})),
+        "sphere": (SphereTensor(4, 2, pair), SphereTensor(4, 2, {})),
+        "form": (form - form, PolyForm(4, 2, {})),
+    }[kind]
+    assert t.comp == {} and t.is_zero() and t.degree() == -1 and t == zero
+
+
+def test_signed_lookup_follows_the_layout():
+    nv = 4
+    x, y = X(nv, 0), X(nv, 2)
+    h = PolySym2(nv, {(1, 0): x})
+    assert h.get(0, 1) == h.get(1, 0) == x and h.comp.keys() == {(0, 1)}
+    # pairs (0, 1), (0, 2), (0, 3), ...: stored keys (0, 1) and (2, 2) are
+    # W_{0102} and W_{0303}
+    w = PolyTensor4(nv, {(1, 0): x, (2, 2): y})
+    assert w.get(0, 1, 0, 2) == w.get(0, 2, 0, 1) == w.get(2, 0, 1, 0) == x
+    assert w.get(1, 0, 0, 2) == w.get(0, 1, 2, 0) == -x
+    assert w.get(3, 0, 0, 3) == -y
+    assert w.get(0, 0, 1, 2).is_zero() and w.get(1, 2, 3, 3).is_zero()
+    f = PolyForm(nv, 2, {(1, 2): x})
+    assert f.get(2, 1) == -f.get(1, 2) == -x
+    assert f.get(1, 1).is_zero()
+    g = PolyForm(nv, 3, {(0, 1, 3): y})
+    assert g.get(3, 0, 1) == g.get(0, 1, 3) == y and g.get(1, 0, 3) == -y
+    assert g.get(0, 3, 3).is_zero()
+    for bad in [(2, 1), (1, 1), (1,), (0, 1, 2)]:
+        with pytest.raises(ValueError):
+            PolyForm(nv, 2, {bad: x})

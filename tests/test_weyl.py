@@ -125,7 +125,7 @@ def test_riemann_highest_weight_component():
                 for be in range(nv):
                     c = em1[mu] * em2[nu] * em1[al] * em2[be]
                     if c:
-                        comp = comp + w.get4(mu, nu, al, be) * c
+                        comp = comp + w.get(mu, nu, al, be) * c
     z1 = X(nv, 0) + X(nv, 1)
     # R(h) carries -1/2 (p+2)(p+3); the associated W = -2 R(h) carries
     # exactly (p+2)(p+3), the usual quoted constant
@@ -279,7 +279,7 @@ def test_homotopy_inverts_gradient():
     f = X(nv, 0) ** 2 * X(nv, 3) - 2 * X(nv, 1) * X(nv, 2)  # f(0) = 0
     df = PolyForm(nv, 1, {(mu,): f.diff(mu) for mu in range(nv)})
     got = poincare_homotopy(df)
-    assert got.get(()) == f
+    assert got.get() == f
 
 
 def test_homotopy_rejects_zero_forms():
