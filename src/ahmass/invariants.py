@@ -42,13 +42,13 @@ from .lorentz import (
 )
 from .massaspect import (
     SphereTensor,
-    algebra_action_aspect,
+    _weighted_action,
     generator_action,
     group_action_numeric,
     round_metric_tensor,
     sample_tensor,
 )
-from .poly import ExactPoly, operator_rows, sphere_integral, sphere_restrict
+from .poly import ExactPoly, operator_rows, sphere_pairing, sphere_restrict
 from .quadrature import sphere_nodes
 from .weyl import PolyTensor4, algebra_action_tensor4, index_pairs, tensor4_slots
 
@@ -73,13 +73,14 @@ def pair(m: SphereTensor, density: SphereTensor):
     """sum_{i<=j} (2 - delta_ij) int m_ij K_ij dmu / Vol, exact.
 
     The full contraction of two symmetric tensors, integrated over the
-    sphere; the one place where a mass integrates against an aspect.
+    sphere component by component with :func:`ahmass.poly.sphere_pairing`;
+    the one place where a mass integrates against an aspect.
     """
     total = F(0)
     for (i, j), mij in m.comp.items():
         kij = density.comp.get((i, j))
         if kij is not None:
-            val = sphere_integral(mij * kij)
+            val = sphere_pairing(mij, kij)
             total = total + (val if i == j else 2 * val)
     return total
 
@@ -366,7 +367,8 @@ def intertwining_density_residual(
     action on aspects of order k under :func:`pair`.  The residual is the
     total mean square over the sphere, summed separately over the boosts
     and the rotations; both entries vanish exactly for a density of the
-    matching weight.  The components must be transverse.
+    matching weight.  The components must be transverse, and
+    ``rep_rows_for`` must give one row per component.
     """
     if not components:
         raise ValueError("empty density")
@@ -375,15 +377,19 @@ def intertwining_density_residual(
         for p in c.comp.values():
             if not isinstance(p, ExactPoly):
                 raise ValueError("density components must be polynomial")
+        if not c.is_transverse():
+            raise ValueError("density component is not transverse")
     totals = [F(0), F(0)]
     for name, gen in all_generators(n):
         rows = rep_rows_for(name)
+        if len(rows) != len(components):
+            raise ValueError(f"{len(rows)} representation rows for {len(components)} components")
         is_rotation = not any(gen.matrix[0])  # boosts mix time and space
-        for nu, component in enumerate(components):
-            resid = algebra_action_aspect(gen, component, n - 1 - k).scale(F(-1))
-            for mu, c in (rows[nu] if nu < len(rows) else {}).items():
+        for component, row in zip(components, rows):
+            resid = _weighted_action(gen, component, n - 1 - k).scale(F(-1))
+            for mu, c in row.items():
                 resid = resid + components[mu].scale(-c)
             for p in resid.comp.values():
-                val = sphere_integral(p * p.conjugate())
+                val = sphere_pairing(p, p.conjugate())
                 totals[is_rotation] += val.re if isinstance(val, GaussianRational) else val
     return totals[0], totals[1]

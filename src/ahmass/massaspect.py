@@ -199,14 +199,20 @@ def _project_slots(n: int, t: Dict[Tuple[int, int], ExactPoly]) -> Dict[Tuple[in
 
     Takes and returns the i <= j entries; with the radial vector
     r_i = t_ib x^b and s = r_a x^a the entries are
-    t_ij - x_i r_j - x_j r_i + x_i x_j s.
+    t_ij - x_i r_j - x_j r_i + x_i x_j s.  r and s are taken to sphere
+    normal form before they are multiplied out; the normal form is a ring
+    map modulo |x|^2 - 1, so the entries change only within their
+    on-sphere classes, which :class:`SphereTensor` stores reduced anyway.
     """
 
     def entry(i, j):
         return t.get((i, j) if i <= j else (j, i), _zero(n))
 
-    rad = [sum((entry(i, b) * _x(n, b) for b in range(n)), _zero(n)) for i in range(n)]
-    scalar = sum((rad[a] * _x(n, a) for a in range(n)), _zero(n))
+    rad = [
+        quadric_normal_form(sum((entry(i, b) * _x(n, b) for b in range(n)), _zero(n)))
+        for i in range(n)
+    ]
+    scalar = quadric_normal_form(sum((rad[a] * _x(n, a) for a in range(n)), _zero(n)))
     out = {}
     for i in range(n):
         for j in range(i, n):
@@ -266,10 +272,13 @@ def algebra_action_aspect(a, m: SphereTensor, k: int | None = None) -> SphereTen
     -nabla m + k x^i m, a rotation r_ij (phi = 0) by
     -nabla m - m(r_ij ., .) - m(., r_ij .).
     """
-    if k is None:
-        k = m.k
     if not m.is_transverse():
         raise ValueError("mass aspect is not transverse")
+    return _weighted_action(a, m, m.k if k is None else k)
+
+
+def _weighted_action(a, m: SphereTensor, k: int) -> SphereTensor:
+    """:func:`algebra_action_aspect` for an aspect already known to be transverse."""
     mat = (a if isinstance(a, AlgebraElement) else AlgebraElement(a)).matrix
     n = m.n
     if len(mat) != n + 1:

@@ -17,6 +17,8 @@ the unit hyperboloid ``1 + X^mu X_mu = 0`` are its two instances.  The
 sphere normal form is unique, because ``|x|^2 - 1`` generates the whole
 real vanishing ideal of the sphere, so a polynomial vanishes on the
 sphere exactly when its normal form is the zero polynomial.
+:func:`sphere_pairing` is the one bilinear sphere integral: it integrates
+the product of two polynomials without forming it.
 
 :class:`PolyTensor` is the one base of the package's polynomial tensors
 (symmetric 2-tensors, Weyl-symmetric 4-tensors, exterior forms and mass
@@ -31,6 +33,7 @@ from __future__ import annotations
 from dataclasses import fields, replace
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from types import MappingProxyType
 from typing import Dict, Mapping, Sequence, Tuple
 
@@ -369,12 +372,8 @@ def hyperboloid_normal_form(p: ExactPoly) -> ExactPoly:
 # ---------------------------------------------------------------------------
 
 
-def sphere_monomial_integral(exponents: Sequence[int]) -> Fraction:
-    """Normalized integral of x^alpha over the unit sphere S^{n-1}.
-
-    Zero unless every exponent is even; otherwise the classical closed
-    form prod (a_i - 1)!! / (n (n+2) ... (n + |a| - 2)).
-    """
+@lru_cache(maxsize=None)
+def _sphere_moment(exponents: Exponents) -> Fraction:
     n = len(exponents)
     if n < 1:
         raise ValueError("need at least one variable")
@@ -393,13 +392,52 @@ def sphere_monomial_integral(exponents: Sequence[int]) -> Fraction:
     return Fraction(num, den)
 
 
+def sphere_monomial_integral(exponents: Sequence[int]) -> Fraction:
+    """Normalized integral of x^alpha over the unit sphere S^{n-1}.
+
+    Zero unless every exponent is even; otherwise the classical closed
+    form prod (a_i - 1)!! / (n (n+2) ... (n + |a| - 2)).  Memoized on the
+    exponent tuple.
+    """
+    return _sphere_moment(tuple(exponents))
+
+
 def sphere_integral(p: ExactPoly):
     """Linear extension of the monomial integral; exact, normalized."""
     total = _ZERO
     for e, c in p.terms.items():
-        w = sphere_monomial_integral(e)
+        w = _sphere_moment(e)
         if w:
             total = total + c * w
+    return total
+
+
+def _parity(e: Exponents) -> Exponents:
+    return tuple(a & 1 for a in e)
+
+
+def sphere_pairing(p: ExactPoly, q: ExactPoly):
+    """int p q dmu / Vol, exact, without forming the product p q.
+
+    x^a x^b integrates to a nonzero value only when a and b agree mod 2
+    in every coordinate, so the terms of the longer factor are bucketed
+    by exponent parity and each term of the shorter one meets only its
+    own bucket; it multiplies the sum over that bucket once.  Equal to
+    ``sphere_integral(p * q)``.
+    """
+    p._check(q)
+    if len(p.terms) > len(q.terms):
+        p, q = q, p
+    buckets: Dict[Exponents, list] = {}
+    for e, c in q.terms.items():
+        buckets.setdefault(_parity(e), []).append((e, c))
+    total = _ZERO
+    for e1, c1 in p.terms.items():
+        inner = _ZERO
+        for e2, c2 in buckets.get(_parity(e1), ()):
+            inner = inner + c2 * _sphere_moment(tuple(map(add, e1, e2)))
+        if inner:
+            total = total + c1 * inner
     return total
 
 

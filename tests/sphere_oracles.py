@@ -1,7 +1,11 @@
 """Reference routines and input strategies for the on-sphere tests.
 
 The square-and-integrate zero test is kept here only as an oracle for
-the normal-form test of :func:`ahmass.poly.vanishes_on_sphere`.
+the normal-form test of :func:`ahmass.poly.vanishes_on_sphere`; the
+product-then-integrate pairing is the oracle of
+:func:`ahmass.poly.sphere_pairing` and :func:`ahmass.invariants.pair`,
+and the unreduced tangential projection that of
+:func:`ahmass.massaspect._project_slots`.
 """
 
 from fractions import Fraction
@@ -63,3 +67,32 @@ def points_on_sphere(n: int):
     if n == 1:
         return st.sampled_from([(Fraction(1),), (Fraction(-1),)])
     return st.lists(rationals, min_size=n - 1, max_size=n - 1).map(rational_sphere_point)
+
+
+def pair_oracle(m, density):
+    """sum_{i<=j} (2 - delta_ij) int m_ij K_ij, each product formed in full."""
+    total = Fraction(0)
+    for (i, j), mij in m.comp.items():
+        kij = density.comp.get((i, j))
+        if kij is not None:
+            val = sphere_integral(mij * kij)
+            total = total + (val if i == j else 2 * val)
+    return total
+
+
+def project_slots_oracle(n: int, t: dict) -> dict:
+    """t_ij - x_i r_j - x_j r_i + x_i x_j s with r_i = t_ib x^b, s = r_a x^a, unreduced."""
+
+    def x(i):
+        return ExactPoly.variable(n, i)
+
+    def entry(i, j):
+        return t.get((min(i, j), max(i, j)), ExactPoly.zero(n))
+
+    rad = [sum((entry(i, b) * x(b) for b in range(n)), ExactPoly.zero(n)) for i in range(n)]
+    scalar = sum((rad[a] * x(a) for a in range(n)), ExactPoly.zero(n))
+    return {
+        (i, j): entry(i, j) - x(i) * rad[j] - x(j) * rad[i] + x(i) * x(j) * scalar
+        for i in range(n)
+        for j in range(i, n)
+    }

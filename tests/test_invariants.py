@@ -34,6 +34,7 @@ from ahmass.massaspect import (
 )
 from ahmass.poly import ExactPoly, monomials_of_degree, sphere_integral, sphere_restrict
 from ahmass.weyl import PolyTensor4, algebra_action_tensor4, build_Wp, tensor4_slots
+from sphere_oracles import pair_oracle
 
 F = Fraction
 
@@ -238,6 +239,49 @@ def test_density_of_a_moved_element_is_the_moved_density(family, n, n1):
             assert moved.equal_on_sphere(algebra_action_aspect(gens[name], k_v, n - 1 - k)), name
         moved = _transverse_part(density(act(gens["a_1"], v), k))
         assert not moved.equal_on_sphere(algebra_action_aspect(gens["a_1"], k_v, n - 2 - k))
+
+
+@pytest.mark.parametrize(
+    "family,n,n1",
+    [("conformal", 3, 1), ("weyl", 4, 0), ("weyl_plus", 3, 0), ("weyl_minus", 3, 0)],
+)
+def test_pair_is_the_integral_of_the_contraction(family, n, n1):
+    density, _ = DENSITIES[family]
+    k = _weight(family, n, n1)
+    m = random_mass_aspect(n, k, random.Random(3))
+    values = [pair(m, density(v, k)) for v in _dual_basis(family, n, n1)]
+    assert any(values)
+    assert values == [pair_oracle(m, density(v, k)) for v in _dual_basis(family, n, n1)]
+
+
+def test_density_residual_checks_each_component_once(monkeypatch):
+    n, n1 = 3, 1
+    k = conformal_weight(n, n1)
+    gens = dict(all_generators(n))
+    components = density_null_power(n, n1, k)
+    calls = []
+    check = SphereTensor.is_transverse
+    monkeypatch.setattr(SphereTensor, "is_transverse", lambda t: calls.append(t) or check(t))
+
+    def rows(name):
+        return symmetric_power_action(gens[name], n + 1, n1)
+
+    assert intertwining_density_residual(components, rows, k) == (0, 0)
+    assert len(calls) == len(components)
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_density_residual_needs_one_row_per_component(extra):
+    n, n1 = 3, 1
+    k = conformal_weight(n, n1)
+    gens = dict(all_generators(n))
+
+    def rows(name):
+        full = symmetric_power_action(gens[name], n + 1, n1)
+        return full[:extra] if extra < 0 else full + [{}] * extra
+
+    with pytest.raises(ValueError, match="representation rows"):
+        intertwining_density_residual(density_null_power(n, n1, k), rows, k)
 
 
 def test_density_residual_needs_transverse_components():

@@ -17,6 +17,7 @@ from ahmass.lorentz import (
 from ahmass.massaspect import (
     SphereTensor,
     TangentField,
+    _project_slots,
     algebra_action_aspect,
     boost_action,
     boost_field,
@@ -31,7 +32,7 @@ from ahmass.massaspect import (
     transversalize,
 )
 from ahmass.poly import ExactPoly, quadric_normal_form, sphere_integral, vanishes_on_sphere
-from sphere_oracles import polys, sphere_ideal, square_and_integrate_vanishes
+from sphere_oracles import polys, project_slots_oracle, sphere_ideal, square_and_integrate_vanishes
 
 F = Fraction
 
@@ -342,6 +343,22 @@ def test_actions_return_reduced_components(n, gaussian, rng):
     m = random_mass_aspect(n, 4, rng, degree=1, gaussian=gaussian)
     assert is_reduced(boost_action(1, m))
     assert is_reduced(rotation_action(1, 2, m))
+
+
+@st.composite
+def symmetric_arrays(draw):
+    """(n, {(i, j): t_ij}) with i <= j, n = 3 or 4; an empty entry is a zero."""
+    n = draw(st.sampled_from([3, 4]))
+    gaussian = draw(st.booleans())
+    entry = polys(n, gaussian, max_degree=3, max_terms=3)
+    return n, {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
+
+
+@given(symmetric_arrays())
+@settings(max_examples=12, deadline=None)
+def test_projection_with_reduced_intermediates_is_the_projection(case):
+    n, t = case
+    assert SphereTensor(n, 4, _project_slots(n, t)) == SphereTensor(n, 4, project_slots_oracle(n, t))
 
 
 # ---------------------------------------------------------------------------

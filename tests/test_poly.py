@@ -26,6 +26,7 @@ from ahmass.poly import (
     quadric_normal_form,
     sphere_integral,
     sphere_monomial_integral,
+    sphere_pairing,
     sphere_restrict,
     to_coords,
     vanishes_on_sphere,
@@ -35,6 +36,7 @@ from ahmass.weyl import PolyForm, PolySym2, PolyTensor4
 from sphere_oracles import (
     coefficients,
     points_on_sphere,
+    polys,
     sphere_ideal,
     sphere_polys,
     square_and_integrate_vanishes,
@@ -165,6 +167,47 @@ def test_sphere_integral_drops_odd_part():
 def test_sphere_integral_norm_is_one():
     p = sum((X(3, i) ** 2 for i in range(3)), ExactPoly.zero(3))
     assert sphere_integral(p) == 1
+
+
+def test_sphere_monomial_integral_rejects_negative_exponents():
+    for _ in range(2):  # a raise is never memoized
+        with pytest.raises(ValueError, match="negative exponent"):
+            sphere_monomial_integral([2, -2])
+
+
+# ---------------------------------------------------------------------------
+# the fused pairing; oracle = sphere_integral of the full product
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def poly_pairs(draw):
+    """(p, q) in 2..5 variables, each rational or Gaussian on its own."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    return tuple(draw(polys(n, draw(st.booleans()), max_degree=4, max_terms=8)) for _ in range(2))
+
+
+@given(poly_pairs())
+@settings(max_examples=60, deadline=None)
+def test_sphere_pairing_is_the_integral_of_the_product(pq):
+    p, q = pq
+    assert sphere_pairing(p, q) == sphere_integral(p * q)
+    assert sphere_pairing(p, q) == sphere_pairing(q, p)
+
+
+def test_sphere_pairing_values():
+    x, y, z = (X(3, i) for i in range(3))
+    assert sphere_pairing(x, x) == Fraction(1, 3)
+    assert sphere_pairing(x, y) == 0
+    assert sphere_pairing(x * y + 1, x * y + z * z) == Fraction(1, 15) + Fraction(1, 3)
+    i = GaussianRational.i()
+    assert sphere_pairing(x * i, x * i) == -Fraction(1, 3)
+    assert sphere_pairing(ExactPoly.zero(3), x) == 0 and sphere_pairing(x, ExactPoly.zero(3)) == 0
+
+
+def test_sphere_pairing_rejects_a_variable_count_mismatch():
+    with pytest.raises(ValueError, match="variable-count mismatch"):
+        sphere_pairing(X(3, 0), X(4, 0))
 
 
 def test_vanishes_on_sphere():
