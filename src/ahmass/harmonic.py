@@ -11,7 +11,8 @@ The invariant quadratic form makes distinct monomials orthogonal with
 
 the weighting that extends the Minkowski form of degree one to symmetric
 powers (so that the form is exactly infinitesimally invariant).  Its
-signature on H_p is computed by exact congruence diagonalization.
+signature on H_p is computed by exact congruence diagonalization of its
+Gram matrix (:func:`form_signature`, which the signature on W_p shares).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .linalg import nullspace, signature_of_form
 from .poly import (
@@ -147,24 +148,26 @@ def invariant_form_q(p1: ExactPoly, p2: ExactPoly):
     return total
 
 
-def gram_matrix(basis: List[ExactPoly]) -> List[List[Fraction]]:
+def form_signature(basis: Sequence, form: Callable) -> Tuple[int, int]:
+    """Signature (n+, n-) of the bilinear ``form`` on the span of ``basis``.
+
+    Builds the Gram matrix of the basis under the form and diagonalizes it
+    exactly; raises when the form is degenerate on the span.
+    """
     d = len(basis)
-    g = [[F(0)] * d for _ in range(d)]
+    gram = [[F(0)] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
-            v = invariant_form_q(basis[i], basis[j])
-            g[i][j] = v
-            g[j][i] = v
-    return g
+            gram[i][j] = gram[j][i] = form(basis[i], basis[j])
+    plus, minus, zero = signature_of_form(gram)
+    if zero:
+        raise AssertionError("invariant form is degenerate")
+    return plus, minus
 
 
 def signature_Hp(n: int, p: int) -> Tuple[int, int]:
     """Exact signature of q on H_p; must be nondegenerate."""
-    space = build_Hp(n, p)
-    plus, minus, zero = signature_of_form(gram_matrix(space.basis))
-    if zero:
-        raise AssertionError("invariant form degenerate on H_p")
-    return plus, minus
+    return form_signature(build_Hp(n, p).basis, invariant_form_q)
 
 
 def signature_Hp_expected(n: int, p: int) -> Tuple[int, int]:

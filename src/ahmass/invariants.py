@@ -31,7 +31,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .gaussian import GaussianRational
+from .gaussian import GaussianRational, I
+from .harmonic import build_Hp
 from .lorentz import (
     LorentzElement,
     act_on_poly,
@@ -50,10 +51,9 @@ from .massaspect import (
 )
 from .poly import ExactPoly, operator_rows, sphere_pairing, sphere_restrict
 from .quadrature import sphere_nodes
-from .weyl import PolyTensor4, algebra_action_tensor4, index_pairs, tensor4_slots
+from .weyl import PolyTensor4, algebra_action_tensor4, build_Wp, index_pairs, tensor4_slots
 
 F = Fraction
-_I = GaussianRational.i()
 
 
 def conformal_weight(n: int, n1: int) -> int:
@@ -195,16 +195,14 @@ def weyl_density(w: PolyTensor4, k: int, sign: int = 0) -> SphereTensor:
             entry = sphere_restrict(_pair_with_w(w, wedges[i], wedges[j]))
             if sign:
                 twist = _pair_with_w(w, stars[i], wedges[j]) + _pair_with_w(w, stars[j], wedges[i])
-                entry = entry - sign * _I * sphere_restrict(twist) / 2
+                entry = entry - sign * I * sphere_restrict(twist) / 2
             comp[(i, j)] = entry
     return SphereTensor(n, k, comp)
 
 
-def weyl_mass(m: SphereTensor, w: PolyTensor4, check_weight: bool = True, check_constraints: bool = False):
+def weyl_mass(m: SphereTensor, w: PolyTensor4, check_weight: bool = True):
     """int < m, W(e+, ., e+, .) > dmu / Vol, exact (n >= 4 real case)."""
     _check_dual(m, w.nv, max(w.degree(), 0), True, check_weight)
-    if check_constraints and not w.satisfies_weyl_constraints():
-        raise ValueError("dual argument fails the Weyl constraints")
     return pair(m, weyl_density(w, m.k))
 
 
@@ -216,6 +214,8 @@ def weyl_mass_chiral(m: SphereTensor, w: PolyTensor4, sign: int, check_weight: b
     """
     if m.n != 3:
         raise ValueError("chiral masses exist only for n = 3")
+    if sign not in (1, -1):
+        raise ValueError(f"chiral sign must be +1 or -1, got {sign}")
     _check_dual(m, w.nv, max(w.degree(), 0), True, check_weight)
     return pair(m, weyl_density(w, m.k, sign))
 
@@ -272,7 +272,6 @@ def check_equivariance_finite(
     n1: int,
     order: int = 64,
     family: str = "conformal",
-    dual_basis: Sequence | None = None,
 ) -> float:
     """Max |Phi(A.m)(A.v) - Phi(m)(v)| over the dual basis, numerically.
 
@@ -281,23 +280,17 @@ def check_equivariance_finite(
     """
     n = m.n
     if family == "conformal":
-        from .harmonic import build_Hp
-
         k, act, density, build = conformal_weight(n, n1), act_on_poly, conformal_density, build_Hp
     elif family == "weyl":
-        from .weyl import build_Wp
-
         k, act, density, build = weyl_weight(n, n1), finite_action_tensor4, weyl_density, build_Wp
     else:
         raise ValueError("finite checks cover the conformal and weyl families")
     if m.k != k:
         raise ValueError(f"decay order {m.k} does not match weight {k}")
-    if dual_basis is None:
-        dual_basis = build(n, n1).basis
     nodes, weights = sphere_nodes(n, order)
     sampled = group_action_numeric(a, m, k, nodes)
     worst = 0.0
-    for v in dual_basis:
+    for v in build(n, n1).basis:
         lhs = np.einsum("q,qij,qij->", weights, sample_tensor(density(act(a, v), k), nodes), sampled)
         worst = max(worst, abs(float(lhs) - float(_mass(family, m, v))))
     return worst

@@ -11,8 +11,9 @@ solve: each of its pivot rows is nonzero only on its own pivot column
 and on free columns, so the nullspace basis, the minimum-support
 solution (free variables pinned to zero) and the coordinates against a
 fixed spanning set are all read off its rows without further
-elimination.  The Sylvester signature of a symmetric form is a separate
-algorithm, exact congruence diagonalization.
+elimination.  The Sylvester signature of a symmetric form is exact
+congruence diagonalization on the same row update, :func:`_add_multiple`,
+which every elimination here runs on.
 """
 
 from __future__ import annotations
@@ -110,16 +111,10 @@ class Echelon:
                 if i == piv or i not in active:
                     continue
                 r = work[i]
-                f = r[col] / pval
-                for c, v in prow.items():
-                    nv = r.get(c, 0) - f * v
-                    if nv:
-                        if c not in r:
-                            by_col.setdefault(c, set()).add(i)
-                        r[c] = nv
-                    else:
-                        if c in r:
-                            del r[c]
+                _add_multiple(r, -r[col] / pval, prow)
+                # entries for columns that cancelled go stale; ``holders`` skips them
+                for c in prow:
+                    by_col.setdefault(c, set()).add(i)
                 work[i] = _normalize_row(r)
             self.pivots.append((col, prow))
         # rows never touched by a pivot are identically zero by now
@@ -266,98 +261,51 @@ class SpanSolver:
         return not self._project(vec)[0]
 
 
-def signature_of_form(gram: Sequence[Sequence], dim: int | None = None) -> Tuple[int, int, int]:
+def signature_of_form(gram: Sequence[Sequence]) -> Tuple[int, int, int]:
     """Sylvester signature (n+, n-, n0) of a symmetric rational matrix.
 
-    Exact congruence diagonalization: symmetric pivoting with the
-    standard rank-one update G <- G - (r x r)/d.  Zero diagonals with a
-    nonzero row are repaired by a symmetric row/column addition.
+    Exact congruence diagonalization on full symmetric sparse rows.  A
+    diagonal pivot d (sparsest row, then lowest index) is removed by the
+    rank-one update G <- G - r r^T / d, one :func:`_add_multiple` per row
+    it touches.  When every diagonal entry is zero, the congruence
+    e_i -> e_i + e_j (row i += row j, then column i += column j) makes
+    G[i][i] = 2 G[i][j] nonzero.  Rows that empty out span the radical.
     """
-    if dim is None:
-        dim = len(gram)
-    G: Dict[int, Dict[int, Fraction]] = {}
-    for i in range(dim):
-        for j in range(dim):
-            v = gram[i][j]
+    G: Dict[int, Row] = {}
+    for i, row in enumerate(gram):
+        for j, entry in enumerate(row):
+            v = entry
             if isinstance(v, GaussianRational):
-                if v.im != 0:
+                if v.im:
                     raise ValueError("signature_of_form needs a real symmetric matrix")
                 v = v.re
             if v:
-                if gram[j][i] != gram[i][j]:
+                if gram[j][i] != entry:
                     raise ValueError("non-symmetric input")
                 G.setdefault(i, {})[j] = Fraction(v)
-    active = set(range(dim))
     n_plus = n_minus = 0
-    while True:
-        piv = None
-        best = None
-        for i in list(active):
-            row = G.get(i)
-            if not row:
-                continue
-            d = row.get(i)
-            if d:
-                size = len(row)
-                if best is None or size < best:
-                    best, piv = size, i
-        if piv is None:
-            # no usable diagonal: look for an off-diagonal entry
-            cand = None
-            for i in active:
-                row = G.get(i)
-                if row:
-                    j = next(iter(row))
-                    cand = (i, j)
-                    break
-            if cand is None:
-                break
-            i, j = cand
-            # row/col i += row/col j makes G[i][i] = 2 G[i][j] != 0
-            rowj = G.get(j, {})
-            for c, v in list(rowj.items()):
-                G.setdefault(i, {})[c] = G.get(i, {}).get(c, Fraction(0)) + v
-                if not G[i][c]:
-                    del G[i][c]
-            for r in list(G):
-                v = G[r].get(j)
-                if v:
-                    G[r][i] = G[r].get(i, Fraction(0)) + v
-                    if not G[r][i]:
-                        del G[r][i]
+    while G:
+        diag = [i for i, r in G.items() if i in r]
+        if not diag:
+            i = next(iter(G))
+            rowj = G[next(iter(G[i]))]
+            _add_multiple(G[i], 1, rowj)  # row i += row j
+            for k, v in rowj.items():  # column i += column j, which is row j
+                _add_multiple(G[k], v, {i: 1})
             continue
-        row = G.pop(piv)
-        active.discard(piv)
-        d = row[piv]
+        piv = min(diag, key=lambda i: (len(G[i]), i))
+        prow = G.pop(piv)
+        d = prow[piv]
         if d > 0:
             n_plus += 1
         else:
             n_minus += 1
-        items = [(k, v) for k, v in row.items() if k != piv]
-        for k, vk in items:
-            Gk = G.get(k)
-            if Gk is None:
-                continue
-            Gk.pop(piv, None)
-            for l, vl in items:
-                if l < k:
-                    continue
-                delta = vk * vl / d
-                cur = Gk.get(l, Fraction(0)) - delta
-                if cur:
-                    Gk[l] = cur
-                else:
-                    Gk.pop(l, None)
-                if l != k:
-                    Gl = G.get(l)
-                    if Gl is not None:
-                        if cur:
-                            Gl[k] = cur
-                        else:
-                            Gl.pop(k, None)
-        # rows that became empty count as radical at the end
-    n_zero = dim - n_plus - n_minus
-    return (n_plus, n_minus, n_zero)
+        for k, vk in prow.items():
+            if k != piv:
+                _add_multiple(G[k], -vk / d, prow)
+                if not G[k]:
+                    del G[k]
+    return n_plus, n_minus, len(gram) - n_plus - n_minus
 
 
 def dense_to_rows(mat: Sequence[Sequence]) -> List[Row]:

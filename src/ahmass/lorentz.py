@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .gaussian import GaussianRational
+from .gaussian import GaussianRational, I
 from .linalg import Row, kernel_of_columns
 from .poly import ExactPoly
 
@@ -310,8 +310,6 @@ def algebra_act_on_poly(a, p: ExactPoly) -> ExactPoly:
 # Cartan subalgebra, roots and highest-weight machinery
 # ---------------------------------------------------------------------------
 
-_I = GaussianRational.i()
-
 
 def cartan_rank(n: int) -> int:
     return (n + 1) // 2
@@ -352,7 +350,7 @@ def cartan_basis(n: int) -> Dict[int, Tuple]:
     for k in range(2, l + 1):
         a, b = 2 * k - 2, 2 * k - 1
         e = unit(a, GaussianRational(1))
-        e[b] = _I
+        e[b] = I
         basis[k] = tuple(e)
         e = unit(a, GaussianRational(Fraction(1, 2)))
         e[b] = GaussianRational(0, Fraction(-1, 2))
@@ -438,8 +436,8 @@ def raising_operators(n: int) -> List[Tuple[str, Matrix]]:
     for k in range(2, l + 1):
         s_even = s_matrix(2 * k - 2)
         s_odd = s_matrix(2 * k - 1)
-        plus = mat_scale(mat_add(s_even, mat_scale(s_odd, _I)), GaussianRational(Fraction(1, 2)))
-        minus = mat_add(s_even, mat_scale(s_odd, -_I))
+        plus = mat_scale(mat_add(s_even, mat_scale(s_odd, I)), GaussianRational(Fraction(1, 2)))
+        minus = mat_add(s_even, mat_scale(s_odd, -I))
         ops.append((f"e1-e{k}", minus))
         ops.append((f"e1+e{k}", plus))
     if odd:

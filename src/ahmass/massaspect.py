@@ -297,9 +297,9 @@ def _weighted_action(a, m: SphereTensor, k: int) -> SphereTensor:
     return out.scale(F(-1)) - m.map(lambda p: p * phi * k)
 
 
-def boost_action(i: int, m: SphereTensor, k: int | None = None) -> SphereTensor:
-    """a_i . m = -nabla^sigma_{frak a_i} m + k x^i m  (m must be transverse)."""
-    return algebra_action_aspect(boost_generator(m.n, i), m, k)
+def boost_action(i: int, m: SphereTensor) -> SphereTensor:
+    """a_i . m = -nabla^sigma_{frak a_i} m + k x^i m at k = m.k (m must be transverse)."""
+    return algebra_action_aspect(boost_generator(m.n, i), m)
 
 
 def rotation_action(i: int, j: int, m: SphereTensor) -> SphereTensor:

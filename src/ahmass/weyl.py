@@ -6,7 +6,7 @@ The chain implemented here:
   second-order operators on symmetric 2-tensors ``h`` with polynomial
   components;
 * ``de_donder_fix`` -- gauge transformation to the trace-free,
-  divergence-free (hence wave) gauge by two exact linear solves;
+  divergence-free (hence wave) gauge by one exact linear solve;
 * ``build_Wp`` -- the space W_p of degree-p polynomial-coefficient
   4-tensors with Weyl symmetries, eta-trace-free and satisfying both
   Bianchi identities, as an exact constraint kernel;
@@ -46,24 +46,23 @@ conditions other than the Cartan ones enter their small kernel.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Dict, List, Sequence, Tuple
 
-from .harmonic import monomial_weight
+from .harmonic import form_signature, monomial_weight
 from .linalg import (
     Row,
-    SpanSolver,
     identity_rows,
     kernel_of_columns,
     kron_rows,
     nullspace,
-    signature_of_form,
     solve_min_support,
 )
-from .lorentz import cartan_basis, cartan_rank, linear_forms, null_coordinates, raising_operators
+from .lorentz import all_generators, cartan_basis, cartan_rank, linear_forms, null_coordinates, raising_operators
 from .poly import (
     ExactPoly,
     PolyTensor,
@@ -302,26 +301,14 @@ def linearized_riemann(h: PolySym2) -> PolyTensor4:
 # ---------------------------------------------------------------------------
 
 
-def _solve_box(nv: int, rhs: ExactPoly, degree: int) -> ExactPoly:
-    """One exact minimum-support solution of Box xi = rhs, xi of ``degree``."""
-    if rhs.is_zero():
-        return ExactPoly.zero(nv)
-    box = operator_rows(wave_operator, nv, degree, degree - 2)
-    b = to_coords(rhs, degree - 2)
-    ncols = len(monomials_of_degree(nv, degree))
-    sol = solve_min_support(box, ncols, [b.get(t, 0) for t in range(len(box))])
-    return from_coords(sol, nv, degree)
-
-
 def de_donder_fix(h: PolySym2) -> Tuple[PolySym2, List[ExactPoly]]:
     """Gauge-fix a solution of the linearized Einstein equations.
 
     Returns (h_tilde, xi) with h_tilde = h + d xi + (d xi)^T trace free,
-    divergence free and componentwise wave harmonic.  The two steps: an
-    exact solve of Box xi = -div h + d(tr h)/2, then a joint harmonic
-    solve removing the remaining trace.  Free variables are pinned to
-    zero, so the output is deterministic and xi = 0 whenever h is
-    already in the gauge.
+    divergence free and componentwise wave harmonic.  One exact solve for
+    xi of degree deg h + 1: Box xi_nu = -(div h)_nu + d_nu(tr h)/2 and
+    d.xi = -tr(h)/2.  Free variables are pinned to zero, so the output is
+    deterministic and xi = 0 whenever h is already in the gauge.
     """
     nv = h.nv
     if not linearized_einstein(h).is_zero():
@@ -332,14 +319,7 @@ def de_donder_fix(h: PolySym2) -> Tuple[PolySym2, List[ExactPoly]]:
     xdeg = deg + 1
     tr = h.eta_trace()
     div = h.divergence()
-    xi1 = []
-    for nu in range(nv):
-        rhs = -div[nu] + tr.diff(nu) / 2
-        xi1.append(_solve_box(nv, rhs, xdeg))
-    h1 = h + sym_gauge(xi1)
-
-    # second step: Box xi = 0 with d.xi = -tr(h1)/2, solved jointly; the
-    # coordinates of xi are component index major, so the rows are
+    # the coordinates of xi are component index major, so the rows are
     # I (x) Box stacked over sum_nu eta_nu e_nu (x) d_nu
     nmonos = len(monomials_of_degree(nv, xdeg))
     box = operator_rows(wave_operator, nv, xdeg, xdeg - 2)
@@ -349,23 +329,24 @@ def de_donder_fix(h: PolySym2) -> Tuple[PolySym2, List[ExactPoly]]:
         for nu in range(nv)
     ]
     div_rows = kron_rows(div_terms, nmonos)
-    half_tr = to_coords(h1.eta_trace() / (-2), xdeg - 1)
-    rhs_vec = [0] * len(rows) + [half_tr.get(t, 0) for t in range(len(div_rows))]
+    box_rhs = [to_coords(-div[nu] + tr.diff(nu) / 2, xdeg - 2) for nu in range(nv)]
+    div_rhs = to_coords(tr / (-2), xdeg - 1)
+    rhs_vec = [b.get(t, 0) for b in box_rhs for t in range(len(box))]
+    rhs_vec += [div_rhs.get(t, 0) for t in range(len(div_rows))]
     sol = solve_min_support(rows + div_rows, nv * nmonos, rhs_vec)
     parts: List[Row] = [dict() for _ in range(nv)]
     for flat, c in sol.items():
         nu, j = divmod(flat, nmonos)
         parts[nu][j] = c
-    xi2 = [from_coords(part, nv, xdeg) for part in parts]
-    out = h1 + sym_gauge(xi2)
+    xi = [from_coords(part, nv, xdeg) for part in parts]
+    out = h + sym_gauge(xi)
     if not out.eta_trace().is_zero():
         raise AssertionError("gauge fixing failed to remove the trace")
     if any(not d.is_zero() for d in out.divergence()):
         raise AssertionError("gauge fixing failed to remove the divergence")
     if not out.box().is_zero():
         raise AssertionError("gauge-fixed tensor is not wave harmonic")
-    xi_total = [a + b for a, b in zip(xi1, xi2)]
-    return out, xi_total
+    return out, xi
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +396,6 @@ class WeylSpace:
     n: int
     p: int
     basis: List[PolyTensor4]
-    _solver: SpanSolver | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -423,17 +403,6 @@ class WeylSpace:
 
     def coordinate_row(self, w: PolyTensor4) -> Row:
         return _tensor_to_coords(w.comp, tensor4_slots(self.n + 1), self.p)
-
-    def solver(self) -> SpanSolver:
-        if self._solver is None:
-            self._solver = SpanSolver([self.coordinate_row(w) for w in self.basis])
-        return self._solver
-
-    def coordinates(self, w: PolyTensor4) -> Row:
-        return self.solver().coordinates(self.coordinate_row(w))
-
-    def contains(self, w: PolyTensor4) -> bool:
-        return self.solver().contains(self.coordinate_row(w))
 
 
 def _cyclic(a: int, b: int, c: int) -> Tuple[Tuple[int, int, int], ...]:
@@ -659,7 +628,7 @@ def _tensor4_q(w1: PolyTensor4, w2: PolyTensor4) -> Fraction:
     return total
 
 
-def signature_Wp(n: int, p: int, space: WeylSpace | None = None, check_invariance: bool = True) -> Tuple[int, int]:
+def signature_Wp(n: int, p: int) -> Tuple[int, int]:
     """Signature of the invariant form on W_p, normalized so n+ >= n-.
 
     The form is canonical only up to a global sign; the convention here
@@ -667,35 +636,17 @@ def signature_Wp(n: int, p: int, space: WeylSpace | None = None, check_invarianc
     Infinitesimal invariance of the constructed form is asserted on
     sampled basis pairs before diagonalizing.
     """
-    if space is None:
-        space = build_Wp(n, p)
-    if check_invariance:
-        _assert_form_invariance(space)
-    gram = [
-        [F(0)] * space.dim for _ in range(space.dim)
-    ]
-    for i in range(space.dim):
-        for j in range(i, space.dim):
-            v = _tensor4_q(space.basis[i], space.basis[j])
-            gram[i][j] = v
-            gram[j][i] = v
-    plus, minus, zero = signature_of_form(gram)
-    if zero:
-        raise AssertionError("invariant form degenerate on W_p")
-    if minus > plus:
-        plus, minus = minus, plus
-    return plus, minus
+    space = build_Wp(n, p)
+    _assert_form_invariance(space)
+    plus, minus = form_signature(space.basis, _tensor4_q)
+    return max(plus, minus), min(plus, minus)
 
 
-def _assert_form_invariance(space: WeylSpace, samples: int = 4):
-    import random as _random
-
-    rng = _random.Random(814)
-    from .lorentz import all_generators
-
+def _assert_form_invariance(space: WeylSpace):
+    rng = random.Random(814)
     gens = all_generators(space.n)
-    for _ in range(samples):
-        name, g = rng.choice(gens)
+    for _ in range(4):
+        _, g = rng.choice(gens)
         w1 = rng.choice(space.basis)
         w2 = rng.choice(space.basis)
         lhs = _tensor4_q(algebra_action_tensor4(g.matrix, w1), w2)

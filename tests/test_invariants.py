@@ -397,6 +397,10 @@ def test_mass_argument_errors():
         weyl_mass(m4, w3)
     with pytest.raises(ValueError, match="only for n = 3"):
         weyl_mass_chiral(m4, w3, +1)
+    m_chiral = random_mass_aspect(3, 4, random.Random(1))
+    for sign in (0, 2):
+        with pytest.raises(ValueError, match="chiral sign must be"):
+            weyl_mass_chiral(m_chiral, w3, sign)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ahmass.gaussian import GaussianRational
 from ahmass.linalg import (
@@ -204,6 +207,15 @@ def test_signature_offdiagonal_block():
     assert signature_of_form([[0, 1], [1, 0]]) == (1, 1, 0)
 
 
+def test_signature_input_errors():
+    with pytest.raises(ValueError, match="non-symmetric"):
+        signature_of_form([[0, 1], [2, 0]])
+    with pytest.raises(ValueError, match="real symmetric"):
+        signature_of_form([[GaussianRational(1, 1)]])
+    real = GaussianRational(Fraction(1, 2))
+    assert signature_of_form([[real, 0], [0, -real]]) == (1, 1, 0)
+
+
 def test_signature_congruence_invariant():
     rng = random.Random(11)
     for _ in range(15):
@@ -227,6 +239,24 @@ def test_signature_congruence_invariant():
             sum(1 for v in diag if v == 0),
         )
         assert signature_of_form(StGS) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_signature_matches_eigenvalue_signs(data):
+    # integer entries in -3..3 keep every nonzero eigenvalue of a matrix up
+    # to 6 x 6 above 18^-5 in size, far from the float tolerance
+    d = data.draw(st.integers(1, 6))
+    zero_diagonal = data.draw(st.booleans())
+    G = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            if i < j or not zero_diagonal:
+                G[i][j] = G[j][i] = data.draw(st.integers(-3, 3))
+    plus, minus, zero = signature_of_form(G)
+    assert zero == d - rank(dense_to_rows(G), d)
+    eig = np.linalg.eigvalsh(np.array(G, dtype=float))
+    assert (plus, minus) == (int((eig > 1e-9).sum()), int((eig < -1e-9).sum()))
 
 
 def test_echelon_deterministic_free_columns():

@@ -96,6 +96,69 @@ def test_no_unreferenced_definitions():
     assert unreferenced_definitions(sources, corpus) == []
 
 
+def unset_defaults(sources: dict, corpus: list) -> list:
+    """Defaulted parameters of the top-level functions and class methods in
+    ``sources`` (name -> text) that no call in ``corpus`` (a list of
+    texts) sets, by keyword or by position.
+
+    Calls are matched by name; a call of a class counts for its
+    ``__init__``, and a call passing ``*args`` or ``**kwargs`` sets every
+    parameter.
+    """
+    positional, keywords, starred = Counter(), {}, set()
+    for text in corpus:
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if any(isinstance(arg, ast.Starred) for arg in node.args) or any(k.arg is None for k in node.keywords):
+                starred.add(name)
+            positional[name] = max(positional[name], len(node.args))
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    unset = []
+    for fname, source in sources.items():
+        for node in ast.parse(source).body:
+            members = [(node.name, m, True) for m in node.body] if isinstance(node, ast.ClassDef) else [(None, node, False)]
+            for owner, fn, bound in members:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = owner if fn.name == "__init__" else fn.name
+                skip = int(bound and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list))
+                args = fn.args.posonlyargs + fn.args.args
+                first = len(args) - len(fn.args.defaults)
+                options = [(a.arg, i - skip) for i, a in enumerate(args) if i >= first]
+                options += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+                for arg, pos in options:
+                    if name in starred or arg in keywords.get(name, ()):
+                        continue
+                    if pos is not None and positional[name] > pos:
+                        continue
+                    qualified = f"{owner}.{fn.name}" if owner else fn.name
+                    unset.append(f"{qualified}({arg}) ({fname}:{fn.lineno})")
+    return sorted(unset)
+
+
+def test_unset_defaults_detects_unused_options():
+    lib = (
+        "def f(a, b=1, c=2, *, d=3):\n    pass\n\n\n"
+        "def g(x=0):\n    pass\n\n\n"
+        "class C:\n    def __init__(self, y=0, z=0):\n        pass\n\n"
+        "    def m(self, u=0, v=0):\n        pass\n\n"
+        "    @staticmethod\n    def s(w=0):\n        pass\n"
+    )
+    caller = "f(0, 1)\nf(0, d=4)\ng(*xs)\nC(1)\nC(z=2).m(1)\nC.s(1)\n"
+    assert unset_defaults({"lib.py": lib}, [lib, caller]) == ["C.m(v) (lib.py:13)", "f(c) (lib.py:1)"]
+
+
+def test_every_option_is_set_somewhere():
+    package = Path(ahmass.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    corpus = [
+        path.read_text() for folder in (package, ROOT / "tests", ROOT / "perfbench") for path in sorted(folder.glob("*.py"))
+    ]
+    assert unset_defaults(sources, corpus) == []
+
+
 def test_tracer_targets_are_distinct_class_or_module_bindings():
     """Every traced target is bound on its own owner, one object per span name.
 
