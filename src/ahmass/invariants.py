@@ -34,17 +34,19 @@ import numpy as np
 from .gaussian import GaussianRational, I
 from .harmonic import build_Hp
 from .lorentz import (
+    AlgebraElement,
     LorentzElement,
     act_on_poly,
     algebra_act_on_poly,
     all_generators,
     mat_scale,
     mat_transpose,
+    named_generators,
 )
 from .massaspect import (
     SphereTensor,
     _weighted_action,
-    generator_action,
+    algebra_action_aspect,
     group_action_numeric,
     round_metric_tensor,
     sample_tensor,
@@ -231,6 +233,9 @@ def _act_on_dual(family: str, gen, v):
     return algebra_action_tensor4(gen.matrix, v)
 
 
+_FAMILIES = ("conformal", "weyl", "weyl_plus", "weyl_minus")
+
+
 def _mass(family: str, m: SphereTensor, v):
     if family == "conformal":
         return conformal_mass(m, v, check_weight=False)
@@ -254,9 +259,21 @@ def check_equivariance_infinitesimal(
 
     Returns the maximal |residual|^2 (squared modulus as a Fraction) so
     Gaussian-rational families report exactly as well.  Zero iff the
-    weight m.k matches the family.
+    weight m.k matches the family.  ``gen`` acts on both sides, and
+    ``gen_name`` must be its label in ``lorentz.all_generators(m.n)``;
+    an unknown family, a mismatched label or an empty dual basis raises
+    ``ValueError``.
     """
-    am = generator_action(gen_name, m)
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if not dual_basis:
+        raise ValueError("empty dual basis")
+    if not isinstance(gen, AlgebraElement):
+        gen = AlgebraElement(gen)
+    named = named_generators(m.n).get(gen_name)
+    if named is None or named.matrix != gen.matrix:
+        raise ValueError(f"{gen_name!r} does not label the given generator of so({m.n},1)")
+    am = algebra_action_aspect(gen, m)
     worst = F(0)
     for v in dual_basis:
         r = _mass(family, am, v) + _mass(family, m, _act_on_dual(family, gen, v))

@@ -18,7 +18,9 @@ Conventions (fixed once, used everywhere downstream):
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .gaussian import GaussianRational, I
 from .linalg import Row, kernel_of_columns
@@ -282,6 +284,12 @@ def all_generators(n: int) -> List[Tuple[str, AlgebraElement]]:
         for j in range(i + 1, n + 1)
     ]
     return gens
+
+
+@lru_cache(maxsize=None)
+def named_generators(n: int) -> Mapping[str, AlgebraElement]:
+    """:func:`all_generators` as a read-only map from label to element, built once per n."""
+    return MappingProxyType(dict(all_generators(n)))
 
 
 def linear_forms(m) -> List[ExactPoly]:

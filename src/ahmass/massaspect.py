@@ -18,6 +18,17 @@ the conformal Killing field V it induces on the sphere,
 ``a ._k m = -nabla_V m - Pi (A^T m + m A) Pi - k phi m``
 (:func:`algebra_action_aspect`), and the decay order k of the aspect
 enters only through the conformal factor phi of V.
+
+Products by one coordinate x^b are exponent shifts on the stored terms
+(:func:`_add_shifted`), so the action is one term-level pass over the
+components of m: V.dm + A^T m + m A is accumulated per slot, projected
+once by Pi = Id - x (x) x (:func:`_project_terms`, the one projection,
+also behind :func:`sphere_covariant_derivative` and
+:func:`transversalize`), and each component is reduced once.  The radial
+contraction and the round trace are the same shifts.  V needs no
+tangency test there: it is tangent because
+:class:`~ahmass.lorentz.AlgebraElement` validates the isometry condition
+of M.
 """
 
 from __future__ import annotations
@@ -32,8 +43,8 @@ from .gaussian import GaussianRational
 from .lorentz import (
     AlgebraElement,
     LorentzElement,
-    all_generators,
     boost_generator,
+    named_generators,
     rotation_generator,
 )
 from .poly import ExactPoly, PolyTensor, quadric_normal_form, sorted_pair, vanishes_on_sphere
@@ -47,6 +58,93 @@ def _zero(n: int) -> ExactPoly:
 
 def _x(n: int, i: int) -> ExactPoly:
     return ExactPoly.variable(n, i)
+
+
+# ---------------------------------------------------------------------------
+# term maps: products by one coordinate as exponent shifts
+# ---------------------------------------------------------------------------
+
+Terms = Dict[Tuple[int, ...], object]
+_EMPTY: Terms = {}
+
+
+def _add(out: Terms, key, v, f=1) -> None:
+    """out[key] += f v, with no product for f = +-1."""
+    old = out.get(key)
+    if f == 1:
+        out[key] = v if old is None else old + v
+    elif f == -1:
+        out[key] = -v if old is None else old - v
+    else:
+        v = v * f
+        out[key] = v if old is None else old + v
+
+
+def _add_scaled(out: Terms, terms: Terms, c=1) -> None:
+    """out += c terms, in place."""
+    for e, v in terms.items():
+        _add(out, e, v, c)
+
+
+def _add_shifted(out: Terms, terms: Terms, b: int, c=1) -> None:
+    """out += c x^b terms, in place: every exponent raised by one in slot b."""
+    for e, v in terms.items():
+        key = list(e)
+        key[b] += 1
+        _add(out, tuple(key), v, c)
+
+
+def _shifted(terms: Terms, b: int) -> Terms:
+    """x^b terms as a new term map."""
+    out: Terms = {}
+    _add_shifted(out, terms, b)
+    return out
+
+
+def _radial(rows) -> Terms:
+    """sum_b x^b rows[b], one term map per b."""
+    out: Terms = {}
+    for b, terms in enumerate(rows):
+        _add_shifted(out, terms, b)
+    return out
+
+
+def _poly(n: int, terms: Terms) -> ExactPoly:
+    """The polynomial of a term map, cancelled terms dropped."""
+    out = ExactPoly(n)
+    out.terms = {e: c for e, c in terms.items() if c}
+    return out
+
+
+def _reduced(n: int, terms: Terms) -> Terms:
+    return quadric_normal_form(_poly(n, terms)).terms
+
+
+def _project_terms(n: int, t: Dict[Tuple[int, int], Terms]) -> Tuple[Dict[Tuple[int, int], Terms], Terms]:
+    """Sandwich a symmetric array of term maps (keys i <= j) with Pi = Id - x (x) x.
+
+    With the radial vector r_i = t_ib x^b and s = r_a x^a the entries are
+    t_ij - x_i r_j - x_j r_i + x_i x_j s, returned unreduced for every
+    i <= j together with s.  r and s are taken to sphere normal form
+    before they are shifted out; the normal form is a ring map modulo
+    |x|^2 - 1, so the entries change only within their on-sphere classes.
+    """
+
+    def entry(i, j):
+        return t.get((i, j) if i <= j else (j, i), _EMPTY)
+
+    rad = [_reduced(n, _radial([entry(i, b) for b in range(n)])) for i in range(n)]
+    scalar = _reduced(n, _radial(rad))
+    xs = [_shifted(scalar, i) for i in range(n)]
+    out = {}
+    for i in range(n):
+        for j in range(i, n):
+            acc = dict(entry(i, j))
+            _add_shifted(acc, rad[j], i, -1)
+            _add_shifted(acc, rad[i], j, -1)
+            _add_shifted(acc, xs[i], j)
+            out[(i, j)] = acc
+    return out, scalar
 
 
 @dataclass(eq=False)
@@ -66,12 +164,16 @@ class SphereTensor(PolyTensor):
     _key = staticmethod(sorted_pair)
     _reduce = staticmethod(quadric_normal_form)
 
+    def _terms(self, i: int, j: int) -> Terms:
+        p = self.comp.get((i, j) if i <= j else (j, i))
+        return _EMPTY if p is None else p.terms
+
+    def _radial_terms(self, i: int) -> Terms:
+        return _radial([self._terms(i, j) for j in range(self.n)])
+
     def radial_contraction(self, i: int) -> ExactPoly:
         """sum_j m_ij x^j."""
-        out = _zero(self.n)
-        for j in range(self.n):
-            out = out + self.get(i, j) * _x(self.n, j)
-        return out
+        return _poly(self.n, self._radial_terms(i))
 
     def is_transverse(self) -> bool:
         return all(
@@ -80,12 +182,12 @@ class SphereTensor(PolyTensor):
 
     def trace_sigma(self) -> ExactPoly:
         """Round-metric trace: sum_i m_ii - sum_ij x^i x^j m_ij on the sphere."""
-        out = _zero(self.n)
+        out: Terms = {}
         for i in range(self.n):
-            out = out + self.get(i, i)
+            _add_scaled(out, self._terms(i, i))
         for i in range(self.n):
-            out = out - _x(self.n, i) * self.radial_contraction(i)
-        return out
+            _add_shifted(out, self._radial_terms(i), i, -1)
+        return _poly(self.n, out)
 
     def equal_on_sphere(self, other: "SphereTensor") -> bool:
         """Equality of the on-sphere classes, whatever the two decay orders."""
@@ -118,8 +220,9 @@ def transversalize(m: SphereTensor, k: int | None = None) -> SphereTensor:
     """Leading-order adjustment making the aspect transverse.
 
     m~_ij = m_ij - m_aj x^a x_i - m_ia x^a x_j
-            + (m_ab x^a x^b / k) ((k-1) x_i x_j + delta_ij)
+            + (m_ab x^a x^b / k) ((k-1) x_i x_j + delta_ij),
 
+    that is Pi m Pi + (s / k) (delta - x (x) x) with s = m_ab x^a x^b.
     Linear in m, fixes transverse inputs as on-sphere classes.
     """
     if k is None:
@@ -127,20 +230,14 @@ def transversalize(m: SphereTensor, k: int | None = None) -> SphereTensor:
     if k == 0:
         raise ValueError("decay order k must be positive")
     n = m.n
-    radial = [m.radial_contraction(i) for i in range(n)]
-    double = _zero(n)
-    for a in range(n):
-        double = double + radial[a] * _x(n, a)
-    comp = {}
-    for i in range(n):
-        for j in range(i, n):
-            p = m.get(i, j) - radial[j] * _x(n, i) - radial[i] * _x(n, j)
-            corr = _x(n, i) * _x(n, j) * (k - 1)
-            if i == j:
-                corr = corr + 1
-            p = p + double * corr / k
-            comp[(i, j)] = p
-    return SphereTensor(n, k, comp)
+    comp, scalar = _project_terms(n, {ij: p.terms for ij, p in m.comp.items()})
+    scalar = {e: c / k for e, c in scalar.items()}
+    xs = [_shifted(scalar, i) for i in range(n)]
+    for (i, j), acc in comp.items():
+        _add_shifted(acc, xs[i], j, -1)
+        if i == j:
+            _add_scaled(acc, scalar)
+    return SphereTensor(n, k, {ij: _poly(n, acc) for ij, acc in comp.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +253,7 @@ class TangentField:
     comp: List[ExactPoly]
 
     def __post_init__(self):
-        radial = _zero(self.n)
-        for a in range(self.n):
-            radial = radial + self.comp[a] * _x(self.n, a)
-        if not vanishes_on_sphere(radial):
+        if not vanishes_on_sphere(_poly(self.n, _radial([c.terms for c in self.comp]))):
             raise ValueError("field is not tangent to the sphere")
 
     def derive(self, f: ExactPoly) -> ExactPoly:
@@ -197,34 +291,13 @@ def boost_field(n: int, i: int) -> TangentField:
 def _project_slots(n: int, t: Dict[Tuple[int, int], ExactPoly]) -> Dict[Tuple[int, int], ExactPoly]:
     """Sandwich a symmetric 2-index array with Pi = Id - x (x) x.
 
-    Takes and returns the i <= j entries; with the radial vector
-    r_i = t_ib x^b and s = r_a x^a the entries are
-    t_ij - x_i r_j - x_j r_i + x_i x_j s.  r and s are taken to sphere
-    normal form before they are multiplied out; the normal form is a ring
-    map modulo |x|^2 - 1, so the entries change only within their
-    on-sphere classes, which :class:`SphereTensor` stores reduced anyway.
+    Takes and returns the i <= j entries, zero entries dropped; the
+    entries are those of :func:`_project_terms`, congruent to
+    t_ij - x_i r_j - x_j r_i + x_i x_j s modulo |x|^2 - 1, which is all
+    that :class:`SphereTensor` keeps of them.
     """
-
-    def entry(i, j):
-        return t.get((i, j) if i <= j else (j, i), _zero(n))
-
-    rad = [
-        quadric_normal_form(sum((entry(i, b) * _x(n, b) for b in range(n)), _zero(n)))
-        for i in range(n)
-    ]
-    scalar = quadric_normal_form(sum((rad[a] * _x(n, a) for a in range(n)), _zero(n)))
-    out = {}
-    for i in range(n):
-        for j in range(i, n):
-            p = (
-                entry(i, j)
-                - _x(n, i) * rad[j]
-                - _x(n, j) * rad[i]
-                + _x(n, i) * _x(n, j) * scalar
-            )
-            if not p.is_zero():
-                out[(i, j)] = p
-    return out
+    out = _project_terms(n, {ij: p.terms for ij, p in t.items()})[0]
+    return {ij: p for ij, acc in out.items() if (p := _poly(n, acc))}
 
 
 def sphere_covariant_derivative(t, X: TangentField):
@@ -239,11 +312,7 @@ def sphere_covariant_derivative(t, X: TangentField):
     if isinstance(t, ExactPoly):
         return X.derive(t)
     if isinstance(t, TangentField):
-        der = [X.derive(c) for c in t.comp]
-        radial = sum((der[a] * _x(n, a) for a in range(n)), _zero(n))
-        return TangentField(
-            n, [der[a] - _x(n, a) * radial for a in range(n)]
-        )
+        return _tangential(n, [X.derive(c) for c in t.comp])
     if isinstance(t, SphereTensor):
         # derivative and projection both preserve the symmetry
         der = {ij: X.derive(p) for ij, p in t.comp.items()}
@@ -251,11 +320,20 @@ def sphere_covariant_derivative(t, X: TangentField):
     raise TypeError(f"cannot differentiate {type(t)!r}")
 
 
+def _tangential(n: int, der: List[ExactPoly]) -> TangentField:
+    """The field der_a - x_a (der_b x^b): one projected slot."""
+    radial = _radial([d.terms for d in der])
+    comp = []
+    for a in range(n):
+        acc = dict(der[a].terms)
+        _add_shifted(acc, radial, a, -1)
+        comp.append(_poly(n, acc))
+    return TangentField(n, comp)
+
+
 def gradient_field(n: int, f: ExactPoly) -> TangentField:
     """Tangential gradient of a scalar."""
-    der = [f.diff(a) for a in range(n)]
-    radial = sum((der[a] * _x(n, a) for a in range(n)), _zero(n))
-    return TangentField(n, [der[a] - _x(n, a) * radial for a in range(n)])
+    return _tangential(n, [f.diff(a) for a in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -277,24 +355,64 @@ def algebra_action_aspect(a, m: SphereTensor, k: int | None = None) -> SphereTen
     return _weighted_action(a, m, m.k if k is None else k)
 
 
+def _small(v):
+    """An integral Fraction as an int, so products with it stay cheap."""
+    return int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
+
+
 def _weighted_action(a, m: SphereTensor, k: int) -> SphereTensor:
-    """:func:`algebra_action_aspect` for an aspect already known to be transverse."""
+    """:func:`algebra_action_aspect` for an aspect already known to be transverse.
+
+    One term-level pass over the stored terms of m.  With
+    V^c = M^c_0 + M^c_d x^d + x^c phi and phi = -M^0_d x^d, the derivative
+    V.d of a term v x^e is M^c_0 e_c v x^(e - 1_c)
+    + M^c_d e_c v x^(e - 1_c + 1_d) + |e| v x^e phi (the x^c phi parts sum
+    to the Euler operator).  The raw tensor -(V.dm + A^T m + m A) is
+    accumulated per slot c <= d with the sign folded into the integer
+    multipliers, projected once by :func:`_project_terms`, and k phi m is
+    added by shifts; :class:`SphereTensor` reduces each component once.
+    V is tangent to the sphere because ``AlgebraElement`` checks that M is
+    an infinitesimal isometry, so no tangency test is made here.
+    """
     mat = (a if isinstance(a, AlgebraElement) else AlgebraElement(a)).matrix
     n = m.n
     if len(mat) != n + 1:
         raise ValueError("algebra element and aspect dimension mismatch")
-    field, phi = _boundary_field(mat)
-    out = sphere_covariant_derivative(m, field)
-    spatial = [(e, c, mat[e + 1][c + 1]) for e in range(n) for c in range(n) if mat[e + 1][c + 1]]
-    if spatial:
-        # (A^T m + m A)_cd = A^e_c m_ed + A^e_d m_ec, kept on c <= d
-        raw: Dict[Tuple[int, int], ExactPoly] = {}
-        for e, c, v in spatial:
-            for d in range(n):
-                key = (min(c, d), max(c, d))
-                raw[key] = raw.get(key, _zero(n)) + m.get(e, d) * (v * 2 if c == d else v)
-        out = out + SphereTensor(n, m.k, _project_slots(n, raw))
-    return out.scale(F(-1)) - m.map(lambda p: p * phi * k)
+    trans = [(c, -_small(mat[c + 1][0])) for c in range(n) if mat[c + 1][0]]
+    spatial = [(c, d, _small(mat[c + 1][d + 1])) for c in range(n) for d in range(n) if mat[c + 1][d + 1]]
+    conf = [(d, _small(mat[0][d + 1])) for d in range(n) if mat[0][d + 1]]
+    raw: Dict[Tuple[int, int], Terms] = {}
+    for ij, p in m.comp.items():
+        acc = raw[ij] = {}
+        for e, v in p.terms.items():
+            for c, f in trans:
+                if e[c]:
+                    key = list(e)
+                    key[c] -= 1
+                    _add(acc, tuple(key), v, f * e[c])
+            for c, d, f in spatial:
+                if e[c]:
+                    key = list(e)
+                    key[c] -= 1
+                    key[d] += 1
+                    _add(acc, tuple(key), v, -f * e[c])
+            deg = sum(e)
+            if deg:
+                for d, f in conf:
+                    key = list(e)
+                    key[d] += 1
+                    _add(acc, tuple(key), v, f * deg)
+    # -(A^T m + m A)_cd = -A^e_c m_ed - A^e_d m_ec, kept on c <= d
+    for e, c, f in spatial:
+        for d in range(n):
+            _add_scaled(raw.setdefault(sorted_pair((c, d)), {}), m._terms(e, d), f * (-2 if c == d else -1))
+    comp = _project_terms(n, raw)[0]
+    if k:
+        # -k phi m = k M^0_d x^d m
+        for ij, p in m.comp.items():
+            for d, f in conf:
+                _add_shifted(comp[ij], p.terms, d, f * k)
+    return SphereTensor(n, m.k, {ij: _poly(n, acc) for ij, acc in comp.items()})
 
 
 def boost_action(i: int, m: SphereTensor) -> SphereTensor:
@@ -309,10 +427,10 @@ def rotation_action(i: int, j: int, m: SphereTensor) -> SphereTensor:
 
 def generator_action(name: str, m: SphereTensor, k: int | None = None) -> SphereTensor:
     """The action of the generator labelled ``name`` by ``lorentz.all_generators``."""
-    gens = dict(all_generators(m.n))
-    if name not in gens:
+    gen = named_generators(m.n).get(name)
+    if gen is None:
         raise ValueError(f"unknown generator {name!r}")
-    return algebra_action_aspect(gens[name], m, k)
+    return algebra_action_aspect(gen, m, k)
 
 
 # ---------------------------------------------------------------------------

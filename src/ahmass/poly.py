@@ -345,16 +345,18 @@ def quadric_normal_form(p: ExactPoly, var: int = -1, sign: int = -1) -> ExactPol
     terms: Dict[Exponents, object] = {}
     for e, c in p.terms.items():
         k = e[var]
+        if k < 2:
+            old = terms.get(e)
+            terms[e] = c if old is None else old + c
+            continue
         base = e[:var] + (k & 1,) + e[var + 1:]
         for er, cr in _remainder_power(nv, var, sign, k >> 1):
-            key = tuple(a + b for a, b in zip(base, er))
-            s = terms.get(key, _ZERO) + c * cr
-            if _is_zero(s):
-                terms.pop(key, None)
-            else:
-                terms[key] = s
+            key = tuple(map(add, base, er))
+            v = c if cr == 1 else -c if cr == -1 else c * cr
+            old = terms.get(key)
+            terms[key] = v if old is None else old + v
     out = ExactPoly(nv)
-    out.terms = terms
+    out.terms = {e: c for e, c in terms.items() if not _is_zero(c)}
     return out
 
 

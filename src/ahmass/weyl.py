@@ -308,12 +308,15 @@ def de_donder_fix(h: PolySym2) -> Tuple[PolySym2, List[ExactPoly]]:
     divergence free and componentwise wave harmonic.  One exact solve for
     xi of degree deg h + 1: Box xi_nu = -(div h)_nu + d_nu(tr h)/2 and
     d.xi = -tr(h)/2.  Free variables are pinned to zero, so the output is
-    deterministic and xi = 0 whenever h is already in the gauge.
+    deterministic and xi = 0 whenever h is already in the gauge.  h must
+    be homogeneous: every component of one degree, else ``ValueError``.
     """
     nv = h.nv
+    deg = h.degree()
+    if any(not p.is_homogeneous() or p.degree() != deg for p in h.comp.values()):
+        raise ValueError("h must be homogeneous")
     if not linearized_einstein(h).is_zero():
         raise ValueError("input does not solve the linearized Einstein equations")
-    deg = h.degree()
     if deg < 0:
         return h, [ExactPoly.zero(nv)] * nv
     xdeg = deg + 1

@@ -4,8 +4,11 @@ The square-and-integrate zero test is kept here only as an oracle for
 the normal-form test of :func:`ahmass.poly.vanishes_on_sphere`; the
 product-then-integrate pairing is the oracle of
 :func:`ahmass.poly.sphere_pairing` and :func:`ahmass.invariants.pair`,
-and the unreduced tangential projection that of
-:func:`ahmass.massaspect._project_slots`.
+the unreduced tangential projection that of
+:func:`ahmass.massaspect._project_slots`, and the composition of the
+sphere calculus (covariant derivative, projected spatial term, conformal
+factor by general products) that of the term-level
+:func:`ahmass.massaspect._weighted_action`.
 """
 
 from fractions import Fraction
@@ -13,6 +16,8 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from ahmass.gaussian import GaussianRational
+from ahmass.lorentz import AlgebraElement
+from ahmass.massaspect import SphereTensor, _boundary_field, _project_slots, sphere_covariant_derivative
 from ahmass.poly import ExactPoly, monomials_of_degree, sphere_integral
 
 
@@ -96,3 +101,26 @@ def project_slots_oracle(n: int, t: dict) -> dict:
         for i in range(n)
         for j in range(i, n)
     }
+
+
+def weighted_action_oracle(a, m, k: int):
+    """-nabla_V m - Pi (A^T m + m A) Pi - k phi m, composed from the calculus.
+
+    The tangent field V and conformal factor phi of ``a`` (an algebra
+    element or its matrix M), :func:`sphere_covariant_derivative` along V,
+    the spatial block A = (M^c_d) projected with :func:`_project_slots`,
+    and k phi m by general polynomial products.
+    """
+    mat = (a if isinstance(a, AlgebraElement) else AlgebraElement(a)).matrix
+    n = m.n
+    field, phi = _boundary_field(mat)
+    out = sphere_covariant_derivative(m, field)
+    # (A^T m + m A)_cd = A^e_c m_ed + A^e_d m_ec, kept on c <= d
+    spatial = [(e, c, mat[e + 1][c + 1]) for e in range(n) for c in range(n) if mat[e + 1][c + 1]]
+    raw = {}
+    for e, c, v in spatial:
+        for d in range(n):
+            key = (min(c, d), max(c, d))
+            raw[key] = raw.get(key, ExactPoly.zero(n)) + m.get(e, d) * (v * 2 if c == d else v)
+    out = out + SphereTensor(n, m.k, _project_slots(n, raw))
+    return out.scale(Fraction(-1)) - m.map(lambda p: p * phi * k)

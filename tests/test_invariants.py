@@ -403,6 +403,24 @@ def test_mass_argument_errors():
             weyl_mass_chiral(m_chiral, w3, sign)
 
 
+def test_infinitesimal_check_argument_errors():
+    # the label must name the element that acts: acting on m by "a_2" and on
+    # the dual basis by a_1 once returned the silent residual 8281/2025
+    n = 3
+    gens = dict(all_generators(n))
+    m = random_mass_aspect(n, conformal_weight(n, 1), random.Random(7))
+    dual = build_Hp(n, 1).basis
+    assert check_equivariance_infinitesimal("conformal", m, "a_1", gens["a_1"], dual) == 0
+    assert check_equivariance_infinitesimal("conformal", m, "a_1", gens["a_1"].matrix, dual) == 0
+    for name in ("a_2", "r_12", "b_1"):
+        with pytest.raises(ValueError, match="does not label the given generator"):
+            check_equivariance_infinitesimal("conformal", m, name, gens["a_1"], dual)
+    with pytest.raises(ValueError, match="unknown family 'bogus'"):
+        check_equivariance_infinitesimal("bogus", m, "a_1", gens["a_1"], [])
+    with pytest.raises(ValueError, match="empty dual basis"):
+        check_equivariance_infinitesimal("conformal", m, "a_1", gens["a_1"], [])
+
+
 # ---------------------------------------------------------------------------
 # the chiral orientation: J(d_2) = +d_3 at the south pole
 # ---------------------------------------------------------------------------

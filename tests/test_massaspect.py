@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from ahmass.massaspect import (
     SphereTensor,
     TangentField,
     _project_slots,
+    _weighted_action,
     algebra_action_aspect,
     boost_action,
     boost_field,
@@ -32,7 +34,13 @@ from ahmass.massaspect import (
     transversalize,
 )
 from ahmass.poly import ExactPoly, quadric_normal_form, sphere_integral, vanishes_on_sphere
-from sphere_oracles import polys, project_slots_oracle, sphere_ideal, square_and_integrate_vanishes
+from sphere_oracles import (
+    polys,
+    project_slots_oracle,
+    sphere_ideal,
+    square_and_integrate_vanishes,
+    weighted_action_oracle,
+)
 
 F = Fraction
 
@@ -283,6 +291,21 @@ def test_raising_operator_acts_as_its_translation_combination():
     assert out.equal_on_sphere(s(2) - s(3).scale(GaussianRational.i()))
     assert out.is_transverse()
     assert not out.is_zero()
+
+
+@pytest.mark.parametrize(
+    "n,degree,gaussian",
+    [(3, 2, False), (3, 2, True), (4, 1, False), (4, 0, True)],
+    ids=["3-real", "3-gaussian", "4-real", "4-gaussian"],
+)
+def test_weighted_action_is_the_calculus_composition(n, degree, gaussian):
+    # every generator and one Gaussian raising operator, structurally equal;
+    # the orders cycle through k = -3 (a dual order n - 1 - k, as in
+    # intertwining_density_residual), 0, 2 and 5
+    m = random_mass_aspect(n, 4, random.Random(10 * n + gaussian), degree=degree, gaussian=gaussian)
+    elements = [g for _, g in all_generators(n)] + [raising_operators(n)[0][1]]
+    for a, k in zip(elements, itertools.cycle((-3, 0, 2, 5))):
+        assert _weighted_action(a, m, k) == weighted_action_oracle(a, m, k), k
 
 
 @pytest.mark.parametrize(

@@ -155,6 +155,14 @@ def test_de_donder_fix_pure_gauge():
     assert linearized_riemann(out).is_zero()  # still pure gauge
 
 
+def test_de_donder_fix_rejects_inhomogeneous_input():
+    # a pure gauge solves the equations; mixed degrees once raised a bare KeyError
+    h = sym_gauge([X(4, 1) ** 2, X(4, 0) ** 3, ExactPoly.zero(4), X(4, 2) * X(4, 3)])
+    assert linearized_einstein(h).is_zero()
+    with pytest.raises(ValueError, match="h must be homogeneous"):
+        de_donder_fix(h)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_de_donder_fix_mixed_input(n):
     # pure gauge plus a transverse solution: the fix removes the gauge
