@@ -14,8 +14,17 @@ decay order with a finite-dimensional representation:
 Every family is "pair m with the density of v": the dual element v
 becomes a symmetric tensor K_v on the sphere (its dual density:
 P(1, x) sigma for the conformal family, W(e+, ., e+, .) with the twist
-for the Weyl families), and the mass is :func:`pair` (m, K_v), the one
-integral of an aspect against a density.
+for the Weyl families), and the mass is the integral
+
+    Phi(m)(v) = sum_{i<=j} (2 - delta_ij) int m_ij (K_v)_ij dmu / Vol.
+
+K_v is linear in v, so Phi(m) is evaluated as a linear functional on
+the stored coordinates of V (:class:`MassFunctional`).  The density of
+each unit coordinate (a monomial X^e of P, or X^e in one stored slot of
+W) is built once and cached; the aspect meets the unit densities
+through its memoized moments int m_ij x^a; and Phi(m)(v) is the dot
+product of the coefficients of v with the unit values.  No density of v
+and no product with m is formed.
 
 All exact values are relative to Vol(S^{n-1}); each mass is canonical
 only up to one overall constant.  The orientation of the volume form is
@@ -26,6 +35,7 @@ opposite choice swaps the two chiral families.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Dict, List, Sequence, Tuple
 
@@ -51,7 +61,7 @@ from .massaspect import (
     round_metric_tensor,
     sample_tensor,
 )
-from .poly import ExactPoly, operator_rows, sphere_pairing, sphere_restrict
+from .poly import ExactPoly, operator_rows, sphere_moments, sphere_pairing, sphere_restrict
 from .quadrature import sphere_nodes
 from .weyl import PolyTensor4, algebra_action_tensor4, build_Wp, index_pairs, tensor4_slots
 
@@ -67,35 +77,94 @@ def weyl_weight(n: int, n1: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the pairing of an aspect with a dual density
+# the mass as a linear functional on the coordinates of V
 # ---------------------------------------------------------------------------
 
+_WEYL_SIGN = {"weyl": 0, "weyl_plus": 1, "weyl_minus": -1}
+_FAMILIES = ("conformal", *_WEYL_SIGN)
 
-def pair(m: SphereTensor, density: SphereTensor):
-    """sum_{i<=j} (2 - delta_ij) int m_ij K_ij dmu / Vol, exact.
 
-    The full contraction of two symmetric tensors, integrated over the
-    sphere component by component with :func:`ahmass.poly.sphere_pairing`;
-    the one place where a mass integrates against an aspect.
+def _coordinates(v):
+    """(stored key, exponent, coefficient) of each unit coordinate of a dual vector.
+
+    The key is None for a polynomial and the stored slot (a, b) for a
+    :class:`PolyTensor4`.
     """
-    total = F(0)
-    for (i, j), mij in m.comp.items():
-        kij = density.comp.get((i, j))
-        if kij is not None:
-            val = sphere_pairing(mij, kij)
-            total = total + (val if i == j else 2 * val)
-    return total
+    if isinstance(v, ExactPoly):
+        return ((None, e, c) for e, c in v.terms.items())
+    return ((key, e, c) for key, p in v.comp.items() for e, c in p.terms.items())
 
 
-def _check_dual(m: SphereTensor, nv: int, n1: int, weyl: bool, check_weight: bool) -> None:
-    """Dimension and decay-order checks shared by the three masses."""
-    if nv != m.n + 1:
-        raise ValueError(
-            "tensor/aspect dimension mismatch" if weyl else "dual argument must be an ambient polynomial"
-        )
-    weight, label = (weyl_weight, "Weyl") if weyl else (conformal_weight, "conformal")
-    if check_weight and m.k != weight(m.n, n1):
-        raise ValueError(f"decay order {m.k} does not match the {label} weight {weight(m.n, n1)}")
+@lru_cache(maxsize=None)
+def _unit_density(family: str, nv: int, key, exponent) -> tuple:
+    """Triples ((i, j), a, (2 - delta_ij) c) of the density of one unit coordinate.
+
+    The unit is X^e (conformal family, ``key`` None) or X^e in the stored
+    slot ``key`` of a :class:`PolyTensor4` (Weyl families); its density,
+    a sum of terms c x^a per entry (i, j), depends on neither the aspect
+    nor the decay order.
+    """
+    unit = ExactPoly.monomial(nv, exponent)
+    if family == "conformal":
+        density = conformal_density(unit, 0)
+    else:
+        density = weyl_density(PolyTensor4(nv, {key: unit}), 0, _WEYL_SIGN[family])
+    return tuple(
+        ((i, j), a, c if i == j else 2 * c) for (i, j), p in density.comp.items() for a, c in p.terms.items()
+    )
+
+
+class MassFunctional:
+    """Phi(m) of one aspect m as a linear functional on the coordinates of V.
+
+    The value at a unit coordinate is sum w int m_ij x^a over the triples
+    ((i, j), a, w) of its density; the moments of m and the unit values
+    are memoized on first use, so one functional evaluates any number of
+    dual vectors.  Zero unit values and moments are skipped, so a value
+    turns Gaussian only where a Gaussian coefficient meets a nonzero
+    integral, and a zero value is the Fraction 0, as for the pairing
+    with the whole density.  It checks no argument: the masses and the
+    equivariance checks do.
+    """
+
+    def __init__(self, family: str, m: SphereTensor):
+        self.family = family
+        self._moments = {ij: sphere_moments(p) for ij, p in m.comp.items()}
+        self._units: Dict[tuple, object] = {}
+
+    def __call__(self, v):
+        total = F(0)
+        for key, e, c in _coordinates(v):
+            val = self._units.get((key, e))
+            if val is None:
+                val = F(0)
+                for ij, a, w in _unit_density(self.family, v.nvars, key, e):
+                    moment = self._moments.get(ij)
+                    if moment is not None and (mom := moment(a)):
+                        val = val + w * mom
+                self._units[(key, e)] = val
+            if val:
+                total = total + c * val
+        return total if total else F(0)
+
+
+def _check_dual(family: str, m: SphereTensor, v, check_weight: bool) -> None:
+    """Type, dimension, homogeneity and decay-order checks shared by the masses."""
+    weyl = family != "conformal"
+    kind = PolyTensor4 if weyl else ExactPoly
+    if not isinstance(v, kind):
+        raise ValueError(f"the {family} family needs {kind.__name__} dual vectors, not {type(v).__name__}")
+    if v.nvars != m.n + 1:
+        what = "tensor/aspect dimension mismatch" if weyl else "dual argument must be an ambient polynomial"
+        raise ValueError(f"{what}: {v.nvars} variables, expected n + 1 = {m.n + 1}")
+    degrees = {sum(e) for _, e, _ in _coordinates(v)}
+    if len(degrees) > 1:
+        raise ValueError("dual argument must be homogeneous")
+    if check_weight:
+        weight, label = (weyl_weight, "Weyl") if weyl else (conformal_weight, "conformal")
+        expected = weight(m.n, max(degrees, default=0))
+        if m.k != expected:
+            raise ValueError(f"decay order {m.k} does not match the {label} weight {expected}")
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +173,15 @@ def _check_dual(m: SphereTensor, nv: int, n1: int, weyl: bool, check_weight: boo
 
 
 def conformal_density(p: ExactPoly, k: int) -> SphereTensor:
-    """K_P = P(1, x) sigma, of decay order k; pair(m, K_P) = int P(1, x) tr m."""
+    """K_P = P(1, x) sigma, of decay order k; m pairs with it to int P(1, x) tr m."""
     restricted = sphere_restrict(p)
     return round_metric_tensor(p.nvars - 1, k).map(lambda s: s * restricted)
 
 
 def conformal_mass(m: SphereTensor, p: ExactPoly, check_weight: bool = True):
     """int P(1, x) tr^sigma(m) dmu / Vol, exact."""
-    if not p.is_homogeneous():
-        raise ValueError("dual argument must be homogeneous")
-    _check_dual(m, p.nvars, max(p.degree(), 0), False, check_weight)
-    return pair(m, conformal_density(p, m.k))
+    _check_dual("conformal", m, p, check_weight)
+    return MassFunctional("conformal", m)(p)
 
 
 def wang_mass_vector(m: SphereTensor) -> Tuple:
@@ -122,7 +189,8 @@ def wang_mass_vector(m: SphereTensor) -> Tuple:
     n = m.n
     if m.k != n:
         raise ValueError("the energy-momentum vector needs decay order k = n")
-    return tuple(conformal_mass(m, ExactPoly.variable(n + 1, mu), check_weight=False) for mu in range(n + 1))
+    mass = MassFunctional("conformal", m)
+    return tuple(mass(ExactPoly.variable(n + 1, mu)) for mu in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +272,8 @@ def weyl_density(w: PolyTensor4, k: int, sign: int = 0) -> SphereTensor:
 
 def weyl_mass(m: SphereTensor, w: PolyTensor4, check_weight: bool = True):
     """int < m, W(e+, ., e+, .) > dmu / Vol, exact (n >= 4 real case)."""
-    _check_dual(m, w.nv, max(w.degree(), 0), True, check_weight)
-    return pair(m, weyl_density(w, m.k))
+    _check_dual("weyl", m, w, check_weight)
+    return MassFunctional("weyl", m)(w)
 
 
 def weyl_mass_chiral(m: SphereTensor, w: PolyTensor4, sign: int, check_weight: bool = True):
@@ -218,8 +286,9 @@ def weyl_mass_chiral(m: SphereTensor, w: PolyTensor4, sign: int, check_weight: b
         raise ValueError("chiral masses exist only for n = 3")
     if sign not in (1, -1):
         raise ValueError(f"chiral sign must be +1 or -1, got {sign}")
-    _check_dual(m, w.nv, max(w.degree(), 0), True, check_weight)
-    return pair(m, weyl_density(w, m.k, sign))
+    family = "weyl_plus" if sign > 0 else "weyl_minus"
+    _check_dual(family, m, w, check_weight)
+    return MassFunctional(family, m)(w)
 
 
 # ---------------------------------------------------------------------------
@@ -231,21 +300,6 @@ def _act_on_dual(family: str, gen, v):
     if family == "conformal":
         return algebra_act_on_poly(gen, v)
     return algebra_action_tensor4(gen.matrix, v)
-
-
-_FAMILIES = ("conformal", "weyl", "weyl_plus", "weyl_minus")
-
-
-def _mass(family: str, m: SphereTensor, v):
-    if family == "conformal":
-        return conformal_mass(m, v, check_weight=False)
-    if family == "weyl":
-        return weyl_mass(m, v, check_weight=False)
-    if family == "weyl_plus":
-        return weyl_mass_chiral(m, v, +1, check_weight=False)
-    if family == "weyl_minus":
-        return weyl_mass_chiral(m, v, -1, check_weight=False)
-    raise ValueError(f"unknown family {family!r}")
 
 
 def check_equivariance_infinitesimal(
@@ -260,23 +314,27 @@ def check_equivariance_infinitesimal(
     Returns the maximal |residual|^2 (squared modulus as a Fraction) so
     Gaussian-rational families report exactly as well.  Zero iff the
     weight m.k matches the family.  ``gen`` acts on both sides, and
-    ``gen_name`` must be its label in ``lorentz.all_generators(m.n)``;
-    an unknown family, a mismatched label or an empty dual basis raises
-    ``ValueError``.
+    ``gen_name`` must be its label in ``lorentz.all_generators(m.n)``.
+    The functionals Phi(m) and Phi(a.m) are built once and evaluate every
+    v and a.v.  An unknown family, a mismatched label, an empty dual
+    basis, or a dual vector of the wrong kind, variable count or
+    homogeneity raises ``ValueError``.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if not dual_basis:
         raise ValueError("empty dual basis")
+    for v in dual_basis:
+        _check_dual(family, m, v, check_weight=False)
     if not isinstance(gen, AlgebraElement):
         gen = AlgebraElement(gen)
     named = named_generators(m.n).get(gen_name)
     if named is None or named.matrix != gen.matrix:
         raise ValueError(f"{gen_name!r} does not label the given generator of so({m.n},1)")
-    am = algebra_action_aspect(gen, m)
+    mass, moved_mass = MassFunctional(family, m), MassFunctional(family, algebra_action_aspect(gen, m))
     worst = F(0)
     for v in dual_basis:
-        r = _mass(family, am, v) + _mass(family, m, _act_on_dual(family, gen, v))
+        r = moved_mass(v) + mass(_act_on_dual(family, gen, v))
         mag = r.norm2() if isinstance(r, GaussianRational) else r * r
         if mag > worst:
             worst = mag
@@ -306,10 +364,11 @@ def check_equivariance_finite(
         raise ValueError(f"decay order {m.k} does not match weight {k}")
     nodes, weights = sphere_nodes(n, order)
     sampled = group_action_numeric(a, m, k, nodes)
+    mass = MassFunctional(family, m)
     worst = 0.0
     for v in build(n, n1).basis:
         lhs = np.einsum("q,qij,qij->", weights, sample_tensor(density(act(a, v), k), nodes), sampled)
-        worst = max(worst, abs(float(lhs) - float(_mass(family, m, v))))
+        worst = max(worst, abs(float(lhs) - float(mass(v))))
     return worst
 
 

@@ -18,7 +18,8 @@ sphere normal form is unique, because ``|x|^2 - 1`` generates the whole
 real vanishing ideal of the sphere, so a polynomial vanishes on the
 sphere exactly when its normal form is the zero polynomial.
 :func:`sphere_pairing` is the one bilinear sphere integral: it integrates
-the product of two polynomials without forming it.
+the product of two polynomials without forming it, through the memoized
+moments int p x^a of :func:`sphere_moments`.
 
 :class:`PolyTensor` is the one base of the package's polynomial tensors
 (symmetric 2-tensors, Weyl-symmetric 4-tensors, exterior forms and mass
@@ -418,26 +419,44 @@ def _parity(e: Exponents) -> Exponents:
     return tuple(a & 1 for a in e)
 
 
+def sphere_moments(p: ExactPoly):
+    """The map a -> int p x^a dmu / Vol of one polynomial, exact and memoized.
+
+    x^e x^a integrates to a nonzero value only when e and a agree mod 2
+    in every coordinate, so the terms of p are bucketed by exponent
+    parity once and each moment sums over its own bucket only.
+    """
+    buckets: Dict[Exponents, list] = {}
+    for e, c in p.terms.items():
+        buckets.setdefault(_parity(e), []).append((e, c))
+    memo: Dict[Exponents, object] = {}
+
+    def moment(a: Exponents):
+        val = memo.get(a)
+        if val is None:
+            val = _ZERO
+            for e, c in buckets.get(_parity(a), ()):
+                val = val + c * _sphere_moment(tuple(map(add, e, a)))
+            memo[a] = val
+        return val
+
+    return moment
+
+
 def sphere_pairing(p: ExactPoly, q: ExactPoly):
     """int p q dmu / Vol, exact, without forming the product p q.
 
-    x^a x^b integrates to a nonzero value only when a and b agree mod 2
-    in every coordinate, so the terms of the longer factor are bucketed
-    by exponent parity and each term of the shorter one meets only its
-    own bucket; it multiplies the sum over that bucket once.  Equal to
-    ``sphere_integral(p * q)``.
+    Each term of the shorter factor meets the :func:`sphere_moments` of
+    the longer one, so it multiplies one sum over its own parity bucket.
+    Equal to ``sphere_integral(p * q)``.
     """
     p._check(q)
     if len(p.terms) > len(q.terms):
         p, q = q, p
-    buckets: Dict[Exponents, list] = {}
-    for e, c in q.terms.items():
-        buckets.setdefault(_parity(e), []).append((e, c))
+    moment = sphere_moments(q)
     total = _ZERO
     for e1, c1 in p.terms.items():
-        inner = _ZERO
-        for e2, c2 in buckets.get(_parity(e1), ()):
-            inner = inner + c2 * _sphere_moment(tuple(map(add, e1, e2)))
+        inner = moment(e1)
         if inner:
             total = total + c1 * inner
     return total

@@ -3,8 +3,12 @@
 The square-and-integrate zero test is kept here only as an oracle for
 the normal-form test of :func:`ahmass.poly.vanishes_on_sphere`; the
 product-then-integrate pairing is the oracle of
-:func:`ahmass.poly.sphere_pairing` and :func:`ahmass.invariants.pair`,
-the unreduced tangential projection that of
+:func:`ahmass.poly.sphere_pairing` and of :func:`pair`; :func:`pair` of
+an aspect with the whole density of each dual vector is the oracle of
+the masses, which :class:`ahmass.invariants.MassFunctional` evaluates on
+cached unit densities, and :func:`equivariance_oracle` that of
+:func:`ahmass.invariants.check_equivariance_infinitesimal`; the
+unreduced tangential projection is the oracle of
 :func:`ahmass.massaspect._project_slots`, and the composition of the
 sphere calculus (covariant derivative, projected spatial term, conformal
 factor by general products) that of the term-level
@@ -16,9 +20,17 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from ahmass.gaussian import GaussianRational
-from ahmass.lorentz import AlgebraElement
-from ahmass.massaspect import SphereTensor, _boundary_field, _project_slots, sphere_covariant_derivative
-from ahmass.poly import ExactPoly, monomials_of_degree, sphere_integral
+from ahmass.invariants import conformal_density, weyl_density
+from ahmass.lorentz import AlgebraElement, algebra_act_on_poly
+from ahmass.massaspect import (
+    SphereTensor,
+    _boundary_field,
+    _project_slots,
+    algebra_action_aspect,
+    sphere_covariant_derivative,
+)
+from ahmass.poly import ExactPoly, monomials_of_degree, sphere_integral, sphere_pairing
+from ahmass.weyl import algebra_action_tensor4
 
 
 def square_and_integrate_vanishes(p: ExactPoly) -> bool:
@@ -72,6 +84,50 @@ def points_on_sphere(n: int):
     if n == 1:
         return st.sampled_from([(Fraction(1),), (Fraction(-1),)])
     return st.lists(rationals, min_size=n - 1, max_size=n - 1).map(rational_sphere_point)
+
+
+def pair(m: SphereTensor, density: SphereTensor):
+    """sum_{i<=j} (2 - delta_ij) int m_ij K_ij dmu / Vol, exact.
+
+    The full contraction of two symmetric tensors, integrated component
+    by component with :func:`ahmass.poly.sphere_pairing`.
+    """
+    total = Fraction(0)
+    for (i, j), mij in m.comp.items():
+        kij = density.comp.get((i, j))
+        if kij is not None:
+            val = sphere_pairing(mij, kij)
+            total = total + (val if i == j else 2 * val)
+    return total
+
+
+DENSITY = {
+    "conformal": conformal_density,
+    "weyl": weyl_density,
+    "weyl_plus": lambda w, k: weyl_density(w, k, +1),
+    "weyl_minus": lambda w, k: weyl_density(w, k, -1),
+}
+
+
+def mass_oracle(family: str, m: SphereTensor, v):
+    """Phi(m)(v) as the pairing of m with the whole density of v."""
+    return pair(m, DENSITY[family](v, m.k))
+
+
+def act_on_dual(family: str, a, v):
+    """a.v for an algebra element or matrix a, on H_p or on W_p."""
+    mat = a.matrix if isinstance(a, AlgebraElement) else a
+    return algebra_act_on_poly(mat, v) if family == "conformal" else algebra_action_tensor4(mat, v)
+
+
+def equivariance_oracle(family: str, m: SphereTensor, gen, dual_basis) -> Fraction:
+    """Max |Phi(a.m)(v) + Phi(m)(a.v)|^2, one density per vector and image."""
+    am = algebra_action_aspect(gen, m)
+    worst = Fraction(0)
+    for v in dual_basis:
+        r = mass_oracle(family, am, v) + mass_oracle(family, m, act_on_dual(family, gen, v))
+        worst = max(worst, r.norm2() if isinstance(r, GaussianRational) else r * r)
+    return worst
 
 
 def pair_oracle(m, density):

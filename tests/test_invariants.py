@@ -4,10 +4,12 @@ from itertools import product
 
 import pytest
 
+from ahmass import invariants
 from ahmass.gaussian import GaussianRational
 from ahmass.harmonic import build_Hp
 from ahmass.invariants import (
     _eplus_wedge,
+    _unit_density,
     check_equivariance_finite,
     check_equivariance_infinitesimal,
     conformal_density,
@@ -16,7 +18,6 @@ from ahmass.invariants import (
     density_null_power,
     hodge_star_bivector,
     intertwining_density_residual,
-    pair,
     symmetric_power_action,
     wang_mass_vector,
     weyl_mass,
@@ -24,7 +25,7 @@ from ahmass.invariants import (
     weyl_mass_chiral,
     weyl_weight,
 )
-from ahmass.lorentz import algebra_act_on_poly, all_generators, boost_from_parameter, bracket
+from ahmass.lorentz import algebra_act_on_poly, all_generators, boost_from_parameter, bracket, raising_operators
 from ahmass.massaspect import (
     SphereTensor,
     _project_slots,
@@ -34,7 +35,7 @@ from ahmass.massaspect import (
 )
 from ahmass.poly import ExactPoly, monomials_of_degree, sphere_integral, sphere_restrict
 from ahmass.weyl import PolyTensor4, algebra_action_tensor4, build_Wp, tensor4_slots
-from sphere_oracles import pair_oracle
+from sphere_oracles import act_on_dual, equivariance_oracle, mass_oracle, pair, pair_oracle
 
 F = Fraction
 
@@ -254,6 +255,78 @@ def test_pair_is_the_integral_of_the_contraction(family, n, n1):
     assert values == [pair_oracle(m, density(v, k)) for v in _dual_basis(family, n, n1)]
 
 
+@pytest.mark.parametrize(
+    "family,n,n1",
+    [
+        ("conformal", 3, 0),
+        ("conformal", 3, 1),
+        ("conformal", 4, 0),
+        ("conformal", 4, 1),
+        ("weyl", 4, 0),
+        ("weyl", 4, 1),
+        ("weyl_plus", 3, 0),
+        ("weyl_plus", 3, 1),
+        ("weyl_minus", 3, 0),
+        ("weyl_minus", 3, 1),
+    ],
+)
+def test_masses_are_the_pairing_with_the_whole_density(family, n, n1):
+    # the functional on cached unit densities against one density per vector,
+    # on real basis vectors and on their Gaussian images under a raising operator
+    degree = 2 if family == "conformal" else 1
+    m = random_mass_aspect(n, _weight(family, n, n1), random.Random(11), degree=degree)
+    basis = _dual_basis(family, n, n1)
+    raising = raising_operators(n)[0][1]
+    z = GaussianRational(2, -1)
+    gaussian = [basis[0] * z if family == "conformal" else basis[0].scale(z)]
+    gaussian += [w for v in basis if not (w := act_on_dual(family, raising, v)).is_zero()][:2]
+    assert len(gaussian) == (1 if (family, n1) == ("conformal", 0) else 3)
+    assert all(any(isinstance(c, GaussianRational) for _, _, c in invariants._coordinates(w)) for w in gaussian)
+    duals = basis[:3] + gaussian
+    values = [MASSES[family](m, v) for v in duals]
+    oracle = [mass_oracle(family, m, v) for v in duals]
+    assert values == oracle
+    assert [type(x) for x in values] == [type(x) for x in oracle]
+    assert any(values[-len(gaussian) :])
+
+
+@pytest.mark.parametrize(
+    "family,n1", [("conformal", 1), ("weyl", 0), ("weyl_plus", 0), ("weyl_minus", 0)]
+)
+def test_infinitesimal_check_is_the_per_vector_oracle(family, n1):
+    # one weight off, so the boosts leave nonzero residuals to compare
+    n = 3
+    m = random_mass_aspect(n, _weight(family, n, n1) + 1, random.Random(5), degree=1)
+    dual = _dual_basis(family, n, n1)
+    residuals = []
+    for name, gen in all_generators(n):
+        residual = check_equivariance_infinitesimal(family, m, name, gen, dual)
+        assert residual == equivariance_oracle(family, m, gen, dual), name
+        residuals.append(residual)
+    assert any(residuals)
+
+
+def test_infinitesimal_check_builds_each_unit_density_once(monkeypatch):
+    # every density is a unit density, built once per (family, nv, slot,
+    # monomial): W_0 at nv = 4 has 21 unit coordinates, and a second pass
+    # over the same generators builds none
+    n = 3
+    gens = all_generators(n)
+    m = random_mass_aspect(n, weyl_weight(n, 0), random.Random(7))
+    dual = build_Wp(n, 0).basis
+    builds = []
+    build = invariants.weyl_density
+    monkeypatch.setattr(invariants, "weyl_density", lambda *args: builds.append(args) or build(*args))
+    _unit_density.cache_clear()
+    for name, gen in gens:
+        assert check_equivariance_infinitesimal("weyl_plus", m, name, gen, dual) == 0, name
+    assert 0 < len(builds) <= 21
+    builds.clear()
+    for name, gen in gens:
+        check_equivariance_infinitesimal("weyl_plus", m, name, gen, dual)
+    assert builds == []
+
+
 def test_density_residual_checks_each_component_once(monkeypatch):
     n, n1 = 3, 1
     k = conformal_weight(n, n1)
@@ -401,6 +474,17 @@ def test_mass_argument_errors():
     for sign in (0, 2):
         with pytest.raises(ValueError, match="chiral sign must be"):
             weyl_mass_chiral(m_chiral, w3, sign)
+    # an inhomogeneous W once met a misleading weight error, or none at all
+    mixed4 = build_Wp(4, 0).basis[0] + build_Wp(4, 1).basis[0]
+    for check_weight in (True, False):
+        with pytest.raises(ValueError, match="homogeneous"):
+            weyl_mass(m4, mixed4, check_weight=check_weight)
+        with pytest.raises(ValueError, match="homogeneous"):
+            weyl_mass_chiral(m_chiral, w3 + build_Wp(3, 1).basis[0], -1, check_weight=check_weight)
+    with pytest.raises(ValueError, match="weyl family needs PolyTensor4"):
+        weyl_mass(m4, ExactPoly.variable(5, 0))
+    with pytest.raises(ValueError, match="conformal family needs ExactPoly"):
+        conformal_mass(m3, w3)
 
 
 def test_infinitesimal_check_argument_errors():
@@ -419,6 +503,19 @@ def test_infinitesimal_check_argument_errors():
         check_equivariance_infinitesimal("bogus", m, "a_1", gens["a_1"], [])
     with pytest.raises(ValueError, match="empty dual basis"):
         check_equivariance_infinitesimal("conformal", m, "a_1", gens["a_1"], [])
+    # a dual basis of the wrong kind once raised a bare AttributeError
+    w3 = build_Wp(n, 0).basis
+    with pytest.raises(ValueError, match="conformal family needs ExactPoly dual vectors, not PolyTensor4"):
+        check_equivariance_infinitesimal("conformal", m, "a_1", gens["a_1"], w3)
+    for family in ("weyl", "weyl_plus", "weyl_minus"):
+        with pytest.raises(ValueError, match=f"{family} family needs PolyTensor4 dual vectors, not ExactPoly"):
+            check_equivariance_infinitesimal(family, m, "a_1", gens["a_1"], dual)
+    with pytest.raises(ValueError, match="ambient polynomial: 3 variables, expected n [+] 1 = 4"):
+        check_equivariance_infinitesimal("conformal", m, "a_1", gens["a_1"], [ExactPoly.variable(3, 0)])
+    with pytest.raises(ValueError, match="dimension mismatch: 5 variables, expected n [+] 1 = 4"):
+        check_equivariance_infinitesimal("weyl", m, "a_1", gens["a_1"], build_Wp(4, 0).basis)
+    with pytest.raises(ValueError, match="homogeneous"):
+        check_equivariance_infinitesimal("weyl", m, "a_1", gens["a_1"], [w3[0] + build_Wp(n, 1).basis[0]])
 
 
 # ---------------------------------------------------------------------------
