@@ -1,7 +1,9 @@
 """Gaussian rationals: complex numbers a + b*i with exact rational a, b.
 
-The dimension-3 chiral masses and the Cotton eigenvalue checks live over
-Q(i); everything else in the package stays over plain ``Fraction``.
+The dimension-3 chiral masses, the null eigenbasis of the Cartan
+subalgebra with its root vectors, and the highest-weight vectors built
+from them live over Q(i); everything else in the package stays over plain
+``Fraction``.
 ``GaussianRational`` interoperates with ``Fraction`` and ``int`` through
 the reflected arithmetic operators, so polynomial and matrix code can mix
 the two coefficient types freely.

@@ -37,6 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import factorial, prod
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -61,7 +62,7 @@ from .massaspect import (
     round_metric_tensor,
     sample_tensor,
 )
-from .poly import ExactPoly, operator_rows, sphere_moments, sphere_pairing, sphere_restrict
+from .poly import ExactPoly, monomials_of_degree, operator_rows, sphere_moments, sphere_pairing, sphere_restrict
 from .quadrature import sphere_nodes
 from .weyl import PolyTensor4, algebra_action_tensor4, build_Wp, index_pairs, tensor4_slots
 
@@ -411,10 +412,6 @@ def density_null_power(n: int, n1: int, k: int) -> List[SphereTensor]:
 
     Component e is the conformal density of the multinomial-weighted X^e.
     """
-    from math import factorial, prod
-
-    from .poly import monomials_of_degree
-
     return [
         conformal_density(ExactPoly.monomial(n + 1, e, factorial(n1) // prod(map(factorial, e))), k)
         for e in monomials_of_degree(n + 1, n1)

@@ -67,12 +67,6 @@ def mat_scale(a: Matrix, c) -> Matrix:
     return tuple(tuple(c * a[i][j] for j in range(len(a[0]))) for i in range(len(a)))
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(a[i][j] + b[i][j] for j in range(len(a[0]))) for i in range(len(a))
-    )
-
-
 def eta_matrix(dim: int) -> Matrix:
     return tuple(
         tuple(
@@ -161,8 +155,10 @@ def rational_rotation(n: int, i: int, j: int, c: Fraction, s: Fraction) -> Loren
 
 
 def boost_from_parameter(n: int, direction: int, t: Fraction) -> LorentzElement:
-    """Rational hyperbola point (c, s) = ((1+t^2)/(1-t^2), 2t/(1-t^2))."""
+    """Rational hyperbola point (c, s) = ((1+t^2)/(1-t^2), 2t/(1-t^2)), for -1 < t < 1."""
     t = Fraction(t)
+    if not -1 < t < 1:
+        raise ValueError(f"boost parameter t = {t} must satisfy -1 < t < 1")
     c = (1 + t * t) / (1 - t * t)
     s = 2 * t / (1 - t * t)
     return rational_boost(n, direction, c, s)
@@ -368,48 +364,43 @@ def cartan_basis(n: int) -> Dict[int, Tuple]:
     return basis
 
 
-def _basis_change(n: int) -> Tuple[Matrix, Matrix]:
-    """(E, E^{-1}) where columns of E are the Cartan basis vectors.
+def _eigen_generator(e: Dict[int, Tuple], p: int, q: int) -> Matrix:
+    """E_pq - E_{-q,-p} in standard coordinates, for keys p, q of the eigenbasis ``e``.
 
-    Since eta(e_i, e_j) = delta_{i,-j}, row k of E^{-1} is the covector
-    eta e_{-k}.
+    E_pq is the matrix unit sending e_q to e_p.  Since eta(e_i, e_j) =
+    delta_{i,-j}, it is the outer product e_p (eta e_{-q})^T, and
+    subtracting E_{-q,-p} makes the difference an infinitesimal isometry.
     """
-    keys = cartan_keys(n)
-    basis = cartan_basis(n)
-    dim = n + 1
-    E = tuple(tuple(basis[k][row] for k in keys) for row in range(dim))
-    Einv = tuple(tuple(-c if mu == 0 else c for mu, c in enumerate(basis[-k])) for k in keys)
-    return E, Einv
+    u, v = e[p], _dual_covector(e, q)
+    x, y = e[-q], _dual_covector(e, -p)
+    return tuple(tuple(u[mu] * v[nu] - x[mu] * y[nu] for nu in range(len(u))) for mu in range(len(u)))
+
+
+def _dual_covector(e: Dict[int, Tuple], k: int) -> Tuple:
+    """eta e_{-k}, the covector that reads the e_k coordinate: (eta e_{-k}) . e_j = delta_{kj}."""
+    return tuple(-c if mu == 0 else c for mu, c in enumerate(e[-k]))
 
 
 def cartan_generators(n: int) -> List[Matrix]:
-    """Matrices H_k (standard basis) with eps_j(H_k) = delta_{jk}."""
-    E, Einv = _basis_change(n)
-    keys = cartan_keys(n)
-    l = cartan_rank(n)
-    dim = n + 1
-    out = []
-    for k in range(1, l + 1):
-        d = [[GaussianRational(0)] * dim for _ in range(dim)]
-        d[keys.index(k)][keys.index(k)] = GaussianRational(1)
-        d[keys.index(-k)][keys.index(-k)] = GaussianRational(-1)
-        out.append(mat_mul(mat_mul(E, tuple(map(tuple, d))), Einv))
-    return out
+    """H_k = E_kk - E_{-k,-k} (:func:`_eigen_generator`), with eps_j(H_k) = delta_{jk}."""
+    e = cartan_basis(n)
+    return [_eigen_generator(e, k, k) for k in range(1, cartan_rank(n) + 1)]
 
 
 def null_coordinates(n: int) -> Dict[int, Tuple[ExactPoly, Tuple[int, ...]]]:
     """The linear forms Z^k dual to :func:`cartan_basis`, with their eps-weights.
 
-    Z^k(e_j) = delta_{kj}, keyed in :func:`cartan_keys` order.  Under
+    Z^k(e_j) = delta_{kj}, keyed in :func:`cartan_keys` order: the
+    coefficients of Z^k are the covector eta e_{-k}.  Under
     a . P = -(a X)^mu d_mu P, Z^k and dZ^k have weight -eps_k (with
     eps_{-k} = -eps_k and eps_0 = 0): Z^{-1} = X^0 + X^1 has weight +eps_1
     and Z^{-2} = X^2 + i X^3 has +eps_2.
     """
-    _, Einv = _basis_change(n)
+    e = cartan_basis(n)
     out = {}
-    for k, row in zip(cartan_keys(n), Einv):
+    for k in cartan_keys(n):
         # real coefficients stay Fractions, which keeps real products fast
-        terms = ((c if c.im else c.re) * ExactPoly.variable(n + 1, mu) for mu, c in enumerate(row))
+        terms = ((c if c.im else c.re) * ExactPoly.variable(n + 1, mu) for mu, c in enumerate(_dual_covector(e, k)))
         sign = -1 if k > 0 else 1
         weight = tuple(sign if j == abs(k) else 0 for j in range(1, cartan_rank(n) + 1))
         out[k] = (sum(terms, ExactPoly.zero(n + 1)), weight)
@@ -419,64 +410,33 @@ def null_coordinates(n: int) -> Dict[int, Tuple[ExactPoly, Tuple[int, ...]]]:
 def raising_operators(n: int) -> List[Tuple[str, Matrix]]:
     """Root vectors for all positive roots of so(n,1) complexified.
 
-    The roots involving eps_1 are assembled from the south-pole
-    translation combinations s_A = a_A + r_{1A}:
+    Every root vector is E_pq - E_{-q,-p} (:func:`_eigen_generator`) with,
+    for 1 <= a < b <= rank,
 
-        X_{eps1 + epsk} = (s_{2k-2} + i s_{2k-1}) / 2
-        X_{eps1 - epsk} = s_{2k-2} - i s_{2k-1}
-        X_{eps1}        = s_n            (odd ambient dimension)
+        X_{eps_a - eps_b} : (p, q) = (a, b)
+        X_{eps_a + eps_b} : (p, q) = (a, -b)
+        X_{eps_a}         : (p, q) = (a, 0)     (odd ambient dimension)
 
-    (The +-/-- assignment is forced by this module's eps conventions and
-    verified by the ad-eigenvalue tests; swapping the two labels, or any
-    rescaling of a root vector, leaves every kernel computed from these
-    operators unchanged.)  Roots not involving eps_1 use matrix units in
-    the Cartan eigenbasis.
+    The roots involving eps_1 span the translations at the south pole,
+    s_A = a_A + r_{1A}:
+
+        X_{eps1 - epsk} = -(s_{2k-2} - i s_{2k-1}) / 2
+        X_{eps1 + epsk} = -(s_{2k-2} + i s_{2k-1})
+        X_{eps1}        = -s_n
+
+    The +-/-- assignment is forced by this module's eps conventions and
+    verified by the ad-eigenvalue tests; any rescaling of a root vector
+    leaves every kernel computed from these operators unchanged.
     """
     l = cartan_rank(n)
-    dim = n + 1
-    odd = dim % 2 == 1
-
-    def s_matrix(A: int) -> Matrix:
-        m = mat_add(boost_generator(n, A).matrix, rotation_generator(n, 1, A).matrix)
-        return tuple(tuple(GaussianRational(v) for v in row) for row in m)
-
+    e = cartan_basis(n)
     ops: List[Tuple[str, Matrix]] = []
-    for k in range(2, l + 1):
-        s_even = s_matrix(2 * k - 2)
-        s_odd = s_matrix(2 * k - 1)
-        plus = mat_scale(mat_add(s_even, mat_scale(s_odd, I)), GaussianRational(Fraction(1, 2)))
-        minus = mat_add(s_even, mat_scale(s_odd, -I))
-        ops.append((f"e1-e{k}", minus))
-        ops.append((f"e1+e{k}", plus))
-    if odd:
-        ops.append(("e1", s_matrix(n)))
-
-    # remaining positive roots live inside so(n-1); matrix units E_{pq}
-    # in the eigenbasis: X_{ea-eb} = E_ab - E_{-b,-a},
-    # X_{ea+eb} = E_{a,-b} - E_{b,-a}, X_{ea} = E_{a,0} - E_{0,-a}
-    E, Einv = _basis_change(n)
-    keys = cartan_keys(n)
-
-    def unit_mat(p: int, q: int) -> List[List[GaussianRational]]:
-        m = [[GaussianRational(0)] * dim for _ in range(dim)]
-        m[keys.index(p)][keys.index(q)] = GaussianRational(1)
-        return m
-
-    def to_std(m) -> Matrix:
-        return mat_mul(mat_mul(E, tuple(map(tuple, m))), Einv)
-
-    for a in range(2, l + 1):
+    for a in range(1, l + 1):
         for b in range(a + 1, l + 1):
-            m = unit_mat(a, b)
-            m2 = unit_mat(-b, -a)
-            ops.append((f"e{a}-e{b}", to_std(mat_sub(tuple(map(tuple, m)), tuple(map(tuple, m2))))))
-            m = unit_mat(a, -b)
-            m2 = unit_mat(b, -a)
-            ops.append((f"e{a}+e{b}", to_std(mat_sub(tuple(map(tuple, m)), tuple(map(tuple, m2))))))
-        if odd:
-            m = unit_mat(a, 0)
-            m2 = unit_mat(0, -a)
-            ops.append((f"e{a}", to_std(mat_sub(tuple(map(tuple, m)), tuple(map(tuple, m2))))))
+            ops.append((f"e{a}-e{b}", _eigen_generator(e, a, b)))
+            ops.append((f"e{a}+e{b}", _eigen_generator(e, a, -b)))
+        if 0 in e:
+            ops.append((f"e{a}", _eigen_generator(e, a, 0)))
     return ops
 
 

@@ -47,7 +47,7 @@ from .lorentz import (
     named_generators,
     rotation_generator,
 )
-from .poly import ExactPoly, PolyTensor, quadric_normal_form, sorted_pair, vanishes_on_sphere
+from .poly import ExactPoly, PolyTensor, monomials_of_degree, quadric_normal_form, sorted_pair, vanishes_on_sphere
 
 F = Fraction
 
@@ -493,8 +493,6 @@ def sample_tensor(m: SphereTensor, nodes: np.ndarray) -> np.ndarray:
 
 def random_mass_aspect(n: int, k: int, rng, degree: int = 2, gaussian: bool = False) -> SphereTensor:
     """Random rational symmetric tensor, transversalized to order k."""
-    from .poly import monomials_of_degree
-
     comp = {}
     for i in range(n):
         for j in range(i, n):

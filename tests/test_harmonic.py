@@ -20,7 +20,8 @@ from ahmass.lorentz import (
     boost_from_parameter,
     rational_rotation,
 )
-from ahmass.poly import ExactPoly, minkowski_norm_poly, monomials_of_degree, wave_operator
+from ahmass.linalg import SpanSolver
+from ahmass.poly import ExactPoly, minkowski_norm_poly, monomials_of_degree, to_coords, wave_operator
 
 F = Fraction
 
@@ -79,9 +80,6 @@ def random_homogeneous(nv, d, rng):
 def test_harmonic_decompose_reconstructs_and_cross_checks_nullspace():
     rng = random.Random(4)
     norm = minkowski_norm_poly(4)
-    from ahmass.linalg import SpanSolver
-    from ahmass.poly import to_coords
-
     for d in (2, 3, 4):
         space = build_Hp(3, d)
         solver = SpanSolver([to_coords(b, d) for b in space.basis])
@@ -93,6 +91,22 @@ def test_harmonic_decompose_reconstructs_and_cross_checks_nullspace():
             # the harmonic part lies in the nullspace-built space
             if not h.is_zero():
                 assert solver.contains(to_coords(h, d))
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: build_Hp(2, 1), "need n >= 3"),
+        (lambda: invariant_form_q(X(4, 0) + X(4, 1) ** 2, X(4, 0)), "must be homogeneous"),
+        (lambda: invariant_form_q(X(4, 0), X(4, 1) ** 2), "not in the same homogeneous space"),
+        (lambda: metric_multiplication_scaling(ExactPoly.zero(4), 1), "nonzero homogeneous"),
+        (lambda: metric_multiplication_scaling(X(4, 0) ** 2, 1), "not wave-harmonic"),
+    ],
+    ids=["small-n", "form-inhomogeneous", "form-degrees", "scaling-zero", "scaling-not-harmonic"],
+)
+def test_bad_input_raises_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_decompose_rejects_inhomogeneous():

@@ -365,6 +365,15 @@ def test_density_residual_needs_transverse_components():
         intertwining_density_residual([raw], lambda name: [{}], k)
 
 
+def test_density_residual_needs_polynomial_components():
+    with pytest.raises(ValueError, match="empty density"):
+        intertwining_density_residual([], lambda name: [{}], 4)
+    constant = SphereTensor(3, 4, {})
+    constant.comp[(0, 0)] = F(1)  # a bare constant where an ExactPoly belongs
+    with pytest.raises(ValueError, match="must be polynomial"):
+        intertwining_density_residual([constant], lambda name: [{}], 4)
+
+
 def test_conformal_n1_0_off_weight_residual_is_the_first_moment():
     # one weight off, the residual of a_i is (k - n + 1)^2 (int x^i tr m)^2
     n = 3

@@ -11,12 +11,18 @@ from ahmass.linalg import (
     Echelon,
     SpanSolver,
     dense_to_rows,
+    kron_rows,
     matvec,
     nullspace,
     rank,
     signature_of_form,
     solve_min_support,
 )
+
+
+def test_kron_rows_rejects_terms_of_different_shapes():
+    with pytest.raises(ValueError, match="different shapes"):
+        kron_rows([([{0: 1}], [{0: 1}]), ([{0: 1}, {1: 1}], [{0: 1}])], 2)
 
 
 def test_nullspace_identity():

@@ -1,15 +1,20 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from ahmass.gaussian import GaussianRational
+from ahmass.harmonic import build_Hp
 from ahmass.poly import ExactPoly, minkowski_norm_poly, monomial_index
 from ahmass.lorentz import (
+    AlgebraElement,
+    LorentzElement,
     algebra_act_on_poly,
     all_generators,
     act_on_poly,
     ball_action,
+    ball_to_hyperboloid,
     boost_from_parameter,
     boost_generator,
     bracket,
@@ -57,6 +62,45 @@ def test_boost_times_inverse():
 def test_invalid_boost_parameters():
     with pytest.raises(ValueError):
         rational_boost(3, 1, F(2), F(1))
+
+
+@pytest.mark.parametrize("t", [F(1), F(-1), F(2), F(-3, 2)], ids=["1", "-1", "2", "-3/2"])
+def test_boost_parameter_must_lie_strictly_between_minus_one_and_one(t):
+    # t = +-1 is the pole of (1 + t^2)/(1 - t^2); |t| > 1 gives c < 0
+    with pytest.raises(ValueError, match=re.escape(f"t = {t} must satisfy -1 < t < 1")):
+        boost_from_parameter(3, 1, t)
+
+
+@pytest.mark.parametrize(
+    "make,match",
+    [
+        (lambda: LorentzElement(mat_scale(identity_element(3).matrix, F(2))), "does not preserve eta"),
+        (lambda: LorentzElement(mat_scale(identity_element(3).matrix, F(-1))), "not orthochronous"),
+        (lambda: rational_boost(3, 4, F(5, 4), F(3, 4)), "direction out of range"),
+        (lambda: rational_rotation(3, 1, 2, F(1), F(1)), re.escape("c^2 + s^2 = 1")),
+        (lambda: rational_rotation(3, 2, 2, F(3, 5), F(4, 5)), "plane out of range"),
+        (lambda: AlgebraElement(identity_element(3).matrix), "not an infinitesimal isometry"),
+        (lambda: ball_to_hyperboloid((F(1), F(0), F(0))), "not in the open unit ball"),
+        (lambda: sphere_action(identity_element(3), (F(1), F(1), F(0))), "not on the unit sphere"),
+        (lambda: u_of_A(identity_element(3), (F(1, 2), F(0), F(0))), "not on the unit sphere"),
+        (lambda: highest_weight_vectors([{0: F(1)}], lambda mat, vec: {}, 3, [F(1), F(0)]), "weight space empty"),
+    ],
+    ids=[
+        "element-not-isometry",
+        "element-not-orthochronous",
+        "boost-direction",
+        "rotation-parameters",
+        "rotation-plane",
+        "algebra-not-isometry",
+        "ball-point-outside",
+        "sphere-action-off-sphere",
+        "u-off-sphere",
+        "hw-empty-weight-space",
+    ],
+)
+def test_bad_input_raises_value_error(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 def test_ball_action_identity():
@@ -217,6 +261,28 @@ def test_raising_operators_are_root_vectors(n):
             assert got == want, (name, lam)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_e1_roots_span_the_south_pole_translations(n):
+    # N of the stabiliser P = MAN of the south pole is spanned by the e1...
+    # root vectors, fixed multiples of s_A = a_A + r_1A = a_A - r_A1
+    i = GaussianRational.i()
+
+    def s(A):
+        return mat_sub(boost_generator(n, A).matrix, rotation_generator(n, A, 1).matrix)
+
+    want = {}
+    for k in range(2, cartan_rank(n) + 1):
+        even, odd = s(2 * k - 2), s(2 * k - 1)
+        want[f"e1-e{k}"] = mat_scale(mat_sub(even, mat_scale(odd, i)), F(-1, 2))
+        want[f"e1+e{k}"] = mat_scale(mat_sub(even, mat_scale(odd, -i)), F(-1))
+    if n % 2 == 0:
+        want["e1"] = mat_scale(s(n), F(-1))
+    roots = raising_operators(n)
+    assert {name: x for name, x in roots if root_of_operator(name, cartan_rank(n))[0] == 1} == want
+    for x in cartan_generators(n) + [x for _, x in roots]:
+        AlgebraElement(x)
+
+
 def poly_basis_rows(polys, index):
     return [{index[e]: c for e, c in p.terms.items()} for p in polys]
 
@@ -224,8 +290,6 @@ def poly_basis_rows(polys, index):
 @pytest.mark.parametrize("n,p", [(3, 1), (3, 2), (4, 2)])
 def test_hw_vector_of_harmonic_space(n, p):
     # degree-p wave-harmonic space has highest weight vector (X^0+X^1)^p
-    from ahmass.harmonic import build_Hp
-
     space = build_Hp(n, p)
     index = monomial_index(n + 1, p)
     basis = poly_basis_rows(space.basis, index)

@@ -155,6 +155,17 @@ def test_curvature_commutator_on_tangent_field():
         assert vanishes_on_sphere(resid)
 
 
+def test_covariant_derivative_needs_a_known_type():
+    with pytest.raises(TypeError, match="cannot differentiate"):
+        sphere_covariant_derivative([X(3, 0)], boost_field(3, 1))
+
+
+def test_action_needs_a_transverse_aspect():
+    m = SphereTensor(3, 4, {(0, 0): ExactPoly.constant(3, 1)})  # radial part x^0
+    with pytest.raises(ValueError, match="not transverse"):
+        algebra_action_aspect(all_generators(3)[0][1], m)
+
+
 def test_not_tangent_rejected():
     n = 3
     with pytest.raises(ValueError):
@@ -280,7 +291,7 @@ def test_action_of_a_bracket_is_the_commutator(n, pairs):
 
 
 def test_raising_operator_acts_as_its_translation_combination():
-    # e1-e2 = s_2 - i s_3 with s_A = a_A + r_1A
+    # e1-e2 = -(s_2 - i s_3)/2 with s_A = a_A + r_1A
     n, k = 3, 4
     m = random_mass_aspect(n, k, random.Random(17), degree=0, gaussian=True)
 
@@ -288,7 +299,7 @@ def test_raising_operator_acts_as_its_translation_combination():
         return boost_action(A, m) + rotation_action(1, A, m)
 
     out = algebra_action_aspect(dict(raising_operators(n))["e1-e2"], m)
-    assert out.equal_on_sphere(s(2) - s(3).scale(GaussianRational.i()))
+    assert out.equal_on_sphere((s(2) - s(3).scale(GaussianRational.i())).scale(F(-1, 2)))
     assert out.is_transverse()
     assert not out.is_zero()
 

@@ -68,6 +68,13 @@ def test_wave_operator_norm(n):
     assert wave_operator(p) == ExactPoly.constant(n + 1, 2 * (n + 1))
 
 
+def test_exact_poly_rejects_bad_exponents_and_powers():
+    with pytest.raises(ValueError, match="wrong length"):
+        ExactPoly(3, {(1, 0): Fraction(1)})
+    with pytest.raises(ValueError, match="negative power"):
+        X(3, 0) ** -1
+
+
 def test_wave_operator_needs_two_vars():
     with pytest.raises(ValueError):
         wave_operator(ExactPoly.variable(1, 0))

@@ -15,7 +15,7 @@ from ahmass.lorentz import (
     cartan_rank,
     highest_weight_vectors,
 )
-from ahmass.poly import ExactPoly, minkowski_norm_poly, monomials_of_degree
+from ahmass.poly import ExactPoly, minkowski_norm_poly, monomials_of_degree, wave_operator
 from ahmass.weyl import (
     PolyForm,
     PolySym2,
@@ -109,8 +109,6 @@ def test_riemann_highest_weight_component():
     # the curvature of the weight-((p+2), 2) potential has the pinned
     # component value (p+2)(p+3)(Z^{-1})^p on (e_{-1}, e_{-2}, e_{-1}, e_{-2})
     n, p = 4, 1
-    from ahmass.weyl import catalog_weyl_type
-
     h = catalog_weyl_type(n, p)
     w = linearized_riemann(h)
     nv = n + 1
@@ -186,8 +184,6 @@ def test_de_donder_trace_pattern():
     # the explicit trace-removal field: xi = -(X0-X1)^{p+3}(dX0+dX1)/(2(p+3))
     # is wave harmonic with d.xi = (X0 - X1)^{p+2}
     nv, p = 4, 1
-    from ahmass.poly import wave_operator
-
     c = F(-1, 2 * (p + 3))
     base = (X(nv, 0) - X(nv, 1)) ** (p + 3)
     xi = [base * c, base * c, ExactPoly.zero(nv), ExactPoly.zero(nv)]
@@ -279,10 +275,8 @@ def test_homotopy_basic_2form():
 
 
 def random_form(nv, k, maxdeg, rng):
-    from itertools import combinations
-
     comp = {}
-    for idx in combinations(range(nv), k):
+    for idx in itertools.combinations(range(nv), k):
         p = ExactPoly.zero(nv)
         for d in range(maxdeg + 1):
             for e in monomials_of_degree(nv, d):
