@@ -7,6 +7,15 @@ from them live over Q(i); everything else in the package stays over plain
 ``GaussianRational`` interoperates with ``Fraction`` and ``int`` through
 the reflected arithmetic operators, so polynomial and matrix code can mix
 the two coefficient types freely.
+
+Invariant: the parts ``re`` and ``im`` are always of type ``Fraction``,
+never ``int`` or a subclass, and callers such as the row normalisation
+of :mod:`ahmass.linalg` read them directly.  The constructor coerces
+only parts that are not already ``Fraction``, so results of ``Fraction``
+arithmetic pass through it unchanged.  An ``int`` or ``Fraction``
+operand costs two ``Fraction`` operations and is never turned into a
+Gaussian first, and a product skips the cross terms when one factor is
+real.
 """
 
 from __future__ import annotations
@@ -16,6 +25,8 @@ from typing import Union
 
 Scalar = Union[int, Fraction, "GaussianRational"]
 
+_RATIONAL = (int, Fraction)
+
 
 class GaussianRational:
     """Exact element of Q(i)."""
@@ -23,25 +34,19 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @staticmethod
     def i() -> "GaussianRational":
         return GaussianRational(0, 1)
 
-    def _coerce(self, other) -> "GaussianRational | None":
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if isinstance(other, GaussianRational):
+            return GaussianRational(self.re + other.re, self.im + other.im)
+        if isinstance(other, _RATIONAL):
+            return GaussianRational(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -49,50 +54,60 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        if isinstance(other, GaussianRational):
+            return GaussianRational(self.re - other.re, self.im - other.im)
+        if isinstance(other, _RATIONAL):
+            return GaussianRational(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        if isinstance(other, _RATIONAL):
+            return GaussianRational(other - self.re, -self.im)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        if isinstance(other, GaussianRational):
+            a, b, c, d = self.re, self.im, other.re, other.im
+            if not d:
+                return GaussianRational(a * c, b * c)
+            if not b:
+                return GaussianRational(a * c, a * d)
+            return GaussianRational(a * c - b * d, a * d + b * c)
+        if isinstance(other, _RATIONAL):
+            return GaussianRational(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
+        if isinstance(other, GaussianRational):
+            c, d = other.re, other.im
+            n = c * c + d * d
+            if not n:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            a, b = self.re, self.im
+            return GaussianRational((a * c + b * d) / n, (b * c - a * d) / n)
+        if isinstance(other, _RATIONAL):
+            if not other:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return GaussianRational(self.re / other, self.im / other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
+        if isinstance(other, _RATIONAL):
+            a, b = self.re, self.im
+            n = a * a + b * b
+            if not n:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return GaussianRational(other * a / n, -other * b / n)
+        return NotImplemented
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, _RATIONAL):
+            return not self.im and self.re == other
+        return NotImplemented
 
     def __hash__(self):
         if self.im == 0:

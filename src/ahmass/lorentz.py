@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .gaussian import GaussianRational, I
 from .linalg import Row, kernel_of_columns
-from .poly import ExactPoly
+from .poly import ExactPoly, _add_flow, _flow, _poly
 
 Matrix = Tuple[Tuple[object, ...], ...]
 
@@ -301,13 +301,16 @@ def act_on_poly(a: LorentzElement, p: ExactPoly) -> ExactPoly:
 
 
 def algebra_act_on_poly(a, p: ExactPoly) -> ExactPoly:
-    """Algebra action a . P = -(a X)^mu d_mu P (matrices may be complex)."""
-    m = a.matrix if isinstance(a, AlgebraElement) else a
-    out = ExactPoly.zero(p.nvars)
-    for mu, ax_mu in enumerate(linear_forms(m)):
-        if ax_mu:
-            out = out - ax_mu * p.diff(mu)
-    return out
+    """Algebra action a . P = -(a X)^mu d_mu P (matrices may be complex).
+
+    One pass of exponent shifts over the terms of P
+    (:func:`ahmass.poly._add_flow`), the slot-free case of the tensor
+    slot action of :mod:`ahmass.weyl`.
+    """
+    m = a.matrix if isinstance(a, AlgebraElement) else [[_exact_entry(c) for c in row] for row in a]
+    out = {}
+    _add_flow(out, p.terms, _flow(m, p.nvars))
+    return _poly(p.nvars, out)
 
 
 # ---------------------------------------------------------------------------

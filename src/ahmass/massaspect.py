@@ -19,8 +19,10 @@ the conformal Killing field V it induces on the sphere,
 (:func:`algebra_action_aspect`), and the decay order k of the aspect
 enters only through the conformal factor phi of V.
 
-Products by one coordinate x^b are exponent shifts on the stored terms
-(:func:`_add_shifted`), so the action is one term-level pass over the
+Products by one coordinate x^b and the derivation -(Ax).d of the
+spatial block A are exponent shifts on the stored terms, made by the term
+map helpers of :mod:`ahmass.poly` that the slot action of
+:mod:`ahmass.weyl` shares, so the action is one term-level pass over the
 components of m: V.dm + A^T m + m A is accumulated per slot, projected
 once by Pi = Id - x (x) x (:func:`_project_terms`, the one projection,
 also behind :func:`sphere_covariant_derivative` and
@@ -47,7 +49,22 @@ from .lorentz import (
     named_generators,
     rotation_generator,
 )
-from .poly import ExactPoly, PolyTensor, monomials_of_degree, quadric_normal_form, sorted_pair, vanishes_on_sphere
+from .poly import (
+    ExactPoly,
+    PolyTensor,
+    Terms,
+    _add,
+    _add_flow,
+    _add_scaled,
+    _add_shifted,
+    _flow,
+    _poly,
+    _small,
+    monomials_of_degree,
+    quadric_normal_form,
+    sorted_pair,
+    vanishes_on_sphere,
+)
 
 F = Fraction
 
@@ -61,37 +78,10 @@ def _x(n: int, i: int) -> ExactPoly:
 
 
 # ---------------------------------------------------------------------------
-# term maps: products by one coordinate as exponent shifts
+# term maps on the sphere: shifts, radial contraction, projection
 # ---------------------------------------------------------------------------
 
-Terms = Dict[Tuple[int, ...], object]
 _EMPTY: Terms = {}
-
-
-def _add(out: Terms, key, v, f=1) -> None:
-    """out[key] += f v, with no product for f = +-1."""
-    old = out.get(key)
-    if f == 1:
-        out[key] = v if old is None else old + v
-    elif f == -1:
-        out[key] = -v if old is None else old - v
-    else:
-        v = v * f
-        out[key] = v if old is None else old + v
-
-
-def _add_scaled(out: Terms, terms: Terms, c=1) -> None:
-    """out += c terms, in place."""
-    for e, v in terms.items():
-        _add(out, e, v, c)
-
-
-def _add_shifted(out: Terms, terms: Terms, b: int, c=1) -> None:
-    """out += c x^b terms, in place: every exponent raised by one in slot b."""
-    for e, v in terms.items():
-        key = list(e)
-        key[b] += 1
-        _add(out, tuple(key), v, c)
 
 
 def _shifted(terms: Terms, b: int) -> Terms:
@@ -106,13 +96,6 @@ def _radial(rows) -> Terms:
     out: Terms = {}
     for b, terms in enumerate(rows):
         _add_shifted(out, terms, b)
-    return out
-
-
-def _poly(n: int, terms: Terms) -> ExactPoly:
-    """The polynomial of a term map, cancelled terms dropped."""
-    out = ExactPoly(n)
-    out.terms = {e: c for e, c in terms.items() if c}
     return out
 
 
@@ -165,8 +148,8 @@ class SphereTensor(PolyTensor):
     _reduce = staticmethod(quadric_normal_form)
 
     def _terms(self, i: int, j: int) -> Terms:
-        p = self.comp.get((i, j) if i <= j else (j, i))
-        return _EMPTY if p is None else p.terms
+        hit = self.lookup(i, j)
+        return _EMPTY if hit is None else hit[0].terms
 
     def _radial_terms(self, i: int) -> Terms:
         return _radial([self._terms(i, j) for j in range(self.n)])
@@ -355,11 +338,6 @@ def algebra_action_aspect(a, m: SphereTensor, k: int | None = None) -> SphereTen
     return _weighted_action(a, m, m.k if k is None else k)
 
 
-def _small(v):
-    """An integral Fraction as an int, so products with it stay cheap."""
-    return int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
-
-
 def _weighted_action(a, m: SphereTensor, k: int) -> SphereTensor:
     """:func:`algebra_action_aspect` for an aspect already known to be transverse.
 
@@ -367,10 +345,12 @@ def _weighted_action(a, m: SphereTensor, k: int) -> SphereTensor:
     V^c = M^c_0 + M^c_d x^d + x^c phi and phi = -M^0_d x^d, the derivative
     V.d of a term v x^e is M^c_0 e_c v x^(e - 1_c)
     + M^c_d e_c v x^(e - 1_c + 1_d) + |e| v x^e phi (the x^c phi parts sum
-    to the Euler operator).  The raw tensor -(V.dm + A^T m + m A) is
-    accumulated per slot c <= d with the sign folded into the integer
-    multipliers, projected once by :func:`_project_terms`, and k phi m is
-    added by shifts; :class:`SphereTensor` reduces each component once.
+    to the Euler operator); the middle part is the derivation of the
+    spatial block (:func:`ahmass.poly._add_flow`).  The raw tensor
+    -(V.dm + A^T m + m A) is accumulated per slot c <= d with the sign
+    folded into the integer multipliers, projected once by
+    :func:`_project_terms`, and k phi m is added by shifts;
+    :class:`SphereTensor` reduces each component once.
     V is tangent to the sphere because ``AlgebraElement`` checks that M is
     an infinitesimal isometry, so no tangency test is made here.
     """
@@ -379,33 +359,28 @@ def _weighted_action(a, m: SphereTensor, k: int) -> SphereTensor:
     if len(mat) != n + 1:
         raise ValueError("algebra element and aspect dimension mismatch")
     trans = [(c, -_small(mat[c + 1][0])) for c in range(n) if mat[c + 1][0]]
-    spatial = [(c, d, _small(mat[c + 1][d + 1])) for c in range(n) for d in range(n) if mat[c + 1][d + 1]]
+    spatial = _flow([row[1:] for row in mat[1:]], n)
     conf = [(d, _small(mat[0][d + 1])) for d in range(n) if mat[0][d + 1]]
     raw: Dict[Tuple[int, int], Terms] = {}
     for ij, p in m.comp.items():
         acc = raw[ij] = {}
+        _add_flow(acc, p.terms, spatial)
         for e, v in p.terms.items():
             for c, f in trans:
                 if e[c]:
                     key = list(e)
                     key[c] -= 1
                     _add(acc, tuple(key), v, f * e[c])
-            for c, d, f in spatial:
-                if e[c]:
-                    key = list(e)
-                    key[c] -= 1
-                    key[d] += 1
-                    _add(acc, tuple(key), v, -f * e[c])
             deg = sum(e)
             if deg:
                 for d, f in conf:
                     key = list(e)
                     key[d] += 1
                     _add(acc, tuple(key), v, f * deg)
-    # -(A^T m + m A)_cd = -A^e_c m_ed - A^e_d m_ec, kept on c <= d
+    # -(A^T m + m A)_cd = -A^e_c m_ed - A^e_d m_ec, kept on c <= d; f = -A^e_c
     for e, c, f in spatial:
         for d in range(n):
-            _add_scaled(raw.setdefault(sorted_pair((c, d)), {}), m._terms(e, d), f * (-2 if c == d else -1))
+            _add_scaled(raw.setdefault(sorted_pair((c, d)), {}), m._terms(e, d), f * (2 if c == d else 1))
     comp = _project_terms(n, raw)[0]
     if k:
         # -k phi m = k M^0_d x^d m

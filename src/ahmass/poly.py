@@ -21,6 +21,13 @@ sphere exactly when its normal form is the zero polynomial.
 the product of two polynomials without forming it, through the memoized
 moments int p x^a of :func:`sphere_moments`.
 
+The term-map helpers (:func:`_add_shifted`, :func:`_add_flow` and their
+kin) act on the ``terms`` dict of a polynomial in place: a product by
+one coordinate and the derivation -(MX).d of a matrix become exponent
+shifts.  They are the one set behind the term-level actions of the
+package: the aspect action of :mod:`ahmass.massaspect`, the tensor slot
+action of :mod:`ahmass.weyl` and :func:`ahmass.lorentz.algebra_act_on_poly`.
+
 :class:`PolyTensor` is the one base of the package's polynomial tensors
 (symmetric 2-tensors, Weyl-symmetric 4-tensors, exterior forms and mass
 aspects).  It keeps the components in a ``comp`` map from canonical
@@ -560,6 +567,76 @@ def operator_rows(op, nvars: int, degree: int, target_degree: int) -> list[Dict[
 
 
 # ---------------------------------------------------------------------------
+# Term maps: products by one coordinate and derivations as exponent shifts
+# ---------------------------------------------------------------------------
+
+Terms = Dict[Exponents, object]
+
+
+def _small(v):
+    """An integral Fraction as an int, so products with it stay cheap."""
+    return int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
+
+
+def _add(out: Terms, key, v, f=1) -> None:
+    """out[key] += f v, with no product for f = +-1."""
+    old = out.get(key)
+    if f == 1:
+        out[key] = v if old is None else old + v
+    elif f == -1:
+        out[key] = -v if old is None else old - v
+    else:
+        v = v * f
+        out[key] = v if old is None else old + v
+
+
+def _add_scaled(out: Terms, terms: Terms, c=1) -> None:
+    """out += c terms, in place."""
+    for e, v in terms.items():
+        _add(out, e, v, c)
+
+
+def _add_shifted(out: Terms, terms: Terms, b: int, c=1) -> None:
+    """out += c x^b terms, in place: every exponent raised by one in slot b."""
+    for e, v in terms.items():
+        key = list(e)
+        key[b] += 1
+        _add(out, tuple(key), v, c)
+
+
+def _flow(m, nvars: int) -> list:
+    """The shifts of the derivation -(MX).d of a square matrix M on ``nvars`` variables.
+
+    One (s, nu, -M^s_nu) triple per nonzero entry, integral entries as
+    ints: the term v X^e goes to -M^s_nu e_s v X^(e - 1_s + 1_nu)
+    (:func:`_add_flow`).  Raises ``ValueError`` unless M has one row per
+    variable.
+    """
+    if len(m) != nvars:
+        raise ValueError("variable-count mismatch")
+    return [(s, nu, -_small(c)) for s, row in enumerate(m) for nu, c in enumerate(row) if c]
+
+
+def _add_flow(out: Terms, terms: Terms, flow) -> None:
+    """out += -(MX).d terms, in place, with ``flow`` from :func:`_flow`."""
+    for e, v in terms.items():
+        for s, nu, f in flow:
+            k = e[s]
+            if k:
+                key = list(e)
+                key[s] = k - 1
+                key[nu] += 1
+                _add(out, tuple(key), v, f * k)
+
+
+def _poly(n: int, terms: Terms) -> ExactPoly:
+    """The polynomial of a term map, cancelled terms dropped."""
+    out = ExactPoly(n)
+    out.terms = {e: c for e, c in terms.items() if c}
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Polynomial tensors
 # ---------------------------------------------------------------------------
 
@@ -604,13 +681,18 @@ class PolyTensor:
     def _reduce(p: ExactPoly) -> ExactPoly:
         return p
 
-    def get(self, *indices: int) -> ExactPoly:
-        """The component at an index tuple, with the sign of the layout."""
+    def lookup(self, *indices: int):
+        """Stored component and layout sign (+1 or -1) at an index tuple; None where it is zero."""
         hit = self._slot(*indices)
         p = None if hit is None else self.comp.get(hit[0])
-        if p is None:
+        return None if p is None else (p, hit[1])
+
+    def get(self, *indices: int) -> ExactPoly:
+        """The component at an index tuple, with the sign of the layout."""
+        hit = self.lookup(*indices)
+        if hit is None:
             return ExactPoly.zero(self.nvars)
-        return p if hit[1] > 0 else -p
+        return hit[0] if hit[1] > 0 else -hit[0]
 
     def map(self, fn):
         return replace(self, comp={key: fn(p) for key, p in self.comp.items()})

@@ -1,17 +1,29 @@
 """Product quadrature on unit spheres.
 
-For S^2 a tensor-product Gauss-Legendre (polar) x trapezoid (azimuthal)
-rule; for higher spheres the recursive product with Gauss-Jacobi nodes
-for the sin^{n-2} polar weight.  Weights are normalized to sum to one so
-quadrature values are directly comparable with the exact normalized
-sphere integrals of :mod:`ahmass.poly`.
+For S^1 the trapezoid rule in the angle; for higher spheres the recursive
+product of S^{n-2} with Gauss-Gegenbauer nodes for the (1 - t^2)^a polar
+weight, a = (n - 3) / 2 (Gauss-Legendre at a = 0).  The Gauss nodes come
+from the Golub-Welsch algorithm: they are the eigenvalues of the
+symmetric Jacobi matrix of the monic orthogonal polynomials, whose
+off-diagonal is sqrt(beta_k) with
+beta_k = k (k + 2a) / ((2k + 2a + 1)(2k + 2a - 1)), and each weight is
+the squared first component of its unit eigenvector.  Weights are
+normalized to sum to one so quadrature values are directly comparable
+with the exact normalized sphere integrals of :mod:`ahmass.poly`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
+
+
+def _gegenbauer_gauss(order: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and unnormalized weights of (1 - t^2)^a on [-1, 1]."""
+    k = np.arange(1, order, dtype=float)
+    beta = k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1))
+    off = np.sqrt(beta)
+    t, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return t, v[0] ** 2
 
 
 def sphere_nodes(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -23,11 +35,7 @@ def sphere_nodes(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
         nodes = np.stack([np.cos(phi), np.sin(phi)], axis=1)
         w = np.full(2 * order, 1.0 / (2 * order))
         return nodes, w
-    a = (n - 3) / 2.0
-    if a == 0.0:
-        t, wt = leggauss(order)
-    else:
-        t, wt = roots_jacobi(order, a, a)
+    t, wt = _gegenbauer_gauss(order, (n - 3) / 2.0)
     sub_nodes, sub_w = sphere_nodes(n - 1, order)
     s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
     nodes = []

@@ -36,7 +36,12 @@ so(n,1) acts on every covariant polynomial tensor by one slot action
 (:func:`_slot_action`), (a.T)_I = -(aX).d T_I - sum_r a^s_{I_r} T_{I[r -> s]},
 read through the signed lookup of the tensor's layout
 (:class:`ahmass.poly.PolyTensor`); :func:`algebra_action_sym2` and
-:func:`algebra_action_tensor4` are its two instances.
+:func:`algebra_action_tensor4` are its two instances.  It is one
+term-level pass on the term map helpers of :mod:`ahmass.poly`, which the
+aspect action of :mod:`ahmass.massaspect` and
+:func:`ahmass.lorentz.algebra_act_on_poly` share: -(aX).d is a set of
+exponent shifts and each slot term adds a stored component scaled, so no
+intermediate polynomial is formed.
 
 Highest-weight systems are posed on the weight basis instead
 (:func:`_weight_basis`), whose tensors are weight vectors, so only the
@@ -62,10 +67,15 @@ from .linalg import (
     nullspace,
     solve_min_support,
 )
-from .lorentz import all_generators, cartan_basis, cartan_rank, linear_forms, null_coordinates, raising_operators
+from .lorentz import all_generators, cartan_basis, cartan_rank, null_coordinates, raising_operators
 from .poly import (
     ExactPoly,
     PolyTensor,
+    _add_flow,
+    _add_scaled,
+    _flow,
+    _poly,
+    _small,
     from_coords,
     monomials_of_degree,
     operator_rows,
@@ -678,24 +688,25 @@ def _slot_action(mat, t: PolyTensor, entries) -> PolyTensor:
 
     ``entries`` lists one (stored key, index tuple I) pair per independent
     component; I[r -> s] is I with its r-th index replaced by s, read
-    through the signed lookup of the layout.
+    with its layout sign through :meth:`PolyTensor.lookup`.  Each
+    component is one term map: -(aX).d T_I is the exponent shifts of
+    :func:`ahmass.poly._add_flow`, and every slot term adds a stored
+    component, scaled by its matrix entry and sign.
     """
     m = mat.matrix if hasattr(mat, "matrix") else mat
     nv = t.nvars
-    ax = [(s, f) for s, f in enumerate(linear_forms(m)) if f]
-    column = [[(s, m[s][i]) for s in range(nv) if m[s][i]] for i in range(nv)]
+    flow = _flow(m, nv)
+    column = [[(s, -_small(m[s][i])) for s in range(nv) if m[s][i]] for i in range(nv)]
     comp = {}
     for key, idx in entries:
-        base = t.get(*idx)
-        p = ExactPoly.zero(nv)
-        for s, f in ax:
-            d = base.diff(s)
-            if not d.is_zero():
-                p = p - f * d
+        acc = {}
+        _add_flow(acc, t.get(*idx).terms, flow)
         for r, i in enumerate(idx):
             for s, c in column[i]:
-                p = p - c * t.get(*idx[:r], s, *idx[r + 1 :])
-        comp[key] = p
+                hit = t.lookup(*idx[:r], s, *idx[r + 1 :])
+                if hit is not None:
+                    _add_scaled(acc, hit[0].terms, c if hit[1] > 0 else -c)
+        comp[key] = _poly(nv, acc)
     return replace(t, comp=comp)
 
 

@@ -12,16 +12,20 @@ unreduced tangential projection is the oracle of
 :func:`ahmass.massaspect._project_slots`, and the composition of the
 sphere calculus (covariant derivative, projected spatial term, conformal
 factor by general products) that of the term-level
-:func:`ahmass.massaspect._weighted_action`.
+:func:`ahmass.massaspect._weighted_action`, and the composition of the
+tensor slot action from derivatives and polynomial products
+(:func:`slot_action_oracle`) that of the term-level
+:func:`ahmass.weyl._slot_action`.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from ahmass.gaussian import GaussianRational
 from ahmass.invariants import conformal_density, weyl_density
-from ahmass.lorentz import AlgebraElement, algebra_act_on_poly
+from ahmass.lorentz import AlgebraElement, algebra_act_on_poly, linear_forms
 from ahmass.massaspect import (
     SphereTensor,
     _boundary_field,
@@ -180,3 +184,28 @@ def weighted_action_oracle(a, m, k: int):
             raw[key] = raw.get(key, ExactPoly.zero(n)) + m.get(e, d) * (v * 2 if c == d else v)
     out = out + SphereTensor(n, m.k, _project_slots(n, raw))
     return out.scale(Fraction(-1)) - m.map(lambda p: p * phi * k)
+
+
+def slot_action_oracle(mat, t, entries):
+    """(a.T)_I = -(aX).d T_I - sum_r a^s_{I_r} T_{I[r -> s]}, by polynomial operations.
+
+    The linear forms (aX)^s times the derivatives of each component, and
+    the slot terms read through the signed lookup ``t.get``; ``entries``
+    lists (stored key, index tuple) pairs as for
+    :func:`ahmass.weyl._slot_action`.
+    """
+    m = mat.matrix if hasattr(mat, "matrix") else mat
+    nv = t.nvars
+    ax = [(s, f) for s, f in enumerate(linear_forms(m)) if f]
+    comp = {}
+    for key, idx in entries:
+        base = t.get(*idx)
+        p = ExactPoly.zero(nv)
+        for s, f in ax:
+            p = p - f * base.diff(s)
+        for r, i in enumerate(idx):
+            for s in range(nv):
+                if m[s][i]:
+                    p = p - m[s][i] * t.get(*idx[:r], s, *idx[r + 1 :])
+        comp[key] = p
+    return replace(t, comp=comp)

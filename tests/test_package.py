@@ -1,7 +1,10 @@
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -27,6 +30,17 @@ def test_documented_modules_import():
     assert modules
     for name in modules:
         importlib.import_module(name)
+
+
+def test_package_imports_without_scipy():
+    """No module of the package loads scipy, which is not a dependency."""
+    package = Path(ahmass.__file__).parent
+    modules = sorted(path.stem for path in package.glob("*.py") if path.stem != "__init__")
+    code = "import sys\n" + "".join(f"import ahmass.{name}\n" for name in modules)
+    code += "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def unused_imports(source: str) -> list:

@@ -5,17 +5,24 @@ from ahmass.poly import monomials_of_degree, sphere_monomial_integral
 from ahmass.quadrature import sphere_nodes
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_sphere_nodes_integrate_low_degree_monomials_exactly(n):
-    order = 6
+@pytest.mark.parametrize(
+    "n, order, degrees",
+    [pytest.param(n, 6, range(6), id=str(n)) for n in (2, 3, 4, 5, 6)]
+    + [pytest.param(n, 24, degrees, id=f"{n}-order24") for n, degrees in ((2, range(24)), (3, range(24)), (4, (22,)))],
+)
+def test_sphere_nodes_integrate_low_degree_monomials_exactly(n, order, degrees):
+    """Every monomial of degree below the order integrates exactly (on S^3
+    at order 24, only the highest even degree, to keep the test fast)."""
     nodes, weights = sphere_nodes(n, order)
     assert nodes.shape == (len(weights), n)
     assert np.allclose(np.einsum("qi,qi->q", nodes, nodes), 1.0, atol=1e-14)
     assert abs(weights.sum() - 1.0) < 1e-14
-    for degree in range(order):
-        for e in monomials_of_degree(n, degree):
-            quad = float(np.dot(weights, np.prod(nodes ** np.array(e), axis=1)))
-            assert abs(quad - float(sphere_monomial_integral(e))) < 1e-12, e
+    powers = nodes[np.newaxis] ** np.arange(max(degrees) + 1)[:, np.newaxis, np.newaxis]
+    for degree in degrees:
+        monos = monomials_of_degree(n, degree)
+        quad = [np.dot(weights, np.prod([powers[k, :, i] for i, k in enumerate(e)], axis=0)) for e in monos]
+        exact = [float(sphere_monomial_integral(e)) for e in monos]
+        np.testing.assert_allclose(quad, exact, rtol=0, atol=1e-12, err_msg=f"degree {degree}")
 
 
 def test_sphere_nodes_need_a_sphere():

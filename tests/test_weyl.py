@@ -14,6 +14,7 @@ from ahmass.lorentz import (
     cartan_generators,
     cartan_rank,
     highest_weight_vectors,
+    raising_operators,
 )
 from ahmass.poly import ExactPoly, minkowski_norm_poly, monomials_of_degree, wave_operator
 from ahmass.weyl import (
@@ -35,6 +36,7 @@ from ahmass.weyl import (
     exterior_derivative,
     hw_vectors_sym2,
     hw_vectors_weyl,
+    index_pairs,
     linearized_einstein,
     linearized_riemann,
     poincare_homotopy,
@@ -43,10 +45,12 @@ from ahmass.weyl import (
     signature_Wp,
     signature_Wp_expected,
     sym_gauge,
+    tensor4_slots,
     transverse_solution_space,
     weyl_to_potential,
     weyl_type_hw_vector,
 )
+from sphere_oracles import slot_action_oracle
 
 F = Fraction
 
@@ -493,15 +497,38 @@ def test_weight_basis_is_a_basis_of_weight_vectors(n, degree):
     assert total == len(monomials_of_degree(nv, degree)) * len(_sym2_slots(nv))
 
 
-def random_sym2(nv, degree, rng, gaussian):
+def random_comp(slots, nv, degree, rng, gaussian):
     comp = {}
-    for slot in _sym2_slots(nv):
+    for slot in slots:
         terms = {}
         for e in rng.sample(monomials_of_degree(nv, degree), 2):
             c = F(rng.randint(-4, 4), rng.randint(1, 3))
             terms[e] = GaussianRational(c, rng.randint(-2, 2)) if gaussian else c
         comp[slot] = ExactPoly(nv, terms)
-    return PolySym2(nv, comp)
+    return comp
+
+
+def random_sym2(nv, degree, rng, gaussian):
+    return PolySym2(nv, random_comp(_sym2_slots(nv), nv, degree, rng, gaussian))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_slot_actions_are_the_derivative_composition(n, gaussian):
+    """Both tensor actions equal the oracle built from derivatives and
+    polynomial products, for every generator and every Gaussian raising
+    operator."""
+    rng = random.Random(300 * n + gaussian)
+    nv = n + 1
+    h = random_sym2(nv, 2, rng, gaussian)
+    w = PolyTensor4(nv, random_comp(tensor4_slots(nv), nv, 2, rng, gaussian))
+    pairs = index_pairs(nv)
+    sym2_entries = [(key, key) for key in _sym2_slots(nv)]
+    tensor4_entries = [((a, b), pairs[a] + pairs[b]) for a, b in tensor4_slots(nv)]
+    mats = [g.matrix for _, g in all_generators(n)] + [m for _, m in raising_operators(n)]
+    for m in mats:
+        assert algebra_action_sym2(m, h) == slot_action_oracle(m, h, sym2_entries)
+        assert algebra_action_tensor4(m, w) == slot_action_oracle(m, w, tensor4_entries)
 
 
 @pytest.mark.parametrize("n", [3, 4])
