@@ -36,8 +36,15 @@ from .poly import (
 F = Fraction
 
 
+def _check_closed_form_args(n: int, p: int):
+    """The closed forms of H_p and W_p hold for n >= 2 and p >= 0; ``ValueError`` otherwise."""
+    if n < 2 or p < 0:
+        raise ValueError(f"closed forms need n >= 2 and p >= 0, got n={n}, p={p}")
+
+
 def dim_Hp(n: int, p: int) -> int:
     """binom(p+n-2, p) (2p+n-1) / (n-1)."""
+    _check_closed_form_args(n, p)
     return math.comb(p + n - 2, p) * (2 * p + n - 1) // (n - 1)
 
 
@@ -171,6 +178,7 @@ def signature_Hp(n: int, p: int) -> Tuple[int, int]:
 
 
 def signature_Hp_expected(n: int, p: int) -> Tuple[int, int]:
+    _check_closed_form_args(n, p)
     return math.comb(p + n - 1, n - 1), math.comb(p + n - 2, n - 1)
 
 

@@ -62,7 +62,15 @@ from .massaspect import (
     round_metric_tensor,
     sample_tensor,
 )
-from .poly import ExactPoly, monomials_of_degree, operator_rows, sphere_moments, sphere_pairing, sphere_restrict
+from .poly import (
+    ExactPoly,
+    coordinates,
+    monomials_of_degree,
+    operator_rows,
+    sphere_moments,
+    sphere_pairing,
+    sphere_restrict,
+)
 from .quadrature import sphere_nodes
 from .weyl import PolyTensor4, algebra_action_tensor4, build_Wp, index_pairs, tensor4_slots
 
@@ -83,17 +91,6 @@ def weyl_weight(n: int, n1: int) -> int:
 
 _WEYL_SIGN = {"weyl": 0, "weyl_plus": 1, "weyl_minus": -1}
 _FAMILIES = ("conformal", *_WEYL_SIGN)
-
-
-def _coordinates(v):
-    """(stored key, exponent, coefficient) of each unit coordinate of a dual vector.
-
-    The key is None for a polynomial and the stored slot (a, b) for a
-    :class:`PolyTensor4`.
-    """
-    if isinstance(v, ExactPoly):
-        return ((None, e, c) for e, c in v.terms.items())
-    return ((key, e, c) for key, p in v.comp.items() for e, c in p.terms.items())
 
 
 @lru_cache(maxsize=None)
@@ -135,22 +132,22 @@ class MassFunctional:
 
     def __call__(self, v):
         total = F(0)
-        for key, e, c in _coordinates(v):
-            val = self._units.get((key, e))
+        for unit, c in coordinates(v):
+            val = self._units.get(unit)
             if val is None:
                 val = F(0)
-                for ij, a, w in _unit_density(self.family, v.nvars, key, e):
+                for ij, a, w in _unit_density(self.family, v.nvars, *unit):
                     moment = self._moments.get(ij)
                     if moment is not None and (mom := moment(a)):
                         val = val + w * mom
-                self._units[(key, e)] = val
+                self._units[unit] = val
             if val:
                 total = total + c * val
         return total if total else F(0)
 
 
-def _check_dual(family: str, m: SphereTensor, v, check_weight: bool) -> None:
-    """Type, dimension, homogeneity and decay-order checks shared by the masses."""
+def _check_dual(family: str, m: SphereTensor, v) -> int:
+    """Type, dimension and homogeneity checks shared by the masses; returns the degree of v."""
     weyl = family != "conformal"
     kind = PolyTensor4 if weyl else ExactPoly
     if not isinstance(v, kind):
@@ -158,14 +155,20 @@ def _check_dual(family: str, m: SphereTensor, v, check_weight: bool) -> None:
     if v.nvars != m.n + 1:
         what = "tensor/aspect dimension mismatch" if weyl else "dual argument must be an ambient polynomial"
         raise ValueError(f"{what}: {v.nvars} variables, expected n + 1 = {m.n + 1}")
-    degrees = {sum(e) for _, e, _ in _coordinates(v)}
+    degrees = {sum(e) for (_, e), _ in coordinates(v)}
     if len(degrees) > 1:
         raise ValueError("dual argument must be homogeneous")
-    if check_weight:
-        weight, label = (weyl_weight, "Weyl") if weyl else (conformal_weight, "conformal")
-        expected = weight(m.n, max(degrees, default=0))
-        if m.k != expected:
-            raise ValueError(f"decay order {m.k} does not match the {label} weight {expected}")
+    return max(degrees, default=0)
+
+
+def _mass(family: str, m: SphereTensor, v):
+    """Phi(m)(v) after the checks of :func:`_check_dual` and of the decay order of m."""
+    degree = _check_dual(family, m, v)
+    weight, label = (conformal_weight, "conformal") if family == "conformal" else (weyl_weight, "Weyl")
+    expected = weight(m.n, degree)
+    if m.k != expected:
+        raise ValueError(f"decay order {m.k} does not match the {label} weight {expected}")
+    return MassFunctional(family, m)(v)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +182,9 @@ def conformal_density(p: ExactPoly, k: int) -> SphereTensor:
     return round_metric_tensor(p.nvars - 1, k).map(lambda s: s * restricted)
 
 
-def conformal_mass(m: SphereTensor, p: ExactPoly, check_weight: bool = True):
+def conformal_mass(m: SphereTensor, p: ExactPoly):
     """int P(1, x) tr^sigma(m) dmu / Vol, exact."""
-    _check_dual("conformal", m, p, check_weight)
-    return MassFunctional("conformal", m)(p)
+    return _mass("conformal", m, p)
 
 
 def wang_mass_vector(m: SphereTensor) -> Tuple:
@@ -271,13 +273,12 @@ def weyl_density(w: PolyTensor4, k: int, sign: int = 0) -> SphereTensor:
     return SphereTensor(n, k, comp)
 
 
-def weyl_mass(m: SphereTensor, w: PolyTensor4, check_weight: bool = True):
+def weyl_mass(m: SphereTensor, w: PolyTensor4):
     """int < m, W(e+, ., e+, .) > dmu / Vol, exact (n >= 4 real case)."""
-    _check_dual("weyl", m, w, check_weight)
-    return MassFunctional("weyl", m)(w)
+    return _mass("weyl", m, w)
 
 
-def weyl_mass_chiral(m: SphereTensor, w: PolyTensor4, sign: int, check_weight: bool = True):
+def weyl_mass_chiral(m: SphereTensor, w: PolyTensor4, sign: int):
     """Chiral mass (n = 3): the second slot twisted by (Id -+ i J).
 
     ``sign`` +1 computes Phi_{w,+} (Id - iJ), -1 the conjugate family.
@@ -287,9 +288,7 @@ def weyl_mass_chiral(m: SphereTensor, w: PolyTensor4, sign: int, check_weight: b
         raise ValueError("chiral masses exist only for n = 3")
     if sign not in (1, -1):
         raise ValueError(f"chiral sign must be +1 or -1, got {sign}")
-    family = "weyl_plus" if sign > 0 else "weyl_minus"
-    _check_dual(family, m, w, check_weight)
-    return MassFunctional(family, m)(w)
+    return _mass("weyl_plus" if sign > 0 else "weyl_minus", m, w)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +325,7 @@ def check_equivariance_infinitesimal(
     if not dual_basis:
         raise ValueError("empty dual basis")
     for v in dual_basis:
-        _check_dual(family, m, v, check_weight=False)
+        _check_dual(family, m, v)
     if not isinstance(gen, AlgebraElement):
         gen = AlgebraElement(gen)
     named = named_generators(m.n).get(gen_name)

@@ -14,6 +14,12 @@ fixed spanning set are all read off its rows without further
 elimination.  The Sylvester signature of a symmetric form is exact
 congruence diagonalization on the same row update, :func:`_add_multiple`,
 which every elimination here runs on.
+
+A system on polynomial objects reaches :func:`nullspace` by one of two
+routes: rows, the sparse matrix of an operator on monomial coordinates
+(:func:`ahmass.poly.operator_rows`, :func:`kron_rows`), for H_p, W_p and
+the gauge solve; or images, :func:`joint_kernel` of several maps on a
+basis of objects, for the highest-weight and transverse solutions.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from math import gcd
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 from .gaussian import GaussianRational
+from .poly import coordinates
 
 Row = Dict[int, object]
 
@@ -160,20 +167,20 @@ def nullspace(rows: Sequence[Row], ncols: int) -> List[Row]:
     return list(basis.values())
 
 
-def kernel_of_columns(columns: Sequence[Dict[Hashable, object]]) -> List[Row]:
-    """Exact basis of the combinations c with sum_j c_j columns[j] = 0.
+def joint_kernel(basis: Sequence, maps: Sequence) -> List[Row]:
+    """Exact basis of the coefficient rows c with sum_j c_j f(basis[j]) = 0 for every map f.
 
-    Column ``j`` is the image of unknown ``j``, keyed by any hashable
-    label of the target coordinates; zero entries are dropped.  Its
-    transpose is a sparse system over the unknowns, solved by
-    :func:`nullspace`.
+    Each map sends a basis object to a polynomial object; the image
+    coordinates (:func:`ahmass.poly.coordinates`), keyed (map index,
+    coordinate), are the equations.  The result is the echelon basis of
+    :func:`nullspace`; with no maps it is one unit row per basis element.
     """
     rows: Dict[Hashable, Row] = {}
-    for j, col in enumerate(columns):
-        for key, v in col.items():
-            if v:
-                rows.setdefault(key, {})[j] = v
-    return nullspace(list(rows.values()), len(columns))
+    for j, b in enumerate(basis):
+        for k, f in enumerate(maps):
+            for coord, v in coordinates(f(b)):
+                rows.setdefault((k, coord), {})[j] = v
+    return nullspace(list(rows.values()), len(basis))
 
 
 def rank(rows: Sequence[Row], ncols: int) -> int:

@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .gaussian import GaussianRational, I
-from .linalg import Row, kernel_of_columns
+from .linalg import Row, _exact, joint_kernel
 from .poly import ExactPoly, _add_flow, _flow, _poly
 
 Matrix = Tuple[Tuple[object, ...], ...]
@@ -231,7 +231,7 @@ class AlgebraElement:
     """Infinitesimal isometry: (eta a)^T = -(eta a)."""
 
     def __init__(self, matrix: Sequence[Sequence]):
-        self.matrix: Matrix = tuple(tuple(_exact_entry(v) for v in row) for row in matrix)
+        self.matrix: Matrix = tuple(tuple(_exact(v) for v in row) for row in matrix)
         self.dim = len(self.matrix)
         eta = eta_matrix(self.dim)
         ea = mat_mul(eta, self.matrix)
@@ -244,12 +244,6 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"AlgebraElement(n={self.n})"
-
-
-def _exact_entry(v):
-    if isinstance(v, (Fraction, GaussianRational)):
-        return v
-    return Fraction(v)
 
 
 def boost_generator(n: int, i: int) -> AlgebraElement:
@@ -292,7 +286,7 @@ def linear_forms(m) -> List[ExactPoly]:
     """The linear forms (MX)^mu = M^mu_nu X^nu, one per row of a square matrix."""
     nv = len(m)
     units = [tuple(int(i == nu) for i in range(nv)) for nu in range(nv)]
-    return [ExactPoly(nv, {units[nu]: _exact_entry(c) for nu, c in enumerate(row) if c}) for row in m]
+    return [ExactPoly(nv, {units[nu]: _exact(c) for nu, c in enumerate(row) if c}) for row in m]
 
 
 def act_on_poly(a: LorentzElement, p: ExactPoly) -> ExactPoly:
@@ -307,7 +301,7 @@ def algebra_act_on_poly(a, p: ExactPoly) -> ExactPoly:
     (:func:`ahmass.poly._add_flow`), the slot-free case of the tensor
     slot action of :mod:`ahmass.weyl`.
     """
-    m = a.matrix if isinstance(a, AlgebraElement) else [[_exact_entry(c) for c in row] for row in a]
+    m = a.matrix if isinstance(a, AlgebraElement) else [[_exact(c) for c in row] for row in a]
     out = {}
     _add_flow(out, p.terms, _flow(m, p.nvars))
     return _poly(p.nvars, out)
@@ -460,37 +454,21 @@ def root_of_operator(name: str, rank: int) -> List[Fraction]:
     return out
 
 
-def highest_weight_vectors(
-    basis: Sequence[Row],
-    apply_matrix,
-    n: int,
-    weight: Sequence[Fraction],
-) -> List[Row]:
+def highest_weight_vectors(basis: Sequence, act, n: int, weight: Sequence[Fraction]) -> List[Row]:
     """Joint kernel of H_k - lambda_k and all raising operators on a span.
 
-    ``basis`` lists independent vectors spanning an invariant subspace in
-    some ambient coordinates; ``apply_matrix(mat, vec)`` realizes the
-    action of an algebra matrix on such a coordinate vector.  The images
-    of the basis vectors, keyed (operator, ambient coordinate), are the
-    columns of one :func:`kernel_of_columns`, so no coordinates against
-    ``basis`` are needed.  Returns coefficient vectors against ``basis``.
-    Raises ``ValueError`` if ``weight`` does not have one entry per Cartan
-    generator or the requested weight space is empty.
+    ``basis`` lists independent polynomial objects spanning an invariant
+    subspace, and ``act(mat, v)`` applies an algebra matrix to one of
+    them: :func:`algebra_act_on_poly`, or ``algebra_action_sym2`` and
+    ``algebra_action_tensor4`` of :mod:`ahmass.weyl`.  Returns the rows of
+    one :func:`ahmass.linalg.joint_kernel`, coefficients against
+    ``basis``.  Raises ``ValueError`` if ``weight`` does not have one
+    entry per Cartan generator or the requested weight space is empty.
     """
     if len(weight) != cartan_rank(n):
         raise ValueError(f"weight needs {cartan_rank(n)} entries for n={n}, got {len(weight)}")
-
-    def image(vec: Row, ops) -> dict:
-        col = {}
-        for k, (mat, lam) in enumerate(ops):
-            img = dict(apply_matrix(mat, vec))
-            for c, v in vec.items():
-                img[c] = img.get(c, 0) - lam * v
-            col.update(((k, c), v) for c, v in img.items())
-        return col
-
-    ops = list(zip(cartan_generators(n), weight))
-    if not kernel_of_columns([image(b, ops) for b in basis]):
+    maps = [lambda v, h=h, lam=lam: act(h, v) - v * lam for h, lam in zip(cartan_generators(n), weight)]
+    if not joint_kernel(basis, maps):
         raise ValueError("weight space empty")
-    ops += [(rmat, 0) for _, rmat in raising_operators(n)]
-    return kernel_of_columns([image(b, ops) for b in basis])
+    maps += [lambda v, r=r: act(r, v) for _, r in raising_operators(n)]
+    return joint_kernel(basis, maps)

@@ -34,6 +34,10 @@ aspects).  It keeps the components in a ``comp`` map from canonical
 stored keys to nonzero polynomials and supplies the signed lookup and
 the linear operations; a subclass states only its fields and its layout
 through the hooks ``nvars``, ``_key``, ``_slot`` and ``_reduce``.
+
+:func:`coordinates` is the one reader of the unit coordinates of a
+polynomial, a tensor or a sequence of polynomials, for joint kernels and
+mass functionals alike.
 """
 
 from __future__ import annotations
@@ -710,6 +714,8 @@ class PolyTensor:
     def scale(self, c):
         return self.map(lambda p: p * c)
 
+    __mul__ = scale
+
     def conjugate(self):
         return self.map(ExactPoly.conjugate)
 
@@ -728,3 +734,18 @@ class PolyTensor:
             and self.comp.keys() == other.comp.keys()
             and all(p.terms == other.comp[key].terms for key, p in self.comp.items())
         )
+
+
+def coordinates(v):
+    """((key, exponent), coefficient) of each nonzero unit coordinate of a polynomial object.
+
+    The key is None for an :class:`ExactPoly`, the stored key for a
+    :class:`PolyTensor` and the position for a sequence of polynomials.
+    """
+    if isinstance(v, ExactPoly):
+        places = ((None, v),)
+    elif isinstance(v, PolyTensor):
+        places = v.comp.items()
+    else:
+        places = enumerate(v)
+    return (((key, e), c) for key, p in places for e, c in p.terms.items() if c)

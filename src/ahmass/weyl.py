@@ -18,19 +18,21 @@ The chain implemented here:
 
 All tensors are stored over the ambient Minkowski variables X^0..X^n.
 
-Every linear system on polynomial coefficients is assembled from two
-pieces: :func:`ahmass.poly.operator_rows`, the sparse matrix of a map
-between homogeneous forms on monomial coordinates (Box, d_nu, X^mu and
-the derivation -(aX).d of an algebra element), and
+The linear systems take the two routes of :mod:`ahmass.linalg`.  On
+the rows route, W_p and the gauge solve are sparse matrices on monomial
+coordinates, assembled from :func:`ahmass.poly.operator_rows`, the
+matrix of a map between homogeneous forms (Box and d_nu), and
 :func:`ahmass.linalg.kron_rows`, which forms sum_k A_k (x) B_k with a
 slot or vector factor.  Tensors of degree d have coordinates monomial
-index major, slot minor (:func:`_tensor_to_coords`).  For a symmetric
-2-tensor the constraints are Box (x) I, I (x) tr and
-sum_mu X^mu (x) c_mu.  For W_p the slots are the pairs of index pairs
-(:func:`tensor4_slot_sign`) and the constraints are I (x) T, I (x) B_1
-and sum_s d_s (x) C_s (:func:`build_Wp`).  The gauge vector field of
-:func:`de_donder_fix` is laid out component major, so its operators are
-I (x) Box and sum_nu eta_nu e_nu (x) d_nu.
+index major, slot minor (:func:`_tensor_to_coords`).  For W_p the slots
+are the pairs of index pairs (:func:`tensor4_slot_sign`) and the
+constraints are I (x) T, I (x) B_1 and sum_s d_s (x) C_s
+(:func:`build_Wp`).  The gauge vector field of :func:`de_donder_fix` is
+laid out component major, so its operators are I (x) Box and
+sum_nu eta_nu e_nu (x) d_nu.  On the images route, each system on
+symmetric 2-tensors is one :func:`ahmass.linalg.joint_kernel` of the
+maps a solution must send to zero (:func:`transverse_solution_space`,
+:func:`hw_vectors_sym2`).
 
 so(n,1) acts on every covariant polynomial tensor by one slot action
 (:func:`_slot_action`), (a.T)_I = -(aX).d T_I - sum_r a^s_{I_r} T_{I[r -> s]},
@@ -58,11 +60,11 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Dict, List, Sequence, Tuple
 
-from .harmonic import form_signature, monomial_weight
+from .harmonic import _check_closed_form_args, form_signature, monomial_weight
 from .linalg import (
     Row,
     identity_rows,
-    kernel_of_columns,
+    joint_kernel,
     kron_rows,
     nullspace,
     solve_min_support,
@@ -365,11 +367,6 @@ def de_donder_fix(h: PolySym2) -> Tuple[PolySym2, List[ExactPoly]]:
 # ---------------------------------------------------------------------------
 # the spaces W_p
 # ---------------------------------------------------------------------------
-
-
-def _check_closed_form_args(n: int, p: int):
-    if n < 2 or p < 0:
-        raise ValueError(f"closed forms need n >= 2 and p >= 0, got n={n}, p={p}")
 
 
 def dim_Wp(n: int, p: int) -> int:
@@ -727,52 +724,28 @@ def algebra_action_tensor4(mat, w: PolyTensor4) -> PolyTensor4:
 
 
 def _sym2_slots(nv: int) -> List[Tuple[int, int]]:
-    """Independent components (mu <= nu) of a symmetric 2-tensor, in order.
-
-    The coordinates of a degree-d tensor are laid out monomial index
-    major, slot minor: h_{mu nu} X^e sits at e * len(slots) + slot.
-    """
+    """Independent components (mu <= nu) of a symmetric 2-tensor, in order."""
     return [(mu, nu) for mu in range(nv) for nu in range(mu, nv)]
 
 
-def row_to_sym2(row: Row, nv: int, degree: int) -> PolySym2:
-    return PolySym2(nv, _coords_to_tensor(row, _sym2_slots(nv), nv, degree))
-
-
-def _sym2_constraint_rows(n: int, degree: int) -> Tuple[List[Row], int]:
-    """Rows cutting out the transverse, wave-harmonic, eta-trace-free
-    degree-d tensors.
-
-    Box (x) I stacked over I (x) tr and the radial contraction
-    sum_mu X^mu (x) c_mu, where c_mu h = (h_{mu nu})_nu.  Returns the rows
-    and the number of coordinates.
-    """
-    nv = n + 1
-    slots = _sym2_slots(nv)
-    sidx = {s: i for i, s in enumerate(slots)}
-    nmonos = len(monomials_of_degree(nv, degree))
-    box = operator_rows(wave_operator, nv, degree, degree - 2)
-    rows = kron_rows([(box, identity_rows(len(slots)))], len(slots))
-    trace = [{sidx[(mu, mu)]: F(_eta_sign(mu)) for mu in range(nv)}]
-    rows += kron_rows([(identity_rows(nmonos), trace)], len(slots))
-    terms = []
-    for mu in range(nv):
-        x_mu = ExactPoly.variable(nv, mu)
-        times_x = operator_rows(lambda p, x=x_mu: p * x, nv, degree, degree + 1)
-        contract = [{sidx[(min(mu, nu), max(mu, nu))]: F(1)} for nu in range(nv)]
-        terms.append((times_x, contract))
-    rows += kron_rows(terms, len(slots))
-    return rows, nmonos * len(slots)
+def _combinations(nv: int, basis: Sequence[PolySym2], rows: List[Row]) -> List[PolySym2]:
+    """The tensors sum_j c_j basis[j], one per coefficient row c."""
+    return [sum((basis[j] * c for j, c in row.items()), PolySym2(nv, {})) for row in rows]
 
 
 def transverse_solution_space(n: int, degree: int) -> List[PolySym2]:
     """Wave-harmonic, eta-trace-free tensors with h_{mu nu} X^mu = 0.
 
     These solve the linearized Einstein equations (they are automatically
-    divergence free) and realize the same representation as W_{degree-2}.
+    divergence free) and realize the same representation as W_{degree-2}:
+    the joint kernel of Box, the eta-trace and the radial contraction on
+    the unit tensors X^e in one slot, monomial major.
     """
-    kernel = nullspace(*_sym2_constraint_rows(n, degree))
-    return [row_to_sym2(v, n + 1, degree) for v in kernel]
+    nv = n + 1
+    monos = monomials_of_degree(nv, degree)
+    units = [PolySym2(nv, {s: ExactPoly.monomial(nv, e)}) for e in monos for s in _sym2_slots(nv)]
+    maps = [PolySym2.box, PolySym2.eta_trace, PolySym2.radial_contraction]
+    return _combinations(nv, units, joint_kernel(units, maps))
 
 
 # ---------------------------------------------------------------------------
@@ -813,26 +786,17 @@ def hw_vectors_sym2(
 
     The unknowns are the coefficients on the weight basis of ``weight``
     (:func:`_weight_basis`), so the Cartan eigenvalue conditions hold by
-    construction.  Each basis tensor is mapped by Box, the eta-trace and
-    every raising operator (:func:`algebra_action_sym2`); the vectors span
-    the kernel of these images, one column per basis tensor
-    (:func:`kernel_of_columns`).
+    construction; the joint kernel is that of the eta-trace, Box and
+    every raising operator (:func:`algebra_action_sym2`).
     Raises ``ValueError`` if ``weight`` does not have one entry per
     Cartan generator.
     """
     if len(weight) != cartan_rank(n):
         raise ValueError(f"weight needs {cartan_rank(n)} entries for n={n}, got {len(weight)}")
     basis = _weight_basis(n, degree, weight)
-    raising = [m for _, m in raising_operators(n)]
-
-    def image(h: PolySym2) -> dict:
-        parts = [("trace", h.eta_trace())] + [(("box", s), p) for s, p in h.box().comp.items()]
-        for r, m in enumerate(raising):
-            parts += [((r, s), p) for s, p in algebra_action_sym2(m, h).comp.items()]
-        return {(key, e): c for key, p in parts for e, c in p.terms.items()}
-
-    kernel = kernel_of_columns([image(h) for h in basis])
-    return [sum((basis[j].scale(c) for j, c in v.items()), PolySym2(n + 1, {})) for v in kernel]
+    maps = [PolySym2.eta_trace, PolySym2.box]
+    maps += [lambda h, m=m: algebra_action_sym2(m, h) for _, m in raising_operators(n)]
+    return _combinations(n + 1, basis, joint_kernel(basis, maps))
 
 
 def _zminus(nv: int, which: int, conj: bool = False) -> ExactPoly:

@@ -101,8 +101,22 @@ def test_harmonic_decompose_reconstructs_and_cross_checks_nullspace():
         (lambda: invariant_form_q(X(4, 0), X(4, 1) ** 2), "not in the same homogeneous space"),
         (lambda: metric_multiplication_scaling(ExactPoly.zero(4), 1), "nonzero homogeneous"),
         (lambda: metric_multiplication_scaling(X(4, 0) ** 2, 1), "not wave-harmonic"),
+        (lambda: dim_Hp(1, 1), "n=1, p=1"),
+        (lambda: dim_Hp(0, 2), "n=0, p=2"),
+        (lambda: signature_Hp_expected(3, -1), "n=3, p=-1"),
+        (lambda: signature_Hp_expected(1, 1), "n=1, p=1"),
     ],
-    ids=["small-n", "form-inhomogeneous", "form-degrees", "scaling-zero", "scaling-not-harmonic"],
+    ids=[
+        "small-n",
+        "form-inhomogeneous",
+        "form-degrees",
+        "scaling-zero",
+        "scaling-not-harmonic",
+        "dim-n1",
+        "dim-n0",
+        "signature-negative-p",
+        "signature-n1",
+    ],
 )
 def test_bad_input_raises_value_error(call, match):
     with pytest.raises(ValueError, match=match):

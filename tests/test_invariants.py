@@ -8,6 +8,7 @@ from ahmass import invariants
 from ahmass.gaussian import GaussianRational
 from ahmass.harmonic import build_Hp
 from ahmass.invariants import (
+    MassFunctional,
     _eplus_wedge,
     _unit_density,
     check_equivariance_finite,
@@ -33,7 +34,7 @@ from ahmass.massaspect import (
     generator_action,
     random_mass_aspect,
 )
-from ahmass.poly import ExactPoly, monomials_of_degree, sphere_integral, sphere_restrict
+from ahmass.poly import ExactPoly, coordinates, monomials_of_degree, sphere_integral, sphere_restrict
 from ahmass.weyl import PolyTensor4, algebra_action_tensor4, build_Wp, tensor4_slots
 from sphere_oracles import act_on_dual, equivariance_oracle, mass_oracle, pair, pair_oracle
 
@@ -124,10 +125,8 @@ def _wang_residual(m, name, gen, k=None):
     """wang(a.m)[mu] + Phi(m)(a.X^mu); component 0 pairs with X^0."""
     nv = m.n + 1
     am = wang_mass_vector(generator_action(name, m, k))
-    return tuple(
-        am[mu] + conformal_mass(m, algebra_act_on_poly(gen, ExactPoly.variable(nv, mu)), check_weight=False)
-        for mu in range(nv)
-    )
+    mass = MassFunctional("conformal", m)
+    return tuple(am[mu] + mass(algebra_act_on_poly(gen, ExactPoly.variable(nv, mu))) for mu in range(nv))
 
 
 def test_wang_mass_vector_equivariant_at_k_equals_n():
@@ -281,7 +280,7 @@ def test_masses_are_the_pairing_with_the_whole_density(family, n, n1):
     gaussian = [basis[0] * z if family == "conformal" else basis[0].scale(z)]
     gaussian += [w for v in basis if not (w := act_on_dual(family, raising, v)).is_zero()][:2]
     assert len(gaussian) == (1 if (family, n1) == ("conformal", 0) else 3)
-    assert all(any(isinstance(c, GaussianRational) for _, _, c in invariants._coordinates(w)) for w in gaussian)
+    assert all(any(isinstance(c, GaussianRational) for _, c in coordinates(w)) for w in gaussian)
     duals = basis[:3] + gaussian
     values = [MASSES[family](m, v) for v in duals]
     oracle = [mass_oracle(family, m, v) for v in duals]
@@ -394,7 +393,7 @@ def test_chiral_pair_sums_to_the_real_family():
     m = random_mass_aspect(n, weyl_weight(n, 0), random.Random(7))
     twisted = 0
     for w in build_Wp(n, 0).basis:
-        real = weyl_mass(m, w, check_weight=False)
+        real = MassFunctional("weyl", m)(w)
         plus, minus = weyl_mass_chiral(m, w, +1), weyl_mass_chiral(m, w, -1)
         assert plus + minus == 2 * real
         twisted += plus != real
@@ -485,11 +484,10 @@ def test_mass_argument_errors():
             weyl_mass_chiral(m_chiral, w3, sign)
     # an inhomogeneous W once met a misleading weight error, or none at all
     mixed4 = build_Wp(4, 0).basis[0] + build_Wp(4, 1).basis[0]
-    for check_weight in (True, False):
-        with pytest.raises(ValueError, match="homogeneous"):
-            weyl_mass(m4, mixed4, check_weight=check_weight)
-        with pytest.raises(ValueError, match="homogeneous"):
-            weyl_mass_chiral(m_chiral, w3 + build_Wp(3, 1).basis[0], -1, check_weight=check_weight)
+    with pytest.raises(ValueError, match="homogeneous"):
+        weyl_mass(m4, mixed4)
+    with pytest.raises(ValueError, match="homogeneous"):
+        weyl_mass_chiral(m_chiral, w3 + build_Wp(3, 1).basis[0], -1)
     with pytest.raises(ValueError, match="weyl family needs PolyTensor4"):
         weyl_mass(m4, ExactPoly.variable(5, 0))
     with pytest.raises(ValueError, match="conformal family needs ExactPoly"):

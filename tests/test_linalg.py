@@ -11,6 +11,7 @@ from ahmass.linalg import (
     Echelon,
     SpanSolver,
     dense_to_rows,
+    joint_kernel,
     kron_rows,
     matvec,
     nullspace,
@@ -18,6 +19,7 @@ from ahmass.linalg import (
     signature_of_form,
     solve_min_support,
 )
+from ahmass.poly import ExactPoly, monomials_of_degree, operator_rows, wave_operator
 
 
 def test_kron_rows_rejects_terms_of_different_shapes():
@@ -270,3 +272,28 @@ def test_echelon_deterministic_free_columns():
     ech = Echelon(rows, 3)
     assert ech.pivot_cols == [0]
     assert ech.free_columns() == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# joint kernels of maps on polynomial objects
+# ---------------------------------------------------------------------------
+
+
+def test_joint_kernel_of_no_maps_is_every_combination():
+    basis = [ExactPoly.variable(3, i) for i in range(3)] + [ExactPoly.zero(3)]
+    assert joint_kernel(basis, []) == [{j: 1} for j in range(4)]
+
+
+def test_joint_kernel_matches_the_rows_route():
+    # the wave-harmonic quadrics two ways: images of the unit monomials
+    # against the sparse matrix of the same operator on monomial coordinates
+    nv, degree = 4, 3
+    units = [ExactPoly.monomial(nv, e) for e in monomials_of_degree(nv, degree)]
+    rows = operator_rows(wave_operator, nv, degree, degree - 2)
+    assert joint_kernel(units, [wave_operator]) == nullspace(rows, len(units))
+    # a second map adds its equations: harmonic and free of X^0
+    drop = joint_kernel(units, [wave_operator, lambda p: p.diff(0)])
+    assert drop and len(drop) < len(units)
+    for row in drop:
+        p = sum(units[j] * c for j, c in row.items())
+        assert wave_operator(p).is_zero() and p.diff(0).is_zero()

@@ -6,7 +6,7 @@ import pytest
 
 from ahmass.gaussian import GaussianRational
 from ahmass.harmonic import build_Hp
-from ahmass.poly import ExactPoly, minkowski_norm_poly, monomial_index
+from ahmass.poly import ExactPoly, minkowski_norm_poly
 from ahmass.lorentz import (
     AlgebraElement,
     LorentzElement,
@@ -37,6 +37,7 @@ from ahmass.lorentz import (
 )
 
 F = Fraction
+ONE = ExactPoly.constant(4, 1)
 
 
 def test_rational_boost_identity():
@@ -83,7 +84,7 @@ def test_boost_parameter_must_lie_strictly_between_minus_one_and_one(t):
         (lambda: ball_to_hyperboloid((F(1), F(0), F(0))), "not in the open unit ball"),
         (lambda: sphere_action(identity_element(3), (F(1), F(1), F(0))), "not on the unit sphere"),
         (lambda: u_of_A(identity_element(3), (F(1, 2), F(0), F(0))), "not on the unit sphere"),
-        (lambda: highest_weight_vectors([{0: F(1)}], lambda mat, vec: {}, 3, [F(1), F(0)]), "weight space empty"),
+        (lambda: highest_weight_vectors([ONE], algebra_act_on_poly, 3, [F(1), F(0)]), "weight space empty"),
     ],
     ids=[
         "element-not-isometry",
@@ -283,36 +284,15 @@ def test_e1_roots_span_the_south_pole_translations(n):
         AlgebraElement(x)
 
 
-def poly_basis_rows(polys, index):
-    return [{index[e]: c for e, c in p.terms.items()} for p in polys]
-
-
 @pytest.mark.parametrize("n,p", [(3, 1), (3, 2), (4, 2)])
 def test_hw_vector_of_harmonic_space(n, p):
     # degree-p wave-harmonic space has highest weight vector (X^0+X^1)^p
     space = build_Hp(n, p)
-    index = monomial_index(n + 1, p)
-    basis = poly_basis_rows(space.basis, index)
-
-    def apply_mat(mat, vec):
-        poly = ExactPoly(n + 1)
-        rev = {i: e for e, i in index.items()}
-        for i, c in vec.items():
-            poly = poly + ExactPoly.monomial(n + 1, rev[i], c)
-        out = algebra_act_on_poly(mat, poly)
-        return {index[e]: c for e, c in out.terms.items()}
-
     weight = [F(0)] * cartan_rank(n)
     weight[0] = F(p)
-    hws = highest_weight_vectors(basis, apply_mat, n, weight)
+    hws = highest_weight_vectors(space.basis, algebra_act_on_poly, n, weight)
     assert len(hws) == 1
-    # reconstruct the polynomial and compare with (X^0 + X^1)^p up to scale
-    vec = hws[0]
-    poly = ExactPoly(n + 1)
-    rev = {i: e for e, i in index.items()}
-    for j, c in vec.items():
-        for i, bc in basis[j].items():
-            poly = poly + ExactPoly.monomial(n + 1, rev[i], c * bc)
+    poly = sum(space.basis[j] * c for j, c in hws[0].items())
     target = (X(n + 1, 0) + X(n + 1, 1)) ** p
     # compare at one monomial shared by both, whatever the term order
     e = next(iter(target.terms))
@@ -320,20 +300,14 @@ def test_hw_vector_of_harmonic_space(n, p):
 
 
 def test_hw_trivial_rep():
-    n = 3
-    basis = [{0: F(1)}]
-
-    def apply_mat(mat, vec):
-        return {}
-
-    hws = highest_weight_vectors(basis, apply_mat, n, [F(0), F(0)])
-    assert len(hws) == 1
+    hws = highest_weight_vectors([ONE], algebra_act_on_poly, 3, [F(0), F(0)])
+    assert hws == [{0: 1}]
 
 
 @pytest.mark.parametrize("weight", [[F(0)], [F(0), F(0), F(0)]])
 def test_hw_rejects_weight_of_wrong_length(weight):
     with pytest.raises(ValueError):
-        highest_weight_vectors([{0: F(1)}], lambda mat, vec: {}, 3, weight)
+        highest_weight_vectors([ONE], algebra_act_on_poly, 3, weight)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -43,6 +43,27 @@ def test_package_imports_without_scipy():
     assert out.stdout.strip() == "[]"
 
 
+NUMPY_FREE_SMOKE = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from fractions import Fraction
+from ahmass import harmonic, linalg, lorentz, poly, weyl
+basis = harmonic.build_Hp(3, 2).basis
+print(len(lorentz.highest_weight_vectors(basis, lorentz.algebra_act_on_poly, 3, [Fraction(2), Fraction(0)])))
+"""
+
+
+def test_exact_pipeline_runs_without_numpy():
+    """The exact modules import and solve a highest-weight kernel with numpy blocked.
+
+    The script runs as is under any interpreter that finds ``src`` on its
+    path, with no third-party package installed.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(ahmass.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", NUMPY_FREE_SMOKE], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "1"
+
+
 def unused_imports(source: str) -> list:
     """Module-level imports whose name is never read (``__all__`` exempt)."""
     tree = ast.parse(source)

@@ -16,6 +16,7 @@ from ahmass.lorentz import (
 from ahmass.massaspect import SphereTensor
 from ahmass.poly import (
     ExactPoly,
+    coordinates,
     euler_degree,
     from_coords,
     hyperboloid_normal_form,
@@ -417,3 +418,36 @@ def test_signed_lookup_follows_the_layout():
     for bad in [(2, 1), (1, 1), (1,), (0, 1, 2)]:
         with pytest.raises(ValueError):
             PolyForm(nv, 2, {bad: x})
+
+
+# ---------------------------------------------------------------------------
+# unit coordinates
+# ---------------------------------------------------------------------------
+
+
+def test_coordinates_read_every_polynomial_object():
+    nv, i = 4, GaussianRational(0, 1)
+    p = X(nv, 0) ** 2 + X(nv, 1) * X(nv, 2) * Fraction(3, 2)
+    stale = ExactPoly(nv)
+    stale.terms = {(1, 0, 0, 0): Fraction(0), (0, 0, 0, 1): i}  # a cancelled term left in place
+
+    def units(key, q):
+        return {(key, e): c for e, c in q.terms.items()}
+
+    objects = {
+        "poly": (p, units(None, p)),
+        "stale": (stale, {(None, (0, 0, 0, 1)): i}),
+        # (1, 0) is stored at (0, 1) and merged there
+        "sym2": (
+            PolySym2(nv, {(0, 1): p, (1, 0): X(nv, 3), (2, 2): p * i}),
+            {**units((0, 1), p + X(nv, 3)), **units((2, 2), p * i)},
+        ),
+        "tensor4": (PolyTensor4(nv, {(0, 5): p}), units((0, 5), p)),
+        "sphere": (SphereTensor(3, 2, {(1, 0): X(3, 2) * 2}), {((0, 1), (0, 0, 1)): 2}),
+        "list": ([p, ExactPoly.zero(nv), stale], {**units(0, p), (2, (0, 0, 0, 1)): i}),
+    }
+    for name, (obj, expected) in objects.items():
+        pairs = list(coordinates(obj))
+        assert dict(pairs) == expected, name
+        assert len(pairs) == len(expected), name  # distinct keys
+        assert all(c for _, c in pairs), name

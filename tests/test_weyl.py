@@ -21,9 +21,9 @@ from ahmass.weyl import (
     PolyForm,
     PolySym2,
     PolyTensor4,
+    _combinations,
     _one_transverse,
     _sym2_slots,
-    _tensor_to_coords,
     _weight_basis,
     algebra_action_sym2,
     algebra_action_tensor4,
@@ -41,7 +41,6 @@ from ahmass.weyl import (
     linearized_riemann,
     poincare_homotopy,
     proportionality,
-    row_to_sym2,
     signature_Wp,
     signature_Wp_expected,
     sym_gauge,
@@ -403,20 +402,21 @@ def test_chiral_hw_vectors_are_conjugate_and_transverse():
 def test_chiral_hw_vector_matches_weight_space_route(n, lam2, target):
     # second route: the raising kernel inside the (2, lam2) weight space of
     # the transverse solutions, with the element-wise Sym^2 action
-    nv, degree = n + 1, 2
-    slots = _sym2_slots(nv)
-    basis = [_tensor_to_coords(h.comp, slots, degree) for h in transverse_solution_space(n, degree)]
+    basis = transverse_solution_space(n, 2)
+    (h,) = _combinations(n + 1, basis, highest_weight_vectors(basis, algebra_action_sym2, n, [F(2), F(lam2)]))
+    assert proportionality(h, target()) is not None
 
-    def apply_mat(mat, vec):
-        return _tensor_to_coords(algebra_action_sym2(mat, row_to_sym2(vec, nv, degree)).comp, slots, degree)
 
-    hws = highest_weight_vectors(basis, apply_mat, n, [F(2), F(lam2)])
-    assert len(hws) == 1
-    row = {}
-    for j, c in hws[0].items():
-        for col, v in basis[j].items():
-            row[col] = row.get(col, 0) + c * v
-    assert proportionality(row_to_sym2(row, nv, degree), target()) is not None
+@pytest.mark.parametrize(
+    "n,weight,dim",
+    [(3, (2, 2), 1), (3, (2, -2), 1), (4, (2, 2), 1), (4, (2, 1), 0)],
+    ids=["3-(2,2)", "3-(2,-2)", "4-(2,2)", "4-(2,1)"],
+)
+def test_hw_vectors_of_w0_under_the_tensor4_action(n, weight, dim):
+    # W_0 carries highest weight (2, 2), and (2, -2) too at n = 3; the
+    # weight (2, 1) at n = 4 lies in W_0 but below (2, 2)
+    hws = highest_weight_vectors(build_Wp(n, 0).basis, algebra_action_tensor4, n, [F(x) for x in weight])
+    assert len(hws) == dim
 
 
 @pytest.mark.parametrize("n,p", [(4, 1), (5, 1), (6, 2)])
