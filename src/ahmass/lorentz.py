@@ -267,19 +267,18 @@ def rotation_generator(n: int, i: int, j: int) -> AlgebraElement:
 
 
 def all_generators(n: int) -> List[Tuple[str, AlgebraElement]]:
-    gens = [(f"a_{i}", boost_generator(n, i)) for i in range(1, n + 1)]
-    gens += [
-        (f"r_{i}{j}", rotation_generator(n, i, j))
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    ]
-    return gens
+    """(label, element) of the boosts a_i and rotations r_ij, a fresh list over shared elements."""
+    return list(named_generators(n).items())
 
 
 @lru_cache(maxsize=None)
 def named_generators(n: int) -> Mapping[str, AlgebraElement]:
-    """:func:`all_generators` as a read-only map from label to element, built once per n."""
-    return MappingProxyType(dict(all_generators(n)))
+    """The generators of :func:`all_generators` as a read-only map from label to element, built once per n."""
+    gens = {f"a_{i}": boost_generator(n, i) for i in range(1, n + 1)}
+    gens.update(
+        (f"r_{i}{j}", rotation_generator(n, i, j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+    )
+    return MappingProxyType(gens)
 
 
 def linear_forms(m) -> List[ExactPoly]:
@@ -404,15 +403,28 @@ def null_coordinates(n: int) -> Dict[int, Tuple[ExactPoly, Tuple[int, ...]]]:
     return out
 
 
-def raising_operators(n: int) -> List[Tuple[str, Matrix]]:
-    """Root vectors for all positive roots of so(n,1) complexified.
+def positive_roots(n: int) -> List[Tuple[str, int, int]]:
+    """(label, p, q) of every positive root of so(n,1) complexified.
 
-    Every root vector is E_pq - E_{-q,-p} (:func:`_eigen_generator`) with,
-    for 1 <= a < b <= rank,
+    The root vector is E_pq - E_{-q,-p} (:func:`_eigen_generator`), with
+    eigenbasis keys, for 1 <= a < b <= rank,
 
         X_{eps_a - eps_b} : (p, q) = (a, b)
         X_{eps_a + eps_b} : (p, q) = (a, -b)
         X_{eps_a}         : (p, q) = (a, 0)     (odd ambient dimension)
+    """
+    l = cartan_rank(n)
+    roots: List[Tuple[str, int, int]] = []
+    for a in range(1, l + 1):
+        for b in range(a + 1, l + 1):
+            roots += [(f"e{a}-e{b}", a, b), (f"e{a}+e{b}", a, -b)]
+        if (n + 1) % 2:
+            roots.append((f"e{a}", a, 0))
+    return roots
+
+
+def raising_operators(n: int) -> List[Tuple[str, Matrix]]:
+    """The root vectors of :func:`positive_roots` in the X coordinates, over Q(i).
 
     The roots involving eps_1 span the translations at the south pole,
     s_A = a_A + r_{1A}:
@@ -424,16 +436,27 @@ def raising_operators(n: int) -> List[Tuple[str, Matrix]]:
     The +-/-- assignment is forced by this module's eps conventions and
     verified by the ad-eigenvalue tests; any rescaling of a root vector
     leaves every kernel computed from these operators unchanged.
+    :func:`null_raising_operators` gives the same vectors in the null frame.
     """
-    l = cartan_rank(n)
     e = cartan_basis(n)
-    ops: List[Tuple[str, Matrix]] = []
-    for a in range(1, l + 1):
-        for b in range(a + 1, l + 1):
-            ops.append((f"e{a}-e{b}", _eigen_generator(e, a, b)))
-            ops.append((f"e{a}+e{b}", _eigen_generator(e, a, -b)))
-        if 0 in e:
-            ops.append((f"e{a}", _eigen_generator(e, a, 0)))
+    return [(label, _eigen_generator(e, p, q)) for label, p, q in positive_roots(n)]
+
+
+def null_raising_operators(n: int) -> List[Tuple[str, Matrix]]:
+    """The root vectors of :func:`positive_roots` in the null frame Z of :func:`null_coordinates`.
+
+    There E_pq is the matrix unit at the :func:`cartan_keys` positions of
+    (p, q), so E_pq - E_{-q,-p} is an integer matrix with one +1 and one
+    -1: the same operator as the :func:`raising_operators` entry M, written
+    as E^{-1} M E for E the columns of :func:`cartan_basis`.
+    """
+    pos = {k: i for i, k in enumerate(cartan_keys(n))}
+    ops = []
+    for label, p, q in positive_roots(n):
+        m = [[0] * (n + 1) for _ in range(n + 1)]
+        m[pos[p]][pos[q]] = 1
+        m[pos[-q]][pos[-p]] = -1
+        ops.append((label, tuple(map(tuple, m))))
     return ops
 
 
@@ -464,11 +487,15 @@ def highest_weight_vectors(basis: Sequence, act, n: int, weight: Sequence[Fracti
     one :func:`ahmass.linalg.joint_kernel`, coefficients against
     ``basis``.  Raises ``ValueError`` if ``weight`` does not have one
     entry per Cartan generator or the requested weight space is empty.
+    Each H_k image is computed once and serves both solves.
     """
     if len(weight) != cartan_rank(n):
         raise ValueError(f"weight needs {cartan_rank(n)} entries for n={n}, got {len(weight)}")
-    maps = [lambda v, h=h, lam=lam: act(h, v) - v * lam for h, lam in zip(cartan_generators(n), weight)]
-    if not joint_kernel(basis, maps):
+    shifted = [[act(h, v) - v * lam for h, lam in zip(cartan_generators(n), weight)] for v in basis]
+    # the unknowns are basis positions, so the stored H_k images are read, not recomputed
+    index = range(len(basis))
+    maps = [lambda j, k=k: shifted[j][k] for k in range(len(weight))]
+    if not joint_kernel(index, maps):
         raise ValueError("weight space empty")
-    maps += [lambda v, r=r: act(r, v) for _, r in raising_operators(n)]
-    return joint_kernel(basis, maps)
+    maps += [lambda j, r=r: act(r, basis[j]) for _, r in raising_operators(n)]
+    return joint_kernel(index, maps)

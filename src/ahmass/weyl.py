@@ -16,7 +16,9 @@ The chain implemented here:
 * algebraic construction of highest-weight vectors in the relevant
   tensor spaces, with comparison reports against cataloged closed forms.
 
-All tensors are stored over the ambient Minkowski variables X^0..X^n.
+Every tensor this module returns is stored over the ambient Minkowski
+variables X^0..X^n; only the highest-weight solve works in another frame
+(below).
 
 The linear systems take the two routes of :mod:`ahmass.linalg`.  On
 the rows route, W_p and the gauge solve are sparse matrices on monomial
@@ -45,9 +47,17 @@ aspect action of :mod:`ahmass.massaspect` and
 exponent shifts and each slot term adds a stored component scaled, so no
 intermediate polynomial is formed.
 
-Highest-weight systems are posed on the weight basis instead
-(:func:`_weight_basis`), whose tensors are weight vectors, so only the
-conditions other than the Cartan ones enter their small kernel.
+The slot action is written without reference to a coordinate system,
+and :func:`hw_vectors_sym2` uses that: it poses its system in the null
+frame Z of :func:`ahmass.lorentz.null_coordinates`.  Its unknowns are the
+weight vectors Z^e sym(dZ^a (x) dZ^b) of the requested weight
+(:func:`_weight_units`), so the Cartan conditions hold by construction
+and only the others enter the kernel.  In Z each unknown is one term,
+the eta-trace and Box (:func:`null_eta_trace`, :func:`null_box`) have
+integer coefficients and each root vector is a +-1 integer matrix
+(:func:`ahmass.lorentz.null_raising_operators`), so the whole solve runs
+over Q; only the units in the answer are expanded into X coordinates,
+where they may carry Gaussian-rational coefficients.
 """
 
 from __future__ import annotations
@@ -58,7 +68,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .harmonic import _check_closed_form_args, form_signature, monomial_weight
 from .linalg import (
@@ -69,7 +79,7 @@ from .linalg import (
     nullspace,
     solve_min_support,
 )
-from .lorentz import all_generators, cartan_basis, cartan_rank, null_coordinates, raising_operators
+from .lorentz import all_generators, cartan_basis, cartan_keys, cartan_rank, null_coordinates, null_raising_operators
 from .poly import (
     ExactPoly,
     PolyTensor,
@@ -728,7 +738,7 @@ def _sym2_slots(nv: int) -> List[Tuple[int, int]]:
     return [(mu, nu) for mu in range(nv) for nu in range(mu, nv)]
 
 
-def _combinations(nv: int, basis: Sequence[PolySym2], rows: List[Row]) -> List[PolySym2]:
+def _combinations(nv: int, basis: Mapping[int, PolySym2] | Sequence[PolySym2], rows: List[Row]) -> List[PolySym2]:
     """The tensors sum_j c_j basis[j], one per coefficient row c."""
     return [sum((basis[j] * c for j, c in row.items()), PolySym2(nv, {})) for row in rows]
 
@@ -753,18 +763,17 @@ def transverse_solution_space(n: int, degree: int) -> List[PolySym2]:
 # ---------------------------------------------------------------------------
 
 
-def _weight_basis(n: int, degree: int, weight: Sequence) -> List[PolySym2]:
-    """The tensors Z^e sym(dZ^a (x) dZ^b) of eps-weight ``weight``, in X coordinates.
+def _weight_units(null: Mapping, degree: int, weight: Sequence) -> List[Tuple[Tuple[int, ...], int, int]]:
+    """(e, a, b) of the tensors Z^e sym(dZ^a (x) dZ^b) of eps-weight ``weight``.
 
-    Z^e runs over the degree-d monomials in the null coordinates of
-    :func:`ahmass.lorentz.null_coordinates` and (a, b) over their pairs
-    a <= b.  Each such tensor is a weight vector whose weight is the sum
-    of the weights of its factors, and together they form a basis of the
-    degree-d symmetric 2-tensors.
+    Z^e runs over the degree-d monomials in the null coordinates ``null``
+    of :func:`ahmass.lorentz.null_coordinates` and (a, b) over their
+    pairs a <= b, monomial major.  Each such tensor is a weight vector
+    whose weight is the sum of the weights of its factors, and together
+    they form a basis of the degree-d symmetric 2-tensors.
     """
-    nv = n + 1
-    forms, weights = zip(*null_coordinates(n).values())
-    covs = [_cov(z) for z in forms]
+    nv = len(null)
+    weights = [w for _, w in null.values()]
     out = []
     for e in monomials_of_degree(nv, degree):
         for a, b in _sym2_slots(nv):
@@ -772,9 +781,34 @@ def _weight_basis(n: int, degree: int, weight: Sequence) -> List[PolySym2]:
             factors[a] += 1
             factors[b] += 1
             if all(sum(k * w[j] for k, w in zip(factors, weights)) == lam for j, lam in enumerate(weight)):
-                z_e = ExactPoly.monomial(nv, e).substitute(forms)
-                out.append(_outer_sym(nv, z_e, covs[a], covs[b]))
+                out.append((e, a, b))
     return out
+
+
+def _units_in_x(null: Mapping, units) -> List[PolySym2]:
+    """The tensors Z^e sym(dZ^a (x) dZ^b) of :func:`_weight_units` triples, in X coordinates."""
+    nv = len(null)
+    forms = [z for z, _ in null.values()]
+    covs = [_cov(z) for z in forms]
+    return [_outer_sym(nv, ExactPoly.monomial(nv, e).substitute(forms), covs[a], covs[b]) for e, a, b in units]
+
+
+@lru_cache(maxsize=None)
+def _null_partners(nv: int) -> Tuple[Tuple[int, int], ...]:
+    """(i, j) with eta(e_i, e_j) = 1 in the null frame: the positions of the keys k and -k."""
+    keys = cartan_keys(nv - 1)
+    return tuple((i, keys.index(-k)) for i, k in enumerate(keys))
+
+
+def null_eta_trace(h: PolySym2) -> ExactPoly:
+    """eta^{ij} h_ij = sum_k h_{k,-k} for a tensor stored in the null frame."""
+    return sum((h.get(i, j) for i, j in _null_partners(h.nv)), ExactPoly.zero(h.nv))
+
+
+def null_box(h: PolySym2) -> PolySym2:
+    """sum_k d_k d_{-k} of every component of a tensor stored in the null frame."""
+    pairs = _null_partners(h.nv)
+    return h.map(lambda p: sum((p.diff(i).diff(j) for i, j in pairs), ExactPoly.zero(h.nv)))
 
 
 def hw_vectors_sym2(
@@ -782,21 +816,32 @@ def hw_vectors_sym2(
     degree: int,
     weight: Sequence[Fraction],
 ) -> List[PolySym2]:
-    """Highest-weight vectors in the solution space.
+    """Highest-weight vectors in the solution space, in X coordinates.
 
-    The unknowns are the coefficients on the weight basis of ``weight``
-    (:func:`_weight_basis`), so the Cartan eigenvalue conditions hold by
-    construction; the joint kernel is that of the eta-trace, Box and
-    every raising operator (:func:`algebra_action_sym2`).
-    Raises ``ValueError`` if ``weight`` does not have one entry per
-    Cartan generator.
+    The unknowns are the coefficients on the tensors Z^e sym(dZ^a (x) dZ^b)
+    of weight ``weight`` (:func:`_weight_units`), so the Cartan eigenvalue
+    conditions hold by construction.  The system is posed in the null
+    frame Z, where each of them is one term (coefficient 1 on a diagonal
+    slot, 1/2 off it), eta^{ij} is a permutation and every root vector an
+    integer matrix (:func:`ahmass.lorentz.null_raising_operators`): one
+    joint kernel over Q of the eta-trace, Box and every raising operator
+    (:func:`algebra_action_sym2`).  Only the units that occur in the kernel
+    are expanded into X coordinates (:func:`_units_in_x`).  Raises
+    ``ValueError`` if ``degree`` is negative or ``weight`` does not have
+    one entry per Cartan generator.
     """
+    if degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {degree}")
     if len(weight) != cartan_rank(n):
         raise ValueError(f"weight needs {cartan_rank(n)} entries for n={n}, got {len(weight)}")
-    basis = _weight_basis(n, degree, weight)
-    maps = [PolySym2.eta_trace, PolySym2.box]
-    maps += [lambda h, m=m: algebra_action_sym2(m, h) for _, m in raising_operators(n)]
-    return _combinations(n + 1, basis, joint_kernel(basis, maps))
+    nv, null = n + 1, null_coordinates(n)
+    units = _weight_units(null, degree, weight)
+    tensors = [PolySym2(nv, {(a, b): ExactPoly.monomial(nv, e, F(1) if a == b else F(1, 2))}) for e, a, b in units]
+    maps = [null_eta_trace, null_box]
+    maps += [lambda h, m=m: algebra_action_sym2(m, h) for _, m in null_raising_operators(n)]
+    rows = joint_kernel(tensors, maps)
+    used = sorted({j for row in rows for j in row})
+    return _combinations(nv, dict(zip(used, _units_in_x(null, [units[j] for j in used]))), rows)
 
 
 def _zminus(nv: int, which: int, conj: bool = False) -> ExactPoly:

@@ -15,7 +15,9 @@ factor by general products) that of the term-level
 :func:`ahmass.massaspect._weighted_action`, and the composition of the
 tensor slot action from derivatives and polynomial products
 (:func:`slot_action_oracle`) that of the term-level
-:func:`ahmass.weyl._slot_action`.
+:func:`ahmass.weyl._slot_action`; the highest-weight solve posed in X
+coordinates (:func:`hw_vectors_sym2_oracle`) is the oracle of the
+null-frame :func:`ahmass.weyl.hw_vectors_sym2`.
 """
 
 from dataclasses import replace
@@ -25,7 +27,8 @@ from hypothesis import strategies as st
 
 from ahmass.gaussian import GaussianRational
 from ahmass.invariants import conformal_density, weyl_density
-from ahmass.lorentz import AlgebraElement, algebra_act_on_poly, linear_forms
+from ahmass.linalg import joint_kernel
+from ahmass.lorentz import AlgebraElement, algebra_act_on_poly, linear_forms, null_coordinates, raising_operators
 from ahmass.massaspect import (
     SphereTensor,
     _boundary_field,
@@ -34,7 +37,15 @@ from ahmass.massaspect import (
     sphere_covariant_derivative,
 )
 from ahmass.poly import ExactPoly, monomials_of_degree, sphere_integral, sphere_pairing
-from ahmass.weyl import algebra_action_tensor4
+from ahmass.weyl import (
+    PolySym2,
+    _combinations,
+    _cov,
+    _outer_sym,
+    _sym2_slots,
+    algebra_action_sym2,
+    algebra_action_tensor4,
+)
 
 
 def square_and_integrate_vanishes(p: ExactPoly) -> bool:
@@ -209,3 +220,36 @@ def slot_action_oracle(mat, t, entries):
                     p = p - m[s][i] * t.get(*idx[:r], s, *idx[r + 1 :])
         comp[key] = p
     return replace(t, comp=comp)
+
+
+def weight_basis_oracle(n: int, degree: int, weight) -> list:
+    """The tensors Z^e sym(dZ^a (x) dZ^b) of eps-weight ``weight``, built in X coordinates.
+
+    Z^e runs over the degree-d monomials in the null coordinates and
+    (a, b) over their pairs a <= b, monomial major.
+    """
+    nv = n + 1
+    forms, weights = zip(*null_coordinates(n).values())
+    covs = [_cov(z) for z in forms]
+    out = []
+    for e in monomials_of_degree(nv, degree):
+        for a, b in _sym2_slots(nv):
+            factors = list(e)
+            factors[a] += 1
+            factors[b] += 1
+            if all(sum(k * w[j] for k, w in zip(factors, weights)) == lam for j, lam in enumerate(weight)):
+                z_e = ExactPoly.monomial(nv, e).substitute(forms)
+                out.append(_outer_sym(nv, z_e, covs[a], covs[b]))
+    return out
+
+
+def hw_vectors_sym2_oracle(n: int, degree: int, weight) -> list:
+    """Highest-weight solutions by the joint kernel posed in X coordinates over Q(i).
+
+    The weight basis in X, the eta-trace and Box of :class:`PolySym2` and
+    the complex root vectors of :func:`ahmass.lorentz.raising_operators`.
+    """
+    basis = weight_basis_oracle(n, degree, weight)
+    maps = [PolySym2.eta_trace, PolySym2.box]
+    maps += [lambda h, m=m: algebra_action_sym2(m, h) for _, m in raising_operators(n)]
+    return _combinations(n + 1, basis, joint_kernel(basis, maps))

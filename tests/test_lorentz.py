@@ -18,14 +18,19 @@ from ahmass.lorentz import (
     boost_from_parameter,
     boost_generator,
     bracket,
+    cartan_basis,
     cartan_generators,
     cartan_keys,
     cartan_rank,
     highest_weight_vectors,
     identity_element,
+    mat_identity,
+    mat_mul,
     mat_scale,
     mat_sub,
+    named_generators,
     null_coordinates,
+    null_raising_operators,
     rational_boost,
     rational_rotation,
     rational_sphere_point,
@@ -282,6 +287,31 @@ def test_e1_roots_span_the_south_pole_translations(n):
     assert {name: x for name, x in roots if root_of_operator(name, cartan_rank(n))[0] == 1} == want
     for x in cartan_generators(n) + [x for _, x in roots]:
         AlgebraElement(x)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_null_root_matrices_are_the_raising_operators_in_the_null_frame(n):
+    # E has the eigenbasis as columns and E^{-1} the dual covectors eta e_{-k} as rows
+    e = cartan_basis(n)
+    keys = cartan_keys(n)
+    E = tuple(tuple(e[k][mu] for k in keys) for mu in range(n + 1))
+    E_inv = tuple(tuple(-c if mu == 0 else c for mu, c in enumerate(e[-k])) for k in keys)
+    assert mat_mul(E_inv, E) == mat_identity(n + 1)
+    null, x = null_raising_operators(n), raising_operators(n)
+    assert [label for label, _ in null] == [label for label, _ in x]
+    for (_, m), (_, mx) in zip(null, x):
+        assert mat_mul(mat_mul(E_inv, mx), E) == m
+        assert all(type(c) is int for row in m for c in row)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_generators_are_built_once_and_match_a_fresh_build(n):
+    fresh = [(f"a_{i}", boost_generator(n, i)) for i in range(1, n + 1)]
+    fresh += [(f"r_{i}{j}", rotation_generator(n, i, j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    first, second = all_generators(n), all_generators(n)
+    assert [(name, g.matrix) for name, g in first] == [(name, g.matrix) for name, g in fresh]
+    assert first == second and first is not second
+    assert all(g is named_generators(n)[name] for name, g in second)
 
 
 @pytest.mark.parametrize("n,p", [(3, 1), (3, 2), (4, 2)])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ahmass.gaussian import GaussianRational
-from ahmass.linalg import SpanSolver
+from ahmass.linalg import SpanSolver, joint_kernel
 from ahmass.lorentz import (
     algebra_act_on_poly,
     all_generators,
@@ -14,6 +14,8 @@ from ahmass.lorentz import (
     cartan_generators,
     cartan_rank,
     highest_weight_vectors,
+    null_coordinates,
+    null_raising_operators,
     raising_operators,
 )
 from ahmass.poly import ExactPoly, minkowski_norm_poly, monomials_of_degree, wave_operator
@@ -22,9 +24,12 @@ from ahmass.weyl import (
     PolySym2,
     PolyTensor4,
     _combinations,
+    _cov,
     _one_transverse,
+    _outer_sym,
     _sym2_slots,
-    _weight_basis,
+    _units_in_x,
+    _weight_units,
     algebra_action_sym2,
     algebra_action_tensor4,
     build_Wp,
@@ -39,6 +44,8 @@ from ahmass.weyl import (
     index_pairs,
     linearized_einstein,
     linearized_riemann,
+    null_box,
+    null_eta_trace,
     poincare_homotopy,
     proportionality,
     signature_Wp,
@@ -49,7 +56,7 @@ from ahmass.weyl import (
     weyl_to_potential,
     weyl_type_hw_vector,
 )
-from sphere_oracles import slot_action_oracle
+from sphere_oracles import hw_vectors_sym2_oracle, slot_action_oracle
 
 F = Fraction
 
@@ -419,6 +426,25 @@ def test_hw_vectors_of_w0_under_the_tensor4_action(n, weight, dim):
     assert len(hws) == dim
 
 
+def test_highest_weight_vectors_computes_each_image_once():
+    # one call per basis element and operator (2 Cartan, 4 raising at
+    # n = 4), with the rows of the plain joint kernel of all six maps
+    basis = build_Wp(4, 0).basis
+    calls = []
+
+    def act(mat, w):
+        calls.append(mat)
+        return algebra_action_tensor4(mat, w)
+
+    weight = [F(2), F(2)]
+    rows = highest_weight_vectors(basis, act, 4, weight)
+    assert len(calls) == len(basis) * (2 + 4) == 210
+    hs = zip(cartan_generators(4), weight)
+    maps = [lambda w, h=h, lam=lam: algebra_action_tensor4(h, w) - w * lam for h, lam in hs]
+    maps += [lambda w, r=r: algebra_action_tensor4(r, w) for _, r in raising_operators(4)]
+    assert len(rows) == 1 and rows == joint_kernel(basis, maps)
+
+
 @pytest.mark.parametrize("n,p", [(4, 1), (5, 1), (6, 2)])
 def test_weyl_type_hw_matches_catalog_pattern(n, p):
     # one-dimensional (weyl_type_hw_vector raises otherwise) and carrying curvature
@@ -464,6 +490,12 @@ def test_hw_vectors_sym2_rejects_weight_of_wrong_length(weight):
         hw_vectors_sym2(4, 2, weight)
 
 
+def test_hw_vectors_sym2_rejects_negative_degree():
+    # a negative degree is a caller error, not an empty weight space
+    with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
+        hw_vectors_sym2(3, -1, (F(1), F(0)))
+
+
 def test_transverse_space_dimension_matches_wp():
     # the transverse trace-free wave solutions of degree d realize the
     # same representation as W_{d-2}
@@ -480,16 +512,17 @@ def test_transverse_space_dimension_matches_wp():
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
 def test_weight_basis_is_a_basis_of_weight_vectors(n, degree):
-    # each tensor is an eigenvector of every H_j with its weight, and the
-    # weight spaces together have as many vectors as there are coordinates
-    # each of the degree + 2 factors moves the weight by one unit vector or 0
-    nv, hs = n + 1, cartan_generators(n)
+    # the null-frame units, expanded into X coordinates: each tensor is an
+    # eigenvector of every H_j with its weight, and the weight spaces
+    # together have as many vectors as there are coordinates; each of the
+    # degree + 2 factors moves the weight by one unit vector or 0
+    nv, hs, null = n + 1, cartan_generators(n), null_coordinates(n)
     reach = range(-(degree + 2), degree + 3)
     total = 0
     for weight in itertools.product(reach, repeat=cartan_rank(n)):
         if sum(map(abs, weight)) > degree + 2:
             continue
-        basis = _weight_basis(n, degree, weight)
+        basis = _units_in_x(null, _weight_units(null, degree, weight))
         total += len(basis)
         for h in basis:
             for hmat, lam in zip(hs, weight):
@@ -545,3 +578,49 @@ def test_algebra_action_sym2_is_a_lie_homomorphism_commuting_with_box_and_trace(
     for (a, ah), (b, bh) in itertools.combinations(zip(gens, acted), 2):
         lhs = algebra_action_sym2(bracket(a, b), h)
         assert lhs == algebra_action_sym2(a, bh) - algebra_action_sym2(b, ah)
+
+
+# the highest-weight solves of hw_vectors_weyl (3, 0), (3, 1) and (4, 0),
+# chiral_hw_vector and weyl_type_hw_vector (4, 0) and (4, 1), each once,
+# then a rank-3 weight, a weight where only the trace condition removes
+# a solution and a weight space with no highest-weight vector
+HW_SOLVES = [
+    (3, 2, (4, 0)), (3, 2, (3, 1)), (3, 2, (2, 2)), (3, 2, (2, -2)),
+    (3, 3, (5, 0)), (3, 3, (4, 1)), (3, 3, (3, 2)), (3, 3, (3, -2)),
+    (4, 2, (4, 0)), (4, 2, (3, 1)), (4, 2, (2, 2)), (4, 3, (3, 2)),
+    (5, 2, (2, 2, 0)), (3, 2, (2, 0)), (4, 2, (2, 1)),
+]
+
+
+@pytest.mark.parametrize("n,degree,weight", HW_SOLVES, ids=[f"{n}-{d}-{w}" for n, d, w in HW_SOLVES])
+def test_hw_vectors_sym2_equals_the_x_coordinate_solve(n, degree, weight):
+    weight = tuple(F(x) for x in weight)
+    got = hw_vectors_sym2(n, degree, weight)
+    assert len(got) == (0 if weight == (2, 1) else 1)
+    assert got == hw_vectors_sym2_oracle(n, degree, weight)
+
+
+def to_x(h):
+    """A tensor stored in the null frame, h_ab(Z) dZ^a dZ^b summed over all (a, b), in X coordinates."""
+    nv = h.nv
+    forms = [z for z, _ in null_coordinates(nv - 1).values()]
+    covs = [_cov(z) for z in forms]
+    out = PolySym2(nv, {})
+    for (a, b), p in h.comp.items():
+        out = out + _outer_sym(nv, p.substitute(forms) * (1 if a == b else 2), covs[a], covs[b])
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_null_frame_maps_commute_with_the_frame_change(n, gaussian):
+    rng = random.Random(500 * n + gaussian)
+    nv = n + 1
+    forms = [z for z, _ in null_coordinates(n).values()]
+    h = random_sym2(nv, 2, rng, gaussian)
+    hx = to_x(h)
+    assert hx.eta_trace() == null_eta_trace(h).substitute(forms)
+    assert hx.box() == to_x(null_box(h))
+    for (label, m), (same, mx) in zip(null_raising_operators(n), raising_operators(n)):
+        assert label == same
+        assert algebra_action_sym2(mx, hx) == to_x(algebra_action_sym2(m, h))
