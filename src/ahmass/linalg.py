@@ -153,9 +153,10 @@ def nullspace(rows: Sequence[Row], ncols: int) -> List[Row]:
     """Exact basis of the right kernel, one vector per free column.
 
     Vector ``j`` is 1 on the ``j``-th free column and 0 on every other
-    free column; its pivot entries are read off the reduced rows.  The
-    basis is therefore the unique one in echelon position, whatever the
-    route of the elimination, and its vectors are independent.
+    free column, which it lists first; its pivot entries are read off
+    the reduced rows.  The basis is therefore the unique one in echelon
+    position, whatever the route of the elimination, and its vectors are
+    independent.
     """
     ech = Echelon(rows, ncols)
     basis = {f: {f: Fraction(1)} for f in ech.free_columns()}

@@ -487,15 +487,11 @@ def highest_weight_vectors(basis: Sequence, act, n: int, weight: Sequence[Fracti
     one :func:`ahmass.linalg.joint_kernel`, coefficients against
     ``basis``.  Raises ``ValueError`` if ``weight`` does not have one
     entry per Cartan generator or the requested weight space is empty.
-    Each H_k image is computed once and serves both solves.
     """
     if len(weight) != cartan_rank(n):
         raise ValueError(f"weight needs {cartan_rank(n)} entries for n={n}, got {len(weight)}")
-    shifted = [[act(h, v) - v * lam for h, lam in zip(cartan_generators(n), weight)] for v in basis]
-    # the unknowns are basis positions, so the stored H_k images are read, not recomputed
-    index = range(len(basis))
-    maps = [lambda j, k=k: shifted[j][k] for k in range(len(weight))]
-    if not joint_kernel(index, maps):
+    maps = [lambda v, h=h, lam=lam: act(h, v) - v * lam for h, lam in zip(cartan_generators(n), weight)]
+    if not joint_kernel(basis, maps):
         raise ValueError("weight space empty")
-    maps += [lambda j, r=r: act(r, basis[j]) for _, r in raising_operators(n)]
-    return joint_kernel(index, maps)
+    maps += [lambda v, r=r: act(r, v) for _, r in raising_operators(n)]
+    return joint_kernel(basis, maps)

@@ -53,7 +53,7 @@ frame Z of :func:`ahmass.lorentz.null_coordinates`.  Its unknowns are the
 weight vectors Z^e sym(dZ^a (x) dZ^b) of the requested weight
 (:func:`_weight_units`), so the Cartan conditions hold by construction
 and only the others enter the kernel.  In Z each unknown is one term,
-the eta-trace and Box (:func:`null_eta_trace`, :func:`null_box`) have
+the eta-trace and Box (:func:`_null_eta_trace`, :func:`_null_box`) have
 integer coefficients and each root vector is a +-1 integer matrix
 (:func:`ahmass.lorentz.null_raising_operators`), so the whole solve runs
 over Q; only the units in the answer are expanded into X coordinates,
@@ -70,6 +70,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Dict, List, Mapping, Sequence, Tuple
 
+from .gaussian import GaussianRational
 from .harmonic import _check_closed_form_args, form_signature, monomial_weight
 from .linalg import (
     Row,
@@ -738,7 +739,7 @@ def _sym2_slots(nv: int) -> List[Tuple[int, int]]:
     return [(mu, nu) for mu in range(nv) for nu in range(mu, nv)]
 
 
-def _combinations(nv: int, basis: Mapping[int, PolySym2] | Sequence[PolySym2], rows: List[Row]) -> List[PolySym2]:
+def _combinations(nv: int, basis: Sequence[PolySym2], rows: List[Row]) -> List[PolySym2]:
     """The tensors sum_j c_j basis[j], one per coefficient row c."""
     return [sum((basis[j] * c for j, c in row.items()), PolySym2(nv, {})) for row in rows]
 
@@ -800,12 +801,12 @@ def _null_partners(nv: int) -> Tuple[Tuple[int, int], ...]:
     return tuple((i, keys.index(-k)) for i, k in enumerate(keys))
 
 
-def null_eta_trace(h: PolySym2) -> ExactPoly:
+def _null_eta_trace(h: PolySym2) -> ExactPoly:
     """eta^{ij} h_ij = sum_k h_{k,-k} for a tensor stored in the null frame."""
     return sum((h.get(i, j) for i, j in _null_partners(h.nv)), ExactPoly.zero(h.nv))
 
 
-def null_box(h: PolySym2) -> PolySym2:
+def _null_box(h: PolySym2) -> PolySym2:
     """sum_k d_k d_{-k} of every component of a tensor stored in the null frame."""
     pairs = _null_partners(h.nv)
     return h.map(lambda p: sum((p.diff(i).diff(j) for i, j in pairs), ExactPoly.zero(h.nv)))
@@ -826,7 +827,10 @@ def hw_vectors_sym2(
     integer matrix (:func:`ahmass.lorentz.null_raising_operators`): one
     joint kernel over Q of the eta-trace, Box and every raising operator
     (:func:`algebra_action_sym2`).  Only the units that occur in the kernel
-    are expanded into X coordinates (:func:`_units_in_x`).  Raises
+    are expanded into X coordinates (:func:`_units_in_x`) and combined with
+    the kernel rows over Q(i): a Gaussian rational on each pivot unit and
+    the rational 1 on the free one, the coefficient types of the same
+    system solved in X coordinates.  Raises
     ``ValueError`` if ``degree`` is negative or ``weight`` does not have
     one entry per Cartan generator.
     """
@@ -837,11 +841,16 @@ def hw_vectors_sym2(
     nv, null = n + 1, null_coordinates(n)
     units = _weight_units(null, degree, weight)
     tensors = [PolySym2(nv, {(a, b): ExactPoly.monomial(nv, e, F(1) if a == b else F(1, 2))}) for e, a, b in units]
-    maps = [null_eta_trace, null_box]
+    maps = [_null_eta_trace, _null_box]
     maps += [lambda h, m=m: algebra_action_sym2(m, h) for _, m in null_raising_operators(n)]
     rows = joint_kernel(tensors, maps)
     used = sorted({j for row in rows for j in row})
-    return _combinations(nv, dict(zip(used, _units_in_x(null, [units[j] for j in used]))), rows)
+    at = {j: i for i, j in enumerate(used)}
+    # each row renumbered onto the used units; its pivot entries lifted to
+    # Q(i), where the X coordinates live, while the free unit, which
+    # nullspace lists first, keeps its rational 1
+    rows = [{at[j]: c if k == 0 else GaussianRational(c) for k, (j, c) in enumerate(row.items())} for row in rows]
+    return _combinations(nv, _units_in_x(null, [units[j] for j in used]), rows)
 
 
 def _zminus(nv: int, which: int, conj: bool = False) -> ExactPoly:
