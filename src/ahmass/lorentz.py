@@ -246,8 +246,9 @@ class AlgebraElement:
         return f"AlgebraElement(n={self.n})"
 
 
+@lru_cache(maxsize=None)
 def boost_generator(n: int, i: int) -> AlgebraElement:
-    """a_i = dX^0 d_i + dX^i d_0 (1 <= i <= n)."""
+    """a_i = dX^0 d_i + dX^i d_0 (1 <= i <= n), built once per (n, i)."""
     if not 1 <= i <= n:
         raise ValueError(f"boost direction {i} is not in 1..{n}")
     m = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
@@ -256,8 +257,9 @@ def boost_generator(n: int, i: int) -> AlgebraElement:
     return AlgebraElement(m)
 
 
+@lru_cache(maxsize=None)
 def rotation_generator(n: int, i: int, j: int) -> AlgebraElement:
-    """r_ij = dX^i d_j - dX^j d_i (1 <= i, j <= n, i != j)."""
+    """r_ij = dX^i d_j - dX^j d_i (1 <= i, j <= n, i != j), built once per (n, i, j)."""
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
         raise ValueError(f"rotation plane ({i}, {j}) needs two distinct indices in 1..{n}")
     m = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
@@ -383,14 +385,16 @@ def cartan_generators(n: int) -> List[Matrix]:
     return [_eigen_generator(e, k, k) for k in range(1, cartan_rank(n) + 1)]
 
 
-def null_coordinates(n: int) -> Dict[int, Tuple[ExactPoly, Tuple[int, ...]]]:
+@lru_cache(maxsize=None)
+def null_coordinates(n: int) -> Mapping[int, Tuple[ExactPoly, Tuple[int, ...]]]:
     """The linear forms Z^k dual to :func:`cartan_basis`, with their eps-weights.
 
     Z^k(e_j) = delta_{kj}, keyed in :func:`cartan_keys` order: the
     coefficients of Z^k are the covector eta e_{-k}.  Under
     a . P = -(a X)^mu d_mu P, Z^k and dZ^k have weight -eps_k (with
     eps_{-k} = -eps_k and eps_0 = 0): Z^{-1} = X^0 + X^1 has weight +eps_1
-    and Z^{-2} = X^2 + i X^3 has +eps_2.
+    and Z^{-2} = X^2 + i X^3 has +eps_2.  The map is read-only and built
+    once per n.
     """
     e = cartan_basis(n)
     out = {}
@@ -400,7 +404,7 @@ def null_coordinates(n: int) -> Dict[int, Tuple[ExactPoly, Tuple[int, ...]]]:
         sign = -1 if k > 0 else 1
         weight = tuple(sign if j == abs(k) else 0 for j in range(1, cartan_rank(n) + 1))
         out[k] = (sum(terms, ExactPoly.zero(n + 1)), weight)
-    return out
+    return MappingProxyType(out)
 
 
 def positive_roots(n: int) -> List[Tuple[str, int, int]]:

@@ -26,9 +26,12 @@ map helpers of :mod:`ahmass.poly` that the slot action of
 components of m: V.dm + A^T m + m A is accumulated per slot, projected
 once by Pi = Id - x (x) x (:func:`_project_terms`, the one projection,
 also behind :func:`sphere_covariant_derivative` and
-:func:`transversalize`), and each component is reduced once.  The radial
-contraction and the round trace are the same shifts.  V needs no
-tangency test there: it is tangent because
+:func:`transversalize`), and each component is reduced once.  A rational
+aspect moved by a real element runs this pass on the integer numerators
+of its coefficients over their common denominator, which each output
+term is divided by once; the transversality test reads the same
+numerators.  The radial contraction and the round trace are the same
+shifts.  V needs no tangency test there: it is tangent because
 :class:`~ahmass.lorentz.AlgebraElement` validates the isometry condition
 of M.
 """
@@ -37,9 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .gaussian import GaussianRational
 from .lorentz import (
@@ -57,7 +58,9 @@ from .poly import (
     _add_flow,
     _add_scaled,
     _add_shifted,
+    _cleared,
     _flow,
+    _over,
     _poly,
     _small,
     monomials_of_degree,
@@ -65,6 +68,9 @@ from .poly import (
     sorted_pair,
     vanishes_on_sphere,
 )
+
+if TYPE_CHECKING:  # numpy is imported only by the numeric functions that use it
+    import numpy as np
 
 F = Fraction
 
@@ -99,6 +105,11 @@ def _radial(rows) -> Terms:
     return out
 
 
+def _radial_row(n: int, t: Dict[Tuple[int, int], Terms], i: int) -> Terms:
+    """sum_b x^b t_ib for a symmetric array of term maps stored on keys i <= j."""
+    return _radial([t.get(sorted_pair((i, b)), _EMPTY) for b in range(n)])
+
+
 def _reduced(n: int, terms: Terms) -> Terms:
     return quadric_normal_form(_poly(n, terms)).terms
 
@@ -112,17 +123,13 @@ def _project_terms(n: int, t: Dict[Tuple[int, int], Terms]) -> Tuple[Dict[Tuple[
     before they are shifted out; the normal form is a ring map modulo
     |x|^2 - 1, so the entries change only within their on-sphere classes.
     """
-
-    def entry(i, j):
-        return t.get((i, j) if i <= j else (j, i), _EMPTY)
-
-    rad = [_reduced(n, _radial([entry(i, b) for b in range(n)])) for i in range(n)]
+    rad = [_reduced(n, _radial_row(n, t, i)) for i in range(n)]
     scalar = _reduced(n, _radial(rad))
     xs = [_shifted(scalar, i) for i in range(n)]
     out = {}
     for i in range(n):
         for j in range(i, n):
-            acc = dict(entry(i, j))
+            acc = dict(t.get((i, j), _EMPTY))
             _add_shifted(acc, rad[j], i, -1)
             _add_shifted(acc, rad[i], j, -1)
             _add_shifted(acc, xs[i], j)
@@ -147,29 +154,33 @@ class SphereTensor(PolyTensor):
     _key = staticmethod(sorted_pair)
     _reduce = staticmethod(quadric_normal_form)
 
-    def _terms(self, i: int, j: int) -> Terms:
-        hit = self.lookup(i, j)
-        return _EMPTY if hit is None else hit[0].terms
-
-    def _radial_terms(self, i: int) -> Terms:
-        return _radial([self._terms(i, j) for j in range(self.n)])
+    def _term_maps(self) -> Dict[Tuple[int, int], Terms]:
+        return {ij: p.terms for ij, p in self.comp.items()}
 
     def radial_contraction(self, i: int) -> ExactPoly:
         """sum_j m_ij x^j."""
-        return _poly(self.n, self._radial_terms(i))
+        return _poly(self.n, _radial_row(self.n, self._term_maps(), i))
 
     def is_transverse(self) -> bool:
-        return all(
-            vanishes_on_sphere(self.radial_contraction(i)) for i in range(self.n)
-        )
+        """True when every radial contraction m_ij x^j vanishes on the sphere.
+
+        A rational aspect is tested on its integer numerators
+        (:func:`ahmass.poly._cleared`): a zero test does not change when
+        its input is multiplied by a nonzero integer.
+        """
+        terms = self._term_maps()
+        cleared = _cleared(terms)
+        if cleared is not None:
+            terms = cleared[0]
+        return all(vanishes_on_sphere(_poly(self.n, _radial_row(self.n, terms, i))) for i in range(self.n))
 
     def trace_sigma(self) -> ExactPoly:
         """Round-metric trace: sum_i m_ii - sum_ij x^i x^j m_ij on the sphere."""
-        out: Terms = {}
+        terms, out = self._term_maps(), {}
         for i in range(self.n):
-            _add_scaled(out, self._terms(i, i))
+            _add_scaled(out, terms.get((i, i), _EMPTY))
         for i in range(self.n):
-            _add_shifted(out, self._radial_terms(i), i, -1)
+            _add_shifted(out, _radial_row(self.n, terms, i), i, -1)
         return _poly(self.n, out)
 
     def equal_on_sphere(self, other: "SphereTensor") -> bool:
@@ -213,7 +224,7 @@ def transversalize(m: SphereTensor, k: int | None = None) -> SphereTensor:
     if k == 0:
         raise ValueError("decay order k must be positive")
     n = m.n
-    comp, scalar = _project_terms(n, {ij: p.terms for ij, p in m.comp.items()})
+    comp, scalar = _project_terms(n, m._term_maps())
     scalar = {e: c / k for e, c in scalar.items()}
     xs = [_shifted(scalar, i) for i in range(n)]
     for (i, j), acc in comp.items():
@@ -351,6 +362,11 @@ def _weighted_action(a, m: SphereTensor, k: int) -> SphereTensor:
     folded into the integer multipliers, projected once by
     :func:`_project_terms`, and k phi m is added by shifts;
     :class:`SphereTensor` reduces each component once.
+    When m is rational and M real, the pass runs on the integer
+    numerators N of m over their common denominator D
+    (:func:`ahmass.poly._cleared`), and each stored output term is divided
+    by D once: the action is linear, so a.(N / D) = (a.N) / D exactly.  A
+    Gaussian aspect or matrix takes the same pass on its own coefficients.
     V is tangent to the sphere because ``AlgebraElement`` checks that M is
     an infinitesimal isometry, so no tangency test is made here.
     """
@@ -358,14 +374,18 @@ def _weighted_action(a, m: SphereTensor, k: int) -> SphereTensor:
     n = m.n
     if len(mat) != n + 1:
         raise ValueError("algebra element and aspect dimension mismatch")
+    terms = m._term_maps()
+    cleared = _cleared(terms) if all(type(v) is Fraction for row in mat for v in row) else None
+    if cleared is not None:
+        terms, den = cleared
     trans = [(c, -_small(mat[c + 1][0])) for c in range(n) if mat[c + 1][0]]
     spatial = _flow([row[1:] for row in mat[1:]], n)
     conf = [(d, _small(mat[0][d + 1])) for d in range(n) if mat[0][d + 1]]
     raw: Dict[Tuple[int, int], Terms] = {}
-    for ij, p in m.comp.items():
+    for ij, t in terms.items():
         acc = raw[ij] = {}
-        _add_flow(acc, p.terms, spatial)
-        for e, v in p.terms.items():
+        _add_flow(acc, t, spatial)
+        for e, v in t.items():
             for c, f in trans:
                 if e[c]:
                     key = list(e)
@@ -380,14 +400,19 @@ def _weighted_action(a, m: SphereTensor, k: int) -> SphereTensor:
     # -(A^T m + m A)_cd = -A^e_c m_ed - A^e_d m_ec, kept on c <= d; f = -A^e_c
     for e, c, f in spatial:
         for d in range(n):
-            _add_scaled(raw.setdefault(sorted_pair((c, d)), {}), m._terms(e, d), f * (2 if c == d else 1))
+            acc = raw.setdefault(sorted_pair((c, d)), {})
+            _add_scaled(acc, terms.get(sorted_pair((e, d)), _EMPTY), f * (2 if c == d else 1))
     comp = _project_terms(n, raw)[0]
     if k:
         # -k phi m = k M^0_d x^d m
-        for ij, p in m.comp.items():
+        for ij, t in terms.items():
             for d, f in conf:
-                _add_shifted(comp[ij], p.terms, d, f * k)
-    return SphereTensor(n, m.k, {ij: _poly(n, acc) for ij, acc in comp.items()})
+                _add_shifted(comp[ij], t, d, f * k)
+    out = SphereTensor(n, m.k, {ij: _poly(n, acc) for ij, acc in comp.items()})
+    if cleared is not None:
+        # the components are reduced and nonzero, and stay so over den
+        out.comp = {ij: _poly(n, _over(p.terms, den)) for ij, p in out.comp.items()}
+    return out
 
 
 def boost_action(i: int, m: SphereTensor) -> SphereTensor:
@@ -420,6 +445,8 @@ def _boundary_map_and_jacobian(a_inv_matrix: np.ndarray, x: np.ndarray):
     is the boundary value of the ball action.  ``x`` holds Q points
     (Q, n); returns G (Q, n), the Jacobians (Q, n, n) and time(A^{-1} (1,x)) (Q,).
     """
+    import numpy as np
+
     w = np.concatenate([np.ones((len(x), 1)), x], axis=1) @ a_inv_matrix.T
     w0 = w[:, :1]
     y = w[:, 1:] / w0
@@ -442,6 +469,8 @@ def group_action_numeric(
     ambient representative (tangentially projected) at each node.  The
     aspect must be real.
     """
+    import numpy as np
+
     n = m.n
     ainv = np.array([[float(v) for v in row] for row in a.inverse().matrix])
     y, jac, w0 = _boundary_map_and_jacobian(ainv, nodes)
@@ -452,6 +481,8 @@ def group_action_numeric(
 
 def sample_tensor(m: SphereTensor, nodes: np.ndarray) -> np.ndarray:
     """Values of a real aspect at points (Q, n), shape (Q, n, n); one pass per term."""
+    import numpy as np
+
     _require_real(m)
     out = np.zeros((len(nodes), m.n, m.n))
     for (i, j), p in m.comp.items():

@@ -27,6 +27,9 @@ one coordinate and the derivation -(MX).d of a matrix become exponent
 shifts.  They are the one set behind the term-level actions of the
 package: the aspect action of :mod:`ahmass.massaspect`, the tensor slot
 action of :mod:`ahmass.weyl` and :func:`ahmass.lorentz.algebra_act_on_poly`.
+:func:`_cleared` and :func:`_over` carry rational term maps to integer
+numerators over one common denominator and back, so that such a pass can
+run on ints.
 
 :class:`PolyTensor` is the one base of the package's polynomial tensors
 (symmetric 2-tensors, Weyl-symmetric 4-tensors, exterior forms and mass
@@ -45,6 +48,7 @@ from __future__ import annotations
 from dataclasses import fields, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import add
 from types import MappingProxyType
 from typing import Dict, Mapping, Sequence, Tuple
@@ -631,6 +635,32 @@ def _add_flow(out: Terms, terms: Terms, flow) -> None:
                 key[s] = k - 1
                 key[nu] += 1
                 _add(out, tuple(key), v, f * k)
+
+
+def _cleared(maps: Mapping) -> Tuple[Dict, int] | None:
+    """Numerators and common denominator of some term maps, or None if any coefficient is not a Fraction.
+
+    ``maps`` maps keys to term maps.  Returns the same keys mapped to the
+    term maps of the ``int`` numerators c D, and D, the lcm of the
+    denominators.  A linear map L of integer entries then runs on ints:
+    L(terms) is ``_over(L(numerators), D)``, exactly.
+    """
+    dens = set()
+    for terms in maps.values():
+        for c in terms.values():
+            if type(c) is not Fraction:
+                return None
+            dens.add(c.denominator)
+    den = lcm(*dens)
+    scale = {d: den // d for d in dens}
+    return {
+        key: {e: c.numerator * scale[c.denominator] for e, c in terms.items()} for key, terms in maps.items()
+    }, den
+
+
+def _over(terms: Terms, den: int) -> Terms:
+    """A term map of numerators over the common denominator ``den``, every coefficient a Fraction."""
+    return {e: Fraction(c, den) for e, c in terms.items()}
 
 
 def _poly(n: int, terms: Terms) -> ExactPoly:

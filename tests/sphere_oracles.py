@@ -12,9 +12,11 @@ unreduced tangential projection is the oracle of
 :func:`ahmass.massaspect._project_slots`, and the composition of the
 sphere calculus (covariant derivative, projected spatial term, conformal
 factor by general products) that of the term-level
-:func:`ahmass.massaspect._weighted_action`, and the composition of the
+:func:`ahmass.massaspect._weighted_action`; that kernel run on the
+``Fraction`` terms of a rational aspect (:func:`uncleared_action`) is the
+oracle of its run on their integer numerators; the composition of the
 tensor slot action from derivatives and polynomial products
-(:func:`slot_action_oracle`) that of the term-level
+(:func:`slot_action_oracle`) is that of the term-level
 :func:`ahmass.weyl._slot_action`; the highest-weight solve posed in X
 coordinates (:func:`hw_vectors_sym2_oracle`) is the oracle of the
 null-frame :func:`ahmass.weyl.hw_vectors_sym2`.
@@ -22,12 +24,14 @@ null-frame :func:`ahmass.weyl.hw_vectors_sym2`.
 
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import strategies as st
 
 from ahmass.gaussian import GaussianRational
 from ahmass.invariants import conformal_density, weyl_density
 from ahmass.linalg import joint_kernel
+from ahmass import massaspect
 from ahmass.lorentz import AlgebraElement, algebra_act_on_poly, linear_forms, null_coordinates, raising_operators
 from ahmass.massaspect import (
     SphereTensor,
@@ -195,6 +199,17 @@ def weighted_action_oracle(a, m, k: int):
             raw[key] = raw.get(key, ExactPoly.zero(n)) + m.get(e, d) * (v * 2 if c == d else v)
     out = out + SphereTensor(n, m.k, _project_slots(n, raw))
     return out.scale(Fraction(-1)) - m.map(lambda p: p * phi * k)
+
+
+def uncleared_action(a, m, k: int):
+    """:func:`ahmass.massaspect._weighted_action` run directly on the coefficients of m.
+
+    The same kernel with the integer clearing switched off
+    (:func:`ahmass.poly._cleared` answers None), so a rational aspect is
+    acted on in ``Fraction`` arithmetic throughout.
+    """
+    with mock.patch.object(massaspect, "_cleared", return_value=None):
+        return massaspect._weighted_action(a, m, k)
 
 
 def slot_action_oracle(mat, t, entries):

@@ -306,12 +306,42 @@ def test_null_root_matrices_are_the_raising_operators_in_the_null_frame(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_generators_are_built_once_and_match_a_fresh_build(n):
-    fresh = [(f"a_{i}", boost_generator(n, i)) for i in range(1, n + 1)]
-    fresh += [(f"r_{i}{j}", rotation_generator(n, i, j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    fresh = [(f"a_{i}", boost_generator.__wrapped__(n, i)) for i in range(1, n + 1)]
+    fresh += [
+        (f"r_{i}{j}", rotation_generator.__wrapped__(n, i, j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+    ]
     first, second = all_generators(n), all_generators(n)
     assert [(name, g.matrix) for name, g in first] == [(name, g.matrix) for name, g in fresh]
     assert first == second and first is not second
     assert all(g is named_generators(n)[name] for name, g in second)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_boost_and_rotation_generators_are_built_once(n):
+    for i in range(1, n + 1):
+        a = boost_generator(n, i)
+        assert boost_generator(n, i) is a
+        assert a.matrix == boost_generator.__wrapped__(n, i).matrix
+        for j in range(1, n + 1):
+            if j != i:
+                r = rotation_generator(n, i, j)
+                assert rotation_generator(n, i, j) is r
+                assert r.matrix == rotation_generator.__wrapped__(n, i, j).matrix
+    # a bad argument is never cached: it raises on every call
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            boost_generator(n, n + 1)
+        with pytest.raises(ValueError):
+            rotation_generator(n, 1, 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_null_coordinates_are_built_once_and_read_only(n):
+    null = null_coordinates(n)
+    assert null_coordinates(n) is null
+    assert dict(null) == dict(null_coordinates.__wrapped__(n))
+    with pytest.raises(TypeError):
+        null[0] = null[-1]
 
 
 @pytest.mark.parametrize("n,p", [(3, 1), (3, 2), (4, 2)])

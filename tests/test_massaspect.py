@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ahmass import massaspect
 from ahmass.gaussian import GaussianRational
 from ahmass.lorentz import (
     all_generators,
@@ -39,6 +41,7 @@ from sphere_oracles import (
     project_slots_oracle,
     sphere_ideal,
     square_and_integrate_vanishes,
+    uncleared_action,
     weighted_action_oracle,
 )
 
@@ -317,6 +320,63 @@ def test_weighted_action_is_the_calculus_composition(n, degree, gaussian):
     elements = [g for _, g in all_generators(n)] + [raising_operators(n)[0][1]]
     for a, k in zip(elements, itertools.cycle((-3, 0, 2, 5))):
         assert _weighted_action(a, m, k) == weighted_action_oracle(a, m, k), k
+
+
+def typed_terms(t: SphereTensor) -> dict:
+    """Every stored coefficient with its type, keyed by component and exponent."""
+    return {(ij, e): (type(c), c) for ij, p in t.comp.items() for e, c in p.terms.items()}
+
+
+def common_denominator(t: SphereTensor) -> int:
+    return math.lcm(*(c.denominator for p in t.comp.values() for c in p.terms.values()))
+
+
+@pytest.mark.parametrize("n,seed", [(3, 1), (3, 2), (4, 3)])
+def test_cleared_action_equals_the_kernel_on_fraction_terms(n, seed):
+    # the integer numerators over their common denominator give the same
+    # tensor, term by term and in coefficient type, for every generator at
+    # the aspect's own order and at 0
+    m = random_mass_aspect(n, n + 1, random.Random(seed))
+    assert common_denominator(m) > 1
+    for _, g in all_generators(n):
+        for k in (m.k, 0):
+            out = typed_terms(_weighted_action(g, m, k))
+            assert out == typed_terms(uncleared_action(g, m, k)), k
+            assert {tp for tp, _ in out.values()} == {Fraction}
+
+
+def test_action_commutes_with_a_rational_scalar_of_large_denominator():
+    n = 3
+    m = random_mass_aspect(n, 4, random.Random(5))
+    c = F(-7 * 2**64 + 1, 3 * 2**61 - 1)
+    for _, g in all_generators(n):
+        assert algebra_action_aspect(g, m.scale(c)) == algebra_action_aspect(g, m).scale(c)
+
+
+def test_gaussian_aspects_and_roots_are_acted_on_uncleared(monkeypatch):
+    # neither a Gaussian aspect nor a Gaussian root matrix reaches the
+    # division by the common denominator; both keep their results
+    def no_division(terms, den):
+        raise AssertionError("divided an uncleared action")
+
+    n = 3
+    real = random_mass_aspect(n, 4, random.Random(6))
+    gaussian = random_mass_aspect(n, 4, random.Random(7), gaussian=True)
+    expect = [weighted_action_oracle(g, gaussian, 4) for _, g in all_generators(n)]
+    expect += [weighted_action_oracle(mat, real, 4) for _, mat in raising_operators(n)]
+    monkeypatch.setattr(massaspect, "_over", no_division)
+    got = [algebra_action_aspect(g, gaussian) for _, g in all_generators(n)]
+    got += [algebra_action_aspect(mat, real) for _, mat in raising_operators(n)]
+    assert got == expect
+
+
+def test_transversality_verdict_is_unchanged_by_a_rational_scale():
+    n, k = 3, 4
+    transverse = random_mass_aspect(n, k, random.Random(8))
+    raw = SphereTensor(n, k, {(0, 1): X(n, 2) * F(1, 3), (1, 1): ExactPoly.constant(n, F(2, 5))})
+    for m, verdict in ((transverse, True), (raw, False)):
+        assert m.is_transverse() is verdict
+        assert m.scale(F(7, 3)).is_transverse() is verdict
 
 
 @pytest.mark.parametrize(

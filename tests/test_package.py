@@ -46,24 +46,28 @@ def test_package_imports_without_scipy():
 NUMPY_FREE_SMOKE = """
 import sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import random
 from fractions import Fraction
-from ahmass import harmonic, linalg, lorentz, poly, weyl
+from ahmass import harmonic, linalg, lorentz, massaspect, poly, weyl
 basis = harmonic.build_Hp(3, 2).basis
 print(len(lorentz.highest_weight_vectors(basis, lorentz.algebra_act_on_poly, 3, [Fraction(2), Fraction(0)])))
 print(len(weyl.chiral_hw_vector(0, 1).comp))
+moved = massaspect.boost_action(1, massaspect.random_mass_aspect(3, 3, random.Random(1)))
+print(sum(len(p.terms) for p in moved.comp.values()), moved.is_transverse())
 """
 
 
 def test_exact_pipeline_runs_without_numpy():
     """The exact modules import and solve highest-weight kernels with numpy blocked:
-    one on H_2 and the null-frame solve behind the n = 3 chiral vector.
+    one on H_2 and the null-frame solve behind the n = 3 chiral vector; the
+    weighted action moves a rational aspect on its integer numerators.
 
     The script runs as is under any interpreter that finds ``src`` on its
     path, with no third-party package installed.
     """
     env = dict(os.environ, PYTHONPATH=str(Path(ahmass.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", NUMPY_FREE_SMOKE], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["1", "10"]
+    assert out.stdout.split() == ["1", "10", "161", "True"]
 
 
 def unused_imports(source: str) -> list:

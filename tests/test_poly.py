@@ -16,6 +16,8 @@ from ahmass.lorentz import (
 from ahmass.massaspect import SphereTensor
 from ahmass.poly import (
     ExactPoly,
+    _cleared,
+    _over,
     coordinates,
     euler_degree,
     from_coords,
@@ -451,3 +453,17 @@ def test_coordinates_read_every_polynomial_object():
         assert dict(pairs) == expected, name
         assert len(pairs) == len(expected), name  # distinct keys
         assert all(c for _, c in pairs), name
+
+
+def test_cleared_term_maps_are_integer_numerators_over_the_lcm():
+    maps = {"a": {(1, 0): Fraction(1, 6), (0, 2): Fraction(-3, 4)}, "b": {(0, 0): Fraction(5)}, "c": {}}
+    numerators, den = _cleared(maps)
+    assert den == 12
+    assert numerators == {"a": {(1, 0): 2, (0, 2): -9}, "b": {(0, 0): 60}, "c": {}}
+    assert all(type(c) is int for terms in numerators.values() for c in terms.values())
+    back = {key: _over(terms, den) for key, terms in numerators.items()}
+    assert back == maps and all(type(c) is Fraction for terms in back.values() for c in terms.values())
+    assert _cleared({}) == ({}, 1)
+    # a Gaussian or a plain int coefficient leaves the maps uncleared
+    assert _cleared({"a": {(0, 0): Fraction(1, 2)}, "b": {(1, 0): GaussianRational(Fraction(1), Fraction(0))}}) is None
+    assert _cleared({"a": {(0, 0): 3}}) is None
