@@ -1,10 +1,24 @@
 """Sparse exact linear algebra over Q and Q(i).
 
-Matrices are lists of sparse rows (dict column -> coefficient).  The
-elimination is fraction free in the practical sense: every row is scaled
-to integer entries and divided by their gcd after each update, which
-keeps coefficient growth under control on the large, very sparse
-constraint systems produced by the tensor modules (10^3..10^4 unknowns).
+Matrices are lists of sparse rows (dict column -> coefficient).  Every
+coefficient must be exact: an ``int``, a ``Fraction`` or a
+``GaussianRational``; anything else, a float above all, raises
+``ValueError`` (:func:`_exact`).
+
+The elimination runs on integer rows.  Each input row is scaled once to
+integer content with gcd 1 (:func:`_normalize_row`): its rational
+entries become ``int`` and its Gaussian entries Gaussian rationals with
+integral parts.  A pivot p clears its column from a row r by the
+fraction-free update of Bareiss elimination,
+r <- s r - r_c u prow with s = |p|, u = sgn p for an ``int`` pivot and
+s = N(p), u = conj(p) for a Gaussian one (:func:`_eliminate`), followed
+by division by the row's content.  Since u = s / p this is a positive
+multiple of the rational update r - (r_c / p) prow, so every row is the
+same primitive integer row that rational elimination with the same
+normalisation would hold, computed with ``int`` operations only on
+rational systems.  Each entry keeps the kind that update gives it: it is
+a Gaussian rational exactly where a Gaussian coefficient has reached it.
+The finished rows are handed out with ``Fraction`` in place of ``int``.
 
 One fully reduced row-echelon form, :class:`Echelon`, serves every
 solve: each of its pivot rows is nonzero only on its own pivot column
@@ -12,8 +26,9 @@ and on free columns, so the nullspace basis, the minimum-support
 solution (free variables pinned to zero) and the coordinates against a
 fixed spanning set are all read off its rows without further
 elimination.  The Sylvester signature of a symmetric form is exact
-congruence diagonalization on the same row update, :func:`_add_multiple`,
-which every elimination here runs on.
+congruence diagonalization in ``Fraction`` arithmetic on the row update
+:func:`_add_multiple`: its rows are not rescaled one by one, which would
+break the symmetry the congruence needs.
 
 A system on polynomial objects reaches :func:`nullspace` by one of two
 routes: rows, the sparse matrix of an operator on monomial coordinates
@@ -25,7 +40,7 @@ basis of objects, for the highest-weight and transverse solutions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 from .gaussian import GaussianRational
@@ -35,42 +50,45 @@ Row = Dict[int, object]
 
 
 def _exact(c):
-    if isinstance(c, (GaussianRational, Fraction)):
+    """``c`` as an exact coefficient: a ``Fraction`` (from an ``int``) or a ``GaussianRational``.
+
+    Raises ``ValueError`` on anything else: a float, a ``bool``, a
+    complex or a numpy scalar would carry a rounded or unintended value
+    into an exact answer.
+    """
+    if isinstance(c, (Fraction, GaussianRational)):
         return c
-    return Fraction(c)
+    if isinstance(c, int) and not isinstance(c, bool):
+        return Fraction(c)
+    raise ValueError(f"inexact coefficient {c!r} of type {type(c).__name__}")
 
 
 def _normalize_row(row: Row) -> Row:
-    """Scale a row to integer content with gcd 1 (sign left alone)."""
-    if not row:
-        return row
-    row = {k: _exact(c) for k, c in row.items()}
-    dens = []
+    """The row scaled by a positive rational to integer content with gcd 1.
+
+    Rational entries become ``int``, Gaussian entries Gaussian rationals
+    with integral parts; zero entries are dropped, and a zero row gives
+    ``{}``.
+    """
+    row = {k: c for k, c in ((k, _exact(c)) for k, c in row.items()) if c}
+    parts = []
     for c in row.values():
         if isinstance(c, GaussianRational):
-            dens.append(c.re.denominator)
-            dens.append(c.im.denominator)
+            parts += (c.re, c.im)
         else:
-            dens.append(c.denominator)
-    scale = 1
-    for d in dens:
-        scale = scale * d // gcd(scale, d)
-    nums = []
-    for c in row.values():
-        if isinstance(c, GaussianRational):
-            nums.append(int(c.re * scale))
-            nums.append(int(c.im * scale))
-        else:
-            nums.append(int(c * scale))
-    g = 0
-    for v in nums:
-        g = gcd(g, abs(v))
-    if g == 0:
+            parts.append(c)
+    scale = lcm(*(q.denominator for q in parts))
+    g = gcd(*(q.numerator * (scale // q.denominator) for q in parts))
+    if not g:
         return {}
-    factor = Fraction(scale, g)
-    if factor == 1:
-        return row
-    return {k: c * factor for k, c in row.items()}
+
+    def integral(q: Fraction) -> int:
+        return q.numerator * (scale // q.denominator) // g
+
+    return {
+        k: GaussianRational(integral(c.re), integral(c.im)) if isinstance(c, GaussianRational) else integral(c)
+        for k, c in row.items()
+    }
 
 
 def _add_multiple(r: Row, f, row: Row):
@@ -83,6 +101,30 @@ def _add_multiple(r: Row, f, row: Row):
             r.pop(c, None)
 
 
+def _eliminate(r: Row, col: int, prow: Row) -> Row:
+    """Integer row ``r`` with column ``col`` cleared by the integer pivot row ``prow``.
+
+    r <- s r - r_col u prow with s = |p|, u = sgn p for an ``int`` pivot
+    p = prow[col] and s = N(p), u = conj(p) for a Gaussian one, then the
+    row divided by its content.  u = s / p, so this is s (r - (r_col / p) prow).
+    """
+    p = prow[col]
+    if type(p) is int:
+        s, u = (p, 1) if p > 0 else (-p, -1)
+    else:
+        s, u = p.norm2().numerator, p.conjugate()
+    f = -r[col] * u
+    if s != 1:
+        r = {c: s * v for c, v in r.items()}
+    _add_multiple(r, f, prow)
+    g = 0
+    for v in r.values():
+        g = gcd(g, v) if type(v) is int else gcd(g, v.re.numerator, v.im.numerator)
+        if g == 1:
+            return r
+    return {c: v // g if type(v) is int else GaussianRational(v.re / g, v.im / g) for c, v in r.items()}
+
+
 class Echelon:
     """Fully reduced row-echelon form of a sparse matrix.
 
@@ -90,13 +132,16 @@ class Echelon:
     among the rows available for a pivot the sparsest is used to limit
     fill-in.  The backward pass then clears every pivot column from the
     earlier pivot rows, so each row of ``pivots`` is nonzero only on its
-    own pivot column and on free columns.
+    own pivot column and on free columns.  Both passes run on integer
+    rows (:func:`_eliminate`); ``pivots`` holds each row at integer
+    content with gcd 1, its rational entries as ``Fraction``, so that its
+    readers divide exactly.
     """
 
     def __init__(self, rows: Sequence[Row], ncols: int):
         self.ncols = ncols
-        self.pivots: List[Tuple[int, Row]] = []  # (pivot column, reduced row)
-        work = [_normalize_row(dict(r)) for r in rows if r]
+        pivots: List[Tuple[int, Row]] = []  # (pivot column, reduced row)
+        work = [_normalize_row(r) for r in rows if r]
         # column -> list of active row ids
         by_col: Dict[int, set] = {}
         for idx, r in enumerate(work):
@@ -112,33 +157,30 @@ class Echelon:
                 continue
             piv = min(holders, key=lambda i: (len(work[i]), i))
             prow = work[piv]
-            pval = prow[col]
             active.discard(piv)
             for i in holders:
                 if i == piv or i not in active:
                     continue
-                r = work[i]
-                _add_multiple(r, -r[col] / pval, prow)
-                # entries for columns that cancelled go stale; ``holders`` skips them
+                # entries for columns that cancel go stale; ``holders`` skips them
                 for c in prow:
                     by_col.setdefault(c, set()).add(i)
-                work[i] = _normalize_row(r)
-            self.pivots.append((col, prow))
+                work[i] = _eliminate(work[i], col, prow)
+            pivots.append((col, prow))
         # rows never touched by a pivot are identically zero by now
-        self.pivot_cols = [c for c, _ in self.pivots]
+        self.pivot_cols = [c for c, _ in pivots]
 
         # Backward pass, last pivot first: the later rows are reduced
-        # already, so subtracting one of them clears its pivot column
-        # and adds entries on free columns only.
+        # already, so eliminating with one of them clears its pivot
+        # column and adds entries on free columns only.
         where = {c: k for k, c in enumerate(self.pivot_cols)}
-        for k in range(len(self.pivots) - 1, -1, -1):
-            col, r = self.pivots[k]
-            hits = [c for c in r if c != col and c in where]
-            for h in hits:
-                prow = self.pivots[where[h]][1]
-                _add_multiple(r, -r[h] / prow[h], prow)
-            if hits:
-                self.pivots[k] = (col, _normalize_row(r))
+        for k in range(len(pivots) - 1, -1, -1):
+            col, r = pivots[k]
+            for h in [c for c in r if c != col and c in where]:
+                r = _eliminate(r, h, pivots[where[h]][1])
+            pivots[k] = (col, r)
+        self.pivots = [
+            (col, {c: Fraction(v) if type(v) is int else v for c, v in r.items()}) for col, r in pivots
+        ]
 
     @property
     def rank(self) -> int:
@@ -154,9 +196,12 @@ def nullspace(rows: Sequence[Row], ncols: int) -> List[Row]:
 
     Vector ``j`` is 1 on the ``j``-th free column and 0 on every other
     free column, which it lists first; its pivot entries are read off
-    the reduced rows.  The basis is therefore the unique one in echelon
-    position, whatever the route of the elimination, and its vectors are
-    independent.
+    the reduced rows of :class:`Echelon` by one exact division each.
+    The basis is therefore the unique one in echelon position, whatever
+    the route of the elimination, and its vectors are independent.  Its
+    entries are ``Fraction`` on a rational system (never a float, even
+    when every input is an ``int``) and ``GaussianRational`` where a
+    Gaussian coefficient entered.
     """
     ech = Echelon(rows, ncols)
     basis = {f: {f: Fraction(1)} for f in ech.free_columns()}
@@ -278,11 +323,13 @@ def signature_of_form(gram: Sequence[Sequence]) -> Tuple[int, int, int]:
     it touches.  When every diagonal entry is zero, the congruence
     e_i -> e_i + e_j (row i += row j, then column i += column j) makes
     G[i][i] = 2 G[i][j] nonzero.  Rows that empty out span the radical.
+    Raises ``ValueError`` on an inexact entry (:func:`_exact`), a
+    non-real one or a non-symmetric matrix.
     """
     G: Dict[int, Row] = {}
     for i, row in enumerate(gram):
         for j, entry in enumerate(row):
-            v = entry
+            v = _exact(entry)
             if isinstance(v, GaussianRational):
                 if v.im:
                     raise ValueError("signature_of_form needs a real symmetric matrix")
@@ -290,7 +337,7 @@ def signature_of_form(gram: Sequence[Sequence]) -> Tuple[int, int, int]:
             if v:
                 if gram[j][i] != entry:
                     raise ValueError("non-symmetric input")
-                G.setdefault(i, {})[j] = Fraction(v)
+                G.setdefault(i, {})[j] = v
     n_plus = n_minus = 0
     while G:
         diag = [i for i, r in G.items() if i in r]

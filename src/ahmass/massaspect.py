@@ -157,31 +157,42 @@ class SphereTensor(PolyTensor):
     def _term_maps(self) -> Dict[Tuple[int, int], Terms]:
         return {ij: p.terms for ij, p in self.comp.items()}
 
+    def _numerators(self) -> Tuple[Dict[Tuple[int, int], Terms], int | None]:
+        """The term maps of the ``int`` numerators and their common denominator
+        (:func:`ahmass.poly._cleared`) for a rational tensor, else the term
+        maps themselves and None."""
+        terms = self._term_maps()
+        cleared = _cleared(terms)
+        return (terms, None) if cleared is None else cleared
+
     def radial_contraction(self, i: int) -> ExactPoly:
         """sum_j m_ij x^j."""
         return _poly(self.n, _radial_row(self.n, self._term_maps(), i))
 
-    def is_transverse(self) -> bool:
+    def is_transverse(self, numerators=None) -> bool:
         """True when every radial contraction m_ij x^j vanishes on the sphere.
 
         A rational aspect is tested on its integer numerators
-        (:func:`ahmass.poly._cleared`): a zero test does not change when
-        its input is multiplied by a nonzero integer.
+        (:meth:`_numerators`, or ``numerators`` when the caller has them
+        already): a zero test does not change when its input is
+        multiplied by a nonzero integer.
         """
-        terms = self._term_maps()
-        cleared = _cleared(terms)
-        if cleared is not None:
-            terms = cleared[0]
+        terms = (self._numerators() if numerators is None else numerators)[0]
         return all(vanishes_on_sphere(_poly(self.n, _radial_row(self.n, terms, i))) for i in range(self.n))
 
     def trace_sigma(self) -> ExactPoly:
-        """Round-metric trace: sum_i m_ii - sum_ij x^i x^j m_ij on the sphere."""
-        terms, out = self._term_maps(), {}
+        """Round-metric trace: sum_i m_ii - sum_ij x^i x^j m_ij on the sphere.
+
+        A rational tensor is traced on its integer numerators
+        (:meth:`_numerators`) and each output term divided by their common
+        denominator once: the trace is linear with integer multipliers.
+        """
+        (terms, den), out = self._numerators(), {}
         for i in range(self.n):
             _add_scaled(out, terms.get((i, i), _EMPTY))
         for i in range(self.n):
             _add_shifted(out, _radial_row(self.n, terms, i), i, -1)
-        return _poly(self.n, out)
+        return _poly(self.n, out if den is None else _over(out, den))
 
     def equal_on_sphere(self, other: "SphereTensor") -> bool:
         """Equality of the on-sphere classes, whatever the two decay orders."""
@@ -342,14 +353,17 @@ def algebra_action_aspect(a, m: SphereTensor, k: int | None = None) -> SphereTen
     phi are its boundary field and conformal factor (:func:`_boundary_field`)
     and A = (M^c_d) its spatial block.  A boost a_i acts by
     -nabla m + k x^i m, a rotation r_ij (phi = 0) by
-    -nabla m - m(r_ij ., .) - m(., r_ij .).
+    -nabla m - m(r_ij ., .) - m(., r_ij .).  The denominators of a
+    rational m are cleared once, for the transversality test and the
+    action alike.
     """
-    if not m.is_transverse():
+    numerators = m._numerators()
+    if not m.is_transverse(numerators):
         raise ValueError("mass aspect is not transverse")
-    return _weighted_action(a, m, m.k if k is None else k)
+    return _weighted_action(a, m, m.k if k is None else k, numerators)
 
 
-def _weighted_action(a, m: SphereTensor, k: int) -> SphereTensor:
+def _weighted_action(a, m: SphereTensor, k: int, numerators=None) -> SphereTensor:
     """:func:`algebra_action_aspect` for an aspect already known to be transverse.
 
     One term-level pass over the stored terms of m.  With
@@ -364,9 +378,10 @@ def _weighted_action(a, m: SphereTensor, k: int) -> SphereTensor:
     :class:`SphereTensor` reduces each component once.
     When m is rational and M real, the pass runs on the integer
     numerators N of m over their common denominator D
-    (:func:`ahmass.poly._cleared`), and each stored output term is divided
-    by D once: the action is linear, so a.(N / D) = (a.N) / D exactly.  A
-    Gaussian aspect or matrix takes the same pass on its own coefficients.
+    (:meth:`SphereTensor._numerators`, or ``numerators`` when the caller
+    has them already), and each stored output term is divided by D once:
+    the action is linear, so a.(N / D) = (a.N) / D exactly.  A Gaussian
+    aspect or matrix takes the same pass on its own coefficients.
     V is tangent to the sphere because ``AlgebraElement`` checks that M is
     an infinitesimal isometry, so no tangency test is made here.
     """
@@ -374,10 +389,10 @@ def _weighted_action(a, m: SphereTensor, k: int) -> SphereTensor:
     n = m.n
     if len(mat) != n + 1:
         raise ValueError("algebra element and aspect dimension mismatch")
-    terms = m._term_maps()
-    cleared = _cleared(terms) if all(type(v) is Fraction for row in mat for v in row) else None
-    if cleared is not None:
-        terms, den = cleared
+    if not all(type(v) is Fraction for row in mat for v in row):
+        terms, den = m._term_maps(), None
+    else:
+        terms, den = m._numerators() if numerators is None else numerators
     trans = [(c, -_small(mat[c + 1][0])) for c in range(n) if mat[c + 1][0]]
     spatial = _flow([row[1:] for row in mat[1:]], n)
     conf = [(d, _small(mat[0][d + 1])) for d in range(n) if mat[0][d + 1]]
@@ -409,7 +424,7 @@ def _weighted_action(a, m: SphereTensor, k: int) -> SphereTensor:
             for d, f in conf:
                 _add_shifted(comp[ij], t, d, f * k)
     out = SphereTensor(n, m.k, {ij: _poly(n, acc) for ij, acc in comp.items()})
-    if cleared is not None:
+    if den is not None:
         # the components are reduced and nonzero, and stay so over den
         out.comp = {ij: _poly(n, _over(p.terms, den)) for ij, p in out.comp.items()}
     return out

@@ -9,7 +9,8 @@ The chain implemented here:
   divergence-free (hence wave) gauge by one exact linear solve;
 * ``build_Wp`` -- the space W_p of degree-p polynomial-coefficient
   4-tensors with Weyl symmetries, eta-trace-free and satisfying both
-  Bianchi identities, as an exact constraint kernel;
+  Bianchi identities, as an exact constraint kernel solved once per
+  (n, p) and process;
 * ``poincare_homotopy`` and ``weyl_to_potential`` -- exact integration
   of a Weyl tensor back to a potential with R(h) = -W/2;
 * the invariant quadratic form on W_p and its signature;
@@ -438,7 +439,19 @@ def build_Wp(n: int, p: int) -> WeylSpace:
     I (x) T and I (x) B_1 for slot matrices T and B_1, and the second
     (differential) Bianchi rows are sum_s d_s (x) C_s, where C_s picks the
     terms of the cyclic sum that are differentiated along X^s.
+
+    The basis is built once per (n, p) (:func:`_Wp_basis`); every call
+    returns a new ``WeylSpace`` with a new ``basis`` list over the same
+    tensors, which are shared and must not be mutated.  Bad arguments
+    raise on every call.
     """
+    return WeylSpace(n, p, list(_Wp_basis(n, p)))
+
+
+@lru_cache(maxsize=None)
+def _Wp_basis(n: int, p: int) -> Tuple[PolyTensor4, ...]:
+    """The basis of :func:`build_Wp`, solved once per (n, p)."""
+    _check_closed_form_args(n, p)
     nv = n + 1
     slots = tensor4_slots(nv)
     sidx = {key: i for i, key in enumerate(slots)}
@@ -475,10 +488,9 @@ def build_Wp(n: int, p: int) -> WeylSpace:
         bianchi2.append((d_s, c_s))
     rows += kron_rows(bianchi2, len(slots))
     kernel = nullspace(rows, nmonos * len(slots))
-    space = WeylSpace(n, p, [PolyTensor4(nv, _coords_to_tensor(v, slots, nv, p)) for v in kernel])
-    if space.dim != dim_Wp(n, p):
-        raise AssertionError(f"dim W_{p} mismatch for n={n}: {space.dim}")
-    return space
+    if len(kernel) != dim_Wp(n, p):
+        raise AssertionError(f"dim W_{p} mismatch for n={n}: {len(kernel)}")
+    return tuple(PolyTensor4(nv, _coords_to_tensor(v, slots, nv, p)) for v in kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -832,8 +844,18 @@ def hw_vectors_sym2(
     the rational 1 on the free one, the coefficient types of the same
     system solved in X coordinates.  Raises
     ``ValueError`` if ``degree`` is negative or ``weight`` does not have
-    one entry per Cartan generator.
+    one entry per Cartan generator, on every call.
+
+    The solve runs once per (n, degree, tuple(weight))
+    (:func:`_hw_solve`); every call returns a new list over the same
+    tensors, which are shared and must not be mutated.
     """
+    return list(_hw_solve(n, degree, tuple(weight)))
+
+
+@lru_cache(maxsize=None)
+def _hw_solve(n: int, degree: int, weight: Tuple[Fraction, ...]) -> Tuple[PolySym2, ...]:
+    """The tensors of :func:`hw_vectors_sym2`, solved once per argument."""
     if degree < 0:
         raise ValueError(f"degree must be nonnegative, got {degree}")
     if len(weight) != cartan_rank(n):
@@ -850,7 +872,7 @@ def hw_vectors_sym2(
     # Q(i), where the X coordinates live, while the free unit, which
     # nullspace lists first, keeps its rational 1
     rows = [{at[j]: c if k == 0 else GaussianRational(c) for k, (j, c) in enumerate(row.items())} for row in rows]
-    return _combinations(nv, _units_in_x(null, [units[j] for j in used]), rows)
+    return tuple(_combinations(nv, _units_in_x(null, [units[j] for j in used]), rows))
 
 
 def _zminus(nv: int, which: int, conj: bool = False) -> ExactPoly:

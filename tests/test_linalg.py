@@ -20,6 +20,7 @@ from ahmass.linalg import (
     solve_min_support,
 )
 from ahmass.poly import ExactPoly, monomials_of_degree, operator_rows, wave_operator
+from linalg_oracles import FractionEchelon, on_oracle
 
 
 def test_kron_rows_rejects_terms_of_different_shapes():
@@ -297,3 +298,104 @@ def test_joint_kernel_matches_the_rows_route():
     for row in drop:
         p = sum(units[j] * c for j, c in row.items())
         assert wave_operator(p).is_zero() and p.diff(0).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the integer-row elimination against its Fraction-update oracle
+# ---------------------------------------------------------------------------
+
+
+def typed(row) -> dict:
+    """Every entry of a sparse row with its type."""
+    return {k: (type(v), v) for k, v in row.items()}
+
+
+def oracle_system(seed: int, kind: str):
+    """Seeded rows over Q, over Q(i) or with both kinds of entry, plus a zero row and duplicates.
+
+    Rational systems carry some integral entries as ``int``; a mixed
+    system has Gaussian pivots inside rows with ``Fraction`` entries.
+    The duplicates are one row repeated and one scaled by -2, so some
+    pivot rows start negative.
+    """
+    rng = random.Random(400 + seed)
+    ncols = rng.randint(4, 14)
+    rows = random_sparse(rng, rng.randint(2, 12), ncols, kind == "gaussian")
+    if kind == "mixed":
+        rows = [{k: GaussianRational(v, rng.randint(-2, 2)) if rng.random() < 0.4 else v for k, v in r.items()} for r in rows]
+    elif kind == "rational":
+        rows = [{k: int(v) if v.denominator == 1 else v for k, v in r.items()} for r in rows]
+    rows.insert(rng.randint(0, len(rows)), {})
+    rows.append(dict(rows[rng.randrange(len(rows))]))
+    rows.append({k: -2 * v for k, v in rows[rng.randrange(len(rows))].items()})
+    return rows, ncols
+
+
+ORACLE_CASES = [(seed, kind) for seed in range(12) for kind in ("rational", "gaussian", "mixed")]
+
+
+@pytest.mark.parametrize("seed,kind", ORACLE_CASES)
+def test_integer_echelon_matches_the_fraction_oracle(seed, kind):
+    rows, ncols = oracle_system(seed, kind)
+    ech, ref = Echelon(rows, ncols), FractionEchelon(rows, ncols)
+    assert ech.pivot_cols == ref.pivot_cols
+    assert [(c, typed(r)) for c, r in ech.pivots] == [(c, typed(r)) for c, r in ref.pivots]
+    assert {type(v) for _, r in ech.pivots for v in r.values()} <= {Fraction, GaussianRational}
+
+
+def test_oracle_systems_have_negative_and_gaussian_pivots():
+    pivots = [r[c] for seed, kind in ORACLE_CASES for c, r in Echelon(*oracle_system(seed, kind)).pivots]
+    assert any(type(p) is Fraction and p < 0 for p in pivots)
+    assert any(isinstance(p, GaussianRational) and p.im for p in pivots)
+    assert any(isinstance(p, GaussianRational) and not p.im for p in pivots)
+
+
+@pytest.mark.parametrize("seed,kind", ORACLE_CASES)
+def test_readers_of_the_echelon_match_the_fraction_oracle(seed, kind):
+    rows, ncols = oracle_system(seed, kind)
+    rng = random.Random(500 + seed)
+    x0 = random_sparse(rng, 1, ncols, kind != "rational", density=0.5)[0]
+    b = matvec(rows, x0)
+    rhs = [b.get(i, 0) for i in range(len(rows))]
+    vecs = []
+    for v in rows:
+        if v and rank(vecs + [v], ncols) == len(vecs) + 1:
+            vecs.append(v)
+    target = {}
+    for j, v in enumerate(vecs):
+        for k, c in v.items():
+            target[k] = target.get(k, 0) + (j - 1) * c
+
+    def readers():
+        solver = SpanSolver(vecs)
+        return (
+            [typed(v) for v in nullspace(rows, ncols)],
+            typed(solve_min_support(rows, ncols, rhs)),
+            {c: (typed(part), typed(combo)) for c, (part, combo) in solver.rows.items()},
+            typed(solver.coordinates({k: c for k, c in target.items() if c})),
+            solver.contains(x0),
+        )
+
+    got = readers()
+    with on_oracle():
+        assert got == readers()
+
+
+def test_nullspace_of_an_int_system_is_exact():
+    rows = [{0: 2, 1: 3, 2: -4}, {0: -6, 1: 1, 3: 5}, {1: 7, 2: 2, 3: -1}]
+    basis = nullspace(rows, 4)
+    assert basis and all(type(c) is Fraction for v in basis for c in v.values())
+    assert all(matvec(rows, v) == {} for v in basis)
+    assert basis == [{3: 1, 2: Fraction(45, 104), 1: Fraction(1, 52), 0: Fraction(87, 104)}]
+    x = solve_min_support(rows, 4, [1, 0, 0])
+    assert all(type(c) is Fraction for c in x.values())
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.0, True, 1 + 0j, np.int64(1)], ids=["float", "zero-float", "bool", "complex", "numpy"])
+def test_linear_algebra_rejects_inexact_coefficients(bad):
+    with pytest.raises(ValueError, match="inexact"):
+        nullspace([{0: bad, 1: 1}], 2)
+    with pytest.raises(ValueError, match="inexact"):
+        rank([{1: 1}, {0: 1, 1: bad}], 2)
+    with pytest.raises(ValueError, match="inexact"):
+        signature_of_form([[bad, 0], [0, 1]])

@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ahmass.gaussian import GaussianRational
@@ -380,3 +381,15 @@ def test_null_coordinates_are_weight_vectors(n):
     nv, i = n + 1, GaussianRational.i()
     assert null[-1] == (X(nv, 0) + X(nv, 1), (1,) + (0,) * (cartan_rank(n) - 1))
     assert null[-2][0] == X(nv, 2) + X(nv, 3) * i
+
+
+@pytest.mark.parametrize("bad", [0.5, True, np.float64(1.0)], ids=["float", "bool", "numpy"])
+def test_algebra_matrices_reject_inexact_entries(bad):
+    # an inexact entry raises instead of entering the exact action as a
+    # rounded Fraction
+    m = [[Fraction(0)] * 4 for _ in range(4)]
+    m[1][0] = m[0][1] = bad
+    with pytest.raises(ValueError, match="inexact"):
+        AlgebraElement(m)
+    with pytest.raises(ValueError, match="inexact"):
+        algebra_act_on_poly(m, ExactPoly.variable(4, 0))

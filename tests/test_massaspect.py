@@ -525,3 +525,54 @@ def test_numeric_sampling_rejects_imaginary_parts():
         sample_tensor(m, nodes)
     with pytest.raises(ValueError):
         group_action_numeric(identity_element(3), m, 4, nodes)
+
+
+@pytest.mark.parametrize("n,seed", [(3, 1), (3, 2), (4, 3)])
+def test_public_action_clears_the_aspect_once(n, seed, monkeypatch):
+    # the transversality test and the action share one clearing, and the
+    # result equals the kernel on Fraction terms in value and type
+    m = random_mass_aspect(n, n + 1, random.Random(seed))
+    expect = [typed_terms(uncleared_action(g, m, m.k)) for _, g in all_generators(n)]
+    calls = []
+    clear = massaspect._cleared
+    monkeypatch.setattr(massaspect, "_cleared", lambda maps: calls.append(1) or clear(maps))
+    for (_, g), want in zip(all_generators(n), expect):
+        calls.clear()
+        assert typed_terms(algebra_action_aspect(g, m)) == want
+        assert len(calls) == 1
+
+
+def test_public_action_still_rejects_a_non_transverse_aspect():
+    raw = SphereTensor(3, 4, {(0, 1): ExactPoly.variable(3, 2) * F(1, 3)})
+    with pytest.raises(ValueError, match="not transverse"):
+        algebra_action_aspect(all_generators(3)[0][1], raw)
+
+
+def typed_poly(p: ExactPoly) -> dict:
+    return {e: (type(c), c) for e, c in p.terms.items()}
+
+
+@pytest.mark.parametrize("n,seed", [(3, 1), (3, 2), (4, 3)])
+def test_cleared_trace_equals_the_fraction_trace(n, seed, monkeypatch):
+    # the trace of the integer numerators over their common denominator,
+    # term by term and in coefficient type, on transverse and raw aspects
+    rng = random.Random(seed)
+    m = random_mass_aspect(n, n + 1, rng)
+    raw = SphereTensor(n, n + 1, {(0, 0): ExactPoly.constant(n, F(2, 3)), (0, 1): ExactPoly.variable(n, 1) * F(-5, 4)})
+    aspects = [m, m.scale(F(7, 9)), raw]
+    got = [typed_poly(t.trace_sigma()) for t in aspects]
+    assert {tp for g in got for tp, _ in g.values()} == {Fraction}
+    monkeypatch.setattr(massaspect, "_cleared", lambda maps: None)
+    assert got == [typed_poly(t.trace_sigma()) for t in aspects]
+
+
+def test_gaussian_trace_is_taken_uncleared(monkeypatch):
+    m = random_mass_aspect(3, 4, random.Random(7), gaussian=True)
+    expect = typed_poly(m.trace_sigma())
+
+    def no_division(terms, den):
+        raise AssertionError("divided an uncleared trace")
+
+    monkeypatch.setattr(massaspect, "_over", no_division)
+    assert typed_poly(m.trace_sigma()) == expect
+    assert GaussianRational in {tp for tp, _ in expect.values()}

@@ -2,9 +2,11 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from ahmass import weyl
 from ahmass.gaussian import GaussianRational
 from ahmass.linalg import SpanSolver
 from ahmass.lorentz import (
@@ -612,3 +614,67 @@ def test_null_frame_maps_commute_with_the_frame_change(n, gaussian):
     for (label, m), (same, mx) in zip(null_raising_operators(n), raising_operators(n)):
         assert label == same
         assert algebra_action_sym2(mx, hx) == to_x(algebra_action_sym2(m, h))
+
+
+# ---------------------------------------------------------------------------
+# one build of each W_p and each highest-weight solve per process
+# ---------------------------------------------------------------------------
+
+
+def counted(monkeypatch, name: str) -> list:
+    """Replace the cached builder ``weyl.<name>`` by an empty cache over its
+    ``__wrapped__`` function, recording the arguments of every real build."""
+    calls = []
+    build = getattr(weyl, name).__wrapped__
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(weyl, name, lru_cache(maxsize=None)(counting))
+    return calls
+
+
+def test_build_wp_returns_new_containers_over_shared_tensors():
+    first, second = build_Wp(3, 1), build_Wp(3, 1)
+    assert first == second
+    assert first is not second and first.basis is not second.basis
+    assert all(a is b for a, b in zip(first.basis, second.basis))
+    first.basis.pop()
+    first.basis.reverse()
+    assert build_Wp(3, 1) == second and build_Wp(3, 1).dim == dim_Wp(3, 1)
+    assert list(weyl._Wp_basis.__wrapped__(3, 1)) == second.basis
+
+
+def test_hw_vectors_sym2_returns_new_lists_over_shared_tensors():
+    weight = [Fraction(3), Fraction(2)]
+    first, second = hw_vectors_sym2(3, 3, weight), hw_vectors_sym2(3, 3, tuple(weight))
+    assert first == second and first is not second
+    assert all(a is b for a, b in zip(first, second))
+    first.clear()
+    assert hw_vectors_sym2(3, 3, weight) == second
+    assert list(weyl._hw_solve.__wrapped__(3, 3, tuple(weight))) == second
+
+
+def test_cached_builders_raise_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="p >= 0"):
+            build_Wp(3, -1)
+        with pytest.raises(ValueError, match="entries"):
+            hw_vectors_sym2(3, 2, [Fraction(2)])
+
+
+def test_highest_weight_pass_builds_each_space_and_solve_once(monkeypatch):
+    # the cases of one highest-weight pass: 8 W_p calls for 4 spaces and
+    # 17 highest-weight solves for 12 distinct arguments
+    builds, solves = counted(monkeypatch, "_Wp_basis"), counted(monkeypatch, "_hw_solve")
+    for n, p in ((3, 0), (3, 1), (4, 0), (4, 1)):
+        assert build_Wp(n, p).dim == dim_Wp(n, p)
+        signature_Wp(n, p)
+    for n, p in ((3, 0), (3, 1), (4, 0)):
+        hw_vectors_weyl(n, p)
+    for p in (0, 1):
+        chiral_hw_vector(p, 1), chiral_hw_vector(p, -1)
+        weyl_type_hw_vector(4, p)
+    assert builds == [(3, 0), (3, 1), (4, 0), (4, 1)]
+    assert len(solves) == len(set(solves)) == 12
