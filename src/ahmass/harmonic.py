@@ -10,9 +10,11 @@ The invariant quadratic form makes distinct monomials orthogonal with
     q(X^alpha) = (-1)^{alpha_0} * alpha! / |alpha|!
 
 the weighting that extends the Minkowski form of degree one to symmetric
-powers (so that the form is exactly infinitesimally invariant).  Its
-signature on H_p is computed by exact congruence diagonalization of its
-Gram matrix (:func:`form_signature`, which the signature on W_p shares).
+powers (so that the form is exactly infinitesimally invariant).  The
+form is diagonal on unit coordinates, so it is given by the weight of one
+unit (:func:`unit_pairing`).  Its signature on H_p is read off a sparse
+integer Gram matrix that pairs only basis vectors sharing a unit
+(:func:`form_signature`, which the signature on W_p shares).
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
-from .linalg import nullspace, signature_of_form
+from .linalg import Row, nullspace, signature_of_form
 from .poly import (
     ExactPoly,
+    coordinates,
     euler_degree,
     from_coords,
     minkowski_norm_poly,
@@ -135,11 +138,32 @@ def monomial_weight(e: Tuple[int, ...]) -> Fraction:
     return -w if e[0] % 2 else w
 
 
+def _poly_weight(unit) -> Fraction:
+    """q on the unit coordinate (None, X^alpha) of a polynomial: :func:`monomial_weight` of alpha."""
+    return monomial_weight(unit[1])
+
+
+def unit_pairing(v1, v2, weight: Callable):
+    """sum_u weight(u) c1_u c2_u over the unit coordinates u that two polynomial objects share.
+
+    A unit coordinate is a key and an exponent, as :func:`ahmass.poly.coordinates`
+    gives them; a form that is diagonal on unit coordinates is this pairing for
+    the weight of one unit.
+    """
+    c2 = dict(coordinates(v2))
+    total = F(0)
+    for u, c1 in coordinates(v1):
+        if u in c2:
+            total = total + c1 * c2[u] * weight(u)
+    return total
+
+
 def invariant_form_q(p1: ExactPoly, p2: ExactPoly):
     """Bilinear invariant pairing of two homogeneous polynomials.
 
-    Only same-degree pairs are meaningful; distinct monomials are
-    orthogonal and each monomial has :func:`monomial_weight`.
+    Only same-degree pairs are meaningful.  Distinct monomials are
+    orthogonal and each monomial has :func:`monomial_weight`: this is
+    :func:`unit_pairing` with the weight :func:`form_signature` uses on H_p.
     """
     if not (p1.is_homogeneous() and p2.is_homogeneous()):
         raise ValueError("inputs must be homogeneous")
@@ -147,26 +171,53 @@ def invariant_form_q(p1: ExactPoly, p2: ExactPoly):
         return F(0)
     if p1.degree() != p2.degree() or p1.nvars != p2.nvars:
         raise ValueError("inputs not in the same homogeneous space")
-    total = F(0)
-    for e, c1 in p1.terms.items():
-        c2 = p2.terms.get(e)
-        if c2:
-            total = total + c1 * c2 * monomial_weight(e)
-    return total
+    return unit_pairing(p1, p2, _poly_weight)
 
 
-def form_signature(basis: Sequence, form: Callable) -> Tuple[int, int]:
-    """Signature (n+, n-) of the bilinear ``form`` on the span of ``basis``.
+def integer_gram(basis: Sequence, weight: Callable) -> Tuple[List[Row], List[int], int]:
+    """Sparse integer Gram rows of a form that is diagonal on unit coordinates.
 
-    Builds the Gram matrix of the basis under the form and diagonalizes it
-    exactly; raises when the form is degenerate on the span.
+    ``weight(u)`` is the rational value of the form on the unit coordinate
+    u (:func:`ahmass.poly.coordinates`) of the rational ``basis``.  Basis
+    vector i is scaled by ``scales[i]``, the lcm of its denominators, and
+    the weights by ``factor``, the lcm of theirs, so that
+    rows[i][j] = factor * scales[i] * scales[j] * q(b_i, b_j) is an ``int``.
+    Only pairs of vectors that share a unit are visited; zero entries are
+    left out of the rows.
     """
-    d = len(basis)
-    gram = [[F(0)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            gram[i][j] = gram[j][i] = form(basis[i], basis[j])
-    plus, minus, zero = signature_of_form(gram)
+    groups: Dict[Hashable, List[Tuple[int, int]]] = {}
+    scales = []
+    for i, v in enumerate(basis):
+        coords = list(coordinates(v))
+        if any(type(c) not in (int, Fraction) for _, c in coords):
+            raise ValueError("integer_gram needs rational coordinates")
+        scale = math.lcm(*(c.denominator for _, c in coords))
+        scales.append(scale)
+        for u, c in coords:
+            groups.setdefault(u, []).append((i, c.numerator * (scale // c.denominator)))
+    weights = {u: weight(u) for u in groups}
+    factor = math.lcm(*(w.denominator for w in weights.values()))
+    rows: List[Row] = [{} for _ in basis]
+    for u, members in groups.items():
+        w = weights[u].numerator * (factor // weights[u].denominator)
+        for i, ci in members:
+            row, wc = rows[i], w * ci
+            for j, cj in members:
+                row[j] = row.get(j, 0) + wc * cj
+    return [{j: x for j, x in row.items() if x} for row in rows], scales, factor
+
+
+def form_signature(basis: Sequence, weight: Callable) -> Tuple[int, int]:
+    """Signature (n+, n-) of a form that is diagonal on unit coordinates, on the span of ``basis``.
+
+    ``weight(u)`` is the form on one unit coordinate u.  The Gram matrix
+    is built on integers by :func:`integer_gram`: its scalings are a
+    congruence by a positive diagonal matrix and a positive factor, which
+    keep the signature.  Its sparse rows are diagonalized exactly by
+    :func:`ahmass.linalg.signature_of_form`; raises when the form is
+    degenerate on the span.
+    """
+    plus, minus, zero = signature_of_form(integer_gram(basis, weight)[0])
     if zero:
         raise AssertionError("invariant form is degenerate")
     return plus, minus
@@ -174,7 +225,7 @@ def form_signature(basis: Sequence, form: Callable) -> Tuple[int, int]:
 
 def signature_Hp(n: int, p: int) -> Tuple[int, int]:
     """Exact signature of q on H_p; must be nondegenerate."""
-    return form_signature(build_Hp(n, p).basis, invariant_form_q)
+    return form_signature(build_Hp(n, p).basis, _poly_weight)
 
 
 def signature_Hp_expected(n: int, p: int) -> Tuple[int, int]:

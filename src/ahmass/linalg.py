@@ -25,10 +25,10 @@ solve: each of its pivot rows is nonzero only on its own pivot column
 and on free columns, so the nullspace basis, the minimum-support
 solution (free variables pinned to zero) and the coordinates against a
 fixed spanning set are all read off its rows without further
-elimination.  The Sylvester signature of a symmetric form is exact
-congruence diagonalization in ``Fraction`` arithmetic on the row update
-:func:`_add_multiple`: its rows are not rescaled one by one, which would
-break the symmetry the congruence needs.
+elimination.  The Sylvester signature of a symmetric form takes the
+same sparse rows and runs the same integer update with symmetric
+pivots (:func:`signature_of_form`): a positive row scaling keeps the
+sign of every later pivot, so its rows may be held at gcd 1 too.
 
 A system on polynomial objects reaches :func:`nullspace` by one of two
 routes: rows, the sparse matrix of an operator on monomial coordinates
@@ -314,53 +314,70 @@ class SpanSolver:
         return not self._project(vec)[0]
 
 
-def signature_of_form(gram: Sequence[Sequence]) -> Tuple[int, int, int]:
-    """Sylvester signature (n+, n-, n0) of a symmetric rational matrix.
+def signature_of_form(rows: Sequence[Row]) -> Tuple[int, int, int]:
+    """Sylvester signature (n+, n-, n0) of a symmetric rational matrix given by its sparse rows.
 
-    Exact congruence diagonalization on full symmetric sparse rows.  A
-    diagonal pivot d (sparsest row, then lowest index) is removed by the
-    rank-one update G <- G - r r^T / d, one :func:`_add_multiple` per row
-    it touches.  When every diagonal entry is zero, the congruence
-    e_i -> e_i + e_j (row i += row j, then column i += column j) makes
-    G[i][i] = 2 G[i][j] nonzero.  Rows that empty out span the radical.
-    Raises ``ValueError`` on an inexact entry (:func:`_exact`), a
-    non-real one or a non-symmetric matrix.
+    ``rows[i]`` maps column j to the entry (i, j), as the rows of
+    :class:`Echelon` do; absent entries are zero.  Every stored entry is
+    checked: it must be exact (:func:`_exact`) and real, and a nonzero
+    entry must have an equal mirror entry (j, i); ``ValueError``
+    otherwise.
+
+    Exact symmetric elimination on integer rows.  Scaling a row by a
+    positive number commutes with the elimination and keeps the sign of
+    every diagonal pivot, so each row is held at integer content with gcd
+    1 (:func:`_normalize_row`) and updated by :func:`_eliminate`.  A
+    diagonal pivot d (sparsest row, then lowest index) counts to n+ or
+    n- by its sign and clears its column from the rows it touches: the
+    Schur complement G - r r^T / d, row by row.  When every diagonal
+    entry is zero, an entry G[i][j] and its mirror pivot a block
+    [[0, b], [b, 0]], which counts once to each of n+ and n-; row i
+    clears column j and row j column i from the rows they touch.  Rows
+    that empty out span the radical.
     """
+    size = len(rows)
     G: Dict[int, Row] = {}
-    for i, row in enumerate(gram):
-        for j, entry in enumerate(row):
+    for i, row in enumerate(rows):
+        for j, entry in row.items():
             v = _exact(entry)
             if isinstance(v, GaussianRational):
                 if v.im:
                     raise ValueError("signature_of_form needs a real symmetric matrix")
                 v = v.re
             if v:
-                if gram[j][i] != entry:
+                if not 0 <= j < size or rows[j].get(i) != entry:
                     raise ValueError("non-symmetric input")
                 G.setdefault(i, {})[j] = v
+    G = {i: _normalize_row(r) for i, r in G.items()}
+
+    def clear(col: int, prow: Row, holders):
+        """Clear column ``col`` by ``prow`` from the rows ``holders``, the support of row ``col``."""
+        for k in holders:
+            if k in G:
+                G[k] = _eliminate(G[k], col, prow)
+                if not G[k]:
+                    del G[k]
+
     n_plus = n_minus = 0
     while G:
         diag = [i for i, r in G.items() if i in r]
-        if not diag:
-            i = next(iter(G))
-            rowj = G[next(iter(G[i]))]
-            _add_multiple(G[i], 1, rowj)  # row i += row j
-            for k, v in rowj.items():  # column i += column j, which is row j
-                _add_multiple(G[k], v, {i: 1})
-            continue
-        piv = min(diag, key=lambda i: (len(G[i]), i))
-        prow = G.pop(piv)
-        d = prow[piv]
-        if d > 0:
-            n_plus += 1
+        if diag:
+            piv = min(diag, key=lambda i: (len(G[i]), i))
+            prow = G.pop(piv)
+            if prow[piv] > 0:
+                n_plus += 1
+            else:
+                n_minus += 1
+            clear(piv, prow, prow)
         else:
+            i = next(iter(G))
+            j = next(iter(G[i]))
+            rowi, rowj = G.pop(i), G.pop(j)
+            n_plus += 1
             n_minus += 1
-        for k, vk in prow.items():
-            if k != piv:
-                _add_multiple(G[k], -vk / d, prow)
-                if not G[k]:
-                    del G[k]
-    return n_plus, n_minus, len(gram) - n_plus - n_minus
+            clear(j, rowi, rowj)  # row i is zero on column i
+            clear(i, rowj, rowi)  # and row j on column j
+    return n_plus, n_minus, size - n_plus - n_minus
 
 
 def dense_to_rows(mat: Sequence[Sequence]) -> List[Row]:

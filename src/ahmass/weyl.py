@@ -13,7 +13,10 @@ The chain implemented here:
   (n, p) and process;
 * ``poincare_homotopy`` and ``weyl_to_potential`` -- exact integration
   of a Weyl tensor back to a potential with R(h) = -W/2;
-* the invariant quadratic form on W_p and its signature;
+* the invariant quadratic form on W_p, diagonal on unit coordinates
+  (one slot and one monomial) with a weight per unit, and its signature
+  from a sparse integer Gram matrix that pairs only basis tensors sharing
+  a unit;
 * algebraic construction of highest-weight vectors in the relevant
   tensor spaces, with comparison reports against cataloged closed forms.
 
@@ -72,7 +75,7 @@ from itertools import combinations, product
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .gaussian import GaussianRational
-from .harmonic import _check_closed_form_args, form_signature, monomial_weight
+from .harmonic import _check_closed_form_args, form_signature, monomial_weight, unit_pairing
 from .linalg import (
     Row,
     identity_rows,
@@ -641,37 +644,36 @@ def weyl_to_potential(w: PolyTensor4) -> PolySym2:
 # ---------------------------------------------------------------------------
 
 
-def _tensor4_q(w1: PolyTensor4, w2: PolyTensor4) -> Fraction:
-    """Full eta-contraction on the slots, weighted monomial form on the
-    coefficients; diagonal on stored coordinates."""
-    total = F(0)
-    pairs = index_pairs(w1.nv)
-    for (a, b), p1 in w1.comp.items():
-        p2 = w2.comp.get((a, b))
-        if p2 is None:
-            continue
-        mu, nu = pairs[a]
-        al, be = pairs[b]
-        sgn = _eta_sign(mu) * _eta_sign(nu) * _eta_sign(al) * _eta_sign(be)
-        mult = 4 * (2 if a != b else 1)
-        for e, c1 in p1.terms.items():
-            c2 = p2.terms.get(e)
-            if c2:
-                total = total + c1 * c2 * monomial_weight(e) * sgn * mult
-    return total
+def _tensor4_weight(unit) -> Fraction:
+    """The invariant form on the unit coordinate ((a, b), X^e) of a 4-tensor.
+
+    The full eta-contraction of two 4-tensors visits the stored slot
+    (a, b) = (mu nu, al be) through 4 index tuples, 8 off the diagonal
+    a != b, each with the eta signs of mu, nu, al, be; the coefficients
+    pair by :func:`ahmass.harmonic.monomial_weight`.
+    """
+    (a, b), e = unit
+    pairs = index_pairs(len(e))
+    (mu, nu), (al, be) = pairs[a], pairs[b]
+    sgn = _eta_sign(mu) * _eta_sign(nu) * _eta_sign(al) * _eta_sign(be)
+    return sgn * 4 * (2 if a != b else 1) * monomial_weight(e)
 
 
 def signature_Wp(n: int, p: int) -> Tuple[int, int]:
     """Signature of the invariant form on W_p, normalized so n+ >= n-.
 
+    The form is diagonal on unit coordinates, with the weight
+    :func:`_tensor4_weight` of each (slot, monomial), so its Gram matrix
+    on the basis of :func:`build_Wp` is built on integers and pairs only
+    tensors that share a unit (:func:`ahmass.harmonic.form_signature`).
     The form is canonical only up to a global sign; the convention here
     reports the larger count first (for n = 3 the two counts coincide).
-    Infinitesimal invariance of the constructed form is asserted on
-    sampled basis pairs before diagonalizing.
+    Infinitesimal invariance of the form is asserted on sampled basis
+    pairs, through the same weights, before diagonalizing.
     """
     space = build_Wp(n, p)
     _assert_form_invariance(space)
-    plus, minus = form_signature(space.basis, _tensor4_q)
+    plus, minus = form_signature(space.basis, _tensor4_weight)
     return max(plus, minus), min(plus, minus)
 
 
@@ -682,8 +684,8 @@ def _assert_form_invariance(space: WeylSpace):
         _, g = rng.choice(gens)
         w1 = rng.choice(space.basis)
         w2 = rng.choice(space.basis)
-        lhs = _tensor4_q(algebra_action_tensor4(g.matrix, w1), w2)
-        rhs = _tensor4_q(w1, algebra_action_tensor4(g.matrix, w2))
+        lhs = unit_pairing(algebra_action_tensor4(g.matrix, w1), w2, _tensor4_weight)
+        rhs = unit_pairing(w1, algebra_action_tensor4(g.matrix, w2), _tensor4_weight)
         if lhs + rhs != 0:
             raise AssertionError("constructed form is not infinitesimally invariant")
 

@@ -30,11 +30,12 @@ from ahmass.lorentz import algebra_act_on_poly, all_generators, boost_from_param
 from ahmass.massaspect import (
     SphereTensor,
     _project_slots,
+    _weighted_action,
     algebra_action_aspect,
     generator_action,
     random_mass_aspect,
 )
-from ahmass.poly import ExactPoly, coordinates, monomials_of_degree, sphere_integral, sphere_restrict
+from ahmass.poly import ExactPoly, coordinates, monomials_of_degree, sphere_integral, sphere_pairing, sphere_restrict
 from ahmass.weyl import PolyTensor4, algebra_action_tensor4, build_Wp, tensor4_slots
 from sphere_oracles import act_on_dual, equivariance_oracle, mass_oracle, pair, pair_oracle
 
@@ -58,6 +59,43 @@ def test_intertwining_density_residual(n1, off_boost):
     assert intertwining_density_residual(density_null_power(n, n1, k), rows, k) == (0, 0)
     off = intertwining_density_residual(density_null_power(n, n1, k + 1), rows, k + 1)
     assert off == (off_boost, 0)
+
+
+def _residual_clearing_per_generator(components, rows_for, k):
+    """The residual pair with each component's denominators cleared by every action anew."""
+    n = components[0].n
+    totals = [F(0), F(0)]
+    for name, gen in all_generators(n):
+        is_rotation = not any(gen.matrix[0])
+        for component, row in zip(components, rows_for(name)):
+            resid = _weighted_action(gen, component, n - 1 - k).scale(F(-1))
+            for mu, c in row.items():
+                resid = resid + components[mu].scale(-c)
+            for p in resid.comp.values():
+                val = sphere_pairing(p, p.conjugate())
+                totals[is_rotation] += val.re if isinstance(val, GaussianRational) else val
+    return totals[0], totals[1]
+
+
+@pytest.mark.parametrize("n1", [0, 1, 2])
+def test_density_residual_on_cleared_components_matches_clearing_per_generator(n1, monkeypatch):
+    # each component is cleared once for its transversality test and all actions
+    n = 3
+    gens = dict(all_generators(n))
+
+    def rows(name):
+        return symmetric_power_action(gens[name], n + 1, n1)
+
+    for k in (n - 1 + n1, n + n1):
+        components = density_null_power(n, n1, k)
+        expected = _residual_clearing_per_generator(components, rows, k)
+        clears = []
+        original = SphereTensor._numerators
+        monkeypatch.setattr(SphereTensor, "_numerators", lambda t: clears.append(t) or original(t))
+        got = intertwining_density_residual(components, rows, k)
+        monkeypatch.undo()
+        assert got == expected and [type(v) for v in got] == [type(v) for v in expected]
+        assert len(clears) == len(components)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -333,7 +371,7 @@ def test_density_residual_checks_each_component_once(monkeypatch):
     components = density_null_power(n, n1, k)
     calls = []
     check = SphereTensor.is_transverse
-    monkeypatch.setattr(SphereTensor, "is_transverse", lambda t: calls.append(t) or check(t))
+    monkeypatch.setattr(SphereTensor, "is_transverse", lambda t, *args: calls.append(t) or check(t, *args))
 
     def rows(name):
         return symmetric_power_action(gens[name], n + 1, n1)

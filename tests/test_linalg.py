@@ -207,22 +207,54 @@ def test_span_solver_roundtrip_random(seed, gaussian):
 
 
 def test_signature_diagonal():
-    assert signature_of_form([[1, 0], [0, -1]]) == (1, 1, 0)
-    assert signature_of_form([[2, 0, 0], [0, 3, 0], [0, 0, 0]]) == (2, 0, 1)
+    assert signature_of_form(dense_to_rows([[1, 0], [0, -1]])) == (1, 1, 0)
+    assert signature_of_form(dense_to_rows([[2, 0, 0], [0, 3, 0], [0, 0, 0]])) == (2, 0, 1)
 
 
 def test_signature_offdiagonal_block():
     # hyperbolic plane: eigenvalues +1, -1
-    assert signature_of_form([[0, 1], [1, 0]]) == (1, 1, 0)
+    assert signature_of_form(dense_to_rows([[0, 1], [1, 0]])) == (1, 1, 0)
 
 
 def test_signature_input_errors():
     with pytest.raises(ValueError, match="non-symmetric"):
-        signature_of_form([[0, 1], [2, 0]])
+        signature_of_form(dense_to_rows([[0, 1], [2, 0]]))
     with pytest.raises(ValueError, match="real symmetric"):
-        signature_of_form([[GaussianRational(1, 1)]])
+        signature_of_form(dense_to_rows([[GaussianRational(1, 1)]]))
     real = GaussianRational(Fraction(1, 2))
-    assert signature_of_form([[real, 0], [0, -real]]) == (1, 1, 0)
+    assert signature_of_form(dense_to_rows([[real, 0], [0, -real]])) == (1, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[{1: 1}, {}], [{0: 1, 1: 2}, {0: 3, 1: 1}], [{1: Fraction(1, 2)}, {0: Fraction(1, 3)}], [{2: 1}, {1: 1}]],
+    ids=["missing-mirror", "different-mirror", "different-fraction", "column-out-of-range"],
+)
+def test_signature_rejects_sparse_rows_without_their_mirror(rows):
+    with pytest.raises(ValueError, match="non-symmetric"):
+        signature_of_form(rows)
+
+
+@pytest.mark.parametrize(
+    "rows,match",
+    [
+        ([{1: GaussianRational(0, 1)}, {0: GaussianRational(0, 1)}], "real symmetric"),
+        ([{0: 1, 1: 0.5}, {0: 0.5}], "inexact"),
+        ([{0: True}], "inexact"),
+        ([{0: 1, 1: True}, {0: True, 1: 1}], "inexact"),
+    ],
+    ids=["gaussian-off-diagonal", "float", "bool", "bool-off-diagonal"],
+)
+def test_signature_rejects_non_real_or_inexact_entries(rows, match):
+    with pytest.raises(ValueError, match=match):
+        signature_of_form(rows)
+
+
+def test_signature_ignores_stored_zeros_and_reads_real_gaussians():
+    # a stored zero needs no mirror; a real Gaussian entry counts by its real part
+    assert signature_of_form([{0: 1, 1: 0}, {1: -1}]) == (1, 1, 0)
+    half = GaussianRational(Fraction(1, 2))
+    assert signature_of_form([{1: half}, {0: half}, {}]) == (1, 1, 1)
 
 
 def test_signature_congruence_invariant():
@@ -247,7 +279,7 @@ def test_signature_congruence_invariant():
             sum(1 for v in diag if v < 0),
             sum(1 for v in diag if v == 0),
         )
-        assert signature_of_form(StGS) == expected
+        assert signature_of_form(dense_to_rows(StGS)) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -262,7 +294,7 @@ def test_signature_matches_eigenvalue_signs(data):
         for j in range(i, d):
             if i < j or not zero_diagonal:
                 G[i][j] = G[j][i] = data.draw(st.integers(-3, 3))
-    plus, minus, zero = signature_of_form(G)
+    plus, minus, zero = signature_of_form(dense_to_rows(G))
     assert zero == d - rank(dense_to_rows(G), d)
     eig = np.linalg.eigvalsh(np.array(G, dtype=float))
     assert (plus, minus) == (int((eig > 1e-9).sum()), int((eig < -1e-9).sum()))
@@ -398,4 +430,4 @@ def test_linear_algebra_rejects_inexact_coefficients(bad):
     with pytest.raises(ValueError, match="inexact"):
         rank([{1: 1}, {0: 1, 1: bad}], 2)
     with pytest.raises(ValueError, match="inexact"):
-        signature_of_form([[bad, 0], [0, 1]])
+        signature_of_form([{0: bad}, {1: 1}])

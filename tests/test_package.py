@@ -55,6 +55,7 @@ print(len(weyl.chiral_hw_vector(0, 1).comp))
 moved = massaspect.boost_action(1, massaspect.random_mass_aspect(3, 3, random.Random(1)))
 print(sum(len(p.terms) for p in moved.comp.values()), moved.is_transverse())
 print(weyl.build_Wp(3, 0).dim, weyl.build_Wp(3, 0).basis[0] is weyl.build_Wp(3, 0).basis[0])
+print(*weyl.signature_Wp(3, 1))
 """
 
 
@@ -62,14 +63,15 @@ def test_exact_pipeline_runs_without_numpy():
     """The exact modules import and solve highest-weight kernels with numpy blocked:
     one on H_2 and the null-frame solve behind the n = 3 chiral vector; the
     weighted action moves a rational aspect on its integer numerators; W_0
-    is built once, so two calls share their basis tensors.
+    is built once, so two calls share their basis tensors; the signature of
+    W_1 comes from its sparse integer Gram matrix.
 
     The script runs as is under any interpreter that finds ``src`` on its
     path, with no third-party package installed.
     """
     env = dict(os.environ, PYTHONPATH=str(Path(ahmass.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", NUMPY_FREE_SMOKE], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["1", "10", "161", "True", "10", "True"]
+    assert out.stdout.split() == ["1", "10", "161", "True", "10", "True", "12", "12"]
 
 
 def unused_imports(source: str) -> list:
