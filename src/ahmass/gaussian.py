@@ -3,19 +3,18 @@
 The dimension-3 chiral masses, the null eigenbasis of the Cartan
 subalgebra with its root vectors, and the highest-weight vectors built
 from them live over Q(i); everything else in the package stays over plain
-``Fraction``.
-``GaussianRational`` interoperates with ``Fraction`` and ``int`` through
-the reflected arithmetic operators, so polynomial and matrix code can mix
-the two coefficient types freely.
+``Fraction``, and the reflected arithmetic operators let polynomial and
+matrix code mix the two coefficient types freely.
 
-Invariant: the parts ``re`` and ``im`` are always of type ``Fraction``,
-never ``int`` or a subclass, and callers such as the row normalisation
-of :mod:`ahmass.linalg` read them directly.  The constructor coerces
-only parts that are not already ``Fraction``, so results of ``Fraction``
-arithmetic pass through it unchanged.  An ``int`` or ``Fraction``
-operand costs two ``Fraction`` operations and is never turned into a
-Gaussian first, and a product skips the cross terms when one factor is
-real.
+Invariant: a ``GaussianRational`` is never real, and this module alone
+decides whether a value is.  The constructor raises ``ValueError`` on a
+zero imaginary part, and each operator computes the imaginary part of
+its result first and returns the real part, a ``Fraction``, when that is
+0.  So equal values have one type, and a Gaussian is never zero and
+never equals a rational.  The parts ``re`` and ``im`` are always of type
+``Fraction``: the constructor coerces only parts that are not, and
+rejects an inexact one (:func:`_exact`), so results of ``Fraction``
+arithmetic pass through it unchanged.
 """
 
 from __future__ import annotations
@@ -28,14 +27,30 @@ Scalar = Union[int, Fraction, "GaussianRational"]
 _RATIONAL = (int, Fraction)
 
 
+def _exact(c):
+    """``c`` as an exact coefficient: a ``Fraction`` (from an ``int``) or a ``GaussianRational``.
+
+    Raises ``ValueError`` on anything else: a float, a ``bool``, a
+    complex or a numpy scalar would carry a rounded or unintended value
+    into an exact answer.
+    """
+    if isinstance(c, (Fraction, GaussianRational)):
+        return c
+    if isinstance(c, int) and not isinstance(c, bool):
+        return Fraction(c)
+    raise ValueError(f"inexact coefficient {c!r} of type {type(c).__name__}")
+
+
 class GaussianRational:
-    """Exact element of Q(i)."""
+    """Exact element of Q(i) with a nonzero imaginary part."""
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+    def __init__(self, re, im):
+        self.re = re if type(re) is Fraction else Fraction(_exact(re))
+        self.im = im if type(im) is Fraction else Fraction(_exact(im))
+        if not self.im:
+            raise ValueError(f"imaginary part 0: the real value {self.re} is a Fraction, not a GaussianRational")
 
     @staticmethod
     def i() -> "GaussianRational":
@@ -43,7 +58,10 @@ class GaussianRational:
 
     def __add__(self, other):
         if isinstance(other, GaussianRational):
-            return GaussianRational(self.re + other.re, self.im + other.im)
+            im = self.im + other.im
+            if not im:
+                return self.re + other.re
+            return GaussianRational(self.re + other.re, im)
         if isinstance(other, _RATIONAL):
             return GaussianRational(self.re + other, self.im)
         return NotImplemented
@@ -55,7 +73,10 @@ class GaussianRational:
 
     def __sub__(self, other):
         if isinstance(other, GaussianRational):
-            return GaussianRational(self.re - other.re, self.im - other.im)
+            im = self.im - other.im
+            if not im:
+                return self.re - other.re
+            return GaussianRational(self.re - other.re, im)
         if isinstance(other, _RATIONAL):
             return GaussianRational(self.re - other, self.im)
         return NotImplemented
@@ -68,28 +89,28 @@ class GaussianRational:
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
             a, b, c, d = self.re, self.im, other.re, other.im
-            if not d:
-                return GaussianRational(a * c, b * c)
-            if not b:
-                return GaussianRational(a * c, a * d)
-            return GaussianRational(a * c - b * d, a * d + b * c)
+            im = a * d + b * c
+            if not im:
+                return a * c - b * d
+            return GaussianRational(a * c - b * d, im)
         if isinstance(other, _RATIONAL):
-            return GaussianRational(self.re * other, self.im * other)
+            im = self.im * other
+            if not im:
+                return self.re * other
+            return GaussianRational(self.re * other, im)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, GaussianRational):
-            c, d = other.re, other.im
+            a, b, c, d = self.re, self.im, other.re, other.im
             n = c * c + d * d
-            if not n:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            a, b = self.re, self.im
-            return GaussianRational((a * c + b * d) / n, (b * c - a * d) / n)
+            im = (b * c - a * d) / n
+            if not im:
+                return (a * c + b * d) / n
+            return GaussianRational((a * c + b * d) / n, im)
         if isinstance(other, _RATIONAL):
-            if not other:
-                raise ZeroDivisionError("division by zero Gaussian rational")
             return GaussianRational(self.re / other, self.im / other)
         return NotImplemented
 
@@ -97,45 +118,35 @@ class GaussianRational:
         if isinstance(other, _RATIONAL):
             a, b = self.re, self.im
             n = a * a + b * b
-            if not n:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            return GaussianRational(other * a / n, -other * b / n)
+            im = -other * b / n
+            if not im:
+                return other * a / n
+            return GaussianRational(other * a / n, im)
         return NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
             return self.re == other.re and self.im == other.im
-        if isinstance(other, _RATIONAL):
-            return not self.im and self.re == other
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
         return hash((self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
     def norm2(self) -> Fraction:
-        """Squared modulus, an exact non-negative rational."""
+        """Squared modulus, an exact positive rational."""
         return self.re * self.re + self.im * self.im
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
     def __repr__(self):
-        if self.im == 0:
-            return f"GaussianRational({self.re})"
         return f"GaussianRational({self.re}, {self.im})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
+        if not self.re:
             return f"{self.im}*i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}*i"

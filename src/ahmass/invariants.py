@@ -118,11 +118,10 @@ class MassFunctional:
     The value at a unit coordinate is sum w int m_ij x^a over the triples
     ((i, j), a, w) of its density; the moments of m and the unit values
     are memoized on first use, so one functional evaluates any number of
-    dual vectors.  Zero unit values and moments are skipped, so a value
-    turns Gaussian only where a Gaussian coefficient meets a nonzero
-    integral, and a zero value is the Fraction 0, as for the pairing
-    with the whole density.  It checks no argument: the masses and the
-    equivariance checks do.
+    dual vectors.  Zero unit values and moments are skipped, and a value
+    is a ``GaussianRational`` only where it is not real, so a zero value
+    is the Fraction 0, as for the pairing with the whole density.  It
+    checks no argument: the masses and the equivariance checks do.
     """
 
     def __init__(self, family: str, m: SphereTensor):
@@ -143,7 +142,7 @@ class MassFunctional:
                 self._units[unit] = val
             if val:
                 total = total + c * val
-        return total if total else F(0)
+        return total
 
 
 def _check_dual(family: str, m: SphereTensor, v) -> int:
@@ -460,5 +459,5 @@ def intertwining_density_residual(
                 resid = resid + components[mu].scale(-c)
             for p in resid.comp.values():
                 val = sphere_pairing(p, p.conjugate())
-                totals[is_rotation] += val.re if isinstance(val, GaussianRational) else val
+                totals[is_rotation] += val
     return totals[0], totals[1]

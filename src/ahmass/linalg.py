@@ -10,15 +10,17 @@ integer content with gcd 1 (:func:`_normalize_row`): its rational
 entries become ``int`` and its Gaussian entries Gaussian rationals with
 integral parts.  A pivot p clears its column from a row r by the
 fraction-free update of Bareiss elimination,
-r <- s r - r_c u prow with s = |p|, u = sgn p for an ``int`` pivot and
+r <- s r - r_c u prow with s = |p|, u = sgn p for a real pivot and
 s = N(p), u = conj(p) for a Gaussian one (:func:`_eliminate`), followed
 by division by the row's content.  Since u = s / p this is a positive
 multiple of the rational update r - (r_c / p) prow, so every row is the
 same primitive integer row that rational elimination with the same
 normalisation would hold, computed with ``int`` operations only on
-rational systems.  Each entry keeps the kind that update gives it: it is
-a Gaussian rational exactly where a Gaussian coefficient has reached it.
-The finished rows are handed out with ``Fraction`` in place of ``int``.
+rational systems.  An entry is a Gaussian rational exactly when its
+value is not real: where the imaginary parts of an update cancel,
+Gaussian arithmetic returns an integral ``Fraction``, which the update
+reads through its ``numerator`` as it reads an ``int``.  The finished
+rows are handed out with ``Fraction`` in place of ``int``.
 
 One fully reduced row-echelon form, :class:`Echelon`, serves every
 solve: each of its pivot rows is nonzero only on its own pivot column
@@ -43,24 +45,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Hashable, List, Sequence, Tuple
 
-from .gaussian import GaussianRational
+from .gaussian import GaussianRational, _exact
 from .poly import coordinates
 
 Row = Dict[int, object]
-
-
-def _exact(c):
-    """``c`` as an exact coefficient: a ``Fraction`` (from an ``int``) or a ``GaussianRational``.
-
-    Raises ``ValueError`` on anything else: a float, a ``bool``, a
-    complex or a numpy scalar would carry a rounded or unintended value
-    into an exact answer.
-    """
-    if isinstance(c, (Fraction, GaussianRational)):
-        return c
-    if isinstance(c, int) and not isinstance(c, bool):
-        return Fraction(c)
-    raise ValueError(f"inexact coefficient {c!r} of type {type(c).__name__}")
 
 
 def _normalize_row(row: Row) -> Row:
@@ -104,25 +92,26 @@ def _add_multiple(r: Row, f, row: Row):
 def _eliminate(r: Row, col: int, prow: Row) -> Row:
     """Integer row ``r`` with column ``col`` cleared by the integer pivot row ``prow``.
 
-    r <- s r - r_col u prow with s = |p|, u = sgn p for an ``int`` pivot
+    r <- s r - r_col u prow with s = |p|, u = sgn p for a real pivot
     p = prow[col] and s = N(p), u = conj(p) for a Gaussian one, then the
     row divided by its content.  u = s / p, so this is s (r - (r_col / p) prow).
     """
     p = prow[col]
-    if type(p) is int:
-        s, u = (p, 1) if p > 0 else (-p, -1)
-    else:
+    if type(p) is GaussianRational:
         s, u = p.norm2().numerator, p.conjugate()
+    else:
+        p = p.numerator
+        s, u = (p, 1) if p > 0 else (-p, -1)
     f = -r[col] * u
     if s != 1:
         r = {c: s * v for c, v in r.items()}
     _add_multiple(r, f, prow)
     g = 0
     for v in r.values():
-        g = gcd(g, v) if type(v) is int else gcd(g, v.re.numerator, v.im.numerator)
+        g = gcd(g, v.re.numerator, v.im.numerator) if type(v) is GaussianRational else gcd(g, v.numerator)
         if g == 1:
             return r
-    return {c: v // g if type(v) is int else GaussianRational(v.re / g, v.im / g) for c, v in r.items()}
+    return {c: GaussianRational(v.re / g, v.im / g) if type(v) is GaussianRational else v // g for c, v in r.items()}
 
 
 class Echelon:
@@ -200,8 +189,8 @@ def nullspace(rows: Sequence[Row], ncols: int) -> List[Row]:
     The basis is therefore the unique one in echelon position, whatever
     the route of the elimination, and its vectors are independent.  Its
     entries are ``Fraction`` on a rational system (never a float, even
-    when every input is an ``int``) and ``GaussianRational`` where a
-    Gaussian coefficient entered.
+    when every input is an ``int``), and ``GaussianRational`` only where
+    the value is not real.
     """
     ech = Echelon(rows, ncols)
     basis = {f: {f: Fraction(1)} for f in ech.free_columns()}
@@ -341,9 +330,7 @@ def signature_of_form(rows: Sequence[Row]) -> Tuple[int, int, int]:
         for j, entry in row.items():
             v = _exact(entry)
             if isinstance(v, GaussianRational):
-                if v.im:
-                    raise ValueError("signature_of_form needs a real symmetric matrix")
-                v = v.re
+                raise ValueError("signature_of_form needs a real symmetric matrix")
             if v:
                 if not 0 <= j < size or rows[j].get(i) != entry:
                     raise ValueError("non-symmetric input")

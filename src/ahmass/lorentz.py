@@ -22,8 +22,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .gaussian import GaussianRational, I
-from .linalg import Row, _exact, joint_kernel
+from .gaussian import I, _exact
+from .linalg import Row, joint_kernel
 from .poly import ExactPoly, _add_flow, _flow, _poly
 
 Matrix = Tuple[Tuple[object, ...], ...]
@@ -233,9 +233,9 @@ class AlgebraElement:
     def __init__(self, matrix: Sequence[Sequence]):
         self.matrix: Matrix = tuple(tuple(_exact(v) for v in row) for row in matrix)
         self.dim = len(self.matrix)
-        eta = eta_matrix(self.dim)
-        ea = mat_mul(eta, self.matrix)
-        if mat_transpose(ea) != mat_scale(ea, Fraction(-1)):
+        m = self.matrix
+        # eta_b M[b][a] = -eta_a M[a][b]: antisymmetric within time and space, symmetric across
+        if any(m[b][a] != (m[a][b] if (a == 0) != (b == 0) else -m[a][b]) for a in range(self.dim) for b in range(a + 1)):
             raise ValueError("matrix is not an infinitesimal isometry")
 
     @property
@@ -338,27 +338,27 @@ def cartan_basis(n: int) -> Dict[int, Tuple]:
     l = cartan_rank(n)
 
     def unit(idx, coef):
-        v = [GaussianRational(0)] * dim
+        v = [Fraction(0)] * dim
         v[idx] = coef
         return v
 
     basis: Dict[int, Tuple] = {}
-    e = unit(0, GaussianRational(-1))
-    e[1] = GaussianRational(1)
+    e = unit(0, Fraction(-1))
+    e[1] = Fraction(1)
     basis[1] = tuple(e)
-    e = unit(0, GaussianRational(Fraction(1, 2)))
-    e[1] = GaussianRational(Fraction(1, 2))
+    e = unit(0, Fraction(1, 2))
+    e[1] = Fraction(1, 2)
     basis[-1] = tuple(e)
     for k in range(2, l + 1):
         a, b = 2 * k - 2, 2 * k - 1
-        e = unit(a, GaussianRational(1))
+        e = unit(a, Fraction(1))
         e[b] = I
         basis[k] = tuple(e)
-        e = unit(a, GaussianRational(Fraction(1, 2)))
-        e[b] = GaussianRational(0, Fraction(-1, 2))
+        e = unit(a, Fraction(1, 2))
+        e[b] = -I / 2
         basis[-k] = tuple(e)
     if dim % 2 == 1:
-        basis[0] = tuple(unit(dim - 1, GaussianRational(1)))
+        basis[0] = tuple(unit(dim - 1, Fraction(1)))
     return basis
 
 
@@ -399,8 +399,7 @@ def null_coordinates(n: int) -> Mapping[int, Tuple[ExactPoly, Tuple[int, ...]]]:
     e = cartan_basis(n)
     out = {}
     for k in cartan_keys(n):
-        # real coefficients stay Fractions, which keeps real products fast
-        terms = ((c if c.im else c.re) * ExactPoly.variable(n + 1, mu) for mu, c in enumerate(_dual_covector(e, k)))
+        terms = (c * ExactPoly.variable(n + 1, mu) for mu, c in enumerate(_dual_covector(e, k)))
         sign = -1 if k > 0 else 1
         weight = tuple(sign if j == abs(k) else 0 for j in range(1, cartan_rank(n) + 1))
         out[k] = (sum(terms, ExactPoly.zero(n + 1)), weight)

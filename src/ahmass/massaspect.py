@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from .gaussian import GaussianRational
+from .gaussian import GaussianRational, I
 from .lorentz import (
     AlgebraElement,
     LorentzElement,
@@ -201,12 +201,8 @@ class SphereTensor(PolyTensor):
         )
 
     def is_real(self) -> bool:
-        """True when no coefficient has a nonzero imaginary part (exact)."""
-        return not any(
-            isinstance(c, GaussianRational) and c.im
-            for p in self.comp.values()
-            for c in p.terms.values()
-        )
+        """True when no coefficient is a ``GaussianRational``, which is never real."""
+        return not any(isinstance(c, GaussianRational) for p in self.comp.values() for c in p.terms.values())
 
 
 def round_metric_tensor(n: int, k: int) -> SphereTensor:
@@ -523,7 +519,7 @@ def random_mass_aspect(n: int, k: int, rng, degree: int = 2, gaussian: bool = Fa
                     if rng.random() < 0.3:
                         c = F(rng.randint(-4, 4), rng.randint(1, 3))
                         if gaussian:
-                            c = GaussianRational(c, F(rng.randint(-2, 2)))
+                            c = c + rng.randint(-2, 2) * I
                         if c:
                             p = p + ExactPoly.monomial(n, e, c)
             comp[(i, j)] = p

@@ -1,7 +1,9 @@
 """Exact multivariate polynomials and the quadric reduction.
 
-``ExactPoly`` stores a sparse map from exponent tuples to coefficients
-(``Fraction`` or :class:`~ahmass.gaussian.GaussianRational`).  Two variable
+``ExactPoly`` stores a sparse map from exponent tuples to nonzero
+coefficients: a ``Fraction`` for a real value and a
+:class:`~ahmass.gaussian.GaussianRational` only for a value that is not
+real, so equal polynomials have equal terms of equal types.  Two variable
 conventions are used throughout the package:
 
 * ambient Minkowski polynomials in ``n + 1`` variables ``X^0 .. X^n``

@@ -74,7 +74,6 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .gaussian import GaussianRational
 from .harmonic import _check_closed_form_args, form_signature, monomial_weight, unit_pairing
 from .linalg import (
     Row,
@@ -842,9 +841,8 @@ def hw_vectors_sym2(
     joint kernel over Q of the eta-trace, Box and every raising operator
     (:func:`algebra_action_sym2`).  Only the units that occur in the kernel
     are expanded into X coordinates (:func:`_units_in_x`) and combined with
-    the kernel rows over Q(i): a Gaussian rational on each pivot unit and
-    the rational 1 on the free one, the coefficient types of the same
-    system solved in X coordinates.  Raises
+    the rational kernel rows; a coefficient of the answer is a Gaussian
+    rational only where its value is not real.  Raises
     ``ValueError`` if ``degree`` is negative or ``weight`` does not have
     one entry per Cartan generator, on every call.
 
@@ -870,10 +868,8 @@ def _hw_solve(n: int, degree: int, weight: Tuple[Fraction, ...]) -> Tuple[PolySy
     rows = joint_kernel(tensors, maps)
     used = sorted({j for row in rows for j in row})
     at = {j: i for i, j in enumerate(used)}
-    # each row renumbered onto the used units; its pivot entries lifted to
-    # Q(i), where the X coordinates live, while the free unit, which
-    # nullspace lists first, keeps its rational 1
-    rows = [{at[j]: c if k == 0 else GaussianRational(c) for k, (j, c) in enumerate(row.items())} for row in rows]
+    # each row renumbered onto the used units, which alone are expanded
+    rows = [{at[j]: c for j, c in row.items()} for row in rows]
     return tuple(_combinations(nv, _units_in_x(null, [units[j] for j in used]), rows))
 
 

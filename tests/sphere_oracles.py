@@ -28,7 +28,7 @@ from unittest import mock
 
 from hypothesis import strategies as st
 
-from ahmass.gaussian import GaussianRational
+from ahmass.gaussian import GaussianRational, I
 from ahmass.invariants import conformal_density, weyl_density
 from ahmass.linalg import joint_kernel
 from ahmass import massaspect
@@ -79,7 +79,7 @@ rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 def coefficients(gaussian: bool):
     if gaussian:
-        return st.builds(GaussianRational, rationals, rationals)
+        return st.builds(lambda re, im: re + im * I, rationals, rationals)
     return rationals
 
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahmass.gaussian import GaussianRational
+from ahmass.gaussian import GaussianRational, I
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=9)
-# zero parts often, so the real and imaginary fast paths are reached
-gaussians = st.builds(GaussianRational, *2 * [st.one_of(st.just(Fraction(0)), fractions)])
+# a zero real part often; the imaginary part of a Gaussian is never zero
+gaussians = st.builds(GaussianRational, st.one_of(st.just(Fraction(0)), fractions), fractions.filter(bool))
 OPERANDS = {"int": st.integers(min_value=-20, max_value=20), "fraction": fractions, "gaussian": gaussians}
 operands = st.one_of(*OPERANDS.values())
 
@@ -50,10 +50,31 @@ def test_operators_are_the_componentwise_formulas(op, kind, gaussian_first):
                 op(left, right)
             return
         out = op(left, right)
-        assert has_fraction_parts(out)
-        assert (out.re, out.im) == componentwise(op, left, right)
+        re, im = componentwise(op, left, right)
+        if im:
+            assert has_fraction_parts(out) and (out.re, out.im) == (re, im)
+        else:
+            assert type(out) is Fraction and out == re
 
     check()
+
+
+@given(gaussians, fractions)
+def test_results_with_a_zero_imaginary_part_are_fractions(g, x):
+    a, b = g.re, g.im
+    cases = [
+        (g + GaussianRational(x, -b), a + x),
+        (g - GaussianRational(x, b), a - x),
+        (g * g.conjugate(), g.norm2()),
+        (g.conjugate() * g, g.norm2()),
+        (g / (g * 3), Fraction(1, 3)),
+        (g * 0, 0),
+        (Fraction(0) * g, 0),
+        (0 / g, 0),
+        ((x + I) - I, x),
+    ]
+    for out, want in cases:
+        assert type(out) is Fraction and out == want
 
 
 @given(gaussians, operands)
@@ -71,21 +92,32 @@ def test_unary_operations_keep_fraction_parts(g):
 
 @given(st.one_of(st.integers(min_value=-20, max_value=20), fractions))
 def test_real_gaussians_hash_like_their_real_part(x):
-    assert hash(GaussianRational(x, 0)) == hash(x)
+    # a real result of Gaussian arithmetic is its real part, hash included
     assert hash(GaussianRational(x, 1) - GaussianRational(0, 1)) == hash(x)
-    assert len({GaussianRational(x), x}) == 1
+    assert len({(x + I) - I, x}) == 1
+    assert hash(GaussianRational(x, 1)) == hash(GaussianRational(Fraction(x), Fraction(1)))
 
 
 def test_constructor_coerces_every_rational_to_fraction():
     class Half(Fraction):
         pass
 
-    for re, im in ((1, 2), (True, 0), (Half(1, 2), Half(3)), (Fraction(1, 3), -4)):
+    for re, im in ((1, 2), (Half(1, 2), Half(3)), (Fraction(1, 3), -4)):
         g = GaussianRational(re, im)
         assert has_fraction_parts(g) and (g.re, g.im) == (Fraction(re), Fraction(im))
     half, three = Fraction(1, 2), Fraction(-3)
     g = GaussianRational(half, three)
     assert g.re is half and g.im is three
+
+
+@pytest.mark.parametrize(
+    "re,im",
+    [(0, 0), (Fraction(3), Fraction(0)), (0.1, 1), (1, 0.5), (1j, 1), (1, 2 + 0j), (True, 1), (1, True)],
+    ids=["zero-int", "zero-fraction", "float-re", "float-im", "complex-re", "complex-im", "bool-re", "bool-im"],
+)
+def test_constructor_rejects_a_zero_imaginary_part_and_inexact_parts(re, im):
+    with pytest.raises(ValueError):
+        GaussianRational(re, im)
 
 
 def test_other_operands_are_not_implemented():

@@ -73,7 +73,7 @@ def _residual_clearing_per_generator(components, rows_for, k):
                 resid = resid + components[mu].scale(-c)
             for p in resid.comp.values():
                 val = sphere_pairing(p, p.conjugate())
-                totals[is_rotation] += val.re if isinstance(val, GaussianRational) else val
+                totals[is_rotation] += val
     return totals[0], totals[1]
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahmass.gaussian import GaussianRational
+from ahmass.gaussian import GaussianRational, I
 from ahmass.linalg import (
     Echelon,
     SpanSolver,
@@ -71,7 +71,7 @@ def test_nullspace_rank_property():
 
 def test_nullspace_gaussian_entries():
     i = GaussianRational.i()
-    rows = [{0: GaussianRational(1), 1: i}]
+    rows = [{0: Fraction(1), 1: i}]
     basis = nullspace(rows, 2)
     assert len(basis) == 1
     assert matvec(rows, basis[0]) == {}
@@ -117,7 +117,7 @@ def random_sparse(rng, nrows, ncols, gaussian, density=0.3):
         re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         if not gaussian:
             return re
-        return GaussianRational(re, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        return re + Fraction(rng.randint(-3, 3), rng.randint(1, 2)) * I
 
     rows = []
     for _ in range(nrows):
@@ -221,7 +221,7 @@ def test_signature_input_errors():
         signature_of_form(dense_to_rows([[0, 1], [2, 0]]))
     with pytest.raises(ValueError, match="real symmetric"):
         signature_of_form(dense_to_rows([[GaussianRational(1, 1)]]))
-    real = GaussianRational(Fraction(1, 2))
+    real = (Fraction(1, 2) + I) - I  # Gaussian arithmetic whose imaginary part cancels
     assert signature_of_form(dense_to_rows([[real, 0], [0, -real]])) == (1, 1, 0)
 
 
@@ -251,9 +251,9 @@ def test_signature_rejects_non_real_or_inexact_entries(rows, match):
 
 
 def test_signature_ignores_stored_zeros_and_reads_real_gaussians():
-    # a stored zero needs no mirror; a real Gaussian entry counts by its real part
+    # a stored zero needs no mirror; a real result of Gaussian arithmetic is a Fraction
     assert signature_of_form([{0: 1, 1: 0}, {1: -1}]) == (1, 1, 0)
-    half = GaussianRational(Fraction(1, 2))
+    half = (Fraction(1, 2) + I) - I
     assert signature_of_form([{1: half}, {0: half}, {}]) == (1, 1, 1)
 
 
@@ -354,7 +354,7 @@ def oracle_system(seed: int, kind: str):
     ncols = rng.randint(4, 14)
     rows = random_sparse(rng, rng.randint(2, 12), ncols, kind == "gaussian")
     if kind == "mixed":
-        rows = [{k: GaussianRational(v, rng.randint(-2, 2)) if rng.random() < 0.4 else v for k, v in r.items()} for r in rows]
+        rows = [{k: v + rng.randint(-2, 2) * I if rng.random() < 0.4 else v for k, v in r.items()} for r in rows]
     elif kind == "rational":
         rows = [{k: int(v) if v.denominator == 1 else v for k, v in r.items()} for r in rows]
     rows.insert(rng.randint(0, len(rows)), {})
@@ -376,10 +376,20 @@ def test_integer_echelon_matches_the_fraction_oracle(seed, kind):
 
 
 def test_oracle_systems_have_negative_and_gaussian_pivots():
-    pivots = [r[c] for seed, kind in ORACLE_CASES for c, r in Echelon(*oracle_system(seed, kind)).pivots]
-    assert any(type(p) is Fraction and p < 0 for p in pivots)
-    assert any(isinstance(p, GaussianRational) and p.im for p in pivots)
-    assert any(isinstance(p, GaussianRational) and not p.im for p in pivots)
+    pivots = [(c, r) for seed, kind in ORACLE_CASES for c, r in Echelon(*oracle_system(seed, kind)).pivots]
+    assert any(type(r[c]) is Fraction and r[c] < 0 for c, r in pivots)
+    assert any(isinstance(r[c], GaussianRational) for c, r in pivots)
+    # a real pivot in a row that holds Gaussian entries
+    assert any(type(r[c]) is Fraction and any(isinstance(v, GaussianRational) for v in r.values()) for c, r in pivots)
+
+
+def test_a_real_value_reached_by_gaussian_elimination_is_a_fraction():
+    # (1 - i)(1 + i) = 2 clears column 0 from the second row and leaves it real
+    ech = Echelon([{0: 1 + I, 1: 1 + I}, {0: 1, 1: 2}], 2)
+    assert ech.pivots == [(0, {0: 1 + I}), (1, {1: Fraction(1)})]
+    systems = [ech] + [Echelon(*oracle_system(seed, kind)) for seed, kind in ORACLE_CASES]
+    coefs = [c for e in systems for _, r in e.pivots for c in r.values()]
+    assert all(type(c) is Fraction or type(c) is GaussianRational and c.im for c in coefs)
 
 
 @pytest.mark.parametrize("seed,kind", ORACLE_CASES)

@@ -78,6 +78,11 @@ def test_boost_parameter_must_lie_strictly_between_minus_one_and_one(t):
         boost_from_parameter(3, 1, t)
 
 
+def sign_flipped(matrix, row, col):
+    """The matrix with the entry (row, col) negated."""
+    return [[-v if (r, c) == (row, col) else v for c, v in enumerate(line)] for r, line in enumerate(matrix)]
+
+
 @pytest.mark.parametrize(
     "make,match",
     [
@@ -87,6 +92,9 @@ def test_boost_parameter_must_lie_strictly_between_minus_one_and_one(t):
         (lambda: rational_rotation(3, 1, 2, F(1), F(1)), re.escape("c^2 + s^2 = 1")),
         (lambda: rational_rotation(3, 2, 2, F(3, 5), F(4, 5)), "plane out of range"),
         (lambda: AlgebraElement(identity_element(3).matrix), "not an infinitesimal isometry"),
+        (lambda: AlgebraElement(sign_flipped(boost_generator(3, 2).matrix, 0, 2)), "not an infinitesimal isometry"),
+        (lambda: AlgebraElement(sign_flipped(rotation_generator(4, 1, 3).matrix, 1, 3)), "not an infinitesimal isometry"),
+        (lambda: AlgebraElement(sign_flipped(raising_operators(4)[0][1], 0, 3)), "not an infinitesimal isometry"),
         (lambda: ball_to_hyperboloid((F(1), F(0), F(0))), "not in the open unit ball"),
         (lambda: sphere_action(identity_element(3), (F(1), F(1), F(0))), "not on the unit sphere"),
         (lambda: u_of_A(identity_element(3), (F(1, 2), F(0), F(0))), "not on the unit sphere"),
@@ -99,6 +107,9 @@ def test_boost_parameter_must_lie_strictly_between_minus_one_and_one(t):
         "rotation-parameters",
         "rotation-plane",
         "algebra-not-isometry",
+        "algebra-boost-entry-sign",
+        "algebra-rotation-entry-sign",
+        "algebra-raising-entry-sign",
         "ball-point-outside",
         "sphere-action-off-sphere",
         "u-off-sphere",
@@ -381,6 +392,14 @@ def test_null_coordinates_are_weight_vectors(n):
     nv, i = n + 1, GaussianRational.i()
     assert null[-1] == (X(nv, 0) + X(nv, 1), (1,) + (0,) * (cartan_rank(n) - 1))
     assert null[-2][0] == X(nv, 2) + X(nv, 3) * i
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_real_coefficients_of_the_null_frame_are_fractions(n):
+    coefs = [c for e in cartan_basis(n).values() for c in e]
+    coefs += [c for _, m in raising_operators(n) for row in m for c in row]
+    coefs += [c for z, _ in null_coordinates(n).values() for c in z.terms.values()]
+    assert all(type(c) is Fraction or type(c) is GaussianRational and c.im for c in coefs)
 
 
 @pytest.mark.parametrize("bad", [0.5, True, np.float64(1.0)], ids=["float", "bool", "numpy"])

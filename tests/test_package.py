@@ -49,6 +49,7 @@ sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 import random
 from fractions import Fraction
 from ahmass import harmonic, linalg, lorentz, massaspect, poly, weyl
+from ahmass.gaussian import GaussianRational
 basis = harmonic.build_Hp(3, 2).basis
 print(len(lorentz.highest_weight_vectors(basis, lorentz.algebra_act_on_poly, 3, [Fraction(2), Fraction(0)])))
 print(len(weyl.chiral_hw_vector(0, 1).comp))
@@ -56,6 +57,8 @@ moved = massaspect.boost_action(1, massaspect.random_mass_aspect(3, 3, random.Ra
 print(sum(len(p.terms) for p in moved.comp.values()), moved.is_transverse())
 print(weyl.build_Wp(3, 0).dim, weyl.build_Wp(3, 0).basis[0] is weyl.build_Wp(3, 0).basis[0])
 print(*weyl.signature_Wp(3, 1))
+z = GaussianRational(1, 2) * GaussianRational(1, -2)
+print(type(z).__name__, z)
 """
 
 
@@ -64,14 +67,15 @@ def test_exact_pipeline_runs_without_numpy():
     one on H_2 and the null-frame solve behind the n = 3 chiral vector; the
     weighted action moves a rational aspect on its integer numerators; W_0
     is built once, so two calls share their basis tensors; the signature of
-    W_1 comes from its sparse integer Gram matrix.
+    W_1 comes from its sparse integer Gram matrix; a product of Gaussian
+    rationals with a zero imaginary part is a ``Fraction``.
 
     The script runs as is under any interpreter that finds ``src`` on its
     path, with no third-party package installed.
     """
     env = dict(os.environ, PYTHONPATH=str(Path(ahmass.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", NUMPY_FREE_SMOKE], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["1", "10", "161", "True", "10", "True", "12", "12"]
+    assert out.stdout.split() == ["1", "10", "161", "True", "10", "True", "12", "12", "Fraction", "5"]
 
 
 def unused_imports(source: str) -> list:

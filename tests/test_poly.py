@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahmass.gaussian import GaussianRational
+from ahmass.gaussian import GaussianRational, I
 from ahmass.linalg import matvec
 from ahmass.lorentz import (
     algebra_act_on_poly,
@@ -314,7 +314,7 @@ def random_poly(nv, deg, rng, gaussian=False):
         if rng.random() < 0.4:
             c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             if gaussian:
-                c = GaussianRational(c, Fraction(rng.randint(-3, 3)))
+                c = c + rng.randint(-3, 3) * I
             p = p + ExactPoly.monomial(nv, mono, c)
     return p
 
@@ -464,6 +464,9 @@ def test_cleared_term_maps_are_integer_numerators_over_the_lcm():
     back = {key: _over(terms, den) for key, terms in numerators.items()}
     assert back == maps and all(type(c) is Fraction for terms in back.values() for c in terms.values())
     assert _cleared({}) == ({}, 1)
+    # a real result of Gaussian arithmetic is a Fraction and takes the integer path
+    cancelled = (Fraction(1, 2) + I) - I
+    assert _cleared({"a": {(0, 0): Fraction(1, 3)}, "b": {(1, 0): cancelled}}) == ({"a": {(0, 0): 2}, "b": {(1, 0): 3}}, 6)
     # a Gaussian or a plain int coefficient leaves the maps uncleared
-    assert _cleared({"a": {(0, 0): Fraction(1, 2)}, "b": {(1, 0): GaussianRational(Fraction(1), Fraction(0))}}) is None
+    assert _cleared({"a": {(0, 0): Fraction(1, 2)}, "b": {(1, 0): Fraction(1, 2) + I}}) is None
     assert _cleared({"a": {(0, 0): 3}}) is None

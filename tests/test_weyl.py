@@ -7,7 +7,7 @@ from functools import lru_cache
 import pytest
 
 from ahmass import weyl
-from ahmass.gaussian import GaussianRational
+from ahmass.gaussian import GaussianRational, I
 from ahmass.linalg import SpanSolver
 from ahmass.lorentz import (
     algebra_act_on_poly,
@@ -37,6 +37,9 @@ from ahmass.weyl import (
     algebra_action_sym2,
     algebra_action_tensor4,
     build_Wp,
+    catalog_chiral_printed,
+    catalog_gauge1,
+    catalog_gauge2,
     catalog_weyl_type,
     chiral_hw_vector,
     de_donder_fix,
@@ -127,8 +130,7 @@ def test_riemann_highest_weight_component():
     # e_{-1} = (d0 + d1)/2, e_{-2} = (d2 - i d3)/2
     i = GaussianRational.i()
     em1 = [F(1, 2), F(1, 2), F(0), F(0), F(0)]
-    em2 = [GaussianRational(0), GaussianRational(0), GaussianRational(F(1, 2)),
-           GaussianRational(0, F(-1, 2)), GaussianRational(0)]
+    em2 = [F(0), F(0), F(1, 2), GaussianRational(0, F(-1, 2)), F(0)]
     comp = ExactPoly.zero(nv)
     for mu in range(nv):
         for nu in range(nv):
@@ -513,13 +515,22 @@ def test_weight_basis_is_a_basis_of_weight_vectors(n, degree):
     assert total == len(monomials_of_degree(nv, degree)) * len(_sym2_slots(nv))
 
 
+def test_real_coefficients_of_highest_weight_vectors_and_catalogs_are_fractions():
+    tensors = [r.vector for n, p in ((3, 0), (3, 1), (4, 0)) for r in hw_vectors_weyl(n, p) if r.vector is not None]
+    for n, p in ((3, 0), (4, 1)):
+        tensors += [catalog_gauge1(n, p), catalog_gauge2(n, p), catalog_chiral_printed(n, p)]
+        tensors += [catalog_weyl_type(n, p, conj) for conj in (False, True)]
+    coefs = [c for h in tensors for q in h.comp.values() for c in q.terms.values()]
+    assert all(type(c) is Fraction or type(c) is GaussianRational and c.im for c in coefs)
+
+
 def random_comp(slots, nv, degree, rng, gaussian):
     comp = {}
     for slot in slots:
         terms = {}
         for e in rng.sample(monomials_of_degree(nv, degree), 2):
             c = F(rng.randint(-4, 4), rng.randint(1, 3))
-            terms[e] = GaussianRational(c, rng.randint(-2, 2)) if gaussian else c
+            terms[e] = c + rng.randint(-2, 2) * I if gaussian else c
         comp[slot] = ExactPoly(nv, terms)
     return comp
 
@@ -582,7 +593,7 @@ def test_hw_vectors_sym2_equals_the_x_coordinate_solve(n, degree, weight):
     assert len(got) == (0 if weight == (2, 1) else 1)
     want = hw_vectors_sym2_oracle(n, degree, weight)
     assert got == want
-    # and each coefficient of the same type: a real value is a Fraction or a GaussianRational as there
+    # and each coefficient of the same type: a Fraction exactly where the value is real
     assert typed(got) == typed(want)
 
 
