@@ -160,15 +160,3 @@ def conj(c: Scalar) -> Scalar:
     if isinstance(c, GaussianRational):
         return c.conjugate()
     return c
-
-
-def real_part(c: Scalar) -> Fraction:
-    if isinstance(c, GaussianRational):
-        return c.re
-    return Fraction(c)
-
-
-def imag_part(c: Scalar) -> Fraction:
-    if isinstance(c, GaussianRational):
-        return c.im
-    return Fraction(0)

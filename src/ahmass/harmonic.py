@@ -1,9 +1,9 @@
 """Wave-harmonic polynomial spaces H_p and their invariant form.
 
 ``build_Hp`` constructs the space of homogeneous degree-``p`` solutions
-of the wave equation on R^{n,1} as an exact kernel; the Euclidean-style
-division recursion ``harmonic_decompose`` provides an independent route
-to the same decomposition and the two are cross-checked in the tests.
+of the wave equation on R^{n,1} as an exact kernel, the one route to H_p
+in the package; :class:`Space` holds it, and W_p of :mod:`ahmass.weyl`
+too.
 
 The invariant quadratic form makes distinct monomials orthogonal with
 
@@ -52,17 +52,19 @@ def dim_Hp(n: int, p: int) -> int:
 
 
 @dataclass
-class HarmonicSpace:
+class Space:
+    """The basis of H_p or of W_p for one (n, p)."""
+
     n: int
     p: int
-    basis: List[ExactPoly]
+    basis: list
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
 
-def build_Hp(n: int, p: int) -> HarmonicSpace:
+def build_Hp(n: int, p: int) -> Space:
     """Exact basis of wave-harmonic homogeneous polynomials of degree p."""
     if n < 3 or p < 0:
         raise ValueError("need n >= 3 and p >= 0")
@@ -70,61 +72,10 @@ def build_Hp(n: int, p: int) -> HarmonicSpace:
     box = operator_rows(wave_operator, nv, p, p - 2)
     kernel = nullspace(box, len(monomials_of_degree(nv, p)))
     basis = [from_coords(v, nv, p) for v in kernel]
-    space = HarmonicSpace(n, p, basis)
+    space = Space(n, p, basis)
     if space.dim != dim_Hp(n, p):
         raise AssertionError(f"dim H_{p} mismatch for n={n}")
     return space
-
-
-# ---------------------------------------------------------------------------
-# harmonic decomposition (division by the Minkowski quadric)
-# ---------------------------------------------------------------------------
-
-
-def _expansion(p: ExactPoly, d: int, norm: ExactPoly) -> List[ExactPoly]:
-    """Components h_k with P = sum_k (X.X)^k h_k, each h_k wave-harmonic.
-
-    Downward-degree recursion: the wave operator sends (X.X)^k h to
-    2k(n-1+2m+2k) (X.X)^{k-1} h for harmonic h of degree m, so the
-    expansion of box(P) determines all h_k with k >= 1.
-    """
-    if p.is_zero():
-        return []
-    if d <= 1:
-        return [p]
-    n_plus_1 = p.nvars
-    r = wave_operator(p)
-    parts = _expansion(r, d - 2, norm)
-    higher: List[ExactPoly] = []
-    for k_minus_1, comp in enumerate(parts):
-        k = k_minus_1 + 1
-        m = d - 2 * k
-        c = F(2 * k * (n_plus_1 - 2 + 2 * m + 2 * k))
-        higher.append(comp / c)
-    h0 = p
-    acc = ExactPoly.constant(p.nvars, 1)
-    for h in higher:
-        acc = acc * norm
-        h0 = h0 - acc * h
-    return [h0] + higher
-
-
-def harmonic_decompose(p: ExactPoly) -> Tuple[ExactPoly, ExactPoly]:
-    """Split P = H + (X.X) Q with H wave-harmonic, exactly."""
-    if not p.is_homogeneous():
-        raise ValueError("input must be homogeneous")
-    if p.is_zero():
-        return p, p
-    d = p.degree()
-    norm = minkowski_norm_poly(p.nvars)
-    parts = _expansion(p, d, norm)
-    h = parts[0]
-    q = ExactPoly.zero(p.nvars)
-    acc = ExactPoly.constant(p.nvars, 1)
-    for k, comp in enumerate(parts[1:]):
-        q = q + acc * comp
-        acc = acc * norm
-    return h, q
 
 
 # ---------------------------------------------------------------------------

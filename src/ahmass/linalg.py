@@ -36,7 +36,7 @@ A system on polynomial objects reaches :func:`nullspace` by one of two
 routes: rows, the sparse matrix of an operator on monomial coordinates
 (:func:`ahmass.poly.operator_rows`, :func:`kron_rows`), for H_p, W_p and
 the gauge solve; or images, :func:`joint_kernel` of several maps on a
-basis of objects, for the highest-weight and transverse solutions.
+basis of objects, for the highest-weight solutions.
 """
 
 from __future__ import annotations

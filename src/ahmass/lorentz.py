@@ -287,7 +287,7 @@ def linear_forms(m) -> List[ExactPoly]:
     """The linear forms (MX)^mu = M^mu_nu X^nu, one per row of a square matrix."""
     nv = len(m)
     units = [tuple(int(i == nu) for i in range(nv)) for nu in range(nv)]
-    return [ExactPoly(nv, {units[nu]: _exact(c) for nu, c in enumerate(row) if c}) for row in m]
+    return [ExactPoly(nv, {units[nu]: c for nu, c in enumerate(row) if c}) for row in m]
 
 
 def act_on_poly(a: LorentzElement, p: ExactPoly) -> ExactPoly:
@@ -493,8 +493,11 @@ def highest_weight_vectors(basis: Sequence, act, n: int, weight: Sequence[Fracti
     """
     if len(weight) != cartan_rank(n):
         raise ValueError(f"weight needs {cartan_rank(n)} entries for n={n}, got {len(weight)}")
-    maps = [lambda v, h=h, lam=lam: act(h, v) - v * lam for h, lam in zip(cartan_generators(n), weight)]
-    if not joint_kernel(basis, maps):
+    # both kernels are posed on basis positions, so each Cartan image is computed once
+    shifted = [[act(h, v) - v * lam for h, lam in zip(cartan_generators(n), weight)] for v in basis]
+    maps = [lambda j, k=k: shifted[j][k] for k in range(len(weight))]
+    positions = range(len(basis))
+    if not joint_kernel(positions, maps):
         raise ValueError("weight space empty")
-    maps += [lambda v, r=r: act(r, v) for _, r in raising_operators(n)]
-    return joint_kernel(basis, maps)
+    maps += [lambda j, r=r: act(r, basis[j]) for _, r in raising_operators(n)]
+    return joint_kernel(positions, maps)

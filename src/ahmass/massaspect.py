@@ -47,7 +47,6 @@ from .lorentz import (
     AlgebraElement,
     LorentzElement,
     boost_generator,
-    named_generators,
     rotation_generator,
 )
 from .poly import (
@@ -73,14 +72,6 @@ if TYPE_CHECKING:  # numpy is imported only by the numeric functions that use it
     import numpy as np
 
 F = Fraction
-
-
-def _zero(n: int) -> ExactPoly:
-    return ExactPoly.zero(n)
-
-
-def _x(n: int, i: int) -> ExactPoly:
-    return ExactPoly.variable(n, i)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +201,7 @@ def round_metric_tensor(n: int, k: int) -> SphereTensor:
     comp = {}
     for i in range(n):
         for j in range(i, n):
-            p = -_x(n, i) * _x(n, j)
+            p = -ExactPoly.variable(n, i) * ExactPoly.variable(n, j)
             if i == j:
                 p = p + 1
             comp[(i, j)] = p
@@ -258,7 +249,7 @@ class TangentField:
             raise ValueError("field is not tangent to the sphere")
 
     def derive(self, f: ExactPoly) -> ExactPoly:
-        out = _zero(self.n)
+        out = ExactPoly.zero(self.n)
         for a in range(self.n):
             out = out + self.comp[a] * f.diff(a)
         return out
@@ -266,7 +257,7 @@ class TangentField:
 
 def _linear(row, n: int) -> ExactPoly:
     """sum_d row[d] x^d over the spatial entries row[1..n] of a matrix row."""
-    return sum((_x(n, d) * row[d + 1] for d in range(n) if row[d + 1]), _zero(n))
+    return sum((ExactPoly.variable(n, d) * row[d + 1] for d in range(n) if row[d + 1]), ExactPoly.zero(n))
 
 
 def _boundary_field(mat) -> Tuple[TangentField, ExactPoly]:
@@ -277,7 +268,8 @@ def _boundary_field(mat) -> Tuple[TangentField, ExactPoly]:
     """
     n = len(mat) - 1
     phi = -_linear(mat[0], n)
-    return TangentField(n, [_linear(mat[c + 1], n) + _x(n, c) * phi + mat[c + 1][0] for c in range(n)]), phi
+    field = [_linear(mat[c + 1], n) + ExactPoly.variable(n, c) * phi + mat[c + 1][0] for c in range(n)]
+    return TangentField(n, field), phi
 
 
 def boost_field(n: int, i: int) -> TangentField:
@@ -302,7 +294,7 @@ def _project_slots(n: int, t: Dict[Tuple[int, int], ExactPoly]) -> Dict[Tuple[in
 
 
 def sphere_covariant_derivative(t, X: TangentField):
-    """nabla^sigma_X of a scalar, tangent field, or symmetric 2-tensor.
+    """nabla^sigma_X of a scalar or a symmetric 2-tensor.
 
     Extrinsic evaluation: ambient directional derivative followed by
     tangential projection on every remaining slot; exact as an on-sphere
@@ -312,29 +304,11 @@ def sphere_covariant_derivative(t, X: TangentField):
     n = X.n
     if isinstance(t, ExactPoly):
         return X.derive(t)
-    if isinstance(t, TangentField):
-        return _tangential(n, [X.derive(c) for c in t.comp])
     if isinstance(t, SphereTensor):
         # derivative and projection both preserve the symmetry
         der = {ij: X.derive(p) for ij, p in t.comp.items()}
         return SphereTensor(t.n, t.k, _project_slots(n, der))
     raise TypeError(f"cannot differentiate {type(t)!r}")
-
-
-def _tangential(n: int, der: List[ExactPoly]) -> TangentField:
-    """The field der_a - x_a (der_b x^b): one projected slot."""
-    radial = _radial([d.terms for d in der])
-    comp = []
-    for a in range(n):
-        acc = dict(der[a].terms)
-        _add_shifted(acc, radial, a, -1)
-        comp.append(_poly(n, acc))
-    return TangentField(n, comp)
-
-
-def gradient_field(n: int, f: ExactPoly) -> TangentField:
-    """Tangential gradient of a scalar."""
-    return _tangential(n, [f.diff(a) for a in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +410,6 @@ def rotation_action(i: int, j: int, m: SphereTensor) -> SphereTensor:
     return algebra_action_aspect(rotation_generator(m.n, i, j), m)
 
 
-def generator_action(name: str, m: SphereTensor, k: int | None = None) -> SphereTensor:
-    """The action of the generator labelled ``name`` by ``lorentz.all_generators``."""
-    gen = named_generators(m.n).get(name)
-    if gen is None:
-        raise ValueError(f"unknown generator {name!r}")
-    return algebra_action_aspect(gen, m, k)
-
-
 # ---------------------------------------------------------------------------
 # numeric finite group action
 # ---------------------------------------------------------------------------
@@ -513,7 +479,7 @@ def random_mass_aspect(n: int, k: int, rng, degree: int = 2, gaussian: bool = Fa
     comp = {}
     for i in range(n):
         for j in range(i, n):
-            p = _zero(n)
+            p = ExactPoly.zero(n)
             for d in range(degree + 1):
                 for e in monomials_of_degree(n, d):
                     if rng.random() < 0.3:

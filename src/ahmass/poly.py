@@ -55,7 +55,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Dict, Mapping, Sequence, Tuple
 
-from .gaussian import GaussianRational, conj, imag_part, real_part
+from .gaussian import GaussianRational, _exact, conj
 
 Exponents = Tuple[int, ...]
 
@@ -67,7 +67,12 @@ def _is_zero(c) -> bool:
 
 
 class ExactPoly:
-    """Sparse polynomial with exact rational or Gaussian-rational terms."""
+    """Sparse polynomial with exact rational or Gaussian-rational terms.
+
+    Each coefficient given to a constructor and each scalar operand of
+    ``+ - * /`` passes through :func:`ahmass.gaussian._exact`: an ``int``
+    becomes a ``Fraction``, and a float or a ``bool`` raises ``ValueError``.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -78,6 +83,7 @@ class ExactPoly:
             for e, c in terms.items():
                 if len(e) != nvars:
                     raise ValueError(f"exponent vector {e} has wrong length")
+                c = _exact(c)
                 if not _is_zero(c):
                     self.terms[tuple(e)] = c
 
@@ -89,8 +95,6 @@ class ExactPoly:
 
     @staticmethod
     def constant(nvars: int, c) -> "ExactPoly":
-        if isinstance(c, int):
-            c = Fraction(c)
         return ExactPoly(nvars, {(0,) * nvars: c})
 
     @staticmethod
@@ -101,8 +105,6 @@ class ExactPoly:
 
     @staticmethod
     def monomial(nvars: int, exponents: Sequence[int], c=Fraction(1)) -> "ExactPoly":
-        if isinstance(c, int):
-            c = Fraction(c)
         return ExactPoly(nvars, {tuple(exponents): c})
 
     # -- ring operations ----------------------------------------------
@@ -112,7 +114,7 @@ class ExactPoly:
             raise ValueError("variable-count mismatch")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if not isinstance(other, ExactPoly):
             other = ExactPoly.constant(self.nvars, other)
         self._check(other)
         terms = dict(self.terms)
@@ -134,7 +136,7 @@ class ExactPoly:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if not isinstance(other, ExactPoly):
             other = ExactPoly.constant(self.nvars, other)
         return self + (-other)
 
@@ -142,7 +144,8 @@ class ExactPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if not isinstance(other, ExactPoly):
+            other = _exact(other)
             if _is_zero(other):
                 return ExactPoly(self.nvars)
             out = ExactPoly(self.nvars)
@@ -165,8 +168,7 @@ class ExactPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        if isinstance(scalar, int):
-            scalar = Fraction(scalar)
+        scalar = _exact(scalar)
         out = ExactPoly(self.nvars)
         out.terms = {e: c / scalar for e, c in self.terms.items()}
         return out
@@ -274,20 +276,6 @@ class ExactPoly:
     def conjugate(self) -> "ExactPoly":
         out = ExactPoly(self.nvars)
         out.terms = {e: conj(c) for e, c in self.terms.items()}
-        return out
-
-    def real(self) -> "ExactPoly":
-        out = ExactPoly(self.nvars)
-        out.terms = {
-            e: r for e, c in self.terms.items() if (r := real_part(c)) != 0
-        }
-        return out
-
-    def imag(self) -> "ExactPoly":
-        out = ExactPoly(self.nvars)
-        out.terms = {
-            e: r for e, c in self.terms.items() if (r := imag_part(c)) != 0
-        }
         return out
 
     def __repr__(self):

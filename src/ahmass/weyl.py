@@ -30,15 +30,14 @@ coordinates, assembled from :func:`ahmass.poly.operator_rows`, the
 matrix of a map between homogeneous forms (Box and d_nu), and
 :func:`ahmass.linalg.kron_rows`, which forms sum_k A_k (x) B_k with a
 slot or vector factor.  Tensors of degree d have coordinates monomial
-index major, slot minor (:func:`_tensor_to_coords`).  For W_p the slots
+index major, slot minor (:func:`_coords_to_tensor`).  For W_p the slots
 are the pairs of index pairs (:func:`tensor4_slot_sign`) and the
 constraints are I (x) T, I (x) B_1 and sum_s d_s (x) C_s
 (:func:`build_Wp`).  The gauge vector field of :func:`de_donder_fix` is
 laid out component major, so its operators are I (x) Box and
-sum_nu eta_nu e_nu (x) d_nu.  On the images route, each system on
-symmetric 2-tensors is one :func:`ahmass.linalg.joint_kernel` of the
-maps a solution must send to zero (:func:`transverse_solution_space`,
-:func:`hw_vectors_sym2`).
+sum_nu eta_nu e_nu (x) d_nu.  On the images route, the highest-weight
+system on symmetric 2-tensors is one :func:`ahmass.linalg.joint_kernel`
+of the maps a solution must send to zero (:func:`hw_vectors_sym2`).
 
 so(n,1) acts on every covariant polynomial tensor by one slot action
 (:func:`_slot_action`), (a.T)_I = -(aX).d T_I - sum_r a^s_{I_r} T_{I[r -> s]},
@@ -74,7 +73,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .harmonic import _check_closed_form_args, form_signature, monomial_weight, unit_pairing
+from .harmonic import Space, _check_closed_form_args, form_signature, monomial_weight, unit_pairing
 from .linalg import (
     Row,
     identity_rows,
@@ -392,22 +391,12 @@ def dim_Wp(n: int, p: int) -> int:
     return num // den
 
 
-def _tensor_to_coords(comp: Dict[tuple, ExactPoly], slots: List[tuple], degree: int) -> Row:
-    """Monomial-major, slot-minor coordinates of degree-d tensor components.
-
-    ``comp`` maps slot keys (entries of ``slots``) to homogeneous forms;
-    h_slot X^e sits at e * len(slots) + slot index.
-    """
-    sidx = {key: i for i, key in enumerate(slots)}
-    out: Row = {}
-    for key, poly in comp.items():
-        for m, c in to_coords(poly, degree).items():
-            out[m * len(slots) + sidx[key]] = c
-    return out
-
-
 def _coords_to_tensor(row: Row, slots: List[tuple], nv: int, degree: int) -> Dict[tuple, ExactPoly]:
-    """Tensor components from their coordinates; inverse of :func:`_tensor_to_coords`."""
+    """Tensor components from their monomial-major, slot-minor coordinates.
+
+    ``row`` holds h_slot X^e at e * len(slots) + slot index, as the
+    kernel rows of :func:`build_Wp` do.
+    """
     parts: Dict[tuple, Row] = {}
     for flat, c in row.items():
         m, s = divmod(flat, len(slots))
@@ -415,25 +404,11 @@ def _coords_to_tensor(row: Row, slots: List[tuple], nv: int, degree: int) -> Dic
     return {key: from_coords(part, nv, degree) for key, part in parts.items()}
 
 
-@dataclass
-class WeylSpace:
-    n: int
-    p: int
-    basis: List[PolyTensor4]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def coordinate_row(self, w: PolyTensor4) -> Row:
-        return _tensor_to_coords(w.comp, tensor4_slots(self.n + 1), self.p)
-
-
 def _cyclic(a: int, b: int, c: int) -> Tuple[Tuple[int, int, int], ...]:
     return (a, b, c), (b, c, a), (c, a, b)
 
 
-def build_Wp(n: int, p: int) -> WeylSpace:
+def build_Wp(n: int, p: int) -> Space:
     """Exact basis of W_p as the kernel of its linear constraints.
 
     Index symmetries are enforced by the storage (:func:`tensor4_slot_sign`).
@@ -443,11 +418,11 @@ def build_Wp(n: int, p: int) -> WeylSpace:
     terms of the cyclic sum that are differentiated along X^s.
 
     The basis is built once per (n, p) (:func:`_Wp_basis`); every call
-    returns a new ``WeylSpace`` with a new ``basis`` list over the same
-    tensors, which are shared and must not be mutated.  Bad arguments
-    raise on every call.
+    returns a new :class:`ahmass.harmonic.Space` with a new ``basis``
+    list over the same tensors, which are shared and must not be
+    mutated.  Bad arguments raise on every call.
     """
-    return WeylSpace(n, p, list(_Wp_basis(n, p)))
+    return Space(n, p, list(_Wp_basis(n, p)))
 
 
 @lru_cache(maxsize=None)
@@ -523,17 +498,6 @@ class PolyForm(PolyTensor):
         return tuple(sorted(indices)), -1 if inversions % 2 else 1
 
 
-def _insert_index(idx: Tuple[int, ...], mu: int) -> Tuple[Tuple[int, ...], int] | None:
-    """Sorted insertion of mu into idx with the sign of the permutation."""
-    if mu in idx:
-        return None
-    pos = 0
-    while pos < len(idx) and idx[pos] < mu:
-        pos += 1
-    sign = -1 if pos % 2 else 1
-    return idx[:pos] + (mu,) + idx[pos:], sign
-
-
 def exterior_derivative(w: PolyForm) -> PolyForm:
     out: Dict[Tuple[int, ...], ExactPoly] = {}
     for idx, p in w.comp.items():
@@ -541,7 +505,7 @@ def exterior_derivative(w: PolyForm) -> PolyForm:
             d = p.diff(mu)
             if d.is_zero():
                 continue
-            ins = _insert_index(idx, mu)
+            ins = w._slot(mu, *idx)
             if ins is None:
                 continue
             nidx, sign = ins
@@ -676,7 +640,7 @@ def signature_Wp(n: int, p: int) -> Tuple[int, int]:
     return max(plus, minus), min(plus, minus)
 
 
-def _assert_form_invariance(space: WeylSpace):
+def _assert_form_invariance(space: Space):
     rng = random.Random(814)
     gens = all_generators(space.n)
     for _ in range(4):
@@ -743,7 +707,7 @@ def algebra_action_tensor4(mat, w: PolyTensor4) -> PolyTensor4:
 
 
 # ---------------------------------------------------------------------------
-# potential-side solution spaces and highest-weight vectors
+# highest-weight vectors in the potential spaces
 # ---------------------------------------------------------------------------
 
 
@@ -755,26 +719,6 @@ def _sym2_slots(nv: int) -> List[Tuple[int, int]]:
 def _combinations(nv: int, basis: Sequence[PolySym2], rows: List[Row]) -> List[PolySym2]:
     """The tensors sum_j c_j basis[j], one per coefficient row c."""
     return [sum((basis[j] * c for j, c in row.items()), PolySym2(nv, {})) for row in rows]
-
-
-def transverse_solution_space(n: int, degree: int) -> List[PolySym2]:
-    """Wave-harmonic, eta-trace-free tensors with h_{mu nu} X^mu = 0.
-
-    These solve the linearized Einstein equations (they are automatically
-    divergence free) and realize the same representation as W_{degree-2}:
-    the joint kernel of Box, the eta-trace and the radial contraction on
-    the unit tensors X^e in one slot, monomial major.
-    """
-    nv = n + 1
-    monos = monomials_of_degree(nv, degree)
-    units = [PolySym2(nv, {s: ExactPoly.monomial(nv, e)}) for e in monos for s in _sym2_slots(nv)]
-    maps = [PolySym2.box, PolySym2.eta_trace, PolySym2.radial_contraction]
-    return _combinations(nv, units, joint_kernel(units, maps))
-
-
-# ---------------------------------------------------------------------------
-# highest-weight vectors in the potential spaces
-# ---------------------------------------------------------------------------
 
 
 def _weight_units(null: Mapping, degree: int, weight: Sequence) -> List[Tuple[Tuple[int, ...], int, int]]:

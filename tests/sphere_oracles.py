@@ -56,7 +56,8 @@ def square_and_integrate_vanishes(p: ExactPoly) -> bool:
     """True iff p is zero on the sphere, by the mean square of its real
     and imaginary parts: a continuous function with zero mean square
     vanishes."""
-    re, im = p.real(), p.imag()
+    re = ExactPoly(p.nvars, {e: c.re if isinstance(c, GaussianRational) else c for e, c in p.terms.items()})
+    im = ExactPoly(p.nvars, {e: c.im for e, c in p.terms.items() if isinstance(c, GaussianRational)})
     for q in (re, im):
         if q.terms and sphere_integral(q * q) != 0:
             return False

@@ -7,7 +7,6 @@ from ahmass.harmonic import (
     build_Hp,
     check_restriction_eigenfunction,
     dim_Hp,
-    harmonic_decompose,
     invariant_form_q,
     metric_multiplication_scaling,
     signature_Hp,
@@ -22,6 +21,7 @@ from ahmass.lorentz import (
 )
 from ahmass.linalg import SpanSolver
 from ahmass.poly import ExactPoly, minkowski_norm_poly, monomials_of_degree, to_coords, wave_operator
+from space_oracles import harmonic_decompose
 
 F = Fraction
 

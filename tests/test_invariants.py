@@ -26,13 +26,19 @@ from ahmass.invariants import (
     weyl_mass_chiral,
     weyl_weight,
 )
-from ahmass.lorentz import algebra_act_on_poly, all_generators, boost_from_parameter, bracket, raising_operators
+from ahmass.lorentz import (
+    algebra_act_on_poly,
+    all_generators,
+    boost_from_parameter,
+    bracket,
+    named_generators,
+    raising_operators,
+)
 from ahmass.massaspect import (
     SphereTensor,
     _project_slots,
     _weighted_action,
     algebra_action_aspect,
-    generator_action,
     random_mass_aspect,
 )
 from ahmass.poly import ExactPoly, coordinates, monomials_of_degree, sphere_integral, sphere_pairing, sphere_restrict
@@ -162,7 +168,7 @@ def test_symmetric_power_action_is_a_lie_homomorphism(power):
 def _wang_residual(m, name, gen, k=None):
     """wang(a.m)[mu] + Phi(m)(a.X^mu); component 0 pairs with X^0."""
     nv = m.n + 1
-    am = wang_mass_vector(generator_action(name, m, k))
+    am = wang_mass_vector(algebra_action_aspect(named_generators(m.n)[name], m, k))
     mass = MassFunctional("conformal", m)
     return tuple(am[mu] + mass(algebra_act_on_poly(gen, ExactPoly.variable(nv, mu))) for mu in range(nv))
 

@@ -7,6 +7,7 @@ import pytest
 
 from ahmass.gaussian import GaussianRational
 from ahmass.harmonic import build_Hp
+from ahmass.linalg import joint_kernel
 from ahmass.poly import ExactPoly, minkowski_norm_poly
 from ahmass.lorentz import (
     AlgebraElement,
@@ -41,6 +42,7 @@ from ahmass.lorentz import (
     sphere_action,
     u_of_A,
 )
+from ahmass.weyl import algebra_action_tensor4, build_Wp
 
 F = Fraction
 ONE = ExactPoly.constant(4, 1)
@@ -374,6 +376,25 @@ def test_hw_vector_of_harmonic_space(n, p):
 def test_hw_trivial_rep():
     hws = highest_weight_vectors([ONE], algebra_act_on_poly, 3, [F(0), F(0)])
     assert hws == [{0: 1}]
+
+
+def test_hw_vectors_act_once_per_cartan_image():
+    # on W_0 at n = 4: two Cartan images and four raising images per basis
+    # tensor, each computed once, and the rows of the one joint kernel of
+    # all six maps
+    basis, weight = build_Wp(4, 0).basis, [F(2), F(2)]
+    calls = []
+
+    def act(mat, v):
+        calls.append(mat)
+        return algebra_action_tensor4(mat, v)
+
+    rows = highest_weight_vectors(basis, act, 4, weight)
+    assert len(calls) == 210
+    shifts = zip(cartan_generators(4), weight)
+    maps = [lambda v, h=h, lam=lam: algebra_action_tensor4(h, v) - v * lam for h, lam in shifts]
+    maps += [lambda v, r=r: algebra_action_tensor4(r, v) for _, r in raising_operators(4)]
+    assert rows == joint_kernel(basis, maps)
 
 
 @pytest.mark.parametrize("weight", [[F(0)], [F(0), F(0), F(0)]])

@@ -145,6 +145,40 @@ def test_no_unreferenced_definitions():
     assert unreferenced_definitions(sources, corpus) == []
 
 
+# Definitions that no route of the package or of the benchmark reaches,
+# each kept on purpose: a paper object or closed form the tests check, or
+# a utility the tests build their data with.
+TEST_ONLY = {
+    "ball_action": "paper object: the Lorentz action on the ball model",
+    "check_restriction_eigenfunction": "paper object: H_p restricts to Laplace eigenfunctions",
+    "dense_to_rows": "test utility: sparse rows of a dense matrix",
+    "eta_tensor": "paper object: the Minkowski metric as a symmetric 2-tensor",
+    "highest_weight_vectors": "paper object: highest-weight vectors of any invariant span",
+    "hyperboloid_normal_form": "paper object: the quadric reduction on the unit hyperboloid",
+    "identity_element": "paper object: the identity of SO(n,1)",
+    "matvec": "test utility: a sparse matrix times a sparse vector",
+    "metric_multiplication_scaling": "paper object: the form under multiplication by X.X",
+    "random_mass_aspect": "test utility: seeded transverse aspects",
+    "rational_rotation": "paper object: a rational rotation of SO(n,1)",
+    "rational_sphere_point": "test utility: exact points of the sphere",
+    "root_of_operator": "paper object: the root of a raising operator from its label",
+    "signature_Hp_expected": "closed form: the signature of H_p",
+    "signature_Wp_expected": "closed form: the signature of W_p",
+    "sphere_action": "paper object: the boundary action on the sphere",
+    "sphere_monomial_integral": "closed form: the sphere moments of one monomial",
+    "u_of_A": "paper object: the conformal factor u[A] of the boundary action",
+    "wang_mass_vector": "paper object: the standard (Wang) mass vector",
+}
+
+
+def test_code_only_tests_reach_is_listed():
+    """Each definition that only the tests call is on the list, with its reason."""
+    package = Path(ahmass.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    corpus = "\n".join(path.read_text() for folder in (package, ROOT / "perfbench") for path in sorted(folder.glob("*.py")))
+    assert {entry.split(" ")[0] for entry in unreferenced_definitions(sources, corpus)} == set(TEST_ONLY)
+
+
 def unset_defaults(sources: dict, corpus: list) -> list:
     """Defaulted parameters of the top-level functions and class methods in
     ``sources`` (name -> text) that no call in ``corpus`` (a list of

@@ -78,6 +78,27 @@ def test_exact_poly_rejects_bad_exponents_and_powers():
         X(3, 0) ** -1
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ExactPoly(2, {(1, 0): 0.5}),
+        lambda: ExactPoly.constant(2, 0.1),
+        lambda: ExactPoly.constant(2, True),
+        lambda: ExactPoly.monomial(2, (1, 1), 0.5),
+        lambda: X(2, 0) / 0.5,
+        lambda: X(2, 0) + 0.5,
+        lambda: X(2, 0) - 0.5,
+        lambda: X(2, 0) * 0.5,
+        lambda: 0.5 * X(2, 0),
+    ],
+    ids=["init", "constant", "constant-bool", "monomial", "div", "add", "sub", "mul", "rmul"],
+)
+def test_exact_poly_rejects_inexact_coefficients(make):
+    # a float or a bool raises instead of entering the terms as a float or as 1
+    with pytest.raises(ValueError, match="inexact"):
+        make()
+
+
 def test_wave_operator_needs_two_vars():
     with pytest.raises(ValueError):
         wave_operator(ExactPoly.variable(1, 0))

@@ -8,7 +8,7 @@ import pytest
 
 from ahmass import weyl
 from ahmass.gaussian import GaussianRational, I
-from ahmass.linalg import SpanSolver
+from ahmass.linalg import joint_kernel
 from ahmass.lorentz import (
     algebra_act_on_poly,
     all_generators,
@@ -57,10 +57,10 @@ from ahmass.weyl import (
     signature_Wp_expected,
     sym_gauge,
     tensor4_slots,
-    transverse_solution_space,
     weyl_to_potential,
     weyl_type_hw_vector,
 )
+from space_oracles import transverse_solution_space
 from sphere_oracles import hw_vectors_sym2_oracle, slot_action_oracle
 
 F = Fraction
@@ -227,20 +227,20 @@ def test_wp_dimensions(n, p, dim):
 @pytest.mark.parametrize("n,p", [(3, 0), (3, 1), (4, 0), (3, 2)])
 def test_wp_basis_satisfies_constraints(n, p):
     # the element-wise residuals are the oracle for the assembled rows;
-    # the coordinates round-trip the monomial-major, slot-minor layout
+    # no combination of the basis tensors vanishes
     sp = build_Wp(n, p)
-    solver = SpanSolver([sp.coordinate_row(w) for w in sp.basis])
-    for j, w in enumerate(sp.basis):
+    for w in sp.basis:
         assert w.satisfies_weyl_constraints()
-        assert solver.coordinates(sp.coordinate_row(w)) == {j: 1}
+    assert joint_kernel(sp.basis, [lambda w: w]) == []
 
 
 def test_wp_closed_under_algebra_action():
+    # the image is a combination of the basis: a kernel row of basis + [img]
+    # has a nonzero last entry
     sp = build_Wp(3, 1)
-    solver = SpanSolver([sp.coordinate_row(w) for w in sp.basis])
     for name, g in all_generators(3)[:4]:
         img = algebra_action_tensor4(g.matrix, sp.basis[0])
-        assert solver.contains(sp.coordinate_row(img))
+        assert any(row.get(sp.dim) for row in joint_kernel(sp.basis + [img], [lambda w: w]))
 
 
 @pytest.mark.parametrize(
