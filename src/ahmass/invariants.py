@@ -56,7 +56,6 @@ from .lorentz import (
 )
 from .massaspect import (
     SphereTensor,
-    _weighted_action,
     algebra_action_aspect,
     group_action_numeric,
     round_metric_tensor,
@@ -432,20 +431,19 @@ def intertwining_density_residual(
     total mean square over the sphere, summed separately over the boosts
     and the rotations; both entries vanish exactly for a density of the
     matching weight.  The components must be transverse, and
-    ``rep_rows_for`` must give one row per component.  The denominators
-    of each component are cleared once (:meth:`SphereTensor._numerators`),
-    for its transversality test and every generator's action alike.
+    ``rep_rows_for`` must give one row per component.  Each component
+    clears its denominators and decides its transversality once
+    (:meth:`SphereTensor.is_transverse`), for the check here and every
+    generator's action alike.
     """
     if not components:
         raise ValueError("empty density")
     n = components[0].n
-    numerators = []
     for c in components:
         for p in c.comp.values():
             if not isinstance(p, ExactPoly):
                 raise ValueError("density components must be polynomial")
-        numerators.append(c._numerators())
-        if not c.is_transverse(numerators[-1]):
+        if not c.is_transverse():
             raise ValueError("density component is not transverse")
     totals = [F(0), F(0)]
     for name, gen in all_generators(n):
@@ -453,8 +451,8 @@ def intertwining_density_residual(
         if len(rows) != len(components):
             raise ValueError(f"{len(rows)} representation rows for {len(components)} components")
         is_rotation = not any(gen.matrix[0])  # boosts mix time and space
-        for component, cleared, row in zip(components, numerators, rows):
-            resid = _weighted_action(gen, component, n - 1 - k, cleared).scale(F(-1))
+        for component, row in zip(components, rows):
+            resid = algebra_action_aspect(gen, component, n - 1 - k).scale(F(-1))
             for mu, c in row.items():
                 resid = resid + components[mu].scale(-c)
             for p in resid.comp.values():

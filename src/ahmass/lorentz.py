@@ -81,6 +81,13 @@ def bracket(a: Matrix, b: Matrix) -> Matrix:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
+def _square(matrix: Matrix) -> Matrix:
+    """The matrix itself when it is nonempty, square and not ragged; else ``ValueError``."""
+    if not matrix or any(len(row) != len(matrix) for row in matrix):
+        raise ValueError("matrix is not a nonempty square matrix")
+    return matrix
+
+
 # ---------------------------------------------------------------------------
 # group elements
 # ---------------------------------------------------------------------------
@@ -90,7 +97,7 @@ class LorentzElement:
     """Exact orthochronous Lorentz matrix with its ball-model action."""
 
     def __init__(self, matrix: Sequence[Sequence]):
-        self.matrix: Matrix = tuple(tuple(Fraction(v) for v in row) for row in matrix)
+        self.matrix: Matrix = _square(tuple(tuple(Fraction(v) for v in row) for row in matrix))
         self.dim = len(self.matrix)
         eta = eta_matrix(self.dim)
         if mat_mul(mat_mul(mat_transpose(self.matrix), eta), self.matrix) != eta:
@@ -231,7 +238,7 @@ class AlgebraElement:
     """Infinitesimal isometry: (eta a)^T = -(eta a)."""
 
     def __init__(self, matrix: Sequence[Sequence]):
-        self.matrix: Matrix = tuple(tuple(_exact(v) for v in row) for row in matrix)
+        self.matrix: Matrix = _square(tuple(tuple(_exact(v) for v in row) for row in matrix))
         self.dim = len(self.matrix)
         m = self.matrix
         # eta_b M[b][a] = -eta_a M[a][b]: antisymmetric within time and space, symmetric across

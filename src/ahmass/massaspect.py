@@ -29,9 +29,11 @@ also behind :func:`sphere_covariant_derivative` and
 :func:`transversalize`), and each component is reduced once.  A rational
 aspect moved by a real element runs this pass on the integer numerators
 of its coefficients over their common denominator, which each output
-term is divided by once; the transversality test reads the same
-numerators.  The radial contraction and the round trace are the same
-shifts.  V needs no tangency test there: it is tangent because
+term is divided by once.  Each tensor clears its denominators and
+decides its transversality once, on first use, and keeps both, so
+acting on one aspect with every generator tests it once.  The radial
+contraction and the round trace are the same shifts.  V needs no
+tangency test there: it is tangent because
 :class:`~ahmass.lorentz.AlgebraElement` validates the isometry condition
 of M.
 """
@@ -39,6 +41,7 @@ of M.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
@@ -134,7 +137,11 @@ class SphereTensor(PolyTensor):
 
     ``comp[(i, j)]`` with i <= j holds the polynomial component, reduced
     to its sphere normal form; ``k`` is the decay order carried by the
-    aspect (0 admitted only for raw data).
+    aspect (0 admitted only for raw data).  An instance is not mutated
+    after construction, so what is derived from its components
+    (:attr:`_numerators`, :meth:`is_transverse`) is computed on first use
+    and kept; the kept values are not fields, so ``==``, ``replace``,
+    ``map``, ``scale`` and ``+`` neither compare nor copy them.
     """
 
     n: int
@@ -148,6 +155,7 @@ class SphereTensor(PolyTensor):
     def _term_maps(self) -> Dict[Tuple[int, int], Terms]:
         return {ij: p.terms for ij, p in self.comp.items()}
 
+    @cached_property
     def _numerators(self) -> Tuple[Dict[Tuple[int, int], Terms], int | None]:
         """The term maps of the ``int`` numerators and their common denominator
         (:func:`ahmass.poly._cleared`) for a rational tensor, else the term
@@ -156,29 +164,33 @@ class SphereTensor(PolyTensor):
         cleared = _cleared(terms)
         return (terms, None) if cleared is None else cleared
 
+    @cached_property
+    def _transverse(self) -> bool:
+        # a zero test does not change when its input is multiplied by a nonzero integer
+        terms = self._numerators[0]
+        return all(vanishes_on_sphere(_poly(self.n, _radial_row(self.n, terms, i))) for i in range(self.n))
+
     def radial_contraction(self, i: int) -> ExactPoly:
         """sum_j m_ij x^j."""
         return _poly(self.n, _radial_row(self.n, self._term_maps(), i))
 
-    def is_transverse(self, numerators=None) -> bool:
+    def is_transverse(self) -> bool:
         """True when every radial contraction m_ij x^j vanishes on the sphere.
 
-        A rational aspect is tested on its integer numerators
-        (:meth:`_numerators`, or ``numerators`` when the caller has them
-        already): a zero test does not change when its input is
-        multiplied by a nonzero integer.
+        Decided once per tensor, on its integer numerators
+        (:attr:`_numerators`) when it is rational; later calls read the
+        kept answer.
         """
-        terms = (self._numerators() if numerators is None else numerators)[0]
-        return all(vanishes_on_sphere(_poly(self.n, _radial_row(self.n, terms, i))) for i in range(self.n))
+        return self._transverse
 
     def trace_sigma(self) -> ExactPoly:
         """Round-metric trace: sum_i m_ii - sum_ij x^i x^j m_ij on the sphere.
 
         A rational tensor is traced on its integer numerators
-        (:meth:`_numerators`) and each output term divided by their common
+        (:attr:`_numerators`) and each output term divided by their common
         denominator once: the trace is linear with integer multipliers.
         """
-        (terms, den), out = self._numerators(), {}
+        (terms, den), out = self._numerators, {}
         for i in range(self.n):
             _add_scaled(out, terms.get((i, i), _EMPTY))
         for i in range(self.n):
@@ -321,20 +333,11 @@ def algebra_action_aspect(a, m: SphereTensor, k: int | None = None) -> SphereTen
 
     ``a`` is an algebra element or its matrix M, real or Gaussian; V and
     phi are its boundary field and conformal factor (:func:`_boundary_field`)
-    and A = (M^c_d) its spatial block.  A boost a_i acts by
-    -nabla m + k x^i m, a rotation r_ij (phi = 0) by
-    -nabla m - m(r_ij ., .) - m(., r_ij .).  The denominators of a
-    rational m are cleared once, for the transversality test and the
-    action alike.
-    """
-    numerators = m._numerators()
-    if not m.is_transverse(numerators):
-        raise ValueError("mass aspect is not transverse")
-    return _weighted_action(a, m, m.k if k is None else k, numerators)
-
-
-def _weighted_action(a, m: SphereTensor, k: int, numerators=None) -> SphereTensor:
-    """:func:`algebra_action_aspect` for an aspect already known to be transverse.
+    and A = (M^c_d) its spatial block; ``k`` defaults to m.k.  A boost a_i
+    acts by -nabla m + k x^i m, a rotation r_ij (phi = 0) by
+    -nabla m - m(r_ij ., .) - m(., r_ij .).  A non-transverse m raises
+    ``ValueError``; the test is made once per tensor
+    (:meth:`SphereTensor.is_transverse`).
 
     One term-level pass over the stored terms of m.  With
     V^c = M^c_0 + M^c_d x^d + x^c phi and phi = -M^0_d x^d, the derivative
@@ -344,17 +347,19 @@ def _weighted_action(a, m: SphereTensor, k: int, numerators=None) -> SphereTenso
     spatial block (:func:`ahmass.poly._add_flow`).  The raw tensor
     -(V.dm + A^T m + m A) is accumulated per slot c <= d with the sign
     folded into the integer multipliers, projected once by
-    :func:`_project_terms`, and k phi m is added by shifts;
-    :class:`SphereTensor` reduces each component once.
+    :func:`_project_terms`, and k phi m is added by shifts.
     When m is rational and M real, the pass runs on the integer
     numerators N of m over their common denominator D
-    (:meth:`SphereTensor._numerators`, or ``numerators`` when the caller
-    has them already), and each stored output term is divided by D once:
+    (:attr:`SphereTensor._numerators`, cleared once per tensor), and each
+    output component is reduced on the integers and divided by D once:
     the action is linear, so a.(N / D) = (a.N) / D exactly.  A Gaussian
     aspect or matrix takes the same pass on its own coefficients.
     V is tangent to the sphere because ``AlgebraElement`` checks that M is
     an infinitesimal isometry, so no tangency test is made here.
     """
+    if not m.is_transverse():
+        raise ValueError("mass aspect is not transverse")
+    k = m.k if k is None else k
     mat = (a if isinstance(a, AlgebraElement) else AlgebraElement(a)).matrix
     n = m.n
     if len(mat) != n + 1:
@@ -362,7 +367,7 @@ def _weighted_action(a, m: SphereTensor, k: int, numerators=None) -> SphereTenso
     if not all(type(v) is Fraction for row in mat for v in row):
         terms, den = m._term_maps(), None
     else:
-        terms, den = m._numerators() if numerators is None else numerators
+        terms, den = m._numerators
     trans = [(c, -_small(mat[c + 1][0])) for c in range(n) if mat[c + 1][0]]
     spatial = _flow([row[1:] for row in mat[1:]], n)
     conf = [(d, _small(mat[0][d + 1])) for d in range(n) if mat[0][d + 1]]
@@ -393,11 +398,10 @@ def _weighted_action(a, m: SphereTensor, k: int, numerators=None) -> SphereTenso
         for ij, t in terms.items():
             for d, f in conf:
                 _add_shifted(comp[ij], t, d, f * k)
-    out = SphereTensor(n, m.k, {ij: _poly(n, acc) for ij, acc in comp.items()})
     if den is not None:
-        # the components are reduced and nonzero, and stay so over den
-        out.comp = {ij: _poly(n, _over(p.terms, den)) for ij, p in out.comp.items()}
-    return out
+        # reduced on the integers, so the construction finds nothing left to reduce
+        comp = {ij: _over(_reduced(n, acc), den) for ij, acc in comp.items()}
+    return SphereTensor(n, m.k, {ij: _poly(n, acc) for ij, acc in comp.items()})
 
 
 def boost_action(i: int, m: SphereTensor) -> SphereTensor:

@@ -186,7 +186,8 @@ class ExactPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        # a bool is an int but not an exact coefficient: it compares unequal
+        if isinstance(other, (int, Fraction, GaussianRational)) and not isinstance(other, bool):
             other = ExactPoly.constant(self.nvars, other)
         if not isinstance(other, ExactPoly):
             return NotImplemented

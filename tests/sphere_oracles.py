@@ -12,7 +12,7 @@ unreduced tangential projection is the oracle of
 :func:`ahmass.massaspect._project_slots`, and the composition of the
 sphere calculus (covariant derivative, projected spatial term, conformal
 factor by general products) that of the term-level
-:func:`ahmass.massaspect._weighted_action`; that kernel run on the
+:func:`ahmass.massaspect.algebra_action_aspect`; that action run on the
 ``Fraction`` terms of a rational aspect (:func:`uncleared_action`) is the
 oracle of its run on their integer numerators; the composition of the
 tensor slot action from derivatives and polynomial products
@@ -203,14 +203,15 @@ def weighted_action_oracle(a, m, k: int):
 
 
 def uncleared_action(a, m, k: int):
-    """:func:`ahmass.massaspect._weighted_action` run directly on the coefficients of m.
+    """:func:`ahmass.massaspect.algebra_action_aspect` run directly on the coefficients of m.
 
-    The same kernel with the integer clearing switched off
+    The same action with the integer clearing switched off
     (:func:`ahmass.poly._cleared` answers None), so a rational aspect is
-    acted on in ``Fraction`` arithmetic throughout.
+    acted on in ``Fraction`` arithmetic throughout.  It acts on a fresh
+    copy of m, which clears afresh and leaves nothing kept on m.
     """
     with mock.patch.object(massaspect, "_cleared", return_value=None):
-        return massaspect._weighted_action(a, m, k)
+        return massaspect.algebra_action_aspect(a, replace(m), k)
 
 
 def slot_action_oracle(mat, t, entries):

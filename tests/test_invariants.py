@@ -1,10 +1,11 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from ahmass import invariants
+from ahmass import invariants, massaspect
 from ahmass.gaussian import GaussianRational
 from ahmass.harmonic import build_Hp
 from ahmass.invariants import (
@@ -37,7 +38,6 @@ from ahmass.lorentz import (
 from ahmass.massaspect import (
     SphereTensor,
     _project_slots,
-    _weighted_action,
     algebra_action_aspect,
     random_mass_aspect,
 )
@@ -68,13 +68,14 @@ def test_intertwining_density_residual(n1, off_boost):
 
 
 def _residual_clearing_per_generator(components, rows_for, k):
-    """The residual pair with each component's denominators cleared by every action anew."""
+    """The residual pair with each component's denominators cleared by every action anew,
+    each action taking a fresh copy of its component."""
     n = components[0].n
     totals = [F(0), F(0)]
     for name, gen in all_generators(n):
         is_rotation = not any(gen.matrix[0])
         for component, row in zip(components, rows_for(name)):
-            resid = _weighted_action(gen, component, n - 1 - k).scale(F(-1))
+            resid = algebra_action_aspect(gen, replace(component), n - 1 - k).scale(F(-1))
             for mu, c in row.items():
                 resid = resid + components[mu].scale(-c)
             for p in resid.comp.values():
@@ -85,7 +86,8 @@ def _residual_clearing_per_generator(components, rows_for, k):
 
 @pytest.mark.parametrize("n1", [0, 1, 2])
 def test_density_residual_on_cleared_components_matches_clearing_per_generator(n1, monkeypatch):
-    # each component is cleared once for its transversality test and all actions
+    # each component is cleared once, for its transversality test and the
+    # actions of all generators
     n = 3
     gens = dict(all_generators(n))
 
@@ -96,8 +98,8 @@ def test_density_residual_on_cleared_components_matches_clearing_per_generator(n
         components = density_null_power(n, n1, k)
         expected = _residual_clearing_per_generator(components, rows, k)
         clears = []
-        original = SphereTensor._numerators
-        monkeypatch.setattr(SphereTensor, "_numerators", lambda t: clears.append(t) or original(t))
+        original = massaspect._cleared
+        monkeypatch.setattr(massaspect, "_cleared", lambda maps: clears.append(1) or original(maps))
         got = intertwining_density_residual(components, rows, k)
         monkeypatch.undo()
         assert got == expected and [type(v) for v in got] == [type(v) for v in expected]
@@ -376,14 +378,30 @@ def test_density_residual_checks_each_component_once(monkeypatch):
     gens = dict(all_generators(n))
     components = density_null_power(n, n1, k)
     calls = []
-    check = SphereTensor.is_transverse
-    monkeypatch.setattr(SphereTensor, "is_transverse", lambda t, *args: calls.append(t) or check(t, *args))
+    vanishes = massaspect.vanishes_on_sphere
+    monkeypatch.setattr(massaspect, "vanishes_on_sphere", lambda p: calls.append(p) or vanishes(p))
 
     def rows(name):
         return symmetric_power_action(gens[name], n + 1, n1)
 
+    # one zero test per radial contraction of each component, for the check
+    # and the actions of all six generators together
     assert intertwining_density_residual(components, rows, k) == (0, 0)
-    assert len(calls) == len(components)
+    assert len(calls) == n * len(components)
+
+
+def test_equivariance_over_all_generators_tests_the_aspect_once(monkeypatch):
+    # six actions on one n = 3 aspect make one zero test per radial
+    # contraction of it, 3 in all, not 3 per generator
+    n = 3
+    m = random_mass_aspect(n, conformal_weight(n, 0), random.Random(4))
+    dual = build_Hp(n, 0).basis
+    calls = []
+    vanishes = massaspect.vanishes_on_sphere
+    monkeypatch.setattr(massaspect, "vanishes_on_sphere", lambda p: calls.append(p) or vanishes(p))
+    for name, gen in all_generators(n):
+        assert check_equivariance_infinitesimal("conformal", m, name, gen, dual) == 0
+    assert len(calls) == n
 
 
 @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])

@@ -101,6 +101,12 @@ def sign_flipped(matrix, row, col):
         (lambda: sphere_action(identity_element(3), (F(1), F(1), F(0))), "not on the unit sphere"),
         (lambda: u_of_A(identity_element(3), (F(1, 2), F(0), F(0))), "not on the unit sphere"),
         (lambda: highest_weight_vectors([ONE], algebra_act_on_poly, 3, [F(1), F(0)]), "weight space empty"),
+        (lambda: AlgebraElement([[0, 1, 0], [1, 0, 0]]), "not a nonempty square"),
+        (lambda: AlgebraElement([]), "not a nonempty square"),
+        (lambda: AlgebraElement([[]]), "not a nonempty square"),
+        (lambda: AlgebraElement([[0, 1, 0], [1, 0], [0, 0, 0]]), "not a nonempty square"),
+        (lambda: LorentzElement([[1, 0, 0], [0, 1]]), "not a nonempty square"),
+        (lambda: LorentzElement([]), "not a nonempty square"),
     ],
     ids=[
         "element-not-isometry",
@@ -116,6 +122,12 @@ def sign_flipped(matrix, row, col):
         "sphere-action-off-sphere",
         "u-off-sphere",
         "hw-empty-weight-space",
+        "algebra-not-square",
+        "algebra-empty",
+        "algebra-empty-row",
+        "algebra-ragged",
+        "element-ragged",
+        "element-empty",
     ],
 )
 def test_bad_input_raises_value_error(make, match):

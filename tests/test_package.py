@@ -103,9 +103,34 @@ def test_no_unused_module_imports():
     assert {name: dead for name, dead in found.items() if dead} == {}
 
 
-def unreferenced_definitions(sources: dict, corpus: str) -> list:
+def code_references(texts) -> Counter:
+    """How often each name is referenced by the code of ``texts`` (a list of sources).
+
+    Counted are ``Name`` ids, ``Attribute`` attrs, imported names and each
+    part of a ``str`` constant that is a dotted identifier (the benchmark
+    tracer names its targets that way).  Docstrings, comments and other
+    prose count nothing.
+    """
+    counts = Counter()
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                counts[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                counts[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                counts.update(node.name.split("."))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parts = node.value.split(".")
+                if all(part.isidentifier() for part in parts):
+                    counts.update(parts)
+    return counts
+
+
+def unreferenced_definitions(sources: dict, corpus: list) -> list:
     """Top-level functions and class methods in ``sources`` (name -> text)
-    whose name occurs in ``corpus`` only at its own definitions.
+    that no code in ``corpus`` (a list of texts) references
+    (:func:`code_references`).
 
     Dunder methods are exempt: the interpreter calls them.
     """
@@ -118,30 +143,32 @@ def unreferenced_definitions(sources: dict, corpus: str) -> list:
                     member.name.startswith("__") and member.name.endswith("__")
                 ):
                     defs.setdefault(member.name, []).append(f"{fname}:{member.lineno}")
-    counts = Counter(re.findall(r"\w+", corpus))
-    dead = []
-    for name, where in defs.items():
-        if counts[name] <= len(where):
-            dead += [f"{name} ({w})" for w in where]
-    return sorted(dead)
+    counts = code_references(corpus)
+    return sorted(f"{name} ({w})" for name, where in defs.items() if not counts[name] for w in where)
 
 
 def test_unreferenced_definitions_detects_dead_names():
     lib = (
         "def used():\n    pass\n\n\ndef dead():\n    pass\n\n\n"
         "class C:\n    def __init__(self):\n        pass\n\n"
-        "    def called(self):\n        pass\n\n    def orphan(self):\n        pass\n"
+        "    def called(self):\n        pass\n\n    def orphan(self):\n        pass\n\n"
+        "    def documented(self):\n        pass\n\n    def remarked(self):\n        pass\n"
     )
-    caller = "used()\nC().called()\n# used_elsewhere is a different name\n"
-    assert unreferenced_definitions({"lib.py": lib}, lib + caller) == ["dead (lib.py:5)", "orphan (lib.py:16)"]
+    caller = (
+        '"""documented is named here only in prose."""\n'
+        "used()\nC().called()\n# remarked, and used_elsewhere, a different name\n"
+    )
+    assert unreferenced_definitions({"lib.py": lib}, [lib, caller]) == [
+        "dead (lib.py:5)", "documented (lib.py:19)", "orphan (lib.py:16)", "remarked (lib.py:22)"
+    ]
 
 
 def test_no_unreferenced_definitions():
     package = Path(ahmass.__file__).parent
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
-    corpus = "\n".join(
+    corpus = [
         path.read_text() for folder in (package, ROOT / "tests", ROOT / "perfbench") for path in sorted(folder.glob("*.py"))
-    )
+    ]
     assert unreferenced_definitions(sources, corpus) == []
 
 
@@ -151,8 +178,10 @@ def test_no_unreferenced_definitions():
 TEST_ONLY = {
     "ball_action": "paper object: the Lorentz action on the ball model",
     "check_restriction_eigenfunction": "paper object: H_p restricts to Laplace eigenfunctions",
+    "de_donder_fix": "paper object: the de Donder gauge of a linearized Einstein solution",
     "dense_to_rows": "test utility: sparse rows of a dense matrix",
     "eta_tensor": "paper object: the Minkowski metric as a symmetric 2-tensor",
+    "evaluate": "test utility: the exact value of a polynomial at a point",
     "highest_weight_vectors": "paper object: highest-weight vectors of any invariant span",
     "hyperboloid_normal_form": "paper object: the quadric reduction on the unit hyperboloid",
     "identity_element": "paper object: the identity of SO(n,1)",
@@ -168,6 +197,7 @@ TEST_ONLY = {
     "sphere_monomial_integral": "closed form: the sphere moments of one monomial",
     "u_of_A": "paper object: the conformal factor u[A] of the boundary action",
     "wang_mass_vector": "paper object: the standard (Wang) mass vector",
+    "weyl_to_potential": "paper object: a metric potential of a Weyl tensor",
 }
 
 
@@ -175,7 +205,7 @@ def test_code_only_tests_reach_is_listed():
     """Each definition that only the tests call is on the list, with its reason."""
     package = Path(ahmass.__file__).parent
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
-    corpus = "\n".join(path.read_text() for folder in (package, ROOT / "perfbench") for path in sorted(folder.glob("*.py")))
+    corpus = [path.read_text() for folder in (package, ROOT / "perfbench") for path in sorted(folder.glob("*.py"))]
     assert {entry.split(" ")[0] for entry in unreferenced_definitions(sources, corpus)} == set(TEST_ONLY)
 
 

@@ -99,6 +99,15 @@ def test_exact_poly_rejects_inexact_coefficients(make):
         make()
 
 
+def test_equality_with_an_inexact_scalar_is_false():
+    # a bool or a float compares unequal and does not raise; exact scalars
+    # compare as constants
+    one = ExactPoly.constant(2, 1)
+    for other in (True, False, 0.5):
+        assert not one == other and one != other
+    assert one == 1 and one == Fraction(1)
+
+
 def test_wave_operator_needs_two_vars():
     with pytest.raises(ValueError):
         wave_operator(ExactPoly.variable(1, 0))
