@@ -145,7 +145,10 @@ class MassFunctional:
 
 
 def _check_dual(family: str, m: SphereTensor, v) -> int:
-    """Type, dimension and homogeneity checks shared by the masses; returns the degree of v."""
+    """n = 3 for the chiral families, and type, dimension and homogeneity
+    checks shared by the masses; returns the degree of v."""
+    if _WEYL_SIGN.get(family) and m.n != 3:
+        raise ValueError("chiral masses exist only for n = 3")
     weyl = family != "conformal"
     kind = PolyTensor4 if weyl else ExactPoly
     if not isinstance(v, kind):
@@ -239,13 +242,16 @@ def _pair_with_w(w: PolyTensor4, b1, b2) -> ExactPoly:
     """1/4 W_{mu nu al be} B1^{mu nu} B2^{al be} over all index pairs.
 
     Normalized so that the pairing of e+ ^ d_i with e+ ^ d_j is
-    W(e+, d_i, e+, d_j).
+    W(e+, d_i, e+, d_j).  A sum over the stored slots (A, B) of W:
+    W_AB (B1[P_A] B2[P_B] + [A != B] B1[P_B] B2[P_A]), with P_A the A-th
+    index pair and a missing bivector component skipped.
     """
+    pairs = index_pairs(w.nv)
     s = ExactPoly.zero(w.nv)
-    for (mu, nu), v1 in b1.items():
-        for (al, be), v2 in b2.items():
-            val = w.get(mu, nu, al, be)
-            if not val.is_zero():
+    for (a, b), val in w.comp.items():
+        for x, y in ((a, b),) if a == b else ((a, b), (b, a)):
+            v1, v2 = b1.get(pairs[x]), b2.get(pairs[y])
+            if v1 is not None and v2 is not None:
                 s = s + val * v1 * v2
     return s
 
@@ -255,9 +261,15 @@ def weyl_density(w: PolyTensor4, k: int, sign: int = 0) -> SphereTensor:
 
     Entry (i, j) pairs e+ ^ d_i with e+ ^ d_j.  The pair symmetry of W
     makes it symmetric; the chiral density (n = 3) subtracts
-    sign i times the symmetric part of W(*(e+ ^ d_i), e+ ^ d_j).
+    sign i times the symmetric part of W(*(e+ ^ d_i), e+ ^ d_j).  A sign
+    other than 0 and +-1, or a nonzero sign for n != 3, raises
+    ``ValueError``.
     """
     n = w.nv - 1
+    if sign not in (-1, 0, 1):
+        raise ValueError(f"density sign must be 0, +1 or -1, got {sign}")
+    if sign and n != 3:
+        raise ValueError("chiral masses exist only for n = 3")
     wedges = [_eplus_wedge(w.nv, i) for i in range(n)]
     stars = [hodge_star_bivector(b) for b in wedges] if sign else []
     comp = {}
@@ -282,8 +294,6 @@ def weyl_mass_chiral(m: SphereTensor, w: PolyTensor4, sign: int):
     ``sign`` +1 computes Phi_{w,+} (Id - iJ), -1 the conjugate family.
     Returns a Gaussian rational, relative to Vol(S^2).
     """
-    if m.n != 3:
-        raise ValueError("chiral masses exist only for n = 3")
     if sign not in (1, -1):
         raise ValueError(f"chiral sign must be +1 or -1, got {sign}")
     return _mass("weyl_plus" if sign > 0 else "weyl_minus", m, w)
@@ -314,9 +324,9 @@ def check_equivariance_infinitesimal(
     weight m.k matches the family.  ``gen`` acts on both sides, and
     ``gen_name`` must be its label in ``lorentz.all_generators(m.n)``.
     The functionals Phi(m) and Phi(a.m) are built once and evaluate every
-    v and a.v.  An unknown family, a mismatched label, an empty dual
-    basis, or a dual vector of the wrong kind, variable count or
-    homogeneity raises ``ValueError``.
+    v and a.v.  An unknown family, a chiral family for n != 3, a
+    mismatched label, an empty dual basis, or a dual vector of the wrong
+    kind, variable count or homogeneity raises ``ValueError``.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")

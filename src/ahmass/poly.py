@@ -25,10 +25,12 @@ moments int p x^a of :func:`sphere_moments`.
 
 The term-map helpers (:func:`_add_shifted`, :func:`_add_flow` and their
 kin) act on the ``terms`` dict of a polynomial in place: a product by
-one coordinate and the derivation -(MX).d of a matrix become exponent
-shifts.  They are the one set behind the term-level actions of the
-package: the aspect action of :mod:`ahmass.massaspect`, the tensor slot
-action of :mod:`ahmass.weyl` and :func:`ahmass.lorentz.algebra_act_on_poly`.
+one coordinate, a second derivative and the derivation -(MX).d of a
+matrix become exponent shifts.  They are the one set behind the
+term-level actions of the package: the aspect action of
+:mod:`ahmass.massaspect`, the tensor slot action, the linearized Riemann
+tensor and the radial contraction of :mod:`ahmass.weyl`, and
+:func:`ahmass.lorentz.algebra_act_on_poly`.
 :func:`_cleared` and :func:`_over` carry rational term maps to integer
 numerators over one common denominator and back, so that such a pass can
 run on ints.
@@ -603,6 +605,18 @@ def _add_shifted(out: Terms, terms: Terms, b: int, c=1) -> None:
         _add(out, tuple(key), v, c)
 
 
+def _add_second_derivative(out: Terms, terms: Terms, i: int, j: int, c) -> None:
+    """out += c d_i d_j terms, in place: every exponent lowered in slots i and j."""
+    for e, v in terms.items():
+        key = list(e)
+        f = key[i]
+        key[i] -= 1
+        f *= key[j]
+        key[j] -= 1
+        if f:
+            _add(out, tuple(key), v, c * f)
+
+
 def _flow(m, nvars: int) -> list:
     """The shifts of the derivation -(MX).d of a square matrix M on ``nvars`` variables.
 
@@ -706,18 +720,13 @@ class PolyTensor:
     def _reduce(p: ExactPoly) -> ExactPoly:
         return p
 
-    def lookup(self, *indices: int):
-        """Stored component and layout sign (+1 or -1) at an index tuple; None where it is zero."""
+    def get(self, *indices: int) -> ExactPoly:
+        """The component at an index tuple, with the sign of the layout; zero where none is stored."""
         hit = self._slot(*indices)
         p = None if hit is None else self.comp.get(hit[0])
-        return None if p is None else (p, hit[1])
-
-    def get(self, *indices: int) -> ExactPoly:
-        """The component at an index tuple, with the sign of the layout."""
-        hit = self.lookup(*indices)
-        if hit is None:
+        if p is None:
             return ExactPoly.zero(self.nvars)
-        return hit[0] if hit[1] > 0 else -hit[0]
+        return p if hit[1] > 0 else -p
 
     def map(self, fn):
         return replace(self, comp={key: fn(p) for key, p in self.comp.items()})

@@ -40,15 +40,18 @@ system on symmetric 2-tensors is one :func:`ahmass.linalg.joint_kernel`
 of the maps a solution must send to zero (:func:`hw_vectors_sym2`).
 
 so(n,1) acts on every covariant polynomial tensor by one slot action
-(:func:`_slot_action`), (a.T)_I = -(aX).d T_I - sum_r a^s_{I_r} T_{I[r -> s]},
-read through the signed lookup of the tensor's layout
-(:class:`ahmass.poly.PolyTensor`); :func:`algebra_action_sym2` and
-:func:`algebra_action_tensor4` are its two instances.  It is one
+(:func:`_slot_action`), (a.T)_I = -(aX).d T_I - sum_r a^s_{I_r} T_{I[r -> s]};
+:func:`algebra_action_sym2` and :func:`algebra_action_tensor4` are its
+two instances.  It scatters: the layout's ``_slot``
+(:class:`ahmass.poly.PolyTensor`) tells which entries each stored
+component reaches, and only stored components are read.  It is one
 term-level pass on the term map helpers of :mod:`ahmass.poly`, which the
 aspect action of :mod:`ahmass.massaspect` and
 :func:`ahmass.lorentz.algebra_act_on_poly` share: -(aX).d is a set of
 exponent shifts and each slot term adds a stored component scaled, so no
-intermediate polynomial is formed.
+intermediate polynomial is formed.  :func:`linearized_riemann` and
+:meth:`PolySym2.radial_contraction` scatter the same way, as second
+derivatives and products by one coordinate.
 
 The slot action is written without reference to a coordinate system,
 and :func:`hw_vectors_sym2` uses that: it poses its system in the null
@@ -88,6 +91,8 @@ from .poly import (
     PolyTensor,
     _add_flow,
     _add_scaled,
+    _add_second_derivative,
+    _add_shifted,
     _flow,
     _poly,
     _small,
@@ -141,14 +146,14 @@ class PolySym2(PolyTensor):
         return self.map(wave_operator)
 
     def radial_contraction(self) -> List[ExactPoly]:
-        """(h X)_nu = h_{mu nu} X^mu."""
-        out = []
-        for nu in range(self.nv):
-            s = ExactPoly.zero(self.nv)
-            for mu in range(self.nv):
-                s = s + self.get(mu, nu) * ExactPoly.variable(self.nv, mu)
-            out.append(s)
-        return out
+        """(h X)_nu = h_{mu nu} X^mu: each stored h_{mu nu} shifted by X^mu into
+        entry nu and, off the diagonal, by X^nu into entry mu."""
+        out = [{} for _ in range(self.nv)]
+        for (mu, nu), p in self.comp.items():
+            _add_shifted(out[nu], p.terms, mu)
+            if mu != nu:
+                _add_shifted(out[mu], p.terms, nu)
+        return [_poly(self.nv, terms) for terms in out]
 
 
 def eta_tensor(nv: int) -> PolySym2:
@@ -263,62 +268,51 @@ class PolyTensor4(PolyTensor):
         return out
 
     def bianchi1_residuals(self) -> List[ExactPoly]:
-        out = []
-        for mu in range(self.nv):
-            for nu in range(mu + 1, self.nv):
-                for al in range(nu + 1, self.nv):
-                    for be in range(self.nv):
-                        s = (
-                            self.get(mu, nu, al, be)
-                            + self.get(nu, al, mu, be)
-                            + self.get(al, mu, nu, be)
-                        )
-                        out.append(s)
-        return out
+        return [
+            self.get(mu, nu, al, be) + self.get(nu, al, mu, be) + self.get(al, mu, nu, be)
+            for mu, nu, al in combinations(range(self.nv), 3)
+            for be in range(self.nv)
+        ]
 
     def bianchi2_residuals(self) -> List[ExactPoly]:
-        out = []
-        for si in range(self.nv):
-            for mu in range(si + 1, self.nv):
-                for nu in range(mu + 1, self.nv):
-                    for (al, be) in index_pairs(self.nv):
-                        s = (
-                            self.get(mu, nu, al, be).diff(si)
-                            + self.get(nu, si, al, be).diff(mu)
-                            + self.get(si, mu, al, be).diff(nu)
-                        )
-                        out.append(s)
-        return out
+        return [
+            self.get(mu, nu, al, be).diff(si) + self.get(nu, si, al, be).diff(mu) + self.get(si, mu, al, be).diff(nu)
+            for si, mu, nu in combinations(range(self.nv), 3)
+            for al, be in index_pairs(self.nv)
+        ]
 
     def satisfies_weyl_constraints(self) -> bool:
-        for r in self.eta_trace_residuals():
-            if not r.is_zero():
-                return False
-        for r in self.bianchi1_residuals():
-            if not r.is_zero():
-                return False
-        for r in self.bianchi2_residuals():
-            if not r.is_zero():
-                return False
-        return True
+        """Every residual zero, each family computed only if the one before holds."""
+        families = (self.eta_trace_residuals, self.bianchi1_residuals, self.bianchi2_residuals)
+        return all(r.is_zero() for residuals in families for r in residuals())
+
+
+@lru_cache(maxsize=None)
+def _riemann_targets(nv: int) -> dict:
+    """Stored key of h -> the (slot, i, j, sign) of its terms sign d_i d_j h in :func:`linearized_riemann`."""
+    pairs, out = index_pairs(nv), {}
+    for a, b in tensor4_slots(nv):
+        (mu, nu), (al, be) = pairs[a], pairs[b]
+        terms = ((nu, be), mu, al, 1), ((mu, al), nu, be, 1), ((nu, al), mu, be, -1), ((mu, be), nu, al, -1)
+        for key, i, j, sign in terms:
+            out.setdefault(sorted_pair(key), []).append(((a, b), i, j, sign))
+    return {key: tuple(terms) for key, terms in out.items()}
 
 
 def linearized_riemann(h: PolySym2) -> PolyTensor4:
-    """R(h)_{mu nu al be} = -1/2 (dd h antisymmetrized in the two pairs)."""
-    nv = h.nv
-    comp = {}
-    pairs = index_pairs(nv)
-    for a, b in tensor4_slots(nv):
-        (mu, nu), (al, be) = pairs[a], pairs[b]
-        p = (
-            h.get(nu, be).diff(mu).diff(al)
-            + h.get(mu, al).diff(nu).diff(be)
-            - h.get(nu, al).diff(mu).diff(be)
-            - h.get(mu, be).diff(nu).diff(al)
-        )
-        if not p.is_zero():
-            comp[(a, b)] = p / (-2)
-    return PolyTensor4(nv, comp)
+    """R(h)_{mu nu al be} = -1/2 (d_mu d_al h_{nu be} + d_nu d_be h_{mu al}
+    - d_mu d_be h_{nu al} - d_nu d_al h_{mu be}).
+
+    A scatter: each stored component of h adds its second derivatives, as
+    exponent shifts, into the slots :func:`_riemann_targets` lists for it,
+    and each slot is divided by -2 once.
+    """
+    acc = {}
+    for key, p in h.comp.items():
+        for slot, i, j, sign in _riemann_targets(h.nv)[key]:
+            _add_second_derivative(acc.setdefault(slot, {}), p.terms, i, j, sign)
+    half = F(-2)
+    return PolyTensor4(h.nv, {slot: _poly(h.nv, {e: c / half for e, c in acc[slot].items()}) for slot in sorted(acc)})
 
 
 # ---------------------------------------------------------------------------
@@ -672,27 +666,31 @@ def _slot_action(mat, t: PolyTensor, entries) -> PolyTensor:
     """(a.T)_I = -(aX).d T_I - sum_r a^s_{I_r} T_{I[r -> s]} for every covariant tensor.
 
     ``entries`` lists one (stored key, index tuple I) pair per independent
-    component; I[r -> s] is I with its r-th index replaced by s, read
-    with its layout sign through :meth:`PolyTensor.lookup`.  Each
-    component is one term map: -(aX).d T_I is the exponent shifts of
-    :func:`ahmass.poly._add_flow`, and every slot term adds a stored
-    component, scaled by its matrix entry and sign.
+    component, in layout order; I[r -> s] is I with its r-th index
+    replaced by s.  A scatter over the stored components: the layout's
+    ``_slot`` of each I[r -> s] under a nonzero a^s_{I_r} gives a table
+    from stored source keys to (target key, signed matrix entry), and each
+    stored component adds -(aX).d of itself into its own key (the exponent
+    shifts of :func:`ahmass.poly._add_flow`) and itself, scaled, into each
+    of its targets.  The result keeps the order of ``entries``.
     """
     m = mat.matrix if hasattr(mat, "matrix") else mat
     nv = t.nvars
     flow = _flow(m, nv)
     column = [[(s, -_small(m[s][i])) for s in range(nv) if m[s][i]] for i in range(nv)]
-    comp = {}
+    targets = {}
     for key, idx in entries:
-        acc = {}
-        _add_flow(acc, t.get(*idx).terms, flow)
         for r, i in enumerate(idx):
             for s, c in column[i]:
-                hit = t.lookup(*idx[:r], s, *idx[r + 1 :])
-                if hit is not None:
-                    _add_scaled(acc, hit[0].terms, c if hit[1] > 0 else -c)
-        comp[key] = _poly(nv, acc)
-    return replace(t, comp=comp)
+                hit = t._slot(*idx[:r], s, *idx[r + 1 :])
+                if hit is not None and hit[0] in t.comp:
+                    targets.setdefault(hit[0], []).append((key, c * hit[1]))
+    acc = {}
+    for key, p in t.comp.items():
+        _add_flow(acc.setdefault(key, {}), p.terms, flow)
+        for target, c in targets.get(key, ()):
+            _add_scaled(acc.setdefault(target, {}), p.terms, c)
+    return replace(t, comp={key: _poly(nv, acc[key]) for key, _ in entries if key in acc})
 
 
 def algebra_action_sym2(mat, h: PolySym2) -> PolySym2:

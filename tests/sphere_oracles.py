@@ -17,7 +17,12 @@ factor by general products) that of the term-level
 oracle of its run on their integer numerators; the composition of the
 tensor slot action from derivatives and polynomial products
 (:func:`slot_action_oracle`) is that of the term-level
-:func:`ahmass.weyl._slot_action`; the highest-weight solve posed in X
+:func:`ahmass.weyl._slot_action`, and the other gathers through the
+signed lookup ``get`` over every index tuple are the oracles of the
+scatters over stored components: :func:`linearized_riemann_oracle`,
+:func:`radial_contraction_oracle` and :func:`weyl_density_oracle` (whose
+bivector pairing reads W at every pair of index pairs; the masses of
+:func:`mass_oracle` pair with it); the highest-weight solve posed in X
 coordinates (:func:`hw_vectors_sym2_oracle`) is the oracle of the
 null-frame :func:`ahmass.weyl.hw_vectors_sym2`.
 """
@@ -29,7 +34,7 @@ from unittest import mock
 from hypothesis import strategies as st
 
 from ahmass.gaussian import GaussianRational, I
-from ahmass.invariants import conformal_density, weyl_density
+from ahmass.invariants import _eplus_wedge, conformal_density, hodge_star_bivector
 from ahmass.linalg import joint_kernel
 from ahmass import massaspect
 from ahmass.lorentz import AlgebraElement, algebra_act_on_poly, linear_forms, null_coordinates, raising_operators
@@ -40,15 +45,18 @@ from ahmass.massaspect import (
     algebra_action_aspect,
     sphere_covariant_derivative,
 )
-from ahmass.poly import ExactPoly, monomials_of_degree, sphere_integral, sphere_pairing
+from ahmass.poly import ExactPoly, monomials_of_degree, sphere_integral, sphere_pairing, sphere_restrict
 from ahmass.weyl import (
     PolySym2,
+    PolyTensor4,
     _combinations,
     _cov,
     _outer_sym,
     _sym2_slots,
     algebra_action_sym2,
     algebra_action_tensor4,
+    index_pairs,
+    tensor4_slots,
 )
 
 
@@ -121,11 +129,41 @@ def pair(m: SphereTensor, density: SphereTensor):
     return total
 
 
+def weyl_density_oracle(w, k: int, sign: int = 0) -> SphereTensor:
+    """K_W = W(e+, ., e+, .)(1, x) of decay order k, chiral for sign = +-1 (n = 3).
+
+    Each bivector pairing 1/4 W_{mu nu al be} B1^{mu nu} B2^{al be} reads
+    W through the signed lookup ``w.get`` at every pair of index pairs.
+    """
+
+    def pairing(b1, b2):
+        s = ExactPoly.zero(w.nv)
+        for (mu, nu), v1 in b1.items():
+            for (al, be), v2 in b2.items():
+                val = w.get(mu, nu, al, be)
+                if not val.is_zero():
+                    s = s + val * v1 * v2
+        return s
+
+    n = w.nv - 1
+    wedges = [_eplus_wedge(w.nv, i) for i in range(n)]
+    stars = [hodge_star_bivector(b) for b in wedges] if sign else []
+    comp = {}
+    for i in range(n):
+        for j in range(i, n):
+            entry = sphere_restrict(pairing(wedges[i], wedges[j]))
+            if sign:
+                twist = pairing(stars[i], wedges[j]) + pairing(stars[j], wedges[i])
+                entry = entry - sign * I * sphere_restrict(twist) / 2
+            comp[(i, j)] = entry
+    return SphereTensor(n, k, comp)
+
+
 DENSITY = {
     "conformal": conformal_density,
-    "weyl": weyl_density,
-    "weyl_plus": lambda w, k: weyl_density(w, k, +1),
-    "weyl_minus": lambda w, k: weyl_density(w, k, -1),
+    "weyl": weyl_density_oracle,
+    "weyl_plus": lambda w, k: weyl_density_oracle(w, k, +1),
+    "weyl_minus": lambda w, k: weyl_density_oracle(w, k, -1),
 }
 
 
@@ -237,6 +275,36 @@ def slot_action_oracle(mat, t, entries):
                     p = p - m[s][i] * t.get(*idx[:r], s, *idx[r + 1 :])
         comp[key] = p
     return replace(t, comp=comp)
+
+
+def linearized_riemann_oracle(h: PolySym2) -> PolyTensor4:
+    """R(h)_{mu nu al be} = -1/2 (dd h antisymmetrized in the two pairs), one
+    stored slot at a time from the four components ``h.get`` it reads."""
+    nv = h.nv
+    comp = {}
+    pairs = index_pairs(nv)
+    for a, b in tensor4_slots(nv):
+        (mu, nu), (al, be) = pairs[a], pairs[b]
+        p = (
+            h.get(nu, be).diff(mu).diff(al)
+            + h.get(mu, al).diff(nu).diff(be)
+            - h.get(nu, al).diff(mu).diff(be)
+            - h.get(mu, be).diff(nu).diff(al)
+        )
+        if not p.is_zero():
+            comp[(a, b)] = p / (-2)
+    return PolyTensor4(nv, comp)
+
+
+def radial_contraction_oracle(h: PolySym2) -> list:
+    """(h X)_nu = sum_mu h_{mu nu} X^mu, by polynomial products over every index."""
+    out = []
+    for nu in range(h.nv):
+        s = ExactPoly.zero(h.nv)
+        for mu in range(h.nv):
+            s = s + h.get(mu, nu) * ExactPoly.variable(h.nv, mu)
+        out.append(s)
+    return out
 
 
 def weight_basis_oracle(n: int, degree: int, weight) -> list:

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from ahmass import invariants, massaspect
-from ahmass.gaussian import GaussianRational
+from ahmass.gaussian import GaussianRational, I
 from ahmass.harmonic import build_Hp
 from ahmass.invariants import (
     MassFunctional,
@@ -43,7 +43,7 @@ from ahmass.massaspect import (
 )
 from ahmass.poly import ExactPoly, coordinates, monomials_of_degree, sphere_integral, sphere_pairing, sphere_restrict
 from ahmass.weyl import PolyTensor4, algebra_action_tensor4, build_Wp, tensor4_slots
-from sphere_oracles import act_on_dual, equivariance_oracle, mass_oracle, pair, pair_oracle
+from sphere_oracles import act_on_dual, equivariance_oracle, mass_oracle, pair, pair_oracle, weyl_density_oracle
 
 F = Fraction
 
@@ -416,6 +416,67 @@ def test_density_residual_needs_one_row_per_component(extra):
 
     with pytest.raises(ValueError, match="representation rows"):
         intertwining_density_residual(density_null_power(n, n1, k), rows, k)
+
+
+def typed_density(k):
+    """The entries of a density in order, each with its terms and their coefficient types."""
+    return [(ij, {e: (type(c), c) for e, c in p.terms.items()}) for ij, p in k.comp.items()]
+
+
+def density_signs(n):
+    return (0, 1, -1) if n == 3 else (0,)
+
+
+@pytest.mark.parametrize("n,p", [(3, 0), (3, 1), (4, 0), (4, 1)])
+def test_weyl_density_is_the_gather_density_on_every_wp_basis_vector(n, p):
+    k = weyl_weight(n, p)
+    for w in build_Wp(n, p).basis:
+        for sign in density_signs(n):
+            assert typed_density(weyl_density(w, k, sign)) == typed_density(weyl_density_oracle(w, k, sign))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_weyl_density_is_the_gather_density_on_random_tensors(n, gaussian, sparse):
+    # random Weyl-symmetric-layout tensors, not in W_p: every stored slot or
+    # a random half of them, and then each slot alone
+    rng = random.Random(40 * n + 2 * gaussian + sparse)
+    nv = n + 1
+    slots = tensor4_slots(nv)
+    monos = monomials_of_degree(nv, 1)
+
+    def tensor(keys):
+        comp = {}
+        for key in keys:
+            c = F(rng.randint(-4, 4), rng.randint(1, 3))
+            comp[key] = ExactPoly(nv, {e: c + rng.randint(-2, 2) * I if gaussian else c for e in rng.sample(monos, 2)})
+        return PolyTensor4(nv, comp)
+
+    tensors = [tensor(rng.sample(slots, len(slots) // 2) if sparse else slots)]
+    tensors += [tensor([slot]) for slot in (slots if sparse else ())]
+    for w in tensors:
+        for sign in density_signs(n):
+            assert typed_density(weyl_density(w, 7, sign)) == typed_density(weyl_density_oracle(w, 7, sign))
+
+
+def test_chiral_density_and_equivariance_check_need_n_3():
+    # a chiral density at n = 4 was once built with the four-index epsilon
+    # on a five-dimensional space, and the n = 4 chiral check reported 0
+    w4 = build_Wp(4, 0).basis
+    for sign in (1, -1):
+        with pytest.raises(ValueError, match="only for n = 3"):
+            weyl_density(w4[0], 5, sign)
+    w3 = build_Wp(3, 0).basis[0]
+    for sign in (2, -2):
+        with pytest.raises(ValueError, match="density sign must be 0, [+]1 or -1, got"):
+            weyl_density(w3, 4, sign)
+    m4 = random_mass_aspect(4, weyl_weight(4, 0), random.Random(1))
+    gens = dict(all_generators(4))
+    for family in ("weyl_plus", "weyl_minus"):
+        with pytest.raises(ValueError, match="only for n = 3"):
+            check_equivariance_infinitesimal(family, m4, "a_1", gens["a_1"], w4)
+    assert check_equivariance_infinitesimal("weyl", m4, "a_1", gens["a_1"], w4) == 0
 
 
 def test_density_residual_needs_transverse_components():

@@ -172,6 +172,67 @@ def test_no_unreferenced_definitions():
     assert unreferenced_definitions(sources, corpus) == []
 
 
+def unreached_oracles(oracles: dict, tests: list) -> list:
+    """Top-level functions of the oracle modules ``oracles`` (name -> text)
+    that the code of ``tests`` (a list of texts) does not reference
+    (:func:`code_references`), directly or through top-level code of an
+    oracle module that it reaches.
+    """
+    nodes = {}
+    for fname, source in oracles.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                nodes.setdefault(name, []).append((fname, node))
+    reached = {name for name in code_references(tests) if name in nodes}
+    todo = list(reached)
+    while todo:
+        for _, node in nodes[todo.pop()]:
+            for name in code_references([ast.unparse(node)]):
+                if name in nodes and name not in reached:
+                    reached.add(name)
+                    todo.append(name)
+    return sorted(
+        f"{name} ({fname}:{node.lineno})"
+        for name, where in nodes.items()
+        if name not in reached
+        for fname, node in where
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    )
+
+
+def test_unreached_oracles_detects_untested_oracles():
+    oracles = (
+        "def direct():\n    return helper()\n\n\n"
+        "def helper():\n    return 1\n\n\n"
+        "def through_table():\n    return 2\n\n\n"
+        "TABLE = {'a': through_table}\n\n\n"
+        "def via_table():\n    return TABLE['a']()\n\n\n"
+        "def orphan():\n    return helper()\n\n\n"
+        "def named_in_prose():\n    pass\n"
+    )
+    test = (
+        '"""named_in_prose is only mentioned here."""\n'
+        "from x_oracles import direct, via_table\n\n\ndef test():\n    direct(), via_table()\n"
+    )
+    assert unreached_oracles({"x_oracles.py": oracles}, [test]) == [
+        "named_in_prose (x_oracles.py:24)", "orphan (x_oracles.py:20)"
+    ]
+
+
+def test_every_oracle_is_reached_by_a_test():
+    """Nothing leaves ``src`` without its oracle being run by some test."""
+    oracles = {path.name: path.read_text() for path in sorted((ROOT / "tests").glob("*_oracles.py"))}
+    tests = [path.read_text() for path in sorted((ROOT / "tests").glob("test_*.py"))]
+    assert oracles and unreached_oracles(oracles, tests) == []
+
+
 # Definitions that no route of the package or of the benchmark reaches,
 # each kept on purpose: a paper object or closed form the tests check, or
 # a utility the tests build their data with.

@@ -61,7 +61,13 @@ from ahmass.weyl import (
     weyl_type_hw_vector,
 )
 from space_oracles import transverse_solution_space
-from sphere_oracles import hw_vectors_sym2_oracle, slot_action_oracle
+from sphere_oracles import (
+    hw_vectors_sym2_oracle,
+    linearized_riemann_oracle,
+    radial_contraction_oracle,
+    slot_action_oracle,
+    weight_basis_oracle,
+)
 
 F = Fraction
 
@@ -558,6 +564,109 @@ def test_slot_actions_are_the_derivative_composition(n, gaussian):
         assert algebra_action_tensor4(m, w) == slot_action_oracle(m, w, tensor4_entries)
 
 
+def random_tensor(cls, slots, nv, degree, rng, gaussian, sparse):
+    """A tensor with random components in every slot, or in a random half of them."""
+    if sparse:
+        slots = rng.sample(slots, len(slots) // 2)
+    return cls(nv, random_comp(slots, nv, degree, rng, gaussian))
+
+
+def typed_terms(p):
+    return {e: (type(c), c) for e, c in p.terms.items()}
+
+
+def typed_in_order(t):
+    """The stored keys of a tensor in order, each with its terms and their coefficient types."""
+    return [(key, typed_terms(p)) for key, p in t.comp.items()]
+
+
+def layout_entries(nv):
+    """(tensor class, entries, action) of the symmetric 2-tensor and Weyl 4-tensor layouts."""
+    pairs = index_pairs(nv)
+    return [
+        (PolySym2, [(key, key) for key in _sym2_slots(nv)], algebra_action_sym2),
+        (PolyTensor4, [((a, b), pairs[a] + pairs[b]) for a, b in tensor4_slots(nv)], algebra_action_tensor4),
+    ]
+
+
+def action_matrices(n):
+    return [g.matrix for _, g in all_generators(n)] + [m for _, m in raising_operators(n)]
+
+
+def assert_slot_action_is_the_oracle(m, t, entries, action):
+    """Equal to the gather oracle term by term, coefficient types included, with keys in layout order."""
+    got = action(m, t)
+    assert typed_in_order(got) == typed_in_order(slot_action_oracle(m, t, entries))
+    assert list(got.comp) == [key for key, _ in entries if key in got.comp]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_scatters_equal_their_gather_oracles(n, gaussian, sparse):
+    """The slot actions, the linearized Riemann tensor and the radial
+    contraction of dense and half-filled tensors equal their gathers,
+    coefficient types and key order included."""
+    rng = random.Random(700 * n + 10 * gaussian + sparse)
+    nv = n + 1
+    h = random_tensor(PolySym2, _sym2_slots(nv), nv, 3, rng, gaussian, sparse)
+    riemann = linearized_riemann(h)
+    assert not riemann.is_zero()
+    assert typed_in_order(riemann) == typed_in_order(linearized_riemann_oracle(h))
+    assert [typed_terms(p) for p in h.radial_contraction()] == [typed_terms(p) for p in radial_contraction_oracle(h)]
+    w = random_tensor(PolyTensor4, tensor4_slots(nv), nv, 2, rng, gaussian, sparse)
+    for m in action_matrices(n):
+        for (_, entries, action), t in zip(layout_entries(nv), (h, w)):
+            assert_slot_action_is_the_oracle(m, t, entries, action)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_slot_action_reads_only_stored_components(n):
+    """The zero tensor and a random half of the slots under every generator
+    and raising operator, and each single stored slot under every
+    generator, in both layouts."""
+    rng = random.Random(800 + n)
+    nv = n + 1
+    generators = [g.matrix for _, g in all_generators(n)]
+    for cls, entries, action in layout_entries(nv):
+        slots = [key for key, _ in entries]
+        for t in (cls(nv, {}), random_tensor(cls, slots, nv, 1, rng, True, True)):
+            for m in action_matrices(n):
+                assert_slot_action_is_the_oracle(m, t, entries, action)
+        for slot in slots:
+            t = cls(nv, random_comp([slot], nv, 1, rng, rng.random() < 0.5))
+            for m in generators:
+                assert_slot_action_is_the_oracle(m, t, entries, action)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_slot_action_on_two_forms(n):
+    """The Lambda^2 layout: the antisymmetric signs of I[r -> s], dense, sparse and one slot at a time."""
+    rng = random.Random(900 + n)
+    nv = n + 1
+    entries = [(idx, idx) for idx in itertools.combinations(range(nv), 2)]
+    slots = [key for key, _ in entries]
+
+    def form(keys, gaussian):
+        return PolyForm(nv, 2, random_comp(keys, nv, 2, rng, gaussian))
+
+    forms = [form(slots, False), form(slots, True), form(rng.sample(slots, len(slots) // 2), True)]
+    forms += [form([slot], False) for slot in slots]
+    for t in forms:
+        for m in action_matrices(n):
+            assert_slot_action_is_the_oracle(m, t, entries, lambda m, t: weyl._slot_action(m, t, entries))
+
+
+@pytest.mark.parametrize("n,p", [(3, 0), (3, 1), (4, 0), (4, 1)])
+def test_slot_action_on_every_wp_basis_vector_is_the_oracle(n, p):
+    _, entries, action = layout_entries(n + 1)[1]
+    gens = dict(all_generators(n))
+    mats = [gens["a_1"].matrix, gens["r_12"].matrix, raising_operators(n)[0][1]]
+    for w in build_Wp(n, p).basis:
+        for m in mats:
+            assert_slot_action_is_the_oracle(m, w, entries, action)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_algebra_action_sym2_is_a_lie_homomorphism_commuting_with_box_and_trace(n, gaussian):
@@ -597,8 +706,17 @@ def test_hw_vectors_sym2_equals_the_x_coordinate_solve(n, degree, weight):
     assert typed(got) == typed(want)
 
 
+@pytest.mark.parametrize("n,degree,weight", [(3, 2, (2, 2)), (3, 3, (3, -2)), (4, 2, (3, 1)), (5, 2, (2, 2, 0))])
+def test_weight_basis_oracle_is_the_null_frame_units_in_x(n, degree, weight):
+    weight = tuple(F(x) for x in weight)
+    null = null_coordinates(n)
+    want = weight_basis_oracle(n, degree, weight)
+    assert want
+    assert _units_in_x(null, _weight_units(null, degree, weight)) == want
+
+
 def typed(hs):
-    return [{k: {e: (type(c), c) for e, c in p.terms.items()} for k, p in h.comp.items()} for h in hs]
+    return [{k: typed_terms(p) for k, p in h.comp.items()} for h in hs]
 
 
 def to_x(h):
