@@ -21,10 +21,13 @@ for the Weyl families), and the mass is the integral
 K_v is linear in v, so Phi(m) is evaluated as a linear functional on
 the stored coordinates of V (:class:`MassFunctional`).  The density of
 each unit coordinate (a monomial X^e of P, or X^e in one stored slot of
-W) is built once and cached; the aspect meets the unit densities
-through its memoized moments int m_ij x^a; and Phi(m)(v) is the dot
-product of the coefficients of v with the unit values.  No density of v
-and no product with m is formed.
+W) is built once per process; the aspect meets the unit densities
+through the moments int m_ij x^a of its components, and Phi(m)(v) is
+the dot product of the coefficients of v with the unit values.  The
+aspect keeps both: its moments, summed in integers over its numerators
+with one ``Fraction`` per moment, and its unit values per family, so
+every functional of one aspect, in any number of checks, computes each
+of them once.  No density of v and no product with m is formed.
 
 All exact values are relative to Vol(S^{n-1}); each mass is canonical
 only up to one overall constant.  The orientation of the volume form is
@@ -66,7 +69,6 @@ from .poly import (
     coordinates,
     monomials_of_degree,
     operator_rows,
-    sphere_moments,
     sphere_pairing,
     sphere_restrict,
 )
@@ -115,33 +117,42 @@ class MassFunctional:
     """Phi(m) of one aspect m as a linear functional on the coordinates of V.
 
     The value at a unit coordinate is sum w int m_ij x^a over the triples
-    ((i, j), a, w) of its density; the moments of m and the unit values
-    are memoized on first use, so one functional evaluates any number of
-    dual vectors.  Zero unit values and moments are skipped, and a value
-    is a ``GaussianRational`` only where it is not real, so a zero value
-    is the Fraction 0, as for the pairing with the whole density.  It
-    checks no argument: the masses and the equivariance checks do.
+    ((i, j), a, w) of its density.  The moments of m and the unit values
+    are computed on first use and kept on m (:attr:`SphereTensor._moments`,
+    :attr:`SphereTensor._mass_values`), so every functional of m, for
+    any number of dual vectors and checks, computes each once.  Zero unit
+    values and moments are skipped, and a value is a ``GaussianRational``
+    only where it is not real, so a zero value is the Fraction 0, as for
+    the pairing with the whole density.  An unknown family raises
+    ``ValueError`` before anything is kept on m; no other argument is
+    checked here: the masses and the equivariance checks do.
     """
 
     def __init__(self, family: str, m: SphereTensor):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
         self.family = family
-        self._moments = {ij: sphere_moments(p) for ij, p in m.comp.items()}
-        self._units: Dict[tuple, object] = {}
+        self._moments = m._moments
+        self._units = m._mass_values.setdefault(family, {})
 
     def __call__(self, v):
         total = F(0)
+        units = self._units
         for unit, c in coordinates(v):
-            val = self._units.get(unit)
+            val = units.get(unit)
             if val is None:
-                val = F(0)
-                for ij, a, w in _unit_density(self.family, v.nvars, *unit):
-                    moment = self._moments.get(ij)
-                    if moment is not None and (mom := moment(a)):
-                        val = val + w * mom
-                self._units[unit] = val
+                val = units[unit] = self._unit_value(v.nvars, unit)
             if val:
                 total = total + c * val
         return total
+
+    def _unit_value(self, nv: int, unit: tuple):
+        val = F(0)
+        for ij, a, w in _unit_density(self.family, nv, *unit):
+            moment = self._moments.get(ij)
+            if moment is not None and (mom := moment(a)):
+                val = val + w * mom
+        return val
 
 
 def _check_dual(family: str, m: SphereTensor, v) -> int:
@@ -238,6 +249,14 @@ def _eplus_wedge(nv: int, i: int) -> Dict[Tuple[int, int], ExactPoly]:
     }
 
 
+@lru_cache(maxsize=None)
+def _eplus_frame(nv: int) -> tuple:
+    """The bivectors e+ ^ d_i (:func:`_eplus_wedge`) for every spatial i, and
+    their Hodge stars when nv = 4; built once per ``nv``."""
+    wedges = tuple(_eplus_wedge(nv, i) for i in range(nv - 1))
+    return wedges, tuple(map(hodge_star_bivector, wedges)) if nv == 4 else ()
+
+
 def _pair_with_w(w: PolyTensor4, b1, b2) -> ExactPoly:
     """1/4 W_{mu nu al be} B1^{mu nu} B2^{al be} over all index pairs.
 
@@ -270,8 +289,7 @@ def weyl_density(w: PolyTensor4, k: int, sign: int = 0) -> SphereTensor:
         raise ValueError(f"density sign must be 0, +1 or -1, got {sign}")
     if sign and n != 3:
         raise ValueError("chiral masses exist only for n = 3")
-    wedges = [_eplus_wedge(w.nv, i) for i in range(n)]
-    stars = [hodge_star_bivector(b) for b in wedges] if sign else []
+    wedges, stars = _eplus_frame(w.nv)
     comp = {}
     for i in range(n):
         for j in range(i, n):
@@ -324,9 +342,11 @@ def check_equivariance_infinitesimal(
     weight m.k matches the family.  ``gen`` acts on both sides, and
     ``gen_name`` must be its label in ``lorentz.all_generators(m.n)``.
     The functionals Phi(m) and Phi(a.m) are built once and evaluate every
-    v and a.v.  An unknown family, a chiral family for n != 3, a
-    mismatched label, an empty dual basis, or a dual vector of the wrong
-    kind, variable count or homogeneity raises ``ValueError``.
+    v and a.v; m keeps its moments and unit values, so checks with other
+    generators on the same m compute none of them again.  An unknown
+    family, a chiral family for n != 3, a mismatched label, an empty dual
+    basis, or a dual vector of the wrong kind, variable count or
+    homogeneity raises ``ValueError``.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -359,9 +379,13 @@ def check_equivariance_finite(
     """Max |Phi(A.m)(A.v) - Phi(m)(v)| over the dual basis, numerically.
 
     A.m is sampled with the weighted pushforward at product-quadrature
-    nodes and paired with the sampled density of A.v, which is exact.
+    nodes and paired with the sampled density of A.v, which is exact.  A
+    family other than conformal and weyl, a decay order off the weight,
+    or a Lorentz element that is not of size n + 1 raises ``ValueError``.
     """
     n = m.n
+    if a.dim != n + 1:
+        raise ValueError(f"Lorentz element of size {a.dim} for an aspect with n + 1 = {n + 1}")
     if family == "conformal":
         k, act, density, build = conformal_weight(n, n1), act_on_poly, conformal_density, build_Hp
     elif family == "weyl":

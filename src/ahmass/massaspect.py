@@ -56,6 +56,7 @@ from .poly import (
     ExactPoly,
     PolyTensor,
     Terms,
+    _Moments,
     _add,
     _add_flow,
     _add_scaled,
@@ -138,10 +139,14 @@ class SphereTensor(PolyTensor):
     ``comp[(i, j)]`` with i <= j holds the polynomial component, reduced
     to its sphere normal form; ``k`` is the decay order carried by the
     aspect (0 admitted only for raw data).  An instance is not mutated
-    after construction, so what is derived from its components
-    (:attr:`_numerators`, :meth:`is_transverse`) is computed on first use
-    and kept; the kept values are not fields, so ``==``, ``replace``,
-    ``map``, ``scale`` and ``+`` neither compare nor copy them.
+    after construction, so what is derived from its components is
+    computed on first use and kept: the integer numerators
+    (:attr:`_numerators`), the transversality verdict
+    (:meth:`is_transverse`), the memoized moments of each component
+    (:attr:`_moments`) and, per mass family, the value of the mass at
+    each unit coordinate met so far (:attr:`_mass_values`).  The kept
+    values are not fields, so ``==``, ``replace``, ``map``, ``scale`` and
+    ``+`` neither compare nor copy them.
     """
 
     n: int
@@ -163,6 +168,21 @@ class SphereTensor(PolyTensor):
         terms = self._term_maps()
         cleared = _cleared(terms)
         return (terms, None) if cleared is None else cleared
+
+    @cached_property
+    def _moments(self) -> Dict[Tuple[int, int], _Moments]:
+        """Per stored component, the memoized map a -> int m_ij x^a dmu / Vol
+        (the kernel of :func:`ahmass.poly.sphere_moments`), run on the
+        integer numerators over their common denominator when the tensor
+        is rational (:attr:`_numerators`)."""
+        terms, den = self._numerators
+        return {ij: _Moments(self.n, t, den or 1) for ij, t in terms.items()}
+
+    @cached_property
+    def _mass_values(self) -> Dict[str, Dict[tuple, object]]:
+        """Per mass family, unit coordinate -> value of the mass of this aspect
+        there; filled by :class:`ahmass.invariants.MassFunctional`."""
+        return {}
 
     @cached_property
     def _transverse(self) -> bool:

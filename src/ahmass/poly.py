@@ -19,9 +19,17 @@ the unit hyperboloid ``1 + X^mu X_mu = 0`` are its two instances.  The
 sphere normal form is unique, because ``|x|^2 - 1`` generates the whole
 real vanishing ideal of the sphere, so a polynomial vanishes on the
 sphere exactly when its normal form is the zero polynomial.
-:func:`sphere_pairing` is the one bilinear sphere integral: it integrates
-the product of two polynomials without forming it, through the memoized
-moments int p x^a of :func:`sphere_moments`.
+All sphere integration runs through one moment kernel, the memoized
+map a -> int p x^a of :func:`sphere_moments`.  The normalized moment of
+x^b is an integer over n (n + 2) ... (n + |b| - 2), and these
+denominators divide one another along each total degree of one parity,
+so the kernel sums integer products, each degree brought over the
+largest denominator, and divides once per moment; a rational aspect runs
+it on its ``int`` numerators over their common denominator
+(:attr:`ahmass.massaspect.SphereTensor._moments`).
+:func:`sphere_integral` is the zero-exponent moment, and
+:func:`sphere_pairing`, the one bilinear sphere integral, integrates the
+product of two polynomials without forming it.
 
 The term-map helpers (:func:`_add_shifted`, :func:`_add_flow` and their
 kin) act on the ``terms`` dict of a polynomial in place: a product by
@@ -384,79 +392,131 @@ def hyperboloid_normal_form(p: ExactPoly) -> ExactPoly:
 
 
 @lru_cache(maxsize=None)
-def _sphere_moment(exponents: Exponents) -> Fraction:
-    n = len(exponents)
-    if n < 1:
-        raise ValueError("need at least one variable")
-    if any(a < 0 for a in exponents):
-        raise ValueError("negative exponent")
-    if any(a % 2 for a in exponents):
-        return Fraction(0)
-    total = sum(exponents)
+def _moment_numerator(b: Exponents) -> int:
+    """prod (b_i - 1)!! of an all-even exponent tuple: the numerator of int x^b."""
     num = 1
-    for a in exponents:
+    for a in b:
         for j in range(a - 1, 0, -2):
             num *= j
+    return num
+
+
+@lru_cache(maxsize=None)
+def _moment_denominator(n: int, t: int) -> int:
+    """n (n + 2) ... (n + t - 2): the denominator of int x^b over S^{n-1} for |b| = t."""
     den = 1
-    for j in range(0, total, 2):
+    for j in range(0, t, 2):
         den *= n + j
-    return Fraction(num, den)
+    return den
+
+
+def _check_exponents(a, n: int) -> None:
+    """Raise ``ValueError`` unless ``a`` holds n >= 1 non-negative ``int`` exponents (no ``bool``)."""
+    if n < 1:
+        raise ValueError("need at least one variable")
+    if len(a) != n:
+        raise ValueError(f"exponent vector {a} has length {len(a)}, expected {n}")
+    for x in a:
+        if type(x) is not int:
+            raise ValueError(f"exponent {x!r} is not an int")
+        if x < 0:
+            raise ValueError("negative exponent")
 
 
 def sphere_monomial_integral(exponents: Sequence[int]) -> Fraction:
     """Normalized integral of x^alpha over the unit sphere S^{n-1}.
 
     Zero unless every exponent is even; otherwise the classical closed
-    form prod (a_i - 1)!! / (n (n+2) ... (n + |a| - 2)).  Memoized on the
-    exponent tuple.
+    form prod (a_i - 1)!! / (n (n+2) ... (n + |a| - 2)).  Raises
+    ``ValueError`` on an empty, negative or non-``int`` exponent.
     """
-    return _sphere_moment(tuple(exponents))
+    b = tuple(exponents)
+    _check_exponents(b, len(b))
+    if any(a & 1 for a in b):
+        return Fraction(0)
+    return Fraction(_moment_numerator(b), _moment_denominator(len(b), sum(b)))
 
 
-def sphere_integral(p: ExactPoly):
-    """Linear extension of the monomial integral; exact, normalized."""
-    total = _ZERO
-    for e, c in p.terms.items():
-        w = _sphere_moment(e)
-        if w:
-            total = total + c * w
-    return total
+_ODD = (1).__and__
+_PARITIES: Dict[Exponents, Exponents] = {}
 
 
 def _parity(e: Exponents) -> Exponents:
-    return tuple(a & 1 for a in e)
+    """The exponents mod 2, as the one shared tuple of their parity class
+    (aspects keep a kernel per component, each keyed by parity)."""
+    p = tuple(map(_ODD, e))
+    return _PARITIES.setdefault(p, p)
 
 
-def sphere_moments(p: ExactPoly):
-    """The map a -> int p x^a dmu / Vol of one polynomial, exact and memoized.
+class _Moments:
+    """a -> int (terms / den) x^a dmu / Vol of one term map, exact and memoized.
 
-    x^e x^a integrates to a nonzero value only when e and a agree mod 2
-    in every coordinate, so the terms of p are bucketed by exponent
-    parity once and each moment sums over its own bucket only.
+    The one moment kernel.  x^e x^a integrates to a nonzero value only
+    when e and a agree mod 2 in every coordinate, and then to
+    num(b) / den(n, |b|) at b = e + a, with integer num and den, where
+    den(n, t) = n (n + 2) ... (n + t - 2) divides den(n, T) for t <= T of
+    the same parity.  So the exponents of the terms are grouped once by
+    parity, and a moment sums c num(b) over the group of its own parity,
+    each degree |b| brought over the largest denominator den(n, T) of the
+    group by its integer cofactor, and divides once, by den(n, T) times
+    ``den``.  On ``int`` coefficients (numerators over the common
+    denominator ``den``) the sum is an ``int`` and the moment is one
+    ``Fraction``; ``Fraction`` or Gaussian coefficients (``den`` 1) take
+    the same pass on their own values.  The term map is read, not copied,
+    and the exponent a is checked on a memo miss only.
     """
-    buckets: Dict[Exponents, list] = {}
-    for e, c in p.terms.items():
-        buckets.setdefault(_parity(e), []).append((e, c))
-    memo: Dict[Exponents, object] = {}
 
-    def moment(a: Exponents):
-        val = memo.get(a)
+    __slots__ = ("n", "terms", "den", "groups", "memo")
+
+    def __init__(self, n: int, terms: Terms, den: int = 1):
+        self.n, self.terms, self.den, self.memo = n, terms, den, {}
+        groups: Dict[Exponents, list] = {}
+        for e in terms:
+            groups.setdefault(_parity(e), []).append(e)
+        # kept for the life of an aspect, so stored compactly
+        self.groups = {p: tuple(g) for p, g in groups.items()}
+
+    def __call__(self, a: Exponents):
+        val = self.memo.get(a)
         if val is None:
-            val = _ZERO
-            for e, c in buckets.get(_parity(a), ()):
-                val = val + c * _sphere_moment(tuple(map(add, e, a)))
-            memo[a] = val
+            val = self.memo[a] = self._sum(a)
         return val
 
-    return moment
+    def _sum(self, a: Exponents):
+        _check_exponents(a, self.n)
+        group = self.groups.get(_parity(a))
+        if group is None:
+            return _ZERO
+        n, terms, shift = self.n, self.terms, sum(a)
+        top = _moment_denominator(n, max(map(sum, group)) + shift)
+        s = 0
+        for e in group:
+            b = tuple(map(add, e, a))
+            s = s + terms[e] * (_moment_numerator(b) * (top // _moment_denominator(n, sum(b))))
+        top *= self.den
+        return Fraction(s, top) if type(s) is int else s / top
+
+
+def sphere_moments(p: ExactPoly) -> _Moments:
+    """The map a -> int p x^a dmu / Vol of one polynomial, exact and memoized.
+
+    The moment kernel run on the coefficients of p; an exponent of the
+    wrong length, a negative entry or an entry that is not an ``int``
+    raises ``ValueError``.
+    """
+    return _Moments(p.nvars, p.terms)
+
+
+def sphere_integral(p: ExactPoly):
+    """Normalized integral of p over the unit sphere: its zero-exponent moment."""
+    return sphere_moments(p)((0,) * p.nvars)
 
 
 def sphere_pairing(p: ExactPoly, q: ExactPoly):
     """int p q dmu / Vol, exact, without forming the product p q.
 
     Each term of the shorter factor meets the :func:`sphere_moments` of
-    the longer one, so it multiplies one sum over its own parity bucket.
-    Equal to ``sphere_integral(p * q)``.
+    the longer one.  Equal to ``sphere_integral(p * q)``.
     """
     p._check(q)
     if len(p.terms) > len(q.terms):

@@ -27,9 +27,14 @@ def _gegenbauer_gauss(order: int, a: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sphere_nodes(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (Q, n) and normalized weights (Q,) on S^{n-1}."""
+    """Nodes (Q, n) and normalized weights (Q,) on S^{n-1}.
+
+    Raises ``ValueError`` for n < 2 or an order that is not a positive ``int``.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
+    if type(order) is not int or order < 1:
+        raise ValueError(f"quadrature order must be a positive int, got {order!r}")
     if n == 2:
         phi = 2 * np.pi * (np.arange(2 * order) + 0.5) / (2 * order)
         nodes = np.stack([np.cos(phi), np.sin(phi)], axis=1)

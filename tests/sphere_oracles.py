@@ -2,6 +2,10 @@
 
 The square-and-integrate zero test is kept here only as an oracle for
 the normal-form test of :func:`ahmass.poly.vanishes_on_sphere`; the
+per-term moment sum (:func:`sphere_moments_oracle`, one ``Fraction``
+product per term) is the oracle of the moment kernel of
+:func:`ahmass.poly.sphere_moments`, run on a polynomial's own
+coefficients or on the integer numerators an aspect keeps; the
 product-then-integrate pairing is the oracle of
 :func:`ahmass.poly.sphere_pairing` and of :func:`pair`; :func:`pair` of
 an aspect with the whole density of each dual vector is the oracle of
@@ -29,6 +33,7 @@ null-frame :func:`ahmass.weyl.hw_vectors_sym2`.
 
 from dataclasses import replace
 from fractions import Fraction
+from operator import add
 from unittest import mock
 
 from hypothesis import strategies as st
@@ -45,7 +50,14 @@ from ahmass.massaspect import (
     algebra_action_aspect,
     sphere_covariant_derivative,
 )
-from ahmass.poly import ExactPoly, monomials_of_degree, sphere_integral, sphere_pairing, sphere_restrict
+from ahmass.poly import (
+    ExactPoly,
+    monomials_of_degree,
+    sphere_integral,
+    sphere_monomial_integral,
+    sphere_pairing,
+    sphere_restrict,
+)
 from ahmass.weyl import (
     PolySym2,
     PolyTensor4,
@@ -70,6 +82,21 @@ def square_and_integrate_vanishes(p: ExactPoly) -> bool:
         if q.terms and sphere_integral(q * q) != 0:
             return False
     return True
+
+
+def sphere_moments_oracle(p: ExactPoly):
+    """a -> int p x^a dmu / Vol, one ``Fraction`` product per term of p, each
+    monomial integral by its closed form."""
+
+    def moment(a):
+        total = Fraction(0)
+        for e, c in p.terms.items():
+            w = sphere_monomial_integral(tuple(map(add, e, a)))
+            if w:
+                total = total + c * w
+        return total
+
+    return moment
 
 
 def sphere_ideal(n: int) -> ExactPoly:
@@ -194,7 +221,7 @@ def pair_oracle(m, density):
     for (i, j), mij in m.comp.items():
         kij = density.comp.get((i, j))
         if kij is not None:
-            val = sphere_integral(mij * kij)
+            val = sphere_moments_oracle(mij * kij)((0,) * m.n)
             total = total + (val if i == j else 2 * val)
     return total
 

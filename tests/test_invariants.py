@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from ahmass import invariants, massaspect
+from ahmass import invariants, massaspect, poly
 from ahmass.gaussian import GaussianRational, I
 from ahmass.harmonic import build_Hp
 from ahmass.invariants import (
@@ -336,11 +337,19 @@ def test_masses_are_the_pairing_with_the_whole_density(family, n, n1):
 
 
 @pytest.mark.parametrize(
-    "family,n1", [("conformal", 1), ("weyl", 0), ("weyl_plus", 0), ("weyl_minus", 0)]
+    "family,n,n1",
+    [
+        pytest.param("conformal", 3, 0, id="conformal-0"),
+        pytest.param("conformal", 3, 1, id="conformal-1"),
+        pytest.param("weyl", 3, 0, id="weyl-0"),
+        pytest.param("weyl", 4, 0, id="weyl-4-0"),
+        pytest.param("weyl_plus", 3, 0, id="weyl_plus-0"),
+        pytest.param("weyl_minus", 3, 0, id="weyl_minus-0"),
+    ],
 )
-def test_infinitesimal_check_is_the_per_vector_oracle(family, n1):
-    # one weight off, so the boosts leave nonzero residuals to compare
-    n = 3
+def test_infinitesimal_check_is_the_per_vector_oracle(family, n, n1):
+    # one weight off, so the boosts leave nonzero residuals to compare; the
+    # checks of all generators share the values the aspect keeps
     m = random_mass_aspect(n, _weight(family, n, n1) + 1, random.Random(5), degree=1)
     dual = _dual_basis(family, n, n1)
     residuals = []
@@ -349,6 +358,41 @@ def test_infinitesimal_check_is_the_per_vector_oracle(family, n1):
         assert residual == equivariance_oracle(family, m, gen, dual), name
         residuals.append(residual)
     assert any(residuals)
+    assert family in m._mass_values
+
+
+def test_six_checks_compute_each_moment_and_unit_value_of_the_aspect_once(monkeypatch):
+    # the checks of both chiral families over all six generators of so(3,1)
+    # on one aspect: each of its moments is summed once for both families,
+    # and each of its unit values once per family
+    n = 3
+    m = random_mass_aspect(n, weyl_weight(n, 0), random.Random(3))
+    dual = build_Wp(n, 0).basis
+    sums, values = [], []
+    moment_sum, unit_value = poly._Moments._sum, MassFunctional._unit_value
+    monkeypatch.setattr(poly._Moments, "_sum", lambda self, a: sums.append((self, a)) or moment_sum(self, a))
+    monkeypatch.setattr(
+        MassFunctional, "_unit_value", lambda self, nv, unit: values.append((self._units, unit)) or unit_value(self, nv, unit)
+    )
+    for family in ("weyl_plus", "weyl_minus"):
+        for name, gen in all_generators(n):
+            assert check_equivariance_infinitesimal(family, m, name, gen, dual) == 0, (family, name)
+    kept = list(m._moments.values())
+    counted = Counter((kept.index(kernel), a) for kernel, a in sums if any(kernel is k for k in kept))
+    assert counted and set(counted.values()) == {1}
+    assert sorted(counted) == sorted((i, a) for i, kernel in enumerate(kept) for a in kernel.memo)
+    for family in ("weyl_plus", "weyl_minus"):
+        units = m._mass_values[family]
+        counted = Counter(unit for kept_units, unit in values if kept_units is units)
+        assert counted and set(counted.values()) == {1} and counted.keys() == units.keys()
+
+
+def test_mass_functional_rejects_an_unknown_family_before_keeping_anything():
+    m = random_mass_aspect(3, 3, random.Random(1))
+    before = dict(vars(m))
+    with pytest.raises(ValueError, match="unknown family 'foo'"):
+        MassFunctional("foo", m)
+    assert vars(m) == before
 
 
 def test_infinitesimal_check_builds_each_unit_density_once(monkeypatch):
@@ -686,3 +730,6 @@ def test_finite_equivariance_argument_errors():
         check_equivariance_finite(m, a, 0, order=8, family="weyl_plus")
     with pytest.raises(ValueError, match="does not match weight"):
         check_equivariance_finite(m, a, 1, order=8, family="weyl")
+    # an element of SO(4,1) once met a numpy matmul error
+    with pytest.raises(ValueError, match="Lorentz element of size 5 for an aspect with n [+] 1 = 4"):
+        check_equivariance_finite(m, boost_from_parameter(4, 1, F(1, 3)), 0, order=8, family="weyl")

@@ -529,14 +529,22 @@ def test_kept_numerators_and_verdict_are_not_compared_or_copied():
     m = random_mass_aspect(n, 4, random.Random(9))
     raw = SphereTensor(n, 4, {(0, 1): X(n, 2) * F(1, 3)})
     assert m.is_transverse() and not raw.is_transverse()
+    zero = (0,) * n
+    moments = {ij: moment(zero) for ij, moment in m._moments.items()}
+    m._mass_values.setdefault("conformal", {})[(None, (0,) * (n + 1))] = F(1)
+    kept = {"_numerators", "_transverse", "_moments", "_mass_values"}
     fresh = replace(m)
-    assert {"_numerators", "_transverse"} <= vars(m).keys()
-    assert not {"_numerators", "_transverse"} & vars(fresh).keys()
+    assert kept <= vars(m).keys()
+    assert not kept & vars(fresh).keys()
     assert m == fresh and fresh == m
+    assert fresh._mass_values == {} and {ij: moment(zero) for ij, moment in fresh._moments.items()} == moments
     assert not (m + raw).is_transverse()
     assert raw.scale(F(0)).is_transverse()
     scaled = m.scale(F(5, 11))
     assert scaled._numerators == massaspect._cleared(scaled._term_maps()) != m._numerators
+    assert not {"_moments", "_mass_values"} & vars(scaled).keys()
+    assert {ij: moment(zero) for ij, moment in scaled._moments.items()} == {ij: v * F(5, 11) for ij, v in moments.items()}
+    assert not {"_moments", "_mass_values"} & vars(m + raw).keys()
 
 
 def typed_poly(p: ExactPoly) -> dict:

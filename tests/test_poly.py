@@ -13,6 +13,7 @@ from ahmass.lorentz import (
     cartan_generators,
     raising_operators,
 )
+from ahmass import poly
 from ahmass.massaspect import SphereTensor
 from ahmass.poly import (
     ExactPoly,
@@ -28,6 +29,7 @@ from ahmass.poly import (
     operator_rows,
     quadric_normal_form,
     sphere_integral,
+    sphere_moments,
     sphere_monomial_integral,
     sphere_pairing,
     sphere_restrict,
@@ -41,6 +43,7 @@ from sphere_oracles import (
     points_on_sphere,
     polys,
     sphere_ideal,
+    sphere_moments_oracle,
     sphere_polys,
     square_and_integrate_vanishes,
 )
@@ -213,6 +216,75 @@ def test_sphere_monomial_integral_rejects_negative_exponents():
     for _ in range(2):  # a raise is never memoized
         with pytest.raises(ValueError, match="negative exponent"):
             sphere_monomial_integral([2, -2])
+
+
+def test_sphere_monomial_integral_rejects_bad_exponents():
+    for bad in ((1.5,), (True, True), (2, 0.0), ()):
+        with pytest.raises(ValueError):
+            sphere_monomial_integral(bad)
+
+
+# ---------------------------------------------------------------------------
+# the moment kernel; oracle = one Fraction product per term
+# ---------------------------------------------------------------------------
+
+
+def typed(x):
+    return type(x), x
+
+
+@given(sphere_polys(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_moment_kernel_is_the_per_term_sum(case, data):
+    # values and coefficient types, on a polynomial's own coefficients, on
+    # the integer numerators a rational aspect keeps, and through the
+    # integral and the pairing
+    n, (p, q) = case
+    zero = (0,) * n
+    exponents = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=4))
+    oracle, moment = sphere_moments_oracle(p), sphere_moments(p)
+    for a in exponents:
+        assert typed(moment(a)) == typed(oracle(a))
+    aspect = SphereTensor(n, 1, {(0, 0): p, (0, n - 1): q})
+    for ij, kept in aspect._moments.items():
+        for a in exponents:
+            assert typed(kept(a)) == typed(sphere_moments_oracle(aspect.comp[ij])(a))
+    assert typed(sphere_integral(p)) == typed(oracle(zero))
+    assert typed(sphere_pairing(p, q)) == typed(sphere_moments_oracle(p * q)(zero))
+
+
+def test_moment_kernel_brings_every_degree_over_one_denominator():
+    # one parity class holding degrees 0, 2 and 4 on integer numerators,
+    # and a Gaussian twin
+    x, y = X(2, 0), X(2, 1)
+    p = ExactPoly.constant(2, Fraction(1, 3)) + x * x * Fraction(2, 5) - x * x * y * y * Fraction(7, 4) + y**4
+    terms, den = _cleared({None: p.terms})
+    assert den == 60 and {type(c) for c in terms[None].values()} == {int}
+    kernel = poly._Moments(2, terms[None], den)
+    assert len(kernel.groups[(0, 0)]) == len(p.terms) == 4
+    for a in ((0, 0), (2, 0), (1, 1), (0, 4)):
+        assert typed(kernel(a)) == typed(sphere_moments(p)(a)) == typed(sphere_moments_oracle(p)(a))
+    gaussian = p + x * y * I
+    for a in ((0, 0), (1, 1), (3, 1)):
+        assert typed(sphere_moments(gaussian)(a)) == typed(sphere_moments_oracle(gaussian)(a))
+    assert isinstance(sphere_moments(gaussian)((1, 1)), GaussianRational)
+    assert sphere_moments(p)((1, 0)) == 0 and type(sphere_moments(p)((1, 0))) is Fraction
+
+
+@pytest.mark.parametrize("bad", [(1, 0), (1, 0, 0, 0), (-1, 0, 0), (0, 1.0, 0), (True, 0, 0), (0, None, 0)])
+def test_sphere_moments_reject_bad_exponents(bad):
+    with pytest.raises(ValueError):
+        sphere_moments(X(3, 0))(bad)
+
+
+def test_sphere_moments_check_an_exponent_on_a_memo_miss_only(monkeypatch):
+    checks = []
+    check = poly._check_exponents
+    monkeypatch.setattr(poly, "_check_exponents", lambda a, n: checks.append(a) or check(a, n))
+    moment = sphere_moments(X(3, 0) * X(3, 0) + 1)
+    assert moment((0, 0, 0)) == moment((0, 0, 0)) == Fraction(4, 3)
+    assert moment((1, 0, 0)) == 0
+    assert checks == [(0, 0, 0), (1, 0, 0)]
 
 
 # ---------------------------------------------------------------------------

@@ -29,3 +29,10 @@ def test_sphere_nodes_need_a_sphere():
     for n in (0, 1):
         with pytest.raises(ValueError):
             sphere_nodes(n, 4)
+
+
+@pytest.mark.parametrize("order", [0, -1, 2.5, True])
+def test_sphere_nodes_need_a_positive_int_order(order):
+    # order 0 once raised ZeroDivisionError and -1 numpy's negative dimensions
+    with pytest.raises(ValueError, match="quadrature order must be a positive int"):
+        sphere_nodes(3, order)
