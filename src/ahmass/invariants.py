@@ -71,9 +71,10 @@ from .poly import (
     operator_rows,
     sphere_pairing,
     sphere_restrict,
+    sym2_layout,
 )
 from .quadrature import sphere_nodes
-from .weyl import PolyTensor4, algebra_action_tensor4, build_Wp, index_pairs, tensor4_slots
+from .weyl import PolyTensor4, algebra_action_tensor4, build_Wp, index_pairs
 
 F = Fraction
 
@@ -291,13 +292,12 @@ def weyl_density(w: PolyTensor4, k: int, sign: int = 0) -> SphereTensor:
         raise ValueError("chiral masses exist only for n = 3")
     wedges, stars = _eplus_frame(w.nv)
     comp = {}
-    for i in range(n):
-        for j in range(i, n):
-            entry = sphere_restrict(_pair_with_w(w, wedges[i], wedges[j]))
-            if sign:
-                twist = _pair_with_w(w, stars[i], wedges[j]) + _pair_with_w(w, stars[j], wedges[i])
-                entry = entry - sign * I * sphere_restrict(twist) / 2
-            comp[(i, j)] = entry
+    for i, j in sym2_layout(n):
+        entry = sphere_restrict(_pair_with_w(w, wedges[i], wedges[j]))
+        if sign:
+            twist = _pair_with_w(w, stars[i], wedges[j]) + _pair_with_w(w, stars[j], wedges[i])
+            entry = entry - sign * I * sphere_restrict(twist) / 2
+        comp[(i, j)] = entry
     return SphereTensor(n, k, comp)
 
 
@@ -410,15 +410,14 @@ def finite_action_tensor4(a: LorentzElement, w: PolyTensor4) -> PolyTensor4:
     nv = w.nv
     moved = w.map(lambda p: act_on_poly(a, p))
     column = [[(r, inv[r][c]) for r in range(nv) if inv[r][c]] for c in range(nv)]
-    pairs = index_pairs(nv)
     comp = {}
-    for ai, bi in tensor4_slots(nv):
+    for key, idx in w.layout.items():
         s = ExactPoly.zero(nv)
-        for (m_, c1), (n_, c2), (a_, c3), (b_, c4) in product(*(column[t] for t in pairs[ai] + pairs[bi])):
+        for (m_, c1), (n_, c2), (a_, c3), (b_, c4) in product(*(column[t] for t in idx)):
             base = moved.get(m_, n_, a_, b_)
             if not base.is_zero():
                 s = s + base * (c1 * c2 * c3 * c4)
-        comp[(ai, bi)] = s
+        comp[key] = s
     return PolyTensor4(nv, comp)
 
 

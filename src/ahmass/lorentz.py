@@ -81,6 +81,18 @@ def bracket(a: Matrix, b: Matrix) -> Matrix:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
+def _real(v) -> Fraction:
+    """``v`` as an exact real number through :func:`ahmass.gaussian._exact`.
+
+    The group is real, so a Gaussian rational raises ``ValueError``, as a
+    float or a ``bool`` does.
+    """
+    v = _exact(v)
+    if not isinstance(v, Fraction):
+        raise ValueError(f"{v} is not real")
+    return v
+
+
 def _square(matrix: Matrix) -> Matrix:
     """The matrix itself when it is nonempty, square and not ragged; else ``ValueError``."""
     if not matrix or any(len(row) != len(matrix) for row in matrix):
@@ -94,10 +106,15 @@ def _square(matrix: Matrix) -> Matrix:
 
 
 class LorentzElement:
-    """Exact orthochronous Lorentz matrix with its ball-model action."""
+    """Exact orthochronous Lorentz matrix with its ball-model action.
+
+    Every entry passes through :func:`_real`: an ``int`` becomes a
+    ``Fraction``, and a float, a ``bool`` or a Gaussian rational raises
+    ``ValueError``; so do the inputs of the constructors and actions below.
+    """
 
     def __init__(self, matrix: Sequence[Sequence]):
-        self.matrix: Matrix = _square(tuple(tuple(Fraction(v) for v in row) for row in matrix))
+        self.matrix: Matrix = _square(tuple(tuple(_real(v) for v in row) for row in matrix))
         self.dim = len(self.matrix)
         eta = eta_matrix(self.dim)
         if mat_mul(mat_mul(mat_transpose(self.matrix), eta), self.matrix) != eta:
@@ -133,7 +150,7 @@ def identity_element(n: int) -> LorentzElement:
 
 def rational_boost(n: int, direction: int, c: Fraction, s: Fraction) -> LorentzElement:
     """Boost in the X^direction axis with cosh -> c, sinh -> s."""
-    c, s = Fraction(c), Fraction(s)
+    c, s = _real(c), _real(s)
     if c * c - s * s != 1 or c <= 0:
         raise ValueError("(c, s) must satisfy c^2 - s^2 = 1, c > 0")
     if not 1 <= direction <= n:
@@ -148,7 +165,7 @@ def rational_boost(n: int, direction: int, c: Fraction, s: Fraction) -> LorentzE
 
 def rational_rotation(n: int, i: int, j: int, c: Fraction, s: Fraction) -> LorentzElement:
     """Rotation in the X^i X^j plane with cos -> c, sin -> s."""
-    c, s = Fraction(c), Fraction(s)
+    c, s = _real(c), _real(s)
     if c * c + s * s != 1:
         raise ValueError("(c, s) must satisfy c^2 + s^2 = 1")
     if not (1 <= i <= n and 1 <= j <= n and i != j):
@@ -163,7 +180,7 @@ def rational_rotation(n: int, i: int, j: int, c: Fraction, s: Fraction) -> Loren
 
 def boost_from_parameter(n: int, direction: int, t: Fraction) -> LorentzElement:
     """Rational hyperbola point (c, s) = ((1+t^2)/(1-t^2), 2t/(1-t^2)), for -1 < t < 1."""
-    t = Fraction(t)
+    t = _real(t)
     if not -1 < t < 1:
         raise ValueError(f"boost parameter t = {t} must satisfy -1 < t < 1")
     c = (1 + t * t) / (1 - t * t)
@@ -192,7 +209,7 @@ def ball_to_hyperboloid(x: Sequence) -> Tuple:
 
 def ball_action(a: LorentzElement, x: Sequence) -> Tuple:
     """Exact action of the isometry on a rational point of the ball."""
-    y = ball_to_hyperboloid([Fraction(v) for v in x])
+    y = ball_to_hyperboloid([_real(v) for v in x])
     out = stereo_to_ball(a.apply(y))
     if sum(v * v for v in out) >= 1:
         raise AssertionError("ball action left the unit ball; corrupt matrix")
@@ -201,7 +218,7 @@ def ball_action(a: LorentzElement, x: Sequence) -> Tuple:
 
 def sphere_action(a: LorentzElement, xhat: Sequence) -> Tuple:
     """Boundary extension of the ball action at a point of S^{n-1}."""
-    xhat = [Fraction(v) for v in xhat]
+    xhat = [_real(v) for v in xhat]
     if sum(v * v for v in xhat) != 1:
         raise ValueError("point not on the unit sphere")
     y = (Fraction(1),) + tuple(xhat)  # null ray through (1, x)
@@ -211,22 +228,11 @@ def sphere_action(a: LorentzElement, xhat: Sequence) -> Tuple:
 
 def u_of_A(a: LorentzElement, xhat: Sequence) -> Fraction:
     """Boundary conformal factor u[A](x) = 1 / X^0(A^{-1}(1, x))."""
-    xhat = [Fraction(v) for v in xhat]
+    xhat = [_real(v) for v in xhat]
     if sum(v * v for v in xhat) != 1:
         raise ValueError("point not on the unit sphere")
     w = a.inverse().apply((Fraction(1),) + tuple(xhat))
     return 1 / w[0]
-
-
-def rational_sphere_point(v: Sequence[Fraction]) -> Tuple:
-    """Inverse stereographic image of a rational vector: a point of S^{n-1}.
-
-    Maps v in R^{n-1} to ((2v, 1 - |v|^2)) / (1 + |v|^2).
-    """
-    v = [Fraction(t) for t in v]
-    norm2 = sum((t * t for t in v), Fraction(0))
-    d = 1 + norm2
-    return tuple(2 * t / d for t in v) + ((1 - norm2) / d,)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +313,7 @@ def algebra_act_on_poly(a, p: ExactPoly) -> ExactPoly:
 
     One pass of exponent shifts over the terms of P
     (:func:`ahmass.poly._add_flow`), the slot-free case of the tensor
-    slot action of :mod:`ahmass.weyl`.
+    slot action :func:`ahmass.poly.slot_action`.
     """
     m = a.matrix if isinstance(a, AlgebraElement) else [[_exact(c) for c in row] for row in a]
     out = {}

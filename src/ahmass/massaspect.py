@@ -19,21 +19,22 @@ the conformal Killing field V it induces on the sphere,
 (:func:`algebra_action_aspect`), and the decay order k of the aspect
 enters only through the conformal factor phi of V.
 
-Products by one coordinate x^b and the derivation -(Ax).d of the
-spatial block A are exponent shifts on the stored terms, made by the term
-map helpers of :mod:`ahmass.poly` that the slot action of
-:mod:`ahmass.weyl` shares, so the action is one term-level pass over the
-components of m: V.dm + A^T m + m A is accumulated per slot, projected
-once by Pi = Id - x (x) x (:func:`_project_terms`, the one projection,
-also behind :func:`sphere_covariant_derivative` and
-:func:`transversalize`), and each component is reduced once.  A rational
-aspect moved by a real element runs this pass on the integer numerators
-of its coefficients over their common denominator, which each output
-term is divided by once.  Each tensor clears its denominators and
-decides its transversality once, on first use, and keeps both, so
-acting on one aspect with every generator tests it once.  The radial
-contraction and the round trace are the same shifts.  V needs no
-tangency test there: it is tangent because
+:class:`SphereTensor` has the Sym^2 layout of the tensor base
+(:func:`ahmass.poly.sym2_layout`), so -(Ax).d m - (A^T m + m A), for the
+spatial block A, is the one slot action of that base: its term-map core
+(:func:`ahmass.poly._slot_terms`) runs on the stored terms of m, and the
+translation and conformal parts of V.dm are exponent shifts by the same
+term map helpers of :mod:`ahmass.poly`.  So the action is one term-level
+pass over the components of m, projected once by Pi = Id - x (x) x
+(:func:`_project_terms`, the one projection, also behind
+:func:`sphere_covariant_derivative` and :func:`transversalize`), and each
+component is reduced once.  A rational aspect moved by a real element
+runs this pass on the integer numerators of its coefficients over their
+common denominator, which each output term is divided by once.  Each
+tensor clears its denominators and decides its transversality once, on
+first use, and keeps both, so acting on one aspect with every generator
+tests it once.  The radial contraction and the round trace are the same
+shifts.  V needs no tangency test there: it is tangent because
 :class:`~ahmass.lorentz.AlgebraElement` validates the isometry condition
 of M.
 """
@@ -45,7 +46,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from .gaussian import GaussianRational, I
+from .gaussian import GaussianRational
 from .lorentz import (
     AlgebraElement,
     LorentzElement,
@@ -58,25 +59,21 @@ from .poly import (
     Terms,
     _Moments,
     _add,
-    _add_flow,
     _add_scaled,
     _add_shifted,
     _cleared,
-    _flow,
     _over,
     _poly,
+    _slot_terms,
     _small,
-    monomials_of_degree,
     quadric_normal_form,
     sorted_pair,
+    sym2_layout,
     vanishes_on_sphere,
 )
 
 if TYPE_CHECKING:  # numpy is imported only by the numeric functions that use it
     import numpy as np
-
-F = Fraction
-
 
 # ---------------------------------------------------------------------------
 # term maps on the sphere: shifts, radial contraction, projection
@@ -122,13 +119,11 @@ def _project_terms(n: int, t: Dict[Tuple[int, int], Terms]) -> Tuple[Dict[Tuple[
     scalar = _reduced(n, _radial(rad))
     xs = [_shifted(scalar, i) for i in range(n)]
     out = {}
-    for i in range(n):
-        for j in range(i, n):
-            acc = dict(t.get((i, j), _EMPTY))
-            _add_shifted(acc, rad[j], i, -1)
-            _add_shifted(acc, rad[i], j, -1)
-            _add_shifted(acc, xs[i], j)
-            out[(i, j)] = acc
+    for i, j in sym2_layout(n):
+        acc = out[(i, j)] = dict(t.get((i, j), _EMPTY))
+        _add_shifted(acc, rad[j], i, -1)
+        _add_shifted(acc, rad[i], j, -1)
+        _add_shifted(acc, xs[i], j)
     return out, scalar
 
 
@@ -154,6 +149,7 @@ class SphereTensor(PolyTensor):
     comp: Dict[Tuple[int, int], ExactPoly]
 
     nvars = property(lambda self: self.n)
+    layout = property(lambda self: sym2_layout(self.n))
     _key = staticmethod(sorted_pair)
     _reduce = staticmethod(quadric_normal_form)
 
@@ -231,12 +227,9 @@ class SphereTensor(PolyTensor):
 def round_metric_tensor(n: int, k: int) -> SphereTensor:
     """Transverse representative of the round metric: delta - x (x) x."""
     comp = {}
-    for i in range(n):
-        for j in range(i, n):
-            p = -ExactPoly.variable(n, i) * ExactPoly.variable(n, j)
-            if i == j:
-                p = p + 1
-            comp[(i, j)] = p
+    for i, j in sym2_layout(n):
+        p = -ExactPoly.variable(n, i) * ExactPoly.variable(n, j)
+        comp[(i, j)] = p + 1 if i == j else p
     return SphereTensor(n, k, comp)
 
 
@@ -363,10 +356,12 @@ def algebra_action_aspect(a, m: SphereTensor, k: int | None = None) -> SphereTen
     V^c = M^c_0 + M^c_d x^d + x^c phi and phi = -M^0_d x^d, the derivative
     V.d of a term v x^e is M^c_0 e_c v x^(e - 1_c)
     + M^c_d e_c v x^(e - 1_c + 1_d) + |e| v x^e phi (the x^c phi parts sum
-    to the Euler operator); the middle part is the derivation of the
-    spatial block (:func:`ahmass.poly._add_flow`).  The raw tensor
-    -(V.dm + A^T m + m A) is accumulated per slot c <= d with the sign
-    folded into the integer multipliers, projected once by
+    to the Euler operator).  The middle part and A^T m + m A together are
+    the slot action of A on the Sym^2 layout, so the raw tensor
+    -(V.dm + A^T m + m A) starts as the term-map core of that action
+    (:func:`ahmass.poly._slot_terms`); the translation and conformal
+    shifts are added per slot c <= d with the sign folded into the
+    integer multipliers, the whole is projected once by
     :func:`_project_terms`, and k phi m is added by shifts.
     When m is rational and M real, the pass runs on the integer
     numerators N of m over their common denominator D
@@ -389,12 +384,10 @@ def algebra_action_aspect(a, m: SphereTensor, k: int | None = None) -> SphereTen
     else:
         terms, den = m._numerators
     trans = [(c, -_small(mat[c + 1][0])) for c in range(n) if mat[c + 1][0]]
-    spatial = _flow([row[1:] for row in mat[1:]], n)
     conf = [(d, _small(mat[0][d + 1])) for d in range(n) if mat[0][d + 1]]
-    raw: Dict[Tuple[int, int], Terms] = {}
+    raw = _slot_terms([row[1:] for row in mat[1:]], m, terms)
     for ij, t in terms.items():
-        acc = raw[ij] = {}
-        _add_flow(acc, t, spatial)
+        acc = raw[ij]
         for e, v in t.items():
             for c, f in trans:
                 if e[c]:
@@ -407,11 +400,6 @@ def algebra_action_aspect(a, m: SphereTensor, k: int | None = None) -> SphereTen
                     key = list(e)
                     key[d] += 1
                     _add(acc, tuple(key), v, f * deg)
-    # -(A^T m + m A)_cd = -A^e_c m_ed - A^e_d m_ec, kept on c <= d; f = -A^e_c
-    for e, c, f in spatial:
-        for d in range(n):
-            acc = raw.setdefault(sorted_pair((c, d)), {})
-            _add_scaled(acc, terms.get(sorted_pair((e, d)), _EMPTY), f * (2 if c == d else 1))
     comp = _project_terms(n, raw)[0]
     if k:
         # -k phi m = k M^0_d x^d m
@@ -491,26 +479,3 @@ def sample_tensor(m: SphereTensor, nodes: np.ndarray) -> np.ndarray:
             out[:, i, j] += complex(c).real * np.prod(nodes ** np.array(e), axis=1)
         out[:, j, i] = out[:, i, j]
     return out
-
-
-# ---------------------------------------------------------------------------
-# random transverse test data
-# ---------------------------------------------------------------------------
-
-
-def random_mass_aspect(n: int, k: int, rng, degree: int = 2, gaussian: bool = False) -> SphereTensor:
-    """Random rational symmetric tensor, transversalized to order k."""
-    comp = {}
-    for i in range(n):
-        for j in range(i, n):
-            p = ExactPoly.zero(n)
-            for d in range(degree + 1):
-                for e in monomials_of_degree(n, d):
-                    if rng.random() < 0.3:
-                        c = F(rng.randint(-4, 4), rng.randint(1, 3))
-                        if gaussian:
-                            c = c + rng.randint(-2, 2) * I
-                        if c:
-                            p = p + ExactPoly.monomial(n, e, c)
-            comp[(i, j)] = p
-    return transversalize(SphereTensor(n, k, comp), k)

@@ -35,9 +35,9 @@ The term-map helpers (:func:`_add_shifted`, :func:`_add_flow` and their
 kin) act on the ``terms`` dict of a polynomial in place: a product by
 one coordinate, a second derivative and the derivation -(MX).d of a
 matrix become exponent shifts.  They are the one set behind the
-term-level actions of the package: the aspect action of
-:mod:`ahmass.massaspect`, the tensor slot action, the linearized Riemann
-tensor and the radial contraction of :mod:`ahmass.weyl`, and
+term-level actions of the package: the tensor slot action, the aspect
+action of :mod:`ahmass.massaspect`, the linearized Riemann tensor and the
+radial contraction of :mod:`ahmass.weyl`, and
 :func:`ahmass.lorentz.algebra_act_on_poly`.
 :func:`_cleared` and :func:`_over` carry rational term maps to integer
 numerators over one common denominator and back, so that such a pass can
@@ -48,7 +48,13 @@ run on ints.
 aspects).  It keeps the components in a ``comp`` map from canonical
 stored keys to nonzero polynomials and supplies the signed lookup and
 the linear operations; a subclass states only its fields and its layout
-through the hooks ``nvars``, ``_key``, ``_slot`` and ``_reduce``.
+through the hooks ``nvars``, ``layout``, ``_key``, ``_slot`` and
+``_reduce``.  ``layout`` is one cached table per layout and size, from
+each stored key to its index tuple in layout order (:func:`sym2_layout`
+for symmetric 2-tensors and aspects).  Construction rejects a key outside
+it, and so(n,1) acts on every such tensor by the one slot action that
+reads it, :func:`slot_action`, a scatter over the stored components
+whose term-map core :func:`_slot_terms` the aspect action also runs.
 
 :func:`coordinates` is the one reader of the unit coordinates of a
 polynomial, a tensor or a sequence of polynomials, for joint kernels and
@@ -746,14 +752,22 @@ def sorted_pair(key: Tuple[int, int]) -> Tuple[int, int]:
     return key if a <= b else (b, a)
 
 
+@lru_cache(maxsize=None)
+def sym2_layout(n: int) -> Mapping[Tuple[int, int], Tuple[int, int]]:
+    """Layout of a symmetric 2-tensor in n variables: each pair i <= j, its own index tuple, in order (cached, read-only)."""
+    return MappingProxyType({(i, j): (i, j) for i in range(n) for j in range(i, n)})
+
+
 class PolyTensor:
     """Base of dataclasses whose ``comp`` field maps stored keys to polynomials.
 
     A subclass is a ``@dataclass(eq=False)`` with its fields and a layout:
 
     * ``nvars`` -- the variable count of the components;
-    * ``_key(key)`` -- the canonical stored key of a stored key; it raises
-      ``ValueError`` on a key the layout does not admit;
+    * ``layout`` -- the cached table of the layout at the tensor's size,
+      in layout order, from each stored key to its index tuple;
+    * ``_key(key)`` -- the canonical stored key of a key (the key itself
+      by default);
     * ``_slot(*indices)`` -- stored key and sign (+1 or -1) of an index
       tuple, or None where the layout forces a zero (by default the index
       tuple is a stored key, canonicalized by ``_key``, with sign +1);
@@ -762,16 +776,27 @@ class PolyTensor:
 
     Construction merges the components of equal canonical keys, reduces
     them and drops the zero ones, so ``==`` is structural: equal fields
-    and equal stored terms.
+    and equal stored terms.  A canonical key outside the layout or a
+    component of another variable count raises ``ValueError``, and so do
+    ``+`` and ``-`` unless both tensors have one type and equal fields
+    besides ``comp``.
     """
 
     def __post_init__(self):
-        merged: Dict[tuple, ExactPoly] = {}
+        layout, merged = self.layout, {}
         for key, p in self.comp.items():
             key = self._key(key)
+            if key not in layout:
+                raise ValueError(f"{type(self).__name__} stores no key {key}")
+            if p.nvars != self.nvars:
+                raise ValueError(f"component {key} has {p.nvars} variables, expected {self.nvars}")
             prev = merged.get(key)
             merged[key] = p if prev is None else prev + p
         self.comp = {key: r for key, p in merged.items() if not (r := self._reduce(p)).is_zero()}
+
+    @staticmethod
+    def _key(key):
+        return key
 
     def _slot(self, *indices: int):
         return self._key(indices), 1
@@ -779,6 +804,10 @@ class PolyTensor:
     @staticmethod
     def _reduce(p: ExactPoly) -> ExactPoly:
         return p
+
+    def _fields(self) -> list:
+        """The values of the fields besides ``comp``."""
+        return [getattr(self, f.name) for f in fields(self) if f.name != "comp"]
 
     def get(self, *indices: int) -> ExactPoly:
         """The component at an index tuple, with the sign of the layout; zero where none is stored."""
@@ -792,6 +821,8 @@ class PolyTensor:
         return replace(self, comp={key: fn(p) for key, p in self.comp.items()})
 
     def __add__(self, other):
+        if type(other) is not type(self) or other._fields() != self._fields():
+            raise ValueError("+ and - need two tensors of one type with equal fields besides comp")
         comp = dict(self.comp)
         for key, p in other.comp.items():
             prev = comp.get(key)
@@ -820,10 +851,51 @@ class PolyTensor:
         if type(other) is not type(self):
             return NotImplemented
         return (
-            all(getattr(self, f.name) == getattr(other, f.name) for f in fields(self) if f.name != "comp")
+            self._fields() == other._fields()
             and self.comp.keys() == other.comp.keys()
             and all(p.terms == other.comp[key].terms for key, p in self.comp.items())
         )
+
+
+def _slot_terms(mat, t: PolyTensor, terms: Mapping) -> Dict[tuple, Terms]:
+    """The slot action of a matrix on term maps ``terms`` keyed by stored keys of ``t``.
+
+    ``t`` gives the layout and the signed lookup; ``terms`` holds its
+    own term maps or their integer numerators.  The ``_slot`` of each
+    I[r -> s] of the layout under a nonzero a^s_{I_r} gives a table from
+    stored source keys to (target key, signed matrix entry); each term map
+    adds -(aX).d of itself into its own key (:func:`_add_flow`) and
+    itself, scaled, into each of its targets.  Returns the sums, unordered
+    and with cancelled terms left in place.
+    """
+    nv = t.nvars
+    flow = _flow(mat, nv)
+    column = [[(s, -_small(mat[s][i])) for s in range(nv) if mat[s][i]] for i in range(nv)]
+    targets = {}
+    for key, idx in t.layout.items():
+        for r, i in enumerate(idx):
+            for s, c in column[i]:
+                hit = t._slot(*idx[:r], s, *idx[r + 1 :])
+                if hit is not None and hit[0] in terms:
+                    targets.setdefault(hit[0], []).append((key, c * hit[1]))
+    acc = {}
+    for key, source in terms.items():
+        _add_flow(acc.setdefault(key, {}), source, flow)
+        for target, c in targets.get(key, ()):
+            _add_scaled(acc.setdefault(target, {}), source, c)
+    return acc
+
+
+def slot_action(mat, t: PolyTensor) -> PolyTensor:
+    """(a.T)_I = -(aX).d T_I - sum_r a^s_{I_r} T_{I[r -> s]} for every covariant tensor.
+
+    ``mat`` is an algebra element or its matrix; I[r -> s] is the index
+    tuple I with its r-th index replaced by s.  One pass of
+    :func:`_slot_terms` over the stored components; the result keeps the
+    order of the layout.
+    """
+    acc = _slot_terms(mat.matrix if hasattr(mat, "matrix") else mat, t, {key: p.terms for key, p in t.comp.items()})
+    return replace(t, comp={key: _poly(t.nvars, acc[key]) for key in t.layout if key in acc})
 
 
 def coordinates(v):

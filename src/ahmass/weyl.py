@@ -39,19 +39,15 @@ sum_nu eta_nu e_nu (x) d_nu.  On the images route, the highest-weight
 system on symmetric 2-tensors is one :func:`ahmass.linalg.joint_kernel`
 of the maps a solution must send to zero (:func:`hw_vectors_sym2`).
 
-so(n,1) acts on every covariant polynomial tensor by one slot action
-(:func:`_slot_action`), (a.T)_I = -(aX).d T_I - sum_r a^s_{I_r} T_{I[r -> s]};
-:func:`algebra_action_sym2` and :func:`algebra_action_tensor4` are its
-two instances.  It scatters: the layout's ``_slot``
-(:class:`ahmass.poly.PolyTensor`) tells which entries each stored
-component reaches, and only stored components are read.  It is one
-term-level pass on the term map helpers of :mod:`ahmass.poly`, which the
-aspect action of :mod:`ahmass.massaspect` and
-:func:`ahmass.lorentz.algebra_act_on_poly` share: -(aX).d is a set of
-exponent shifts and each slot term adds a stored component scaled, so no
-intermediate polynomial is formed.  :func:`linearized_riemann` and
-:meth:`PolySym2.radial_contraction` scatter the same way, as second
-derivatives and products by one coordinate.
+Each tensor class states its layout once, as a cached table from
+stored keys to index tuples (:func:`ahmass.poly.sym2_layout`,
+:func:`tensor4_layout`, :func:`form_layout`).  so(n,1) acts on all of
+them by the one slot action of the base,
+:func:`ahmass.poly.slot_action`; :func:`algebra_action_sym2` and
+:func:`algebra_action_tensor4` are its calls on the two layouts.
+:func:`linearized_riemann` and :meth:`PolySym2.radial_contraction`
+scatter the same way over the stored components, as second derivatives
+and products by one coordinate.
 
 The slot action is written without reference to a coordinate system,
 and :func:`hw_vectors_sym2` uses that: it poses its system in the null
@@ -70,10 +66,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .harmonic import Space, _check_closed_form_args, form_signature, monomial_weight, unit_pairing
@@ -89,17 +86,15 @@ from .lorentz import all_generators, cartan_basis, cartan_keys, cartan_rank, nul
 from .poly import (
     ExactPoly,
     PolyTensor,
-    _add_flow,
-    _add_scaled,
     _add_second_derivative,
     _add_shifted,
-    _flow,
     _poly,
-    _small,
     from_coords,
     monomials_of_degree,
     operator_rows,
+    slot_action,
     sorted_pair,
+    sym2_layout,
     to_coords,
     wave_operator,
 )
@@ -124,6 +119,7 @@ class PolySym2(PolyTensor):
     comp: Dict[Tuple[int, int], ExactPoly]
 
     nvars = property(lambda self: self.nv)
+    layout = property(lambda self: sym2_layout(self.nv))
     _key = staticmethod(sorted_pair)
 
     def eta_trace(self) -> ExactPoly:
@@ -166,11 +162,7 @@ def eta_tensor(nv: int) -> PolySym2:
 def sym_gauge(xi: Sequence[ExactPoly]) -> PolySym2:
     """Pure gauge perturbation d_mu xi_nu + d_nu xi_mu (xi covariant)."""
     nv = xi[0].nvars
-    comp = {}
-    for mu in range(nv):
-        for nu in range(mu, nv):
-            comp[(mu, nu)] = xi[nu].diff(mu) + xi[mu].diff(nu)
-    return PolySym2(nv, comp)
+    return PolySym2(nv, {(mu, nu): xi[nu].diff(mu) + xi[mu].diff(nu) for mu, nu in sym2_layout(nv)})
 
 
 def lie_eta(xi_vec: Sequence[ExactPoly]) -> PolySym2:
@@ -190,14 +182,13 @@ def linearized_einstein(h: PolySym2) -> PolySym2:
         divdiv = divdiv + _eta_sign(nu) * div[nu].diff(nu)
     box_tr = wave_operator(tr)
     comp = {}
-    for mu in range(nv):
-        for nu in range(mu, nv):
-            p = -wave_operator(h.get(mu, nu))
-            p = p + div[nu].diff(mu) + div[mu].diff(nu)
-            p = p - tr.diff(mu).diff(nu)
-            if mu == nu:
-                p = p - _eta_sign(mu) * divdiv + _eta_sign(mu) * box_tr
-            comp[(mu, nu)] = p
+    for mu, nu in sym2_layout(nv):
+        p = -wave_operator(h.get(mu, nu))
+        p = p + div[nu].diff(mu) + div[mu].diff(nu)
+        p = p - tr.diff(mu).diff(nu)
+        if mu == nu:
+            p = p - _eta_sign(mu) * divdiv + _eta_sign(mu) * box_tr
+        comp[(mu, nu)] = p
     return PolySym2(nv, comp)
 
 
@@ -211,14 +202,16 @@ def index_pairs(nv: int) -> Tuple[Tuple[int, int], ...]:
     return tuple((mu, nu) for mu in range(nv) for nu in range(mu + 1, nv))
 
 
-def tensor4_slots(nv: int) -> List[Tuple[int, int]]:
-    """Independent components (a <= b) of a Weyl-symmetric 4-tensor, in order.
+@lru_cache(maxsize=None)
+def tensor4_layout(nv: int) -> Mapping[Tuple[int, int], Tuple[int, ...]]:
+    """Layout of a Weyl-symmetric 4-tensor (cached, read-only), in order.
 
-    ``a`` and ``b`` index :func:`index_pairs`; as for Sym^2, the
-    coordinates of a degree-d tensor are monomial index major, slot minor.
+    Each stored key (a, b), a <= b indexing :func:`index_pairs`, maps to
+    its index tuple pairs[a] + pairs[b]; as for Sym^2, the coordinates of
+    a degree-d tensor are monomial index major, slot minor.
     """
-    npairs = len(index_pairs(nv))
-    return [(a, b) for a in range(npairs) for b in range(a, npairs)]
+    pairs = index_pairs(nv)
+    return MappingProxyType({(a, b): pairs[a] + pairs[b] for a in range(len(pairs)) for b in range(a, len(pairs))})
 
 
 @lru_cache(maxsize=None)
@@ -250,6 +243,7 @@ class PolyTensor4(PolyTensor):
     comp: Dict[Tuple[int, int], ExactPoly]
 
     nvars = property(lambda self: self.nv)
+    layout = property(lambda self: tensor4_layout(self.nv))
     _key = staticmethod(sorted_pair)
 
     def _slot(self, mu: int, nu: int, al: int, be: int):
@@ -259,12 +253,11 @@ class PolyTensor4(PolyTensor):
 
     def eta_trace_residuals(self) -> List[ExactPoly]:
         out = []
-        for nu in range(self.nv):
-            for be in range(nu, self.nv):
-                s = ExactPoly.zero(self.nv)
-                for mu in range(self.nv):
-                    s = s + _eta_sign(mu) * self.get(mu, nu, mu, be)
-                out.append(s)
+        for nu, be in sym2_layout(self.nv):
+            s = ExactPoly.zero(self.nv)
+            for mu in range(self.nv):
+                s = s + _eta_sign(mu) * self.get(mu, nu, mu, be)
+            out.append(s)
         return out
 
     def bianchi1_residuals(self) -> List[ExactPoly]:
@@ -290,12 +283,11 @@ class PolyTensor4(PolyTensor):
 @lru_cache(maxsize=None)
 def _riemann_targets(nv: int) -> dict:
     """Stored key of h -> the (slot, i, j, sign) of its terms sign d_i d_j h in :func:`linearized_riemann`."""
-    pairs, out = index_pairs(nv), {}
-    for a, b in tensor4_slots(nv):
-        (mu, nu), (al, be) = pairs[a], pairs[b]
+    out = {}
+    for slot, (mu, nu, al, be) in tensor4_layout(nv).items():
         terms = ((nu, be), mu, al, 1), ((mu, al), nu, be, 1), ((nu, al), mu, be, -1), ((mu, be), nu, al, -1)
         for key, i, j, sign in terms:
-            out.setdefault(sorted_pair(key), []).append(((a, b), i, j, sign))
+            out.setdefault(sorted_pair(key), []).append((slot, i, j, sign))
     return {key: tuple(terms) for key, terms in out.items()}
 
 
@@ -424,7 +416,7 @@ def _Wp_basis(n: int, p: int) -> Tuple[PolyTensor4, ...]:
     """The basis of :func:`build_Wp`, solved once per (n, p)."""
     _check_closed_form_args(n, p)
     nv = n + 1
-    slots = tensor4_slots(nv)
+    slots = list(tensor4_layout(nv))
     sidx = {key: i for i, key in enumerate(slots)}
 
     def slot_row(terms) -> Row:
@@ -438,11 +430,7 @@ def _Wp_basis(n: int, p: int) -> Tuple[PolyTensor4, ...]:
         return {j: v for j, v in row.items() if v}
 
     triples = list(combinations(range(nv), 3))
-    trace = [
-        slot_row([(_eta_sign(mu), (mu, nu, mu, be)) for mu in range(nv)])
-        for nu in range(nv)
-        for be in range(nu, nv)
-    ]
+    trace = [slot_row([(_eta_sign(mu), (mu, nu, mu, be)) for mu in range(nv)]) for nu, be in sym2_layout(nv)]
     bianchi1 = [
         slot_row([(1, (x, y, z, be)) for x, y, z in _cyclic(*t)]) for t in triples for be in range(nv)
     ]
@@ -469,6 +457,12 @@ def _Wp_basis(n: int, p: int) -> Tuple[PolyTensor4, ...]:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def form_layout(nv: int, k: int) -> Mapping[Tuple[int, ...], Tuple[int, ...]]:
+    """Layout of a k-form: each increasing index tuple, its own stored key, in order (cached, read-only)."""
+    return MappingProxyType({idx: idx for idx in combinations(range(nv), k)})
+
+
 @dataclass(eq=False)
 class PolyForm(PolyTensor):
     """Exterior k-form with polynomial coefficients, stored on increasing index tuples."""
@@ -478,11 +472,7 @@ class PolyForm(PolyTensor):
     comp: Dict[Tuple[int, ...], ExactPoly]
 
     nvars = property(lambda self: self.nv)
-
-    def _key(self, key: Tuple[int, ...]) -> Tuple[int, ...]:
-        if len(key) != self.k or any(a >= b for a, b in zip(key, key[1:])):
-            raise ValueError(f"bad index tuple {key} for a {self.k}-form")
-        return key
+    layout = property(lambda self: form_layout(self.nv, self.k))
 
     def _slot(self, *indices: int):
         """Sorted indices and the sign of the sorting permutation; None on a repeat."""
@@ -584,11 +574,7 @@ def weyl_to_potential(w: PolyTensor4) -> PolySym2:
     if not exterior_derivative(chi).is_zero():
         raise ValueError("antisymmetric part is not closed")
     v = poincare_homotopy(chi)
-    comp: Dict[Tuple[int, int], ExactPoly] = {}
-    for mu in range(nv):
-        for nu in range(mu, nv):
-            comp[(mu, nu)] = hrow[(mu, nu)] + v.get(mu).diff(nu)
-    h = PolySym2(nv, comp)
+    h = PolySym2(nv, {(mu, nu): hrow[(mu, nu)] + v.get(mu).diff(nu) for mu, nu in sym2_layout(nv)})
     # drop degree-(<2) junk: only the top homogeneous part carries curvature
     check = linearized_riemann(h) - w.scale(F(-1, 2))
     if not check.is_zero():
@@ -610,8 +596,7 @@ def _tensor4_weight(unit) -> Fraction:
     pair by :func:`ahmass.harmonic.monomial_weight`.
     """
     (a, b), e = unit
-    pairs = index_pairs(len(e))
-    (mu, nu), (al, be) = pairs[a], pairs[b]
+    mu, nu, al, be = tensor4_layout(len(e))[(a, b)]
     sgn = _eta_sign(mu) * _eta_sign(nu) * _eta_sign(al) * _eta_sign(be)
     return sgn * 4 * (2 if a != b else 1) * monomial_weight(e)
 
@@ -662,56 +647,19 @@ def signature_Wp_expected(n: int, p: int) -> Tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _slot_action(mat, t: PolyTensor, entries) -> PolyTensor:
-    """(a.T)_I = -(aX).d T_I - sum_r a^s_{I_r} T_{I[r -> s]} for every covariant tensor.
-
-    ``entries`` lists one (stored key, index tuple I) pair per independent
-    component, in layout order; I[r -> s] is I with its r-th index
-    replaced by s.  A scatter over the stored components: the layout's
-    ``_slot`` of each I[r -> s] under a nonzero a^s_{I_r} gives a table
-    from stored source keys to (target key, signed matrix entry), and each
-    stored component adds -(aX).d of itself into its own key (the exponent
-    shifts of :func:`ahmass.poly._add_flow`) and itself, scaled, into each
-    of its targets.  The result keeps the order of ``entries``.
-    """
-    m = mat.matrix if hasattr(mat, "matrix") else mat
-    nv = t.nvars
-    flow = _flow(m, nv)
-    column = [[(s, -_small(m[s][i])) for s in range(nv) if m[s][i]] for i in range(nv)]
-    targets = {}
-    for key, idx in entries:
-        for r, i in enumerate(idx):
-            for s, c in column[i]:
-                hit = t._slot(*idx[:r], s, *idx[r + 1 :])
-                if hit is not None and hit[0] in t.comp:
-                    targets.setdefault(hit[0], []).append((key, c * hit[1]))
-    acc = {}
-    for key, p in t.comp.items():
-        _add_flow(acc.setdefault(key, {}), p.terms, flow)
-        for target, c in targets.get(key, ()):
-            _add_scaled(acc.setdefault(target, {}), p.terms, c)
-    return replace(t, comp={key: _poly(nv, acc[key]) for key, _ in entries if key in acc})
-
-
 def algebra_action_sym2(mat, h: PolySym2) -> PolySym2:
     """(a.h)_{mu nu} = -(aX) d h_{mu nu} - a^s_mu h_{s nu} - a^s_nu h_{mu s}."""
-    return _slot_action(mat, h, [(key, key) for key in _sym2_slots(h.nv)])
+    return slot_action(mat, h)
 
 
 def algebra_action_tensor4(mat, w: PolyTensor4) -> PolyTensor4:
     """The slot action on the four indices of W_{mu nu al be}."""
-    pairs = index_pairs(w.nv)
-    return _slot_action(mat, w, [((a, b), pairs[a] + pairs[b]) for a, b in tensor4_slots(w.nv)])
+    return slot_action(mat, w)
 
 
 # ---------------------------------------------------------------------------
 # highest-weight vectors in the potential spaces
 # ---------------------------------------------------------------------------
-
-
-def _sym2_slots(nv: int) -> List[Tuple[int, int]]:
-    """Independent components (mu <= nu) of a symmetric 2-tensor, in order."""
-    return [(mu, nu) for mu in range(nv) for nu in range(mu, nv)]
 
 
 def _combinations(nv: int, basis: Sequence[PolySym2], rows: List[Row]) -> List[PolySym2]:
@@ -732,7 +680,7 @@ def _weight_units(null: Mapping, degree: int, weight: Sequence) -> List[Tuple[Tu
     weights = [w for _, w in null.values()]
     out = []
     for e in monomials_of_degree(nv, degree):
-        for a, b in _sym2_slots(nv):
+        for a, b in sym2_layout(nv):
             factors = list(e)
             factors[a] += 1
             factors[b] += 1
@@ -829,11 +777,10 @@ def _cov(z: ExactPoly) -> List[object]:
 def _outer_sym(nv: int, f: ExactPoly, u, v) -> PolySym2:
     """f * sym(u (x) v) = f * (u (x) v + v (x) u) / 2 for covector component lists."""
     comp = {}
-    for mu in range(nv):
-        for nu in range(mu, nv):
-            c = (u[mu] * v[nu] + u[nu] * v[mu]) / 2
-            if c:
-                comp[(mu, nu)] = f * c
+    for mu, nu in sym2_layout(nv):
+        c = (u[mu] * v[nu] + u[nu] * v[mu]) / 2
+        if c:
+            comp[(mu, nu)] = f * c
     return PolySym2(nv, comp)
 
 

@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from ahmass.linalg import joint_kernel
-from ahmass.poly import ExactPoly, minkowski_norm_poly, monomials_of_degree, wave_operator
-from ahmass.weyl import PolySym2, _combinations, _sym2_slots
+from ahmass.poly import ExactPoly, minkowski_norm_poly, monomials_of_degree, sym2_layout, wave_operator
+from ahmass.weyl import PolySym2, _combinations
 
 
 def _expansion(p: ExactPoly, d: int, norm: ExactPoly) -> List[ExactPoly]:
@@ -73,6 +73,6 @@ def transverse_solution_space(n: int, degree: int) -> List[PolySym2]:
     """
     nv = n + 1
     monos = monomials_of_degree(nv, degree)
-    units = [PolySym2(nv, {s: ExactPoly.monomial(nv, e)}) for e in monos for s in _sym2_slots(nv)]
+    units = [PolySym2(nv, {s: ExactPoly.monomial(nv, e)}) for e in monos for s in sym2_layout(nv)]
     maps = [PolySym2.box, PolySym2.eta_trace, PolySym2.radial_contraction]
     return _combinations(nv, units, joint_kernel(units, maps))

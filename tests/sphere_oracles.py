@@ -18,10 +18,13 @@ sphere calculus (covariant derivative, projected spatial term, conformal
 factor by general products) that of the term-level
 :func:`ahmass.massaspect.algebra_action_aspect`; that action run on the
 ``Fraction`` terms of a rational aspect (:func:`uncleared_action`) is the
-oracle of its run on their integer numerators; the composition of the
+oracle of its run on their integer numerators, and the flat Lie
+derivative of the metric perturbation f^(k-2) m along the Killing field
+of the ball model (:func:`lie_derivative_action_oracle`) is an
+independent derivation of its decay weight; the composition of the
 tensor slot action from derivatives and polynomial products
 (:func:`slot_action_oracle`) is that of the term-level
-:func:`ahmass.weyl._slot_action`, and the other gathers through the
+:func:`ahmass.poly.slot_action`, and the other gathers through the
 signed lookup ``get`` over every index tuple are the oracles of the
 scatters over stored components: :func:`linearized_riemann_oracle`,
 :func:`radial_contraction_oracle` and :func:`weyl_density_oracle` (whose
@@ -29,6 +32,9 @@ bivector pairing reads W at every pair of index pairs; the masses of
 :func:`mass_oracle` pair with it); the highest-weight solve posed in X
 coordinates (:func:`hw_vectors_sym2_oracle`) is the oracle of the
 null-frame :func:`ahmass.weyl.hw_vectors_sym2`.
+
+:func:`random_mass_aspect` and :func:`rational_sphere_point` make the
+seeded aspects and the exact sphere points the tests run on.
 """
 
 from dataclasses import replace
@@ -49,6 +55,7 @@ from ahmass.massaspect import (
     _project_slots,
     algebra_action_aspect,
     sphere_covariant_derivative,
+    transversalize,
 )
 from ahmass.poly import (
     ExactPoly,
@@ -57,6 +64,7 @@ from ahmass.poly import (
     sphere_monomial_integral,
     sphere_pairing,
     sphere_restrict,
+    sym2_layout,
 )
 from ahmass.weyl import (
     PolySym2,
@@ -64,11 +72,9 @@ from ahmass.weyl import (
     _combinations,
     _cov,
     _outer_sym,
-    _sym2_slots,
     algebra_action_sym2,
     algebra_action_tensor4,
-    index_pairs,
-    tensor4_slots,
+    tensor4_layout,
 )
 
 
@@ -108,6 +114,27 @@ def rational_sphere_point(t) -> tuple:
     """Inverse stereographic image of t in Q^{n-1}: an exact point of S^{n-1}."""
     s = sum(ti * ti for ti in t)
     return tuple(2 * ti / (s + 1) for ti in t) + ((s - 1) / (s + 1),)
+
+
+def random_mass_aspect(n: int, k: int, rng, degree: int = 2, gaussian: bool = False) -> SphereTensor:
+    """Random rational symmetric tensor of degree <= ``degree``, transversalized to order k.
+
+    About 3 in 10 monomials of each component get a coefficient; with
+    ``gaussian`` each coefficient also gets an integral imaginary part.
+    """
+    comp = {}
+    for ij in sym2_layout(n):
+        p = ExactPoly.zero(n)
+        for d in range(degree + 1):
+            for e in monomials_of_degree(n, d):
+                if rng.random() < 0.3:
+                    c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    if gaussian:
+                        c = c + rng.randint(-2, 2) * I
+                    if c:
+                        p = p + ExactPoly.monomial(n, e, c)
+        comp[ij] = p
+    return transversalize(SphereTensor(n, k, comp), k)
 
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -279,19 +306,58 @@ def uncleared_action(a, m, k: int):
         return massaspect.algebra_action_aspect(a, replace(m), k)
 
 
-def slot_action_oracle(mat, t, entries):
+def ball_killing_field(mat):
+    """(xi, phi) of a matrix M of so(n,1) on the ball model, as polynomials in x^1 .. x^n.
+
+    xi^c = M^c_0 (1 + |x|^2) / 2 + M^c_d x^d - x^c M^0_d x^d and
+    phi = -M^0_d x^d; xi is a Killing field of b = f^-2 delta with
+    f = (1 - |x|^2) / 2, because xi(f) = phi f and L_xi delta = 2 phi delta.
+    """
+    n = len(mat) - 1
+    x = [ExactPoly.variable(n, c) for c in range(n)]
+    half = (sum((xc * xc for xc in x), ExactPoly.zero(n)) + 1) / 2
+    phi = -sum((x[d] * mat[0][d + 1] for d in range(n)), ExactPoly.zero(n))
+    xi = [
+        half * mat[c + 1][0] + sum((x[d] * mat[c + 1][d + 1] for d in range(n)), ExactPoly.zero(n)) + x[c] * phi
+        for c in range(n)
+    ]
+    return xi, phi
+
+
+def lie_derivative_action_oracle(a, m, k: int):
+    """-Pi [(k - 2) phi m + L_xi m] Pi: the weighted action from the metric b + f^(k-2) m.
+
+    With xi and phi from :func:`ball_killing_field`, L_xi b = 0 and
+    L_xi (f^(k-2) m) = f^(k-2) [(k - 2) phi m + L_xi m], where
+    (L_xi m)_ij = xi^c d_c m_ij + m_cj d_i xi^c + m_ic d_j xi^c is the flat
+    Lie derivative of the components.  Projected with
+    :func:`project_slots_oracle` and reduced on the sphere, with the decay
+    order of m.
+    """
+    mat = (a if isinstance(a, AlgebraElement) else AlgebraElement(a)).matrix
+    n = m.n
+    xi, phi = ball_killing_field(mat)
+    lie = {}
+    for i, j in sym2_layout(n):
+        entry = m.get(i, j) * phi * (k - 2)
+        for c in range(n):
+            entry = entry + xi[c] * m.get(i, j).diff(c) + m.get(c, j) * xi[c].diff(i) + m.get(i, c) * xi[c].diff(j)
+        lie[(i, j)] = entry
+    return SphereTensor(n, m.k, project_slots_oracle(n, lie)).scale(Fraction(-1))
+
+
+def slot_action_oracle(mat, t):
     """(a.T)_I = -(aX).d T_I - sum_r a^s_{I_r} T_{I[r -> s]}, by polynomial operations.
 
     The linear forms (aX)^s times the derivatives of each component, and
-    the slot terms read through the signed lookup ``t.get``; ``entries``
-    lists (stored key, index tuple) pairs as for
-    :func:`ahmass.weyl._slot_action`.
+    the slot terms read through the signed lookup ``t.get``, for every
+    stored key of the layout of t with its index tuple I.
     """
     m = mat.matrix if hasattr(mat, "matrix") else mat
     nv = t.nvars
     ax = [(s, f) for s, f in enumerate(linear_forms(m)) if f]
     comp = {}
-    for key, idx in entries:
+    for key, idx in t.layout.items():
         base = t.get(*idx)
         p = ExactPoly.zero(nv)
         for s, f in ax:
@@ -309,9 +375,7 @@ def linearized_riemann_oracle(h: PolySym2) -> PolyTensor4:
     stored slot at a time from the four components ``h.get`` it reads."""
     nv = h.nv
     comp = {}
-    pairs = index_pairs(nv)
-    for a, b in tensor4_slots(nv):
-        (mu, nu), (al, be) = pairs[a], pairs[b]
+    for key, (mu, nu, al, be) in tensor4_layout(nv).items():
         p = (
             h.get(nu, be).diff(mu).diff(al)
             + h.get(mu, al).diff(nu).diff(be)
@@ -319,7 +383,7 @@ def linearized_riemann_oracle(h: PolySym2) -> PolyTensor4:
             - h.get(mu, be).diff(nu).diff(al)
         )
         if not p.is_zero():
-            comp[(a, b)] = p / (-2)
+            comp[key] = p / (-2)
     return PolyTensor4(nv, comp)
 
 
@@ -345,7 +409,7 @@ def weight_basis_oracle(n: int, degree: int, weight) -> list:
     covs = [_cov(z) for z in forms]
     out = []
     for e in monomials_of_degree(nv, degree):
-        for a, b in _sym2_slots(nv):
+        for a, b in sym2_layout(nv):
             factors = list(e)
             factors[a] += 1
             factors[b] += 1

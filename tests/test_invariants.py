@@ -36,15 +36,18 @@ from ahmass.lorentz import (
     named_generators,
     raising_operators,
 )
-from ahmass.massaspect import (
-    SphereTensor,
-    _project_slots,
-    algebra_action_aspect,
-    random_mass_aspect,
-)
+from ahmass.massaspect import SphereTensor, _project_slots, algebra_action_aspect
 from ahmass.poly import ExactPoly, coordinates, monomials_of_degree, sphere_integral, sphere_pairing, sphere_restrict
-from ahmass.weyl import PolyTensor4, algebra_action_tensor4, build_Wp, tensor4_slots
-from sphere_oracles import act_on_dual, equivariance_oracle, mass_oracle, pair, pair_oracle, weyl_density_oracle
+from ahmass.weyl import PolyTensor4, algebra_action_tensor4, build_Wp, tensor4_layout
+from sphere_oracles import (
+    act_on_dual,
+    equivariance_oracle,
+    mass_oracle,
+    pair,
+    pair_oracle,
+    random_mass_aspect,
+    weyl_density_oracle,
+)
 
 F = Fraction
 
@@ -487,7 +490,7 @@ def test_weyl_density_is_the_gather_density_on_random_tensors(n, gaussian, spars
     # a random half of them, and then each slot alone
     rng = random.Random(40 * n + 2 * gaussian + sparse)
     nv = n + 1
-    slots = tensor4_slots(nv)
+    slots = list(tensor4_layout(nv))
     monos = monomials_of_degree(nv, 1)
 
     def tensor(keys):
@@ -612,7 +615,7 @@ def _defining_weyl_integral(m, w, sign):
 def _random_tensor4(nv, degree, rng):
     """A PolyTensor4 with random entries on every slot; no Weyl constraint holds."""
     terms = [(e, F(rng.randint(-3, 3), rng.randint(1, 2))) for e in monomials_of_degree(nv, degree)]
-    return PolyTensor4(nv, {slot: ExactPoly(nv, dict(rng.sample(terms, min(2, len(terms))))) for slot in tensor4_slots(nv)})
+    return PolyTensor4(nv, {slot: ExactPoly(nv, dict(rng.sample(terms, min(2, len(terms))))) for slot in tensor4_layout(nv)})
 
 
 @pytest.mark.parametrize("n,n1,signs", [(3, 0, (0, 1, -1)), (3, 1, (0, 1, -1)), (4, 0, (0,))])

@@ -35,7 +35,6 @@ from ahmass.lorentz import (
     null_raising_operators,
     rational_boost,
     rational_rotation,
-    rational_sphere_point,
     raising_operators,
     root_of_operator,
     rotation_generator,
@@ -43,6 +42,7 @@ from ahmass.lorentz import (
     u_of_A,
 )
 from ahmass.weyl import algebra_action_tensor4, build_Wp
+from sphere_oracles import rational_sphere_point
 
 F = Fraction
 ONE = ExactPoly.constant(4, 1)
@@ -50,6 +50,8 @@ ONE = ExactPoly.constant(4, 1)
 
 def test_rational_boost_identity():
     assert rational_boost(3, 1, F(1), F(0)) == identity_element(3)
+    # ints are exact and become Fractions
+    assert rational_boost(3, 1, 1, 0) == identity_element(3)
 
 
 def test_rational_boost_matrix():
@@ -433,6 +435,33 @@ def test_real_coefficients_of_the_null_frame_are_fractions(n):
     coefs += [c for _, m in raising_operators(n) for row in m for c in row]
     coefs += [c for z, _ in null_coordinates(n).values() for c in z.terms.values()]
     assert all(type(c) is Fraction or type(c) is GaussianRational and c.im for c in coefs)
+
+
+@pytest.mark.parametrize(
+    "make,match",
+    [
+        (lambda: LorentzElement([[True, 0], [0, 1]]), "inexact"),
+        (lambda: LorentzElement([[1.0, 0], [0, 1]]), "inexact"),
+        (lambda: LorentzElement([[1, 0], [0, GaussianRational(1, 1)]]), "not real"),
+        # 0.3 would have become the binary value 5404319552844595 / 2^54
+        (lambda: boost_from_parameter(3, 1, 0.3), "inexact"),
+        (lambda: boost_from_parameter(3, 1, GaussianRational(0, F(1, 3))), "not real"),
+        (lambda: rational_boost(3, 1, 1.25, F(3, 4)), "inexact"),
+        (lambda: rational_rotation(3, 1, 2, F(3, 5), np.float64(0.8)), "inexact"),
+        (lambda: rational_rotation(3, 1, 2, True, False), "inexact"),
+        (lambda: ball_action(identity_element(3), (0.5, F(0), F(0))), "inexact"),
+        (lambda: sphere_action(identity_element(3), (True, F(0), F(0))), "inexact"),
+        (lambda: u_of_A(identity_element(3), (F(1), GaussianRational(0, 1), F(0))), "not real"),
+        (lambda: u_of_A(identity_element(3), (1.0, F(0), F(0))), "inexact"),
+    ],
+    ids=[
+        "element-bool", "element-float", "element-gaussian", "parameter-float", "parameter-gaussian",
+        "boost-float", "rotation-numpy", "rotation-bool", "ball-float", "sphere-bool", "u-gaussian", "u-float",
+    ],
+)
+def test_finite_constructors_take_exact_real_input_only(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 @pytest.mark.parametrize("bad", [0.5, True, np.float64(1.0)], ids=["float", "bool", "numpy"])

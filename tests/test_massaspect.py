@@ -27,7 +27,6 @@ from ahmass.massaspect import (
     boost_action,
     boost_field,
     group_action_numeric,
-    random_mass_aspect,
     rotation_action,
     round_metric_tensor,
     sample_tensor,
@@ -36,8 +35,11 @@ from ahmass.massaspect import (
 )
 from ahmass.poly import ExactPoly, quadric_normal_form, sphere_integral, vanishes_on_sphere
 from sphere_oracles import (
+    ball_killing_field,
+    lie_derivative_action_oracle,
     polys,
     project_slots_oracle,
+    random_mass_aspect,
     sphere_ideal,
     square_and_integrate_vanishes,
     uncleared_action,
@@ -293,6 +295,31 @@ def test_weighted_action_is_the_calculus_composition(n, degree, gaussian):
     elements = [g for _, g in all_generators(n)] + [raising_operators(n)[0][1]]
     for a, k in zip(elements, itertools.cycle((-3, 0, 2, 5))):
         assert algebra_action_aspect(a, m, k) == weighted_action_oracle(a, m, k), k
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_ball_killing_field_preserves_the_ball_metric(n):
+    # with f = (1 - |x|^2) / 2, xi(f) = phi f and
+    # f^3 (L_xi b)_ij = f (d_i xi^j + d_j xi^i) - 2 xi(f) delta_ij vanish as polynomials
+    f = sphere_ideal(n) / (-2)
+    for label, g in all_generators(n):
+        xi, phi = ball_killing_field(g.matrix)
+        xi_f = sum((xi[c] * f.diff(c) for c in range(n)), ExactPoly.zero(n))
+        assert xi_f == phi * f, label
+        for i, j in itertools.product(range(n), repeat=2):
+            assert f * (xi[j].diff(i) + xi[i].diff(j)) == (2 * xi_f if i == j else 0), (label, i, j)
+
+
+@pytest.mark.parametrize("n,k,degree", [(3, 3, 2), (3, 5, 1), (4, 2, 1)])
+def test_weighted_action_is_the_lie_derivative_of_the_metric(n, k, degree):
+    # an independent derivation of the decay weight: every generator
+    # agrees at the order k of the aspect, and no boost at k + 1
+    m = random_mass_aspect(n, k, random.Random(20 * n + k), degree=degree)
+    for label, g in all_generators(n):
+        got = algebra_action_aspect(g, m, k)
+        assert got == lie_derivative_action_oracle(g, m, k), label
+        if label.startswith("a_"):
+            assert got != lie_derivative_action_oracle(g, m, k + 1), label
 
 
 def typed_terms(t: SphereTensor) -> dict:

@@ -524,6 +524,50 @@ def test_signed_lookup_follows_the_layout():
             PolyForm(nv, 2, {bad: x})
 
 
+LAYOUTS = {
+    # a constructor, a key outside the layout and a component of the right variable count
+    "sym2": (lambda comp: PolySym2(4, comp), (0, 7), X(4, 0)),
+    "tensor4": (lambda comp: PolyTensor4(4, comp), (0, 99), X(4, 0)),
+    "sphere": (lambda comp: SphereTensor(3, 2, comp), (0, 5), X(3, 0)),
+    "form": (lambda comp: PolyForm(4, 2, comp), (0, 9), X(4, 0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LAYOUTS))
+def test_construction_rejects_keys_outside_the_layout_and_foreign_components(kind):
+    # such a key used to be stored, and the slot action then dropped it
+    # without a word; a component of another variable count was stored too
+    make, bad, x = LAYOUTS[kind]
+    with pytest.raises(ValueError, match="stores no key"):
+        make({bad: x})
+    with pytest.raises(ValueError, match="variables"):
+        make({(0, 1): X(x.nvars + 1, 0)})
+    t = make({(0, 1): x})
+    assert t.comp == {(0, 1): x} and (0, 1) in t.layout and bad not in t.layout
+    # the signed lookup reads each index tuple of the layout back at its own key
+    assert all(t._slot(*idx) == (key, 1) for key, idx in t.layout.items())
+    # one table per layout and size, shared and read-only
+    assert t.layout is make({}).layout
+    with pytest.raises(TypeError):
+        t.layout[bad] = bad
+
+
+def test_sum_and_difference_need_one_type_and_equal_fields():
+    x = X(4, 1)
+    mismatched = [
+        (PolySym2(4, {(0, 1): x}), PolyTensor4(4, {(0, 1): x})),
+        (SphereTensor(3, 2, {(0, 1): X(3, 1)}), SphereTensor(3, 3, {(0, 1): X(3, 1)})),
+        (PolySym2(4, {(0, 1): x}), PolySym2(5, {})),
+        (PolyForm(4, 2, {(0, 1): x}), PolyForm(4, 3, {})),
+    ]
+    for a, b in mismatched:
+        for left, right in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="one type"):
+                left + right
+            with pytest.raises(ValueError, match="one type"):
+                left - right
+
+
 # ---------------------------------------------------------------------------
 # unit coordinates
 # ---------------------------------------------------------------------------

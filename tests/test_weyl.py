@@ -20,7 +20,7 @@ from ahmass.lorentz import (
     null_raising_operators,
     raising_operators,
 )
-from ahmass.poly import ExactPoly, minkowski_norm_poly, monomials_of_degree, wave_operator
+from ahmass.poly import ExactPoly, minkowski_norm_poly, monomials_of_degree, slot_action, sym2_layout, wave_operator
 from ahmass.weyl import (
     PolyForm,
     PolySym2,
@@ -31,7 +31,6 @@ from ahmass.weyl import (
     _null_eta_trace,
     _one_transverse,
     _outer_sym,
-    _sym2_slots,
     _units_in_x,
     _weight_units,
     algebra_action_sym2,
@@ -48,7 +47,6 @@ from ahmass.weyl import (
     exterior_derivative,
     hw_vectors_sym2,
     hw_vectors_weyl,
-    index_pairs,
     linearized_einstein,
     linearized_riemann,
     poincare_homotopy,
@@ -56,7 +54,7 @@ from ahmass.weyl import (
     signature_Wp,
     signature_Wp_expected,
     sym_gauge,
-    tensor4_slots,
+    tensor4_layout,
     weyl_to_potential,
     weyl_type_hw_vector,
 )
@@ -518,7 +516,7 @@ def test_weight_basis_is_a_basis_of_weight_vectors(n, degree):
         for h in basis:
             for hmat, lam in zip(hs, weight):
                 assert algebra_action_sym2(hmat, h) == h.scale(F(lam))
-    assert total == len(monomials_of_degree(nv, degree)) * len(_sym2_slots(nv))
+    assert total == len(monomials_of_degree(nv, degree)) * len(sym2_layout(nv))
 
 
 def test_real_coefficients_of_highest_weight_vectors_and_catalogs_are_fractions():
@@ -542,7 +540,7 @@ def random_comp(slots, nv, degree, rng, gaussian):
 
 
 def random_sym2(nv, degree, rng, gaussian):
-    return PolySym2(nv, random_comp(_sym2_slots(nv), nv, degree, rng, gaussian))
+    return PolySym2(nv, random_comp(sym2_layout(nv), nv, degree, rng, gaussian))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -554,20 +552,17 @@ def test_slot_actions_are_the_derivative_composition(n, gaussian):
     rng = random.Random(300 * n + gaussian)
     nv = n + 1
     h = random_sym2(nv, 2, rng, gaussian)
-    w = PolyTensor4(nv, random_comp(tensor4_slots(nv), nv, 2, rng, gaussian))
-    pairs = index_pairs(nv)
-    sym2_entries = [(key, key) for key in _sym2_slots(nv)]
-    tensor4_entries = [((a, b), pairs[a] + pairs[b]) for a, b in tensor4_slots(nv)]
+    w = PolyTensor4(nv, random_comp(tensor4_layout(nv), nv, 2, rng, gaussian))
     mats = [g.matrix for _, g in all_generators(n)] + [m for _, m in raising_operators(n)]
     for m in mats:
-        assert algebra_action_sym2(m, h) == slot_action_oracle(m, h, sym2_entries)
-        assert algebra_action_tensor4(m, w) == slot_action_oracle(m, w, tensor4_entries)
+        assert algebra_action_sym2(m, h) == slot_action_oracle(m, h)
+        assert algebra_action_tensor4(m, w) == slot_action_oracle(m, w)
 
 
 def random_tensor(cls, slots, nv, degree, rng, gaussian, sparse):
     """A tensor with random components in every slot, or in a random half of them."""
     if sparse:
-        slots = rng.sample(slots, len(slots) // 2)
+        slots = rng.sample(list(slots), len(slots) // 2)
     return cls(nv, random_comp(slots, nv, degree, rng, gaussian))
 
 
@@ -580,12 +575,11 @@ def typed_in_order(t):
     return [(key, typed_terms(p)) for key, p in t.comp.items()]
 
 
-def layout_entries(nv):
-    """(tensor class, entries, action) of the symmetric 2-tensor and Weyl 4-tensor layouts."""
-    pairs = index_pairs(nv)
+def layouts(nv):
+    """(tensor class, stored keys, action) of the symmetric 2-tensor and Weyl 4-tensor layouts."""
     return [
-        (PolySym2, [(key, key) for key in _sym2_slots(nv)], algebra_action_sym2),
-        (PolyTensor4, [((a, b), pairs[a] + pairs[b]) for a, b in tensor4_slots(nv)], algebra_action_tensor4),
+        (PolySym2, list(sym2_layout(nv)), algebra_action_sym2),
+        (PolyTensor4, list(tensor4_layout(nv)), algebra_action_tensor4),
     ]
 
 
@@ -593,11 +587,11 @@ def action_matrices(n):
     return [g.matrix for _, g in all_generators(n)] + [m for _, m in raising_operators(n)]
 
 
-def assert_slot_action_is_the_oracle(m, t, entries, action):
+def assert_slot_action_is_the_oracle(m, t, action):
     """Equal to the gather oracle term by term, coefficient types included, with keys in layout order."""
     got = action(m, t)
-    assert typed_in_order(got) == typed_in_order(slot_action_oracle(m, t, entries))
-    assert list(got.comp) == [key for key, _ in entries if key in got.comp]
+    assert typed_in_order(got) == typed_in_order(slot_action_oracle(m, t))
+    assert list(got.comp) == [key for key in t.layout if key in got.comp]
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -609,15 +603,15 @@ def test_scatters_equal_their_gather_oracles(n, gaussian, sparse):
     coefficient types and key order included."""
     rng = random.Random(700 * n + 10 * gaussian + sparse)
     nv = n + 1
-    h = random_tensor(PolySym2, _sym2_slots(nv), nv, 3, rng, gaussian, sparse)
+    h = random_tensor(PolySym2, sym2_layout(nv), nv, 3, rng, gaussian, sparse)
     riemann = linearized_riemann(h)
     assert not riemann.is_zero()
     assert typed_in_order(riemann) == typed_in_order(linearized_riemann_oracle(h))
     assert [typed_terms(p) for p in h.radial_contraction()] == [typed_terms(p) for p in radial_contraction_oracle(h)]
-    w = random_tensor(PolyTensor4, tensor4_slots(nv), nv, 2, rng, gaussian, sparse)
+    w = random_tensor(PolyTensor4, tensor4_layout(nv), nv, 2, rng, gaussian, sparse)
     for m in action_matrices(n):
-        for (_, entries, action), t in zip(layout_entries(nv), (h, w)):
-            assert_slot_action_is_the_oracle(m, t, entries, action)
+        for (_, _, action), t in zip(layouts(nv), (h, w)):
+            assert_slot_action_is_the_oracle(m, t, action)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -628,15 +622,14 @@ def test_slot_action_reads_only_stored_components(n):
     rng = random.Random(800 + n)
     nv = n + 1
     generators = [g.matrix for _, g in all_generators(n)]
-    for cls, entries, action in layout_entries(nv):
-        slots = [key for key, _ in entries]
+    for cls, slots, action in layouts(nv):
         for t in (cls(nv, {}), random_tensor(cls, slots, nv, 1, rng, True, True)):
             for m in action_matrices(n):
-                assert_slot_action_is_the_oracle(m, t, entries, action)
+                assert_slot_action_is_the_oracle(m, t, action)
         for slot in slots:
             t = cls(nv, random_comp([slot], nv, 1, rng, rng.random() < 0.5))
             for m in generators:
-                assert_slot_action_is_the_oracle(m, t, entries, action)
+                assert_slot_action_is_the_oracle(m, t, action)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -644,8 +637,7 @@ def test_slot_action_on_two_forms(n):
     """The Lambda^2 layout: the antisymmetric signs of I[r -> s], dense, sparse and one slot at a time."""
     rng = random.Random(900 + n)
     nv = n + 1
-    entries = [(idx, idx) for idx in itertools.combinations(range(nv), 2)]
-    slots = [key for key, _ in entries]
+    slots = list(itertools.combinations(range(nv), 2))
 
     def form(keys, gaussian):
         return PolyForm(nv, 2, random_comp(keys, nv, 2, rng, gaussian))
@@ -654,17 +646,17 @@ def test_slot_action_on_two_forms(n):
     forms += [form([slot], False) for slot in slots]
     for t in forms:
         for m in action_matrices(n):
-            assert_slot_action_is_the_oracle(m, t, entries, lambda m, t: weyl._slot_action(m, t, entries))
+            assert_slot_action_is_the_oracle(m, t, slot_action)
 
 
 @pytest.mark.parametrize("n,p", [(3, 0), (3, 1), (4, 0), (4, 1)])
 def test_slot_action_on_every_wp_basis_vector_is_the_oracle(n, p):
-    _, entries, action = layout_entries(n + 1)[1]
+    _, _, action = layouts(n + 1)[1]
     gens = dict(all_generators(n))
     mats = [gens["a_1"].matrix, gens["r_12"].matrix, raising_operators(n)[0][1]]
     for w in build_Wp(n, p).basis:
         for m in mats:
-            assert_slot_action_is_the_oracle(m, w, entries, action)
+            assert_slot_action_is_the_oracle(m, w, action)
 
 
 @pytest.mark.parametrize("n", [3, 4])
