@@ -33,6 +33,10 @@ All exact values are relative to Vol(S^{n-1}); each mass is canonical
 only up to one overall constant.  The orientation of the volume form is
 fixed so that J(d_2) = +d_3 at the south pole (-1, 0, ..., 0); the
 opposite choice swaps the two chiral families.
+
+Everything here is exact but :func:`check_equivariance_finite`, the one
+float check of the finite group action; it imports numpy when it runs,
+so importing this module does not.
 """
 
 from __future__ import annotations
@@ -42,8 +46,6 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial, prod
 from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
 
 from .gaussian import GaussianRational, I
 from .harmonic import build_Hp
@@ -394,6 +396,8 @@ def check_equivariance_finite(
         raise ValueError("finite checks cover the conformal and weyl families")
     if m.k != k:
         raise ValueError(f"decay order {m.k} does not match weight {k}")
+    import numpy as np
+
     nodes, weights = sphere_nodes(n, order)
     sampled = group_action_numeric(a, m, k, nodes)
     mass = MassFunctional(family, m)

@@ -111,6 +111,8 @@ class LorentzElement:
     Every entry passes through :func:`_real`: an ``int`` becomes a
     ``Fraction``, and a float, a ``bool`` or a Gaussian rational raises
     ``ValueError``; so do the inputs of the constructors and actions below.
+    The matrix is not mutated after construction, so the inverse is built
+    and checked once, on first use, and kept.
     """
 
     def __init__(self, matrix: Sequence[Sequence]):
@@ -121,15 +123,24 @@ class LorentzElement:
             raise ValueError("matrix does not preserve eta")
         if self.matrix[0][0] <= 0:
             raise ValueError("matrix is not orthochronous")
+        self._inverse = None
 
     @property
     def n(self) -> int:
         return self.dim - 1
 
     def inverse(self) -> "LorentzElement":
-        # A^{-1} = eta A^T eta for eta-orthogonal A
-        eta = eta_matrix(self.dim)
-        return LorentzElement(mat_mul(mat_mul(eta, mat_transpose(self.matrix)), eta))
+        """A^{-1} = eta A^T eta, built once per element; its own inverse is this element.
+
+        Entry (i, j) is A_ji, negated where exactly one of i, j is the time index.
+        """
+        if self._inverse is None:
+            a, dim = self.matrix, self.dim
+            self._inverse = LorentzElement(
+                [[a[j][i] if (i == 0) == (j == 0) else -a[j][i] for j in range(dim)] for i in range(dim)]
+            )
+            self._inverse._inverse = self
+        return self._inverse
 
     def __mul__(self, other: "LorentzElement") -> "LorentzElement":
         return LorentzElement(mat_mul(self.matrix, other.matrix))

@@ -37,6 +37,11 @@ tests it once.  The radial contraction and the round trace are the same
 shifts.  V needs no tangency test there: it is tangent because
 :class:`~ahmass.lorentz.AlgebraElement` validates the isometry condition
 of M.
+
+The finite group action is also sampled numerically, for the one float
+check of :mod:`ahmass.invariants`: :func:`group_action_numeric` and
+:func:`sample_tensor` import numpy when they run, so importing this
+module does not.
 """
 
 from __future__ import annotations
@@ -150,6 +155,7 @@ class SphereTensor(PolyTensor):
 
     nvars = property(lambda self: self.n)
     layout = property(lambda self: sym2_layout(self.n))
+    rank = 2
     _key = staticmethod(sorted_pair)
     _reduce = staticmethod(quadric_normal_form)
 
@@ -469,13 +475,27 @@ def group_action_numeric(
 
 
 def sample_tensor(m: SphereTensor, nodes: np.ndarray) -> np.ndarray:
-    """Values of a real aspect at points (Q, n), shape (Q, n, n); one pass per term."""
+    """Values of a real aspect at points (Q, n), shape (Q, n, n).
+
+    One table of the powers of every coordinate at the points, by
+    cumulative products up to the largest exponent of m; the monomial
+    matrix (T, Q) of a component with T terms is the product of its
+    gathered power rows, and the component is its coefficient vector
+    times that matrix.
+    """
     import numpy as np
 
     _require_real(m)
     out = np.zeros((len(nodes), m.n, m.n))
+    exps = {ij: np.array(list(p.terms)) for ij, p in m.comp.items()}
+    top = max((int(e.max()) for e in exps.values()), default=0)
+    powers = np.ones((top + 1, m.n, len(nodes)))  # powers[d, v] = x_v^d at the points
+    for d in range(1, top + 1):
+        powers[d] = powers[d - 1] * nodes.T
     for (i, j), p in m.comp.items():
-        for e, c in p.terms.items():
-            out[:, i, j] += complex(c).real * np.prod(nodes ** np.array(e), axis=1)
-        out[:, j, i] = out[:, i, j]
+        e = exps[(i, j)]
+        mono = powers[e[:, 0], 0]
+        for v in range(1, m.n):
+            mono = mono * powers[e[:, v], v]
+        out[:, i, j] = out[:, j, i] = np.array([float(c) for c in p.terms.values()]) @ mono
     return out

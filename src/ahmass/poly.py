@@ -55,6 +55,9 @@ for symmetric 2-tensors and aspects).  Construction rejects a key outside
 it, and so(n,1) acts on every such tensor by the one slot action that
 reads it, :func:`slot_action`, a scatter over the stored components
 whose term-map core :func:`_slot_terms` the aspect action also runs.
+Which stored component feeds which under a^s_i is a property of the
+layout alone, so its target table (:func:`_slot_table`) is built once
+per layout, and each action only reads it.
 
 :func:`coordinates` is the one reader of the unit coordinates of a
 polynomial, a tensor or a sequence of polynomials, for joint kernels and
@@ -766,6 +769,7 @@ class PolyTensor:
     * ``nvars`` -- the variable count of the components;
     * ``layout`` -- the cached table of the layout at the tensor's size,
       in layout order, from each stored key to its index tuple;
+    * ``rank`` -- the length of every index tuple;
     * ``_key(key)`` -- the canonical stored key of a key (the key itself
       by default);
     * ``_slot(*indices)`` -- stored key and sign (+1 or -1) of an index
@@ -810,7 +814,18 @@ class PolyTensor:
         return [getattr(self, f.name) for f in fields(self) if f.name != "comp"]
 
     def get(self, *indices: int) -> ExactPoly:
-        """The component at an index tuple, with the sign of the layout; zero where none is stored."""
+        """The component at an index tuple, with the sign of the layout; zero where none is stored.
+
+        A tuple the layout forces to zero (a repeated index of a form)
+        reads zero; one of another length than ``rank`` or with an index
+        outside ``range(nvars)`` raises ``ValueError``.
+        """
+        nv = self.nvars
+        if len(indices) != self.rank:
+            raise ValueError(f"{type(self).__name__} takes {self.rank} indices, got {indices}")
+        for i in indices:
+            if not 0 <= i < nv:
+                raise ValueError(f"index {i} of {indices} is outside range({nv})")
         hit = self._slot(*indices)
         p = None if hit is None else self.comp.get(hit[0])
         if p is None:
@@ -857,32 +872,53 @@ class PolyTensor:
         )
 
 
+_SLOT_TABLES: Dict[tuple, Dict[tuple, list]] = {}
+
+
+def _slot_table(t: PolyTensor) -> Dict[tuple, list]:
+    """Stored source key -> [(s, i, target key, sign)] over the layout of ``t``, built once per layout.
+
+    One entry per stored target key with index tuple I, position r and
+    new index s such that I[r -> s] is the source key with the sign of
+    the layout (i = I_r is the index it replaces), in the order of the
+    layout, then r, then s.  Keyed by the tensor type, ``nvars`` and the
+    keys of the layout, so two layouts of equal length (Lambda^1 and
+    Lambda^3 at nvars = 4) keep apart.
+    """
+    nv, layout = t.nvars, t.layout
+    layout_key = (type(t), nv, tuple(layout))
+    table = _SLOT_TABLES.get(layout_key)
+    if table is None:
+        table = _SLOT_TABLES[layout_key] = {}
+        for key, idx in layout.items():
+            for r, i in enumerate(idx):
+                for s in range(nv):
+                    hit = t._slot(*idx[:r], s, *idx[r + 1 :])
+                    if hit is not None:
+                        table.setdefault(hit[0], []).append((s, i, key, hit[1]))
+    return table
+
+
 def _slot_terms(mat, t: PolyTensor, terms: Mapping) -> Dict[tuple, Terms]:
     """The slot action of a matrix on term maps ``terms`` keyed by stored keys of ``t``.
 
-    ``t`` gives the layout and the signed lookup; ``terms`` holds its
-    own term maps or their integer numerators.  The ``_slot`` of each
-    I[r -> s] of the layout under a nonzero a^s_{I_r} gives a table from
-    stored source keys to (target key, signed matrix entry); each term map
-    adds -(aX).d of itself into its own key (:func:`_add_flow`) and
-    itself, scaled, into each of its targets.  Returns the sums, unordered
-    and with cancelled terms left in place.
+    ``t`` gives the layout, whose target table :func:`_slot_table` is
+    built once; ``terms`` holds its own term maps or their integer
+    numerators.  Each term map adds -(aX).d of itself into its own key
+    (:func:`_add_flow`) and itself, scaled by -a^s_i times the sign, into
+    the target key of each entry of its table with a^s_i != 0.  Returns
+    the sums, unordered and with cancelled terms left in place.
     """
-    nv = t.nvars
-    flow = _flow(mat, nv)
-    column = [[(s, -_small(mat[s][i])) for s in range(nv) if mat[s][i]] for i in range(nv)]
-    targets = {}
-    for key, idx in t.layout.items():
-        for r, i in enumerate(idx):
-            for s, c in column[i]:
-                hit = t._slot(*idx[:r], s, *idx[r + 1 :])
-                if hit is not None and hit[0] in terms:
-                    targets.setdefault(hit[0], []).append((key, c * hit[1]))
+    flow = _flow(mat, t.nvars)
+    neg = [[-_small(c) for c in row] for row in mat]
+    table = _slot_table(t)
     acc = {}
     for key, source in terms.items():
         _add_flow(acc.setdefault(key, {}), source, flow)
-        for target, c in targets.get(key, ()):
-            _add_scaled(acc.setdefault(target, {}), source, c)
+        for s, i, target, sign in table.get(key, ()):
+            c = neg[s][i]
+            if c:
+                _add_scaled(acc.setdefault(target, {}), source, c * sign)
     return acc
 
 

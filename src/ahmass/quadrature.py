@@ -10,15 +10,24 @@ beta_k = k (k + 2a) / ((2k + 2a + 1)(2k + 2a - 1)), and each weight is
 the squared first component of its unit eigenvector.  Weights are
 normalized to sum to one so quadrature values are directly comparable
 with the exact normalized sphere integrals of :mod:`ahmass.poly`.
+
+numpy is imported by the two functions here when they run, not with the
+module, so importing the package leaves it out of a pass that runs no
+quadrature.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _gegenbauer_gauss(order: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes and unnormalized weights of (1 - t^2)^a on [-1, 1]."""
+    import numpy as np
+
     k = np.arange(1, order, dtype=float)
     beta = k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1))
     off = np.sqrt(beta)
@@ -31,6 +40,8 @@ def sphere_nodes(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
 
     Raises ``ValueError`` for n < 2 or an order that is not a positive ``int``.
     """
+    import numpy as np
+
     if n < 2:
         raise ValueError("need n >= 2")
     if type(order) is not int or order < 1:

@@ -120,6 +120,7 @@ class PolySym2(PolyTensor):
 
     nvars = property(lambda self: self.nv)
     layout = property(lambda self: sym2_layout(self.nv))
+    rank = 2
     _key = staticmethod(sorted_pair)
 
     def eta_trace(self) -> ExactPoly:
@@ -244,6 +245,7 @@ class PolyTensor4(PolyTensor):
 
     nvars = property(lambda self: self.nv)
     layout = property(lambda self: tensor4_layout(self.nv))
+    rank = 4
     _key = staticmethod(sorted_pair)
 
     def _slot(self, mu: int, nu: int, al: int, be: int):
@@ -473,6 +475,7 @@ class PolyForm(PolyTensor):
 
     nvars = property(lambda self: self.nv)
     layout = property(lambda self: form_layout(self.nv, self.k))
+    rank = property(lambda self: self.k)
 
     def _slot(self, *indices: int):
         """Sorted indices and the sign of the sorting permutation; None on a repeat."""

@@ -70,6 +70,20 @@ def test_boost_times_inverse():
     assert b.inverse() == binv
 
 
+def test_inverse_is_built_once_per_element(monkeypatch):
+    # each act_on_poly used to build and check a new inverse element
+    a = boost_from_parameter(3, 1, F(1, 3))
+    built = []
+    init = LorentzElement.__init__
+    monkeypatch.setattr(LorentzElement, "__init__", lambda self, m: built.append(1) or init(self, m))
+    p = ExactPoly.variable(4, 1) * ExactPoly.variable(4, 2) + ONE
+    moved = [act_on_poly(a, p) for _ in range(5)]
+    assert len(built) == 1 and all(q == moved[0] for q in moved)
+    assert a.inverse() is a.inverse() and a.inverse().inverse() is a and len(built) == 1
+    assert a * a.inverse() == identity_element(3)
+    assert act_on_poly(a.inverse(), moved[0]) == p
+
+
 def test_invalid_boost_parameters():
     with pytest.raises(ValueError):
         rational_boost(3, 1, F(2), F(1))

@@ -479,6 +479,22 @@ def test_group_action_identity_samples_m():
     assert np.max(np.abs(sampled - direct)) < 1e-12
 
 
+def test_sampling_is_the_per_term_sum():
+    # the power table and the monomial matrix against one float product per
+    # term and node, summed in term order: equal up to the rounding of a few
+    # products and of the summation order
+    rng = random.Random(3)
+    m = random_mass_aspect(3, 4, rng)
+    nodes = fibonacci_nodes(9)
+    sampled = sample_tensor(m, nodes)
+    for q, x in enumerate(nodes):
+        for i, j in itertools.product(range(3), repeat=2):
+            terms = m.get(i, j).terms.items()
+            want = sum(float(c) * math.prod(x[v] ** e[v] for v in range(3)) for e, c in terms)
+            scale = sum(abs(float(c)) for _, c in terms)
+            assert abs(sampled[q, i, j] - want) <= 1e-14 * max(scale, 1)
+
+
 def test_group_action_transversality_at_nodes():
     rng = random.Random(5)
     m = random_mass_aspect(3, 5, rng)

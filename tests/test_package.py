@@ -32,30 +32,46 @@ def test_documented_modules_import():
         importlib.import_module(name)
 
 
-def test_package_imports_without_scipy():
-    """No module of the package loads scipy, which is not a dependency."""
+def loaded_by_importing_the_package(top: str) -> list:
+    """The modules of the top-level package ``top`` in ``sys.modules`` after a
+    fresh interpreter imports every module of ``ahmass``."""
     package = Path(ahmass.__file__).parent
     modules = sorted(path.stem for path in package.glob("*.py") if path.stem != "__init__")
     code = "import sys\n" + "".join(f"import ahmass.{name}\n" for name in modules)
-    code += "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code += f"print(sorted(m for m in sys.modules if m.split('.')[0] == {top!r}))"
     env = dict(os.environ, PYTHONPATH=str(package.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return ast.literal_eval(out.stdout.strip())
+
+
+def test_package_imports_without_scipy():
+    """No module of the package loads scipy, which is not a dependency."""
+    assert loaded_by_importing_the_package("scipy") == []
+
+
+def test_package_imports_without_numpy():
+    """Importing every module leaves numpy unloaded: only the float check of
+    the finite action and the quadrature it runs import it, when they run."""
+    assert loaded_by_importing_the_package("numpy") == []
 
 
 NUMPY_FREE_SMOKE = """
 import sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 from fractions import Fraction
-from ahmass import harmonic, linalg, lorentz, massaspect, poly, weyl
+from ahmass import harmonic, invariants, linalg, lorentz, massaspect, poly, quadrature, weyl
 from ahmass.gaussian import GaussianRational
 basis = harmonic.build_Hp(3, 2).basis
 print(len(lorentz.highest_weight_vectors(basis, lorentz.algebra_act_on_poly, 3, [Fraction(2), Fraction(0)])))
 print(len(weyl.chiral_hw_vector(0, 1).comp))
 x, y, z = (poly.ExactPoly.variable(3, i) for i in range(3))
 aspect = massaspect.SphereTensor(3, 3, {(0, 0): x * y / 2 + 1, (0, 2): z * z - x * Fraction(2, 3), (1, 2): y / 5})
-moved = massaspect.boost_action(1, massaspect.transversalize(aspect))
+m = massaspect.transversalize(aspect)
+moved = massaspect.boost_action(1, m)
 print(sum(len(p.terms) for p in moved.comp.values()), moved.is_transverse())
+print(*invariants.wang_mass_vector(m))
+a_1 = lorentz.named_generators(3)["a_1"]
+print(*(invariants.check_equivariance_infinitesimal("conformal", m, "a_1", a_1, harmonic.build_Hp(3, p).basis) for p in (1, 2)))
 print(weyl.build_Wp(3, 0).dim, weyl.build_Wp(3, 0).basis[0] is weyl.build_Wp(3, 0).basis[0])
 print(*weyl.signature_Wp(3, 1))
 z = GaussianRational(1, 2) * GaussianRational(1, -2)
@@ -66,17 +82,20 @@ print(type(z).__name__, z)
 def test_exact_pipeline_runs_without_numpy():
     """The exact modules import and solve highest-weight kernels with numpy blocked:
     one on H_2 and the null-frame solve behind the n = 3 chiral vector; the
-    weighted action moves a rational aspect on its integer numerators; W_0
-    is built once, so two calls share their basis tensors; the signature of
-    W_1 comes from its sparse integer Gram matrix; a product of Gaussian
-    rationals with a zero imaginary part is a ``Fraction``.
+    weighted action moves a rational aspect on its integer numerators; the
+    masses evaluate the energy-momentum vector of that aspect (k = n) and
+    its conformal equivariance residual under a_1, zero against H_1 and not
+    against H_2; W_0 is built once, so two calls share their basis tensors;
+    the signature of W_1 comes from its sparse integer Gram matrix; a
+    product of Gaussian rationals with a zero imaginary part is a
+    ``Fraction``.
 
     The script runs as is under any interpreter that finds ``src`` on its
     path, with no third-party package installed.
     """
     env = dict(os.environ, PYTHONPATH=str(Path(ahmass.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", NUMPY_FREE_SMOKE], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["1", "10", "114", "True", "10", "True", "12", "12", "Fraction", "5"]
+    assert out.stdout.split() == ["1", "10", "114", "True", "8/9", "0", "0", "14/675", "0", "16/225", "10", "True", "12", "12", "Fraction", "5"]
 
 
 def unused_imports(source: str) -> list:

@@ -534,6 +534,22 @@ LAYOUTS = {
 
 
 @pytest.mark.parametrize("kind", sorted(LAYOUTS))
+def test_lookup_rejects_index_tuples_outside_the_layout(kind):
+    # such a tuple used to read zero (a 2-form at (0, 1, 2) or (1,), a
+    # symmetric 2-tensor at (0, 7)) or raise TypeError (a 4-tensor at (0, 1, 2))
+    make, _, x = LAYOUTS[kind]
+    t = make({(0, 1): x})
+    nv, inside = t.nvars, t.layout[(0, 1)]
+    assert len(inside) == t.rank and t.get(*inside) == x
+    for bad in [inside[:-1], inside + (2,), inside[:-1] + (nv,), inside[:-1] + (7,), (-1,) + inside[1:]]:
+        with pytest.raises(ValueError, match="indices|outside"):
+            t.get(*bad)
+    # a repeated index is a zero the layout forces on a form, not an error
+    if kind == "form":
+        assert t.get(1, 1).is_zero()
+
+
+@pytest.mark.parametrize("kind", sorted(LAYOUTS))
 def test_construction_rejects_keys_outside_the_layout_and_foreign_components(kind):
     # such a key used to be stored, and the slot action then dropped it
     # without a word; a component of another variable count was stored too

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import pytest
 
-from ahmass import weyl
+from ahmass import poly, weyl
 from ahmass.gaussian import GaussianRational, I
 from ahmass.linalg import joint_kernel
 from ahmass.lorentz import (
@@ -20,6 +20,7 @@ from ahmass.lorentz import (
     null_raising_operators,
     raising_operators,
 )
+from ahmass.massaspect import SphereTensor
 from ahmass.poly import ExactPoly, minkowski_norm_poly, monomials_of_degree, slot_action, sym2_layout, wave_operator
 from ahmass.weyl import (
     PolyForm,
@@ -647,6 +648,26 @@ def test_slot_action_on_two_forms(n):
     for t in forms:
         for m in action_matrices(n):
             assert_slot_action_is_the_oracle(m, t, slot_action)
+
+
+def test_slot_tables_keep_layouts_of_equal_length_apart(monkeypatch):
+    """Lambda^1 and Lambda^3 at nv = 4 store 4 keys each, and a symmetric
+    2-tensor and an aspect of one n share sym2_layout: in either order from
+    an empty table cache, every action equals the gather oracle, and each
+    layout builds its table once."""
+    rng = random.Random(950)
+    nv = 4
+    one, three = (PolyForm(nv, k, random_comp(itertools.combinations(range(nv), k), nv, 2, rng, True)) for k in (1, 3))
+    h = PolySym2(3, random_comp(sym2_layout(3), 3, 2, rng, False))
+    m = SphereTensor(3, 2, random_comp(sym2_layout(3), 3, 2, rng, False))
+    assert len(one.layout) == len(three.layout) == 4 and h.layout is m.layout
+    for pair, n in (((one, three), 3), ((three, one), 3), ((h, m), 2), ((m, h), 2)):
+        monkeypatch.setattr(poly, "_SLOT_TABLES", {})
+        for _ in range(2):
+            for t in pair:
+                for mat in action_matrices(n):
+                    assert_slot_action_is_the_oracle(mat, t, slot_action)
+        assert len(poly._SLOT_TABLES) == 2
 
 
 @pytest.mark.parametrize("n,p", [(3, 0), (3, 1), (4, 0), (4, 1)])
