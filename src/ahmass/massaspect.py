@@ -193,7 +193,9 @@ class SphereTensor(PolyTensor):
         return all(vanishes_on_sphere(_poly(self.n, _radial_row(self.n, terms, i))) for i in range(self.n))
 
     def radial_contraction(self, i: int) -> ExactPoly:
-        """sum_j m_ij x^j."""
+        """sum_j m_ij x^j; ``ValueError`` unless i is in ``range(n)``."""
+        if not 0 <= i < self.n:
+            raise ValueError(f"index {i} is outside range({self.n})")
         return _poly(self.n, _radial_row(self.n, self._term_maps(), i))
 
     def is_transverse(self) -> bool:

@@ -90,7 +90,9 @@ class ExactPoly:
 
     Each coefficient given to a constructor and each scalar operand of
     ``+ - * /`` passes through :func:`ahmass.gaussian._exact`: an ``int``
-    becomes a ``Fraction``, and a float or a ``bool`` raises ``ValueError``.
+    becomes a ``Fraction``, and a float or a ``bool`` raises ``ValueError``;
+    each exponent vector given to a constructor passes through
+    :func:`_check_exponents`.
     """
 
     __slots__ = ("nvars", "terms")
@@ -100,8 +102,7 @@ class ExactPoly:
         self.terms: Dict[Exponents, object] = {}
         if terms:
             for e, c in terms.items():
-                if len(e) != nvars:
-                    raise ValueError(f"exponent vector {e} has wrong length")
+                _check_exponents(e, nvars)
                 c = _exact(c)
                 if not _is_zero(c):
                     self.terms[tuple(e)] = c
@@ -250,11 +251,6 @@ class ExactPoly:
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def homogeneous_component(self, d: int) -> "ExactPoly":
-        out = ExactPoly(self.nvars)
-        out.terms = {e: c for e, c in self.terms.items() if sum(e) == d}
-        return out
 
     def substitute(self, values: Sequence["ExactPoly"]) -> "ExactPoly":
         """Plug a polynomial in for every variable.
@@ -420,11 +416,9 @@ def _moment_denominator(n: int, t: int) -> int:
 
 
 def _check_exponents(a, n: int) -> None:
-    """Raise ``ValueError`` unless ``a`` holds n >= 1 non-negative ``int`` exponents (no ``bool``)."""
-    if n < 1:
-        raise ValueError("need at least one variable")
+    """Raise ``ValueError`` unless ``a`` holds n non-negative ``int`` exponents (no ``bool``)."""
     if len(a) != n:
-        raise ValueError(f"exponent vector {a} has length {len(a)}, expected {n}")
+        raise ValueError(f"exponent vector {a} has wrong length {len(a)}, expected {n}")
     for x in a:
         if type(x) is not int:
             raise ValueError(f"exponent {x!r} is not an int")
@@ -440,6 +434,8 @@ def sphere_monomial_integral(exponents: Sequence[int]) -> Fraction:
     ``ValueError`` on an empty, negative or non-``int`` exponent.
     """
     b = tuple(exponents)
+    if not b:
+        raise ValueError("need at least one variable")
     _check_exponents(b, len(b))
     if any(a & 1 for a in b):
         return Fraction(0)
@@ -492,6 +488,8 @@ class _Moments:
         return val
 
     def _sum(self, a: Exponents):
+        if self.n < 1:
+            raise ValueError("need at least one variable")
         _check_exponents(a, self.n)
         group = self.groups.get(_parity(a))
         if group is None:
@@ -576,7 +574,9 @@ def sphere_restrict(p: ExactPoly) -> ExactPoly:
 
 @lru_cache(maxsize=None)
 def monomials_of_degree(nvars: int, degree: int) -> tuple[Exponents, ...]:
-    """All exponent tuples of the given total degree, lexicographic (cached)."""
+    """All exponent tuples of the given total degree, lexicographic (cached); ``ValueError`` below one variable."""
+    if nvars < 1:
+        raise ValueError(f"need at least one variable, got {nvars}")
     if degree < 0:
         return ()
     out: list[Exponents] = []
@@ -623,7 +623,7 @@ def operator_rows(op, nvars: int, degree: int, target_degree: int) -> list[Dict[
     images of the source monomials, keyed by source monomial index (the
     order of :func:`monomials_of_degree`); a negative target degree gives
     no rows.  This is the one place where an operator is assembled from
-    its images of single monomials.
+    its images of single monomials on monomial coordinates.
     """
     target = monomial_index(nvars, target_degree)
     rows: list[Dict[int, object]] = [dict() for _ in target]
@@ -780,8 +780,9 @@ class PolyTensor:
 
     Construction merges the components of equal canonical keys, reduces
     them and drops the zero ones, so ``==`` is structural: equal fields
-    and equal stored terms.  A canonical key outside the layout or a
-    component of another variable count raises ``ValueError``, and so do
+    and equal stored terms.  A canonical key outside the layout, a
+    component that is not an :class:`ExactPoly` or one of another variable
+    count raises ``ValueError``, and so do
     ``+`` and ``-`` unless both tensors have one type and equal fields
     besides ``comp``.
     """
@@ -792,6 +793,8 @@ class PolyTensor:
             key = self._key(key)
             if key not in layout:
                 raise ValueError(f"{type(self).__name__} stores no key {key}")
+            if not isinstance(p, ExactPoly):
+                raise ValueError(f"component {key} is {p!r}, not an ExactPoly")
             if p.nvars != self.nvars:
                 raise ValueError(f"component {key} has {p.nvars} variables, expected {self.nvars}")
             prev = merged.get(key)

@@ -11,8 +11,8 @@ The chain implemented here:
   4-tensors with Weyl symmetries, eta-trace-free and satisfying both
   Bianchi identities, as an exact constraint kernel solved once per
   (n, p) and process;
-* ``poincare_homotopy`` and ``weyl_to_potential`` -- exact integration
-  of a Weyl tensor back to a potential with R(h) = -W/2;
+* ``weyl_to_potential`` -- a potential h with R(h) = -W/2 of a Weyl
+  tensor, by one exact linear solve;
 * the invariant quadratic form on W_p, diagonal on unit coordinates
   (one slot and one monomial) with a weight per unit, and its signature
   from a sparse integer Gram matrix that pairs only basis tensors sharing
@@ -25,19 +25,22 @@ variables X^0..X^n; only the highest-weight solve works in another frame
 (below).
 
 The linear systems take the two routes of :mod:`ahmass.linalg`.  On
-the rows route, W_p and the gauge solve are sparse matrices on monomial
+the rows route, W_p is the kernel of a sparse matrix on monomial
 coordinates, assembled from :func:`ahmass.poly.operator_rows`, the
-matrix of a map between homogeneous forms (Box and d_nu), and
+matrix of a map between homogeneous forms (d_s), and
 :func:`ahmass.linalg.kron_rows`, which forms sum_k A_k (x) B_k with a
-slot or vector factor.  Tensors of degree d have coordinates monomial
-index major, slot minor (:func:`_coords_to_tensor`).  For W_p the slots
-are the pairs of index pairs (:func:`tensor4_slot_sign`) and the
-constraints are I (x) T, I (x) B_1 and sum_s d_s (x) C_s
-(:func:`build_Wp`).  The gauge vector field of :func:`de_donder_fix` is
-laid out component major, so its operators are I (x) Box and
-sum_nu eta_nu e_nu (x) d_nu.  On the images route, the highest-weight
-system on symmetric 2-tensors is one :func:`ahmass.linalg.joint_kernel`
-of the maps a solution must send to zero (:func:`hw_vectors_sym2`).
+slot factor.  Its tensors have coordinates monomial index major, slot
+minor (:func:`_coords_to_tensor`), the slots are the pairs of index
+pairs (:func:`tensor4_slot_sign`) and the constraints are I (x) T,
+I (x) B_1 and sum_s d_s (x) C_s (:func:`build_Wp`).  On the images
+route, a system is posed on unit tensors, one monomial in one slot,
+by the maps that act on them.  The highest-weight system on symmetric
+2-tensors is one :func:`ahmass.linalg.joint_kernel` of the maps a
+solution must send to zero (:func:`hw_vectors_sym2`).  The potential of
+a Weyl tensor is one :func:`ahmass.linalg.joint_solve` of R on the unit
+symmetric 2-tensors (:func:`weyl_to_potential`), and the de Donder gauge
+one of Box and the divergence on the unit covector fields X^e dX^nu,
+component major, stored as 1-forms (:func:`de_donder_fix`).
 
 Each tensor class states its layout once, as a cached table from
 stored keys to index tuples (:func:`ahmass.poly.sym2_layout`,
@@ -69,19 +72,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
+from .gaussian import _exact
 from .harmonic import Space, _check_closed_form_args, form_signature, monomial_weight, unit_pairing
-from .linalg import (
-    Row,
-    identity_rows,
-    joint_kernel,
-    kron_rows,
-    nullspace,
-    solve_min_support,
-)
+from .linalg import Row, joint_kernel, joint_solve, kron_rows, nullspace
 from .lorentz import all_generators, cartan_basis, cartan_keys, cartan_rank, null_coordinates, null_raising_operators
 from .poly import (
     ExactPoly,
@@ -95,7 +92,6 @@ from .poly import (
     slot_action,
     sorted_pair,
     sym2_layout,
-    to_coords,
     wave_operator,
 )
 
@@ -318,11 +314,13 @@ def de_donder_fix(h: PolySym2) -> Tuple[PolySym2, List[ExactPoly]]:
     """Gauge-fix a solution of the linearized Einstein equations.
 
     Returns (h_tilde, xi) with h_tilde = h + d xi + (d xi)^T trace free,
-    divergence free and componentwise wave harmonic.  One exact solve for
-    xi of degree deg h + 1: Box xi_nu = -(div h)_nu + d_nu(tr h)/2 and
-    d.xi = -tr(h)/2.  Free variables are pinned to zero, so the output is
-    deterministic and xi = 0 whenever h is already in the gauge.  h must
-    be homogeneous: every component of one degree, else ``ValueError``.
+    divergence free and componentwise wave harmonic.  One exact solve
+    (:func:`ahmass.linalg.joint_solve`) for the covector field xi of degree
+    deg h + 1: Box xi_nu = -(div h)_nu + d_nu(tr h)/2 and d.xi = -tr(h)/2,
+    over the unit fields X^e dX^nu, component major.  Free coefficients
+    are pinned to zero, so the output is deterministic and xi = 0 whenever
+    h is already in the gauge.  h must be homogeneous: every component of
+    one degree, else ``ValueError``.
     """
     nv = h.nv
     deg = h.degree()
@@ -332,29 +330,16 @@ def de_donder_fix(h: PolySym2) -> Tuple[PolySym2, List[ExactPoly]]:
         raise ValueError("input does not solve the linearized Einstein equations")
     if deg < 0:
         return h, [ExactPoly.zero(nv)] * nv
-    xdeg = deg + 1
-    tr = h.eta_trace()
-    div = h.divergence()
-    # the coordinates of xi are component index major, so the rows are
-    # I (x) Box stacked over sum_nu eta_nu e_nu (x) d_nu
-    nmonos = len(monomials_of_degree(nv, xdeg))
-    box = operator_rows(wave_operator, nv, xdeg, xdeg - 2)
-    rows = kron_rows([(identity_rows(nv), box)], nmonos)
-    div_terms = [
-        ([{nu: F(_eta_sign(nu))}], operator_rows(lambda p, nu=nu: p.diff(nu), nv, xdeg, xdeg - 1))
-        for nu in range(nv)
+    tr, div = h.eta_trace(), h.divergence()
+    monos = monomials_of_degree(nv, deg + 1)
+    units = [PolyForm(nv, 1, {(nu,): ExactPoly.monomial(nv, e)}) for nu in range(nv) for e in monos]
+    maps = [
+        lambda f: f.map(wave_operator),
+        lambda f: sum((_eta_sign(nu) * p.diff(nu) for (nu,), p in f.comp.items()), ExactPoly.zero(nv)),
     ]
-    div_rows = kron_rows(div_terms, nmonos)
-    box_rhs = [to_coords(-div[nu] + tr.diff(nu) / 2, xdeg - 2) for nu in range(nv)]
-    div_rhs = to_coords(tr / (-2), xdeg - 1)
-    rhs_vec = [b.get(t, 0) for b in box_rhs for t in range(len(box))]
-    rhs_vec += [div_rhs.get(t, 0) for t in range(len(div_rows))]
-    sol = solve_min_support(rows + div_rows, nv * nmonos, rhs_vec)
-    parts: List[Row] = [dict() for _ in range(nv)]
-    for flat, c in sol.items():
-        nu, j = divmod(flat, nmonos)
-        parts[nu][j] = c
-    xi = [from_coords(part, nv, xdeg) for part in parts]
+    targets = [PolyForm(nv, 1, {(nu,): tr.diff(nu) / 2 - div[nu] for nu in range(nv)}), tr / -2]
+    (field,) = _combinations(PolyForm(nv, 1, {}), units, [joint_solve(units, maps, targets)])
+    xi = [field.get(nu) for nu in range(nv)]
     out = h + sym_gauge(xi)
     if not out.eta_trace().is_zero():
         raise AssertionError("gauge fixing failed to remove the trace")
@@ -437,7 +422,7 @@ def _Wp_basis(n: int, p: int) -> Tuple[PolyTensor4, ...]:
         slot_row([(1, (x, y, z, be)) for x, y, z in _cyclic(*t)]) for t in triples for be in range(nv)
     ]
     nmonos = len(monomials_of_degree(nv, p))
-    rows = kron_rows([(identity_rows(nmonos), trace + bianchi1)], len(slots))
+    rows = kron_rows([([{m: 1} for m in range(nmonos)], trace + bianchi1)], len(slots))
     bianchi2 = []
     for s in range(nv):
         d_s = operator_rows(lambda f, s=s: f.diff(s), nv, p, p - 1)
@@ -455,7 +440,7 @@ def _Wp_basis(n: int, p: int) -> Tuple[PolyTensor4, ...]:
 
 
 # ---------------------------------------------------------------------------
-# exterior forms and the homotopy operator
+# exterior forms
 # ---------------------------------------------------------------------------
 
 
@@ -485,43 +470,6 @@ class PolyForm(PolyTensor):
         return tuple(sorted(indices)), -1 if inversions % 2 else 1
 
 
-def exterior_derivative(w: PolyForm) -> PolyForm:
-    out: Dict[Tuple[int, ...], ExactPoly] = {}
-    for idx, p in w.comp.items():
-        for mu in range(w.nv):
-            d = p.diff(mu)
-            if d.is_zero():
-                continue
-            ins = w._slot(mu, *idx)
-            if ins is None:
-                continue
-            nidx, sign = ins
-            out[nidx] = out.get(nidx, ExactPoly.zero(w.nv)) + sign * d
-    return PolyForm(w.nv, w.k + 1, out)
-
-
-def poincare_homotopy(w: PolyForm) -> PolyForm:
-    """The cone contraction I_k with omega = d(I_k w) + I_{k+1}(dw).
-
-    On a term with homogeneous coefficient of degree l the radial
-    integral contributes the exact factor 1/(k+l).
-    """
-    if w.k == 0:
-        raise ValueError("the homotopy is defined for k >= 1")
-    out: Dict[Tuple[int, ...], ExactPoly] = {}
-    for idx, p in w.comp.items():
-        degs = {sum(e) for e in p.terms}
-        for l in degs:
-            pl = p.homogeneous_component(l)
-            scale = F(1, w.k + l)
-            for j, mu in enumerate(idx):
-                rest = idx[:j] + idx[j + 1 :]
-                sign = -1 if j % 2 else 1
-                term = ExactPoly.variable(w.nv, mu) * pl * (sign * scale)
-                out[rest] = out.get(rest, ExactPoly.zero(w.nv)) + term
-    return PolyForm(w.nv, w.k - 1, out)
-
-
 # ---------------------------------------------------------------------------
 # Weyl tensor -> potential
 # ---------------------------------------------------------------------------
@@ -530,59 +478,19 @@ def poincare_homotopy(w: PolyForm) -> PolyForm:
 def weyl_to_potential(w: PolyTensor4) -> PolySym2:
     """Exact potential h with R(h) = -W/2 for W satisfying all constraints.
 
-    Four stages of homotopy inversion and correction; every stage checks
-    the closedness it relies on and raises on violation.
+    ``ValueError`` unless W is eta-trace free and satisfies both Bianchi
+    identities.  R lowers the degree by two, so the unknowns are the unit
+    tensors X^e in one slot, of degree d + 2 for each degree d of W, and
+    h is one exact solve (:func:`ahmass.linalg.joint_solve`) with its free
+    coefficients pinned to zero.
     """
-    nv = w.nv
     if not w.satisfies_weyl_constraints():
         raise ValueError("input violates the Weyl constraints")
-    pairs = index_pairs(nv)
-
-    # stage 1: W_{.. al be} = d f^{(al be)} with f = I_2 of the pair 2-form;
-    # f[mu] is the 2-form f_{mu al be} in (al, be)
-    rows: List[Dict[Tuple[int, int], ExactPoly]] = [{} for _ in range(nv)]
-    for (al, be) in pairs:
-        omega = PolyForm(nv, 2, {(mu, nu): w.get(mu, nu, al, be) for (mu, nu) in pairs})
-        if not exterior_derivative(omega).is_zero():
-            raise ValueError("second Bianchi identity fails: pair form not closed")
-        one = poincare_homotopy(omega)
-        for mu in range(nv):
-            rows[mu][(al, be)] = one.get(mu)
-    f = [PolyForm(nv, 2, row) for row in rows]
-
-    # stage 2: make the cyclic sum of f vanish by an exact 2-form shift;
-    # the antisymmetrization of f_{nu al be} dX^nu ^ dX^al ^ dX^be, as f is
-    # already antisymmetric in its last two slots
-    triples = combinations(range(nv), 3)
-    f3 = PolyForm(nv, 3, {(a, b, c): f[a].get(b, c) - f[b].get(a, c) + f[c].get(a, b) for a, b, c in triples})
-    if not exterior_derivative(f3).is_zero():
-        raise ValueError("first Bianchi identity fails: cyclic 3-form not closed")
-    theta = poincare_homotopy(f3.scale(F(-1, 3)))
-    ftil = [f[mu] + theta.map(lambda p, mu=mu: p.diff(mu)) for mu in range(nv)]
-    for a, b, c in product(range(nv), repeat=3):
-        if not (ftil[a].get(b, c) + ftil[b].get(c, a) + ftil[c].get(a, b)).is_zero():
-            raise AssertionError("cyclic correction failed")
-
-    # stage 3: f~_{mu .} = d(potential row) via the homotopy again
-    hrow: Dict[Tuple[int, int], ExactPoly] = {}
-    for mu in range(nv):
-        if not exterior_derivative(ftil[mu]).is_zero():
-            raise ValueError("row form not closed at the potential stage")
-        g = poincare_homotopy(ftil[mu])
-        for be in range(nv):
-            hrow[(mu, be)] = g.get(be)
-
-    # stage 4: symmetrize by a gradient shift
-    chi = PolyForm(nv, 2, {(al, be): hrow[(al, be)] - hrow[(be, al)] for (al, be) in pairs})
-    if not exterior_derivative(chi).is_zero():
-        raise ValueError("antisymmetric part is not closed")
-    v = poincare_homotopy(chi)
-    h = PolySym2(nv, {(mu, nu): hrow[(mu, nu)] + v.get(mu).diff(nu) for mu, nu in sym2_layout(nv)})
-    # drop degree-(<2) junk: only the top homogeneous part carries curvature
-    check = linearized_riemann(h) - w.scale(F(-1, 2))
-    if not check.is_zero():
-        raise AssertionError("potential reconstruction failed")
-    return h
+    nv = w.nv
+    degrees = sorted({sum(e) for p in w.comp.values() for e in p.terms})
+    monos = [e for d in degrees for e in monomials_of_degree(nv, d + 2)]
+    units = [PolySym2(nv, {key: ExactPoly.monomial(nv, e)}) for e in monos for key in sym2_layout(nv)]
+    return _combinations(PolySym2(nv, {}), units, [joint_solve(units, [linearized_riemann], [w.scale(F(-1, 2))])])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -665,9 +573,9 @@ def algebra_action_tensor4(mat, w: PolyTensor4) -> PolyTensor4:
 # ---------------------------------------------------------------------------
 
 
-def _combinations(nv: int, basis: Sequence[PolySym2], rows: List[Row]) -> List[PolySym2]:
-    """The tensors sum_j c_j basis[j], one per coefficient row c."""
-    return [sum((basis[j] * c for j, c in row.items()), PolySym2(nv, {})) for row in rows]
+def _combinations(zero: PolyTensor, basis: Sequence[PolyTensor], rows: List[Row]) -> list:
+    """The tensors zero + sum_j c_j basis[j], one per coefficient row c."""
+    return [sum((basis[j] * c for j, c in row.items()), zero) for row in rows]
 
 
 def _weight_units(null: Mapping, degree: int, weight: Sequence) -> List[Tuple[Tuple[int, ...], int, int]]:
@@ -736,14 +644,16 @@ def hw_vectors_sym2(
     are expanded into X coordinates (:func:`_units_in_x`) and combined with
     the rational kernel rows; a coefficient of the answer is a Gaussian
     rational only where its value is not real.  Raises
-    ``ValueError`` if ``degree`` is negative or ``weight`` does not have
-    one entry per Cartan generator, on every call.
+    ``ValueError`` if ``degree`` is negative, ``weight`` does not have
+    one entry per Cartan generator or has an inexact entry (a float), on
+    every call.
 
-    The solve runs once per (n, degree, tuple(weight))
-    (:func:`_hw_solve`); every call returns a new list over the same
-    tensors, which are shared and must not be mutated.
+    The solve runs once per (n, degree, weight) with the weight entries
+    made exact (:func:`ahmass.gaussian._exact`, :func:`_hw_solve`); every
+    call returns a new list over the same tensors, which are shared and
+    must not be mutated.
     """
-    return list(_hw_solve(n, degree, tuple(weight)))
+    return list(_hw_solve(n, degree, tuple(map(_exact, weight))))
 
 
 @lru_cache(maxsize=None)
@@ -763,7 +673,7 @@ def _hw_solve(n: int, degree: int, weight: Tuple[Fraction, ...]) -> Tuple[PolySy
     at = {j: i for i, j in enumerate(used)}
     # each row renumbered onto the used units, which alone are expanded
     rows = [{at[j]: c for j, c in row.items()} for row in rows]
-    return tuple(_combinations(nv, _units_in_x(null, [units[j] for j in used]), rows))
+    return tuple(_combinations(PolySym2(nv, {}), _units_in_x(null, [units[j] for j in used]), rows))
 
 
 def _zminus(nv: int, which: int, conj: bool = False) -> ExactPoly:

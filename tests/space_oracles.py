@@ -75,4 +75,4 @@ def transverse_solution_space(n: int, degree: int) -> List[PolySym2]:
     monos = monomials_of_degree(nv, degree)
     units = [PolySym2(nv, {s: ExactPoly.monomial(nv, e)}) for e in monos for s in sym2_layout(nv)]
     maps = [PolySym2.box, PolySym2.eta_trace, PolySym2.radial_contraction]
-    return _combinations(nv, units, joint_kernel(units, maps))
+    return _combinations(PolySym2(nv, {}), units, joint_kernel(units, maps))

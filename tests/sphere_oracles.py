@@ -428,4 +428,4 @@ def hw_vectors_sym2_oracle(n: int, degree: int, weight) -> list:
     basis = weight_basis_oracle(n, degree, weight)
     maps = [PolySym2.eta_trace, PolySym2.box]
     maps += [lambda h, m=m: algebra_action_sym2(m, h) for _, m in raising_operators(n)]
-    return _combinations(n + 1, basis, joint_kernel(basis, maps))
+    return _combinations(PolySym2(n + 1, {}), basis, joint_kernel(basis, maps))

@@ -11,7 +11,9 @@ from ahmass.linalg import (
     Echelon,
     SpanSolver,
     dense_to_rows,
+    _image_rows,
     joint_kernel,
+    joint_solve,
     kron_rows,
     matvec,
     nullspace,
@@ -19,7 +21,7 @@ from ahmass.linalg import (
     signature_of_form,
     solve_min_support,
 )
-from ahmass.poly import ExactPoly, monomials_of_degree, operator_rows, wave_operator
+from ahmass.poly import ExactPoly, coordinates, monomials_of_degree, operator_rows, wave_operator
 from linalg_oracles import FractionEchelon, on_oracle
 
 
@@ -330,6 +332,60 @@ def test_joint_kernel_matches_the_rows_route():
     for row in drop:
         p = sum(units[j] * c for j, c in row.items())
         assert wave_operator(p).is_zero() and p.diff(0).is_zero()
+
+
+def wave_and_slope():
+    """The unit cubics in 4 variables, Box and d_0 on them, and targets they reach."""
+    nv, degree = 4, 3
+    units = [ExactPoly.monomial(nv, e) for e in monomials_of_degree(nv, degree)]
+    maps = [wave_operator, lambda p: p.diff(0)]
+    x = [ExactPoly.variable(nv, i) for i in range(nv)]
+    source = x[0] ** 2 * x[1] - 3 * x[2] ** 3 + x[1] * x[2] * x[3]
+    return units, maps, [f(source) for f in maps]
+
+
+def test_joint_solve_meets_its_targets():
+    units, maps, targets = wave_and_slope()
+    sol = joint_solve(units, maps, targets)
+    p = sum((units[j] * c for j, c in sol.items()), ExactPoly.zero(4))
+    assert [f(p) for f in maps] == targets
+
+
+def test_joint_solve_is_zero_on_free_columns_and_the_min_support_solve():
+    units, maps, targets = wave_and_slope()
+    sol = joint_solve(units, maps, targets)
+    rows = _image_rows(units, maps)
+    assert not set(sol) & set(Echelon(list(rows.values()), len(units)).free_columns())
+    # every target coordinate is an image coordinate here, so the same rows
+    # with the target read off them give the same solution
+    rhs = {(k, coord): v for k, t in enumerate(targets) for coord, v in coordinates(t)}
+    assert rhs.keys() <= rows.keys()
+    assert sol == solve_min_support(list(rows.values()), len(units), [rhs.get(key, 0) for key in rows])
+
+
+def test_joint_solve_refuses_a_target_out_of_reach():
+    units, maps, targets = wave_and_slope()
+    # a target outside the image on an image coordinate, and one on a
+    # coordinate no image reaches (degree 3 under d_0, which lowers it)
+    with pytest.raises(ValueError, match="inconsistent"):
+        joint_solve(units, maps, [targets[0] + 1, targets[1]])
+    with pytest.raises(ValueError, match="inconsistent"):
+        joint_solve(units, maps, [targets[0], targets[1] + ExactPoly.monomial(4, (0, 0, 0, 3))])
+
+
+def test_echelon_rejects_entries_outside_its_columns():
+    # such entries were once dropped: nullspace([{5: 1}], 3) gave three unit vectors
+    for bad in ([{5: 1}], [{0: 1, 3: 2}], [{-1: 1}]):
+        with pytest.raises(ValueError, match="outside range"):
+            nullspace(bad, 3)
+    assert nullspace([{0: 1, 2: 0}], 2) == [{1: 1}]
+
+
+def test_solve_min_support_needs_one_right_hand_side_per_row():
+    rows = dense_to_rows([[1, 1, 0], [0, 1, 1]])
+    for rhs in ([Fraction(2)], [1, 2, 3]):
+        with pytest.raises(ValueError, match="right-hand sides"):
+            solve_min_support(rows, 3, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,15 @@ def test_not_tangent_rejected():
         TangentField(n, [ExactPoly.constant(n, 1), ExactPoly.zero(n), ExactPoly.zero(n)])
 
 
+def test_radial_contraction_rejects_an_index_outside_the_aspect():
+    # x^j m_ij at i = 7 of an n = 3 aspect once read 0
+    m = SphereTensor(3, 2, {(0, 1): X(3, 2)})
+    assert m.radial_contraction(1) == X(3, 0) * X(3, 2)
+    for i in (3, 7, -1):
+        with pytest.raises(ValueError, match="outside range"):
+            m.radial_contraction(i)
+
+
 # ---------------------------------------------------------------------------
 # weighted actions
 # ---------------------------------------------------------------------------

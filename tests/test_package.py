@@ -274,6 +274,7 @@ TEST_ONLY = {
     "signature_Wp_expected": "closed form: the signature of W_p",
     "sphere_action": "paper object: the boundary action on the sphere",
     "sphere_monomial_integral": "closed form: the sphere moments of one monomial",
+    "to_coords": "test utility: the monomial coordinates of a homogeneous polynomial",
     "u_of_A": "paper object: the conformal factor u[A] of the boundary action",
     "wang_mass_vector": "paper object: the standard (Wang) mass vector",
     "weyl_to_potential": "paper object: a metric potential of a Weyl tensor",

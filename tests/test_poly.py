@@ -77,6 +77,12 @@ def test_wave_operator_norm(n):
 def test_exact_poly_rejects_bad_exponents_and_powers():
     with pytest.raises(ValueError, match="wrong length"):
         ExactPoly(3, {(1, 0): Fraction(1)})
+    # such exponents were once stored
+    with pytest.raises(ValueError, match="negative exponent"):
+        ExactPoly(2, {(-1, 0): 1})
+    for bad in ((1.0, 0), (True, 0)):
+        with pytest.raises(ValueError, match="not an int"):
+            ExactPoly(2, {bad: 1})
     with pytest.raises(ValueError, match="negative power"):
         X(3, 0) ** -1
 
@@ -278,10 +284,12 @@ def test_sphere_moments_reject_bad_exponents(bad):
 
 
 def test_sphere_moments_check_an_exponent_on_a_memo_miss_only(monkeypatch):
+    # the polynomial is built first: its constructor checks its own exponents
+    p = X(3, 0) * X(3, 0) + 1
     checks = []
     check = poly._check_exponents
     monkeypatch.setattr(poly, "_check_exponents", lambda a, n: checks.append(a) or check(a, n))
-    moment = sphere_moments(X(3, 0) * X(3, 0) + 1)
+    moment = sphere_moments(p)
     assert moment((0, 0, 0)) == moment((0, 0, 0)) == Fraction(4, 3)
     assert moment((1, 0, 0)) == 0
     assert checks == [(0, 0, 0), (1, 0, 0)]
@@ -382,6 +390,19 @@ def test_zero_test_agrees_with_square_and_integrate(case, in_ideal):
     if not in_ideal:
         r = r + p
     assert vanishes_on_sphere(r) == square_and_integrate_vanishes(r)
+
+
+def test_monomials_need_a_variable():
+    # zero variables once recursed without end
+    for nvars in (0, -1):
+        with pytest.raises(ValueError, match="at least one variable"):
+            monomials_of_degree(nvars, 2)
+
+
+def test_tensors_reject_components_that_are_not_polynomials():
+    # an int component once raised AttributeError
+    with pytest.raises(ValueError, match="not an ExactPoly"):
+        PolyTensor4(4, {(0, 0): 1})
 
 
 def test_normal_form_needs_a_variable():

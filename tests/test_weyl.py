@@ -45,12 +45,10 @@ from ahmass.weyl import (
     de_donder_fix,
     dim_Wp,
     eta_tensor,
-    exterior_derivative,
     hw_vectors_sym2,
     hw_vectors_weyl,
     linearized_einstein,
     linearized_riemann,
-    poincare_homotopy,
     proportionality,
     signature_Wp,
     signature_Wp_expected,
@@ -278,59 +276,6 @@ def test_closed_forms_raise_when_not_integral(closed_form, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# homotopy operator
-# ---------------------------------------------------------------------------
-
-
-def test_homotopy_basic_2form():
-    nv = 4
-    w = PolyForm(nv, 2, {(1, 2): ExactPoly.constant(nv, 1)})
-    eta = poincare_homotopy(w)
-    expect = PolyForm(
-        nv, 1, {(2,): X(nv, 1) / 2, (1,): -X(nv, 2) / 2}
-    )
-    assert (eta - expect).is_zero()
-    assert (exterior_derivative(eta) - w).is_zero()
-
-
-def random_form(nv, k, maxdeg, rng):
-    comp = {}
-    for idx in itertools.combinations(range(nv), k):
-        p = ExactPoly.zero(nv)
-        for d in range(maxdeg + 1):
-            for e in monomials_of_degree(nv, d):
-                if rng.random() < 0.2:
-                    p = p + ExactPoly.monomial(nv, e, F(rng.randint(-3, 3)))
-        if not p.is_zero():
-            comp[idx] = p
-    return PolyForm(nv, k, comp)
-
-
-def test_homotopy_identity_random_forms():
-    rng = random.Random(7)
-    for k in (1, 2, 3):
-        for _ in [0, 1]:
-            w = random_form(4, k, 4, rng)
-            lhs = exterior_derivative(poincare_homotopy(w)) + poincare_homotopy(
-                exterior_derivative(w)
-            )
-            assert (lhs - w).is_zero()
-
-
-def test_homotopy_inverts_gradient():
-    nv = 4
-    f = X(nv, 0) ** 2 * X(nv, 3) - 2 * X(nv, 1) * X(nv, 2)  # f(0) = 0
-    df = PolyForm(nv, 1, {(mu,): f.diff(mu) for mu in range(nv)})
-    got = poincare_homotopy(df)
-    assert got.get() == f
-
-
-def test_homotopy_rejects_zero_forms():
-    with pytest.raises(ValueError):
-        poincare_homotopy(PolyForm(4, 0, {(): ExactPoly.constant(4, 1)}))
-
-
-# ---------------------------------------------------------------------------
 # Weyl -> potential
 # ---------------------------------------------------------------------------
 
@@ -360,6 +305,19 @@ def test_potential_random_w0():
                 w = w + b.scale(c)
         h = weyl_to_potential(w)
         assert linearized_riemann(h) == w.scale(F(-1, 2))
+
+
+def test_potential_of_inhomogeneous_w():
+    # W_0 + W_1 at n = 3: the potential has parts of degrees 2 and 3
+    rng = random.Random(5)
+    w = PolyTensor4(4, {})
+    for p in (0, 1):
+        for b in build_Wp(3, p).basis:
+            w = w + b.scale(F(rng.randint(-2, 2)))
+    assert {sum(e) for q in w.comp.values() for e in q.terms} == {0, 1}
+    h = weyl_to_potential(w)
+    assert linearized_riemann(h) == w.scale(F(-1, 2))
+    assert {sum(e) for q in h.comp.values() for e in q.terms} == {2, 3}
 
 
 def test_potential_rejects_bad_input():
@@ -419,7 +377,8 @@ def test_chiral_hw_vector_matches_weight_space_route(n, lam2, target):
     # second route: the raising kernel inside the (2, lam2) weight space of
     # the transverse solutions, with the element-wise Sym^2 action
     basis = transverse_solution_space(n, 2)
-    (h,) = _combinations(n + 1, basis, highest_weight_vectors(basis, algebra_action_sym2, n, [F(2), F(lam2)]))
+    rows = highest_weight_vectors(basis, algebra_action_sym2, n, [F(2), F(lam2)])
+    (h,) = _combinations(PolySym2(n + 1, {}), basis, rows)
     assert proportionality(h, target()) is not None
 
 
@@ -478,6 +437,14 @@ def test_transverse_condition_excludes_the_gauge_vector():
 def test_hw_vectors_sym2_rejects_weight_of_wrong_length(weight):
     with pytest.raises(ValueError):
         hw_vectors_sym2(4, 2, weight)
+
+
+def test_hw_vectors_sym2_rejects_inexact_weights():
+    # a float weight was once solved for, and cached under its float key
+    for _ in range(2):
+        with pytest.raises(ValueError, match="inexact"):
+            hw_vectors_sym2(3, 2, (2.0, 0.0))
+    assert hw_vectors_sym2(3, 2, (2, 0)) == hw_vectors_sym2(3, 2, (F(2), F(0)))
 
 
 def test_hw_vectors_sym2_rejects_negative_degree():
