@@ -24,23 +24,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
-from .linalg import Row, nullspace, signature_of_form
-from .poly import (
-    ExactPoly,
-    coordinates,
-    euler_degree,
-    from_coords,
-    minkowski_norm_poly,
-    monomials_of_degree,
-    operator_rows,
-    wave_operator,
-)
+from .linalg import Row, joint_kernel, signature_of_form
+from .poly import ExactPoly, coordinates, euler_degree, minkowski_norm_poly, monomials_of_degree, wave_operator
 
 F = Fraction
 
 
+def _check_ints(**values):
+    """``ValueError`` unless every value is an ``int``.
+
+    A ``bool`` or float equal to an ``int`` is refused too; the cached
+    builders check here first, as their cache would take it for that ``int``.
+    """
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _check_closed_form_args(n: int, p: int):
-    """The closed forms of H_p and W_p hold for n >= 2 and p >= 0; ``ValueError`` otherwise."""
+    """The closed forms of H_p and W_p hold for ``int`` n >= 2 and p >= 0; ``ValueError`` otherwise."""
+    _check_ints(n=n, p=p)
     if n < 2 or p < 0:
         raise ValueError(f"closed forms need n >= 2 and p >= 0, got n={n}, p={p}")
 
@@ -65,13 +68,19 @@ class Space:
 
 
 def build_Hp(n: int, p: int) -> Space:
-    """Exact basis of wave-harmonic homogeneous polynomials of degree p."""
+    """Exact basis of wave-harmonic homogeneous polynomials of degree p.
+
+    The kernel of Box on the unit monomials of degree p, in the order of
+    :func:`ahmass.poly.monomials_of_degree` (:func:`ahmass.linalg.joint_kernel`).
+    ``ValueError`` unless n >= 3 and p >= 0 are ``int``s.
+    """
+    _check_ints(n=n, p=p)
     if n < 3 or p < 0:
         raise ValueError("need n >= 3 and p >= 0")
     nv = n + 1
-    box = operator_rows(wave_operator, nv, p, p - 2)
-    kernel = nullspace(box, len(monomials_of_degree(nv, p)))
-    basis = [from_coords(v, nv, p) for v in kernel]
+    monos = monomials_of_degree(nv, p)
+    units = [ExactPoly.monomial(nv, e) for e in monos]
+    basis = [ExactPoly(nv, {monos[j]: c for j, c in row.items()}) for row in joint_kernel(units, [wave_operator])]
     space = Space(n, p, basis)
     if space.dim != dim_Hp(n, p):
         raise AssertionError(f"dim H_{p} mismatch for n={n}")

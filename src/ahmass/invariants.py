@@ -49,6 +49,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .gaussian import GaussianRational, I
 from .harmonic import build_Hp
+from .linalg import _image_rows
 from .lorentz import (
     AlgebraElement,
     LorentzElement,
@@ -70,7 +71,6 @@ from .poly import (
     ExactPoly,
     coordinates,
     monomials_of_degree,
-    operator_rows,
     sphere_pairing,
     sphere_restrict,
     sym2_layout,
@@ -434,11 +434,15 @@ def symmetric_power_action(mat, nv: int, power: int) -> List[Dict[int, object]]:
     """Matrix of the derivation action of ``mat`` on Sym^power(R^{nv}).
 
     a . xi^e = sum_{mu nu} a^mu_nu xi_mu d_{xi_nu} xi^e, which is the
-    polynomial action -(bX).d of b = -a^T.
+    polynomial action -(bX).d of b = -a^T.  The image rows of the unit
+    monomials (:func:`ahmass.linalg._image_rows`), one per monomial of
+    :func:`ahmass.poly.monomials_of_degree`, with column j for monomial j.
     """
     m = mat.matrix if hasattr(mat, "matrix") else mat
     b = mat_scale(mat_transpose(m), -1)
-    return operator_rows(lambda p: algebra_act_on_poly(b, p), nv, power, power)
+    monos = monomials_of_degree(nv, power)
+    rows = _image_rows([ExactPoly.monomial(nv, e) for e in monos], [lambda p: algebra_act_on_poly(b, p)])
+    return [rows.get((0, (None, e)), {}) for e in monos]
 
 
 def density_null_power(n: int, n1: int, k: int) -> List[SphereTensor]:
@@ -464,7 +468,8 @@ def intertwining_density_residual(
         -a ._{n-1-k} Phi_nu - sum_mu c_mu nu Phi_mu = 0,
     where c = ``rep_rows_for(name)`` is the matrix of a on the target
     representation (sparse rows, row nu).  This is the adjoint of the
-    action on aspects of order k under :func:`pair`.  The residual is the
+    action on aspects of order k under the pairing of an aspect with a
+    density that :class:`MassFunctional` evaluates.  The residual is the
     total mean square over the sphere, summed separately over the boosts
     and the rotations; both entries vanish exactly for a density of the
     matching weight.  The components must be transverse, and

@@ -32,14 +32,15 @@ same sparse rows and runs the same integer update with symmetric
 pivots (:func:`signature_of_form`): a positive row scaling keeps the
 sign of every later pivot, so its rows may be held at gcd 1 too.
 
-A system on polynomial objects takes one of two routes.  Rows, the
-sparse matrix of an operator on monomial coordinates
-(:func:`ahmass.poly.operator_rows`, :func:`kron_rows`), serve H_p and
-W_p.  Images, the coordinates of maps on a basis (:func:`_image_rows`),
-serve :func:`joint_kernel` (highest-weight solutions) and
-:func:`joint_solve` (the Weyl potential and the de Donder gauge).  W_p
-stays on rows: the images of unit 4-tensors under its constraint
-residuals give the same basis at (n, p) = (4, 1) 25 times slower.
+Every linear system on polynomial objects takes one route: it is posed
+on a basis of polynomial objects, as a rule the unit ones (one monomial,
+in one stored slot of a tensor), by the maps that act on them.
+:func:`_image_rows` reads the coordinates of the images
+(:func:`ahmass.poly.coordinates`) into one row per coordinate, and
+:func:`joint_kernel` (H_p, W_p and the highest-weight solutions) and
+:func:`joint_solve` (the Weyl potential and the de Donder gauge) solve
+them.  With the unit basis in the order of the monomial coordinates, the
+kernel is the echelon basis of the operator on those coordinates.
 """
 
 from __future__ import annotations
@@ -395,26 +396,3 @@ def signature_of_form(rows: Sequence[Row]) -> Tuple[int, int, int]:
 
 def dense_to_rows(mat: Sequence[Sequence]) -> List[Row]:
     return [{j: v for j, v in enumerate(r) if v} for r in mat]
-
-
-def kron_rows(terms: Sequence[Tuple[Sequence[Row], Sequence[Row]]], b_cols: int) -> List[Row]:
-    """Sparse rows of sum_k A_k (x) B_k.
-
-    Every A_k has the shape of A_0 and every B_k that of B_0, with
-    ``b_cols`` columns.  Entry A[i][j] B[r][s] lands in row
-    ``i * len(B) + r`` and column ``j * b_cols + s``: the index of A is
-    major, the index of B minor.  Entries that cancel are dropped.
-    """
-    na, nb = len(terms[0][0]), len(terms[0][1])
-    if any(len(a) != na or len(b) != nb for a, b in terms):
-        raise ValueError("Kronecker terms of different shapes")
-    out: List[Row] = [dict() for _ in range(na * nb)]
-    for a, b in terms:
-        for i, arow in enumerate(a):
-            for r, brow in enumerate(b):
-                row = out[i * nb + r]
-                for j, x in arow.items():
-                    for s, y in brow.items():
-                        c = j * b_cols + s
-                        row[c] = row.get(c, 0) + x * y
-    return [{c: v for c, v in row.items() if v} for row in out]

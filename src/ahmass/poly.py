@@ -33,11 +33,12 @@ product of two polynomials without forming it.
 
 The term-map helpers (:func:`_add_shifted`, :func:`_add_flow` and their
 kin) act on the ``terms`` dict of a polynomial in place: a product by
-one coordinate, a second derivative and the derivation -(MX).d of a
-matrix become exponent shifts.  They are the one set behind the
+one coordinate, a first or second derivative and the derivation -(MX).d
+of a matrix become exponent shifts.  They are the one set behind the
 term-level actions of the package: the tensor slot action, the aspect
-action of :mod:`ahmass.massaspect`, the linearized Riemann tensor and the
-radial contraction of :mod:`ahmass.weyl`, and
+action of :mod:`ahmass.massaspect`, the linearized Riemann tensor, the
+radial contraction, the Weyl constraint residuals and the linear
+combinations of tensors of :mod:`ahmass.weyl`, and
 :func:`ahmass.lorentz.algebra_act_on_poly`.
 :func:`_cleared` and :func:`_over` carry rational term maps to integer
 numerators over one common denominator and back, so that such a pass can
@@ -60,8 +61,9 @@ layout alone, so its target table (:func:`_slot_table`) is built once
 per layout, and each action only reads it.
 
 :func:`coordinates` is the one reader of the unit coordinates of a
-polynomial, a tensor or a sequence of polynomials, for joint kernels and
-mass functionals alike.
+polynomial, a tensor, a mapping or a sequence of polynomials, for joint
+kernels and mass functionals alike; every linear system of the package
+is posed on them (:mod:`ahmass.linalg`).
 """
 
 from __future__ import annotations
@@ -92,12 +94,15 @@ class ExactPoly:
     ``+ - * /`` passes through :func:`ahmass.gaussian._exact`: an ``int``
     becomes a ``Fraction``, and a float or a ``bool`` raises ``ValueError``;
     each exponent vector given to a constructor passes through
-    :func:`_check_exponents`.
+    :func:`_check_exponents`.  The variable count must be an ``int``
+    (not a ``bool``) and at least 0, else ``ValueError``.
     """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Dict[Exponents, object] | None = None):
+        if type(nvars) is not int or nvars < 0:
+            raise ValueError(f"variable count must be an int >= 0, got {nvars!r}")
         self.nvars = nvars
         self.terms: Dict[Exponents, object] = {}
         if terms:
@@ -599,7 +604,7 @@ def monomial_index(nvars: int, degree: int) -> Mapping[Exponents, int]:
 
 
 # ---------------------------------------------------------------------------
-# Monomial coordinates and linear operators on them
+# Monomial coordinates
 # ---------------------------------------------------------------------------
 
 
@@ -607,33 +612,6 @@ def to_coords(p: ExactPoly, degree: int) -> Dict[int, object]:
     """Sparse coordinates of a degree-``degree`` form on the monomial basis."""
     index = monomial_index(p.nvars, degree)
     return {index[e]: c for e, c in p.terms.items()}
-
-
-def from_coords(row: Dict[int, object], nvars: int, degree: int) -> ExactPoly:
-    """The form with the given sparse coordinates; inverse of :func:`to_coords`."""
-    monos = monomials_of_degree(nvars, degree)
-    return ExactPoly(nvars, {monos[i]: c for i, c in row.items()})
-
-
-def operator_rows(op, nvars: int, degree: int, target_degree: int) -> list[Dict[int, object]]:
-    """Sparse matrix of a linear map between spaces of homogeneous forms.
-
-    ``op`` maps degree-``degree`` polynomials to degree-``target_degree``
-    ones.  Row ``t`` holds the coefficient of target monomial ``t`` in the
-    images of the source monomials, keyed by source monomial index (the
-    order of :func:`monomials_of_degree`); a negative target degree gives
-    no rows.  This is the one place where an operator is assembled from
-    its images of single monomials on monomial coordinates.
-    """
-    target = monomial_index(nvars, target_degree)
-    rows: list[Dict[int, object]] = [dict() for _ in target]
-    for j, e in enumerate(monomials_of_degree(nvars, degree)):
-        for e2, c in op(ExactPoly.monomial(nvars, e)).terms.items():
-            t = target.get(e2)
-            if t is None:
-                raise ValueError(f"image term {e2} is not of degree {target_degree}")
-            rows[t][j] = c
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +650,16 @@ def _add_shifted(out: Terms, terms: Terms, b: int, c=1) -> None:
         key = list(e)
         key[b] += 1
         _add(out, tuple(key), v, c)
+
+
+def _add_derivative(out: Terms, terms: Terms, i: int, c) -> None:
+    """out += c d_i terms, in place: every exponent lowered in slot i."""
+    for e, v in terms.items():
+        k = e[i]
+        if k:
+            key = list(e)
+            key[i] = k - 1
+            _add(out, tuple(key), v, c * k)
 
 
 def _add_second_derivative(out: Terms, terms: Terms, i: int, j: int, c) -> None:
@@ -941,12 +929,15 @@ def coordinates(v):
     """((key, exponent), coefficient) of each nonzero unit coordinate of a polynomial object.
 
     The key is None for an :class:`ExactPoly`, the stored key for a
-    :class:`PolyTensor` and the position for a sequence of polynomials.
+    :class:`PolyTensor`, the key for a mapping of keys to polynomials and
+    the position for a sequence of polynomials.
     """
     if isinstance(v, ExactPoly):
         places = ((None, v),)
     elif isinstance(v, PolyTensor):
         places = v.comp.items()
+    elif isinstance(v, Mapping):
+        places = v.items()
     else:
         places = enumerate(v)
     return (((key, e), c) for key, p in places for e, c in p.terms.items() if c)

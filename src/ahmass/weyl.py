@@ -9,8 +9,8 @@ The chain implemented here:
   divergence-free (hence wave) gauge by one exact linear solve;
 * ``build_Wp`` -- the space W_p of degree-p polynomial-coefficient
   4-tensors with Weyl symmetries, eta-trace-free and satisfying both
-  Bianchi identities, as an exact constraint kernel solved once per
-  (n, p) and process;
+  Bianchi identities, as the exact kernel of the constraint residuals
+  (:meth:`PolyTensor4.residuals`), solved once per (n, p) and process;
 * ``weyl_to_potential`` -- a potential h with R(h) = -W/2 of a Weyl
   tensor, by one exact linear solve;
 * the invariant quadratic form on W_p, diagonal on unit coordinates
@@ -24,23 +24,22 @@ Every tensor this module returns is stored over the ambient Minkowski
 variables X^0..X^n; only the highest-weight solve works in another frame
 (below).
 
-The linear systems take the two routes of :mod:`ahmass.linalg`.  On
-the rows route, W_p is the kernel of a sparse matrix on monomial
-coordinates, assembled from :func:`ahmass.poly.operator_rows`, the
-matrix of a map between homogeneous forms (d_s), and
-:func:`ahmass.linalg.kron_rows`, which forms sum_k A_k (x) B_k with a
-slot factor.  Its tensors have coordinates monomial index major, slot
-minor (:func:`_coords_to_tensor`), the slots are the pairs of index
-pairs (:func:`tensor4_slot_sign`) and the constraints are I (x) T,
-I (x) B_1 and sum_s d_s (x) C_s (:func:`build_Wp`).  On the images
-route, a system is posed on unit tensors, one monomial in one slot,
-by the maps that act on them.  The highest-weight system on symmetric
-2-tensors is one :func:`ahmass.linalg.joint_kernel` of the maps a
-solution must send to zero (:func:`hw_vectors_sym2`).  The potential of
-a Weyl tensor is one :func:`ahmass.linalg.joint_solve` of R on the unit
+Every linear system here takes the one route of :mod:`ahmass.linalg`:
+it is posed on unit tensors, one monomial in one stored slot, by the
+maps that act on them.  W_p is one :func:`ahmass.linalg.joint_kernel`
+of the constraint residuals on the unit 4-tensors of degree p, monomial
+major and slot minor (:func:`build_Wp`).  The constraints are stated
+once, in one table per size from each stored key to the constraints
+that read it (:func:`_weyl_constraints`): the eta-trace, the first
+Bianchi identity and the second, differential one.  The highest-weight
+system on symmetric 2-tensors is one joint kernel of the maps a solution
+must send to zero (:func:`hw_vectors_sym2`).  The potential of a Weyl
+tensor is one :func:`ahmass.linalg.joint_solve` of R on the unit
 symmetric 2-tensors (:func:`weyl_to_potential`), and the de Donder gauge
 one of Box and the divergence on the unit covector fields X^e dX^nu,
-component major, stored as 1-forms (:func:`de_donder_fix`).
+component major, stored as 1-forms (:func:`de_donder_fix`).  Each
+answer is a linear combination of the units, summed term by term
+(:func:`_combinations`).
 
 Each tensor class states its layout once, as a cached table from
 stored keys to index tuples (:func:`ahmass.poly.sym2_layout`,
@@ -48,9 +47,10 @@ stored keys to index tuples (:func:`ahmass.poly.sym2_layout`,
 them by the one slot action of the base,
 :func:`ahmass.poly.slot_action`; :func:`algebra_action_sym2` and
 :func:`algebra_action_tensor4` are its calls on the two layouts.
-:func:`linearized_riemann` and :meth:`PolySym2.radial_contraction`
-scatter the same way over the stored components, as second derivatives
-and products by one coordinate.
+:func:`linearized_riemann`, :meth:`PolySym2.radial_contraction` and
+:meth:`PolyTensor4.residuals` scatter the same way over the stored
+components, as second derivatives, products by one coordinate and
+signed first derivatives.
 
 The slot action is written without reference to a coordinate system,
 and :func:`hw_vectors_sym2` uses that: it poses its system in the null
@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -77,18 +77,18 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .gaussian import _exact
-from .harmonic import Space, _check_closed_form_args, form_signature, monomial_weight, unit_pairing
-from .linalg import Row, joint_kernel, joint_solve, kron_rows, nullspace
+from .harmonic import Space, _check_closed_form_args, _check_ints, form_signature, monomial_weight, unit_pairing
+from .linalg import Row, joint_kernel, joint_solve
 from .lorentz import all_generators, cartan_basis, cartan_keys, cartan_rank, null_coordinates, null_raising_operators
 from .poly import (
     ExactPoly,
     PolyTensor,
+    _add_derivative,
+    _add_scaled,
     _add_second_derivative,
     _add_shifted,
     _poly,
-    from_coords,
     monomials_of_degree,
-    operator_rows,
     slot_action,
     sorted_pair,
     sym2_layout,
@@ -247,35 +247,69 @@ class PolyTensor4(PolyTensor):
     def _slot(self, mu: int, nu: int, al: int, be: int):
         return tensor4_slot_sign(self.nv, mu, nu, al, be)
 
-    # -- constraint residuals (all must vanish identically on W_p) ------
+    def residuals(self) -> Dict[tuple, ExactPoly]:
+        """{constraint key: residual} of the Weyl constraints, nonzero residuals only.
 
-    def eta_trace_residuals(self) -> List[ExactPoly]:
-        out = []
-        for nu, be in sym2_layout(self.nv):
-            s = ExactPoly.zero(self.nv)
-            for mu in range(self.nv):
-                s = s + _eta_sign(mu) * self.get(mu, nu, mu, be)
-            out.append(s)
-        return out
-
-    def bianchi1_residuals(self) -> List[ExactPoly]:
-        return [
-            self.get(mu, nu, al, be) + self.get(nu, al, mu, be) + self.get(al, mu, nu, be)
-            for mu, nu, al in combinations(range(self.nv), 3)
-            for be in range(self.nv)
-        ]
-
-    def bianchi2_residuals(self) -> List[ExactPoly]:
-        return [
-            self.get(mu, nu, al, be).diff(si) + self.get(nu, si, al, be).diff(mu) + self.get(si, mu, al, be).diff(nu)
-            for si, mu, nu in combinations(range(self.nv), 3)
-            for al, be in index_pairs(self.nv)
-        ]
+        A scatter: each stored component adds itself, or its first
+        derivative along X^d, with the sign :func:`_weyl_constraints`
+        lists for it into each constraint that reads it.  Empty exactly
+        when W satisfies every constraint.
+        """
+        acc = {}
+        for key, p in self.comp.items():
+            for constraint, sign, d in _weyl_constraints(self.nv).get(key, ()):
+                terms = acc.setdefault(constraint, {})
+                if d is None:
+                    _add_scaled(terms, p.terms, sign)
+                else:
+                    _add_derivative(terms, p.terms, d, sign)
+        return {constraint: r for constraint, terms in acc.items() if (r := _poly(self.nv, terms))}
 
     def satisfies_weyl_constraints(self) -> bool:
-        """Every residual zero, each family computed only if the one before holds."""
-        families = (self.eta_trace_residuals, self.bianchi1_residuals, self.bianchi2_residuals)
-        return all(r.is_zero() for residuals in families for r in residuals())
+        """Eta-trace free and both Bianchi identities: no residual (:meth:`residuals`)."""
+        return not self.residuals()
+
+
+def _cyclic(a: int, b: int, c: int) -> Tuple[Tuple[int, int, int], ...]:
+    return (a, b, c), (b, c, a), (c, a, b)
+
+
+@lru_cache(maxsize=None)
+def _weyl_constraints(nv: int) -> Dict[Tuple[int, int], Tuple[tuple, ...]]:
+    """Stored key (a, b) -> ((constraint key, sign, derivative index or None), ...), built once per size.
+
+    The three families of constraints on a Weyl-symmetric W, each a
+    signed sum of components W_{mu nu al be}, read through
+    :func:`tensor4_slot_sign`:
+
+    * ("trace", nu, be), nu <= be: sum_mu eta_mu W_{mu nu mu be};
+    * ("bianchi1", t, be): W_{x y z be} summed over the cyclic orders
+      (x, y, z) of each triple t, x < y < z;
+    * ("bianchi2", t, (al, be)): d_x W_{y z al be} summed over the
+      cyclic orders of t, for each index pair al < be.
+
+    Terms of one constraint on one stored key are merged, and those
+    that cancel are left out.
+    """
+    merged: Dict[Tuple[int, int], dict] = {}
+
+    def add(constraint, d, sign, idx):
+        hit = tensor4_slot_sign(nv, *idx)
+        if hit is not None:
+            entry = merged.setdefault(hit[0], {})
+            entry[constraint, d] = entry.get((constraint, d), 0) + sign * hit[1]
+
+    for nu, be in sym2_layout(nv):
+        for mu in range(nv):
+            add(("trace", nu, be), None, _eta_sign(mu), (mu, nu, mu, be))
+    for t in combinations(range(nv), 3):
+        for be in range(nv):
+            for x, y, z in _cyclic(*t):
+                add(("bianchi1", t, be), None, 1, (x, y, z, be))
+        for pair in index_pairs(nv):
+            for d, x, y in _cyclic(*t):
+                add(("bianchi2", t, pair), d, 1, (x, y, *pair))
+    return {key: tuple((c, sign, d) for (c, d), sign in entry.items() if sign) for key, entry in merged.items()}
 
 
 @lru_cache(maxsize=None)
@@ -364,79 +398,34 @@ def dim_Wp(n: int, p: int) -> int:
     return num // den
 
 
-def _coords_to_tensor(row: Row, slots: List[tuple], nv: int, degree: int) -> Dict[tuple, ExactPoly]:
-    """Tensor components from their monomial-major, slot-minor coordinates.
-
-    ``row`` holds h_slot X^e at e * len(slots) + slot index, as the
-    kernel rows of :func:`build_Wp` do.
-    """
-    parts: Dict[tuple, Row] = {}
-    for flat, c in row.items():
-        m, s = divmod(flat, len(slots))
-        parts.setdefault(slots[s], {})[m] = c
-    return {key: from_coords(part, nv, degree) for key, part in parts.items()}
-
-
-def _cyclic(a: int, b: int, c: int) -> Tuple[Tuple[int, int, int], ...]:
-    return (a, b, c), (b, c, a), (c, a, b)
-
-
 def build_Wp(n: int, p: int) -> Space:
     """Exact basis of W_p as the kernel of its linear constraints.
 
-    Index symmetries are enforced by the storage (:func:`tensor4_slot_sign`).
-    On the degree-p coordinates the eta-trace and first Bianchi rows are
-    I (x) T and I (x) B_1 for slot matrices T and B_1, and the second
-    (differential) Bianchi rows are sum_s d_s (x) C_s, where C_s picks the
-    terms of the cyclic sum that are differentiated along X^s.
+    Index symmetries are enforced by the storage (:func:`tensor4_slot_sign`);
+    the eta-trace and both Bianchi identities are the residuals of
+    :meth:`PolyTensor4.residuals`, whose joint kernel on the unit tensors
+    X^e in one stored slot, monomial major and slot minor, is the basis.
 
     The basis is built once per (n, p) (:func:`_Wp_basis`); every call
     returns a new :class:`ahmass.harmonic.Space` with a new ``basis``
     list over the same tensors, which are shared and must not be
-    mutated.  Bad arguments raise on every call.
+    mutated.  Bad arguments, ``bool`` and float ones included, raise
+    ``ValueError`` on every call, before the cache is read.
     """
+    _check_closed_form_args(n, p)
     return Space(n, p, list(_Wp_basis(n, p)))
 
 
 @lru_cache(maxsize=None)
 def _Wp_basis(n: int, p: int) -> Tuple[PolyTensor4, ...]:
     """The basis of :func:`build_Wp`, solved once per (n, p)."""
-    _check_closed_form_args(n, p)
     nv = n + 1
-    slots = list(tensor4_layout(nv))
-    sidx = {key: i for i, key in enumerate(slots)}
-
-    def slot_row(terms) -> Row:
-        """Sum of c W_{mu nu al be} over ``terms`` as a row on the slots."""
-        row: Row = {}
-        for c, idx in terms:
-            hit = tensor4_slot_sign(nv, *idx)
-            if hit is not None:
-                j = sidx[hit[0]]
-                row[j] = row.get(j, 0) + c * hit[1]
-        return {j: v for j, v in row.items() if v}
-
-    triples = list(combinations(range(nv), 3))
-    trace = [slot_row([(_eta_sign(mu), (mu, nu, mu, be)) for mu in range(nv)]) for nu, be in sym2_layout(nv)]
-    bianchi1 = [
-        slot_row([(1, (x, y, z, be)) for x, y, z in _cyclic(*t)]) for t in triples for be in range(nv)
-    ]
-    nmonos = len(monomials_of_degree(nv, p))
-    rows = kron_rows([([{m: 1} for m in range(nmonos)], trace + bianchi1)], len(slots))
-    bianchi2 = []
-    for s in range(nv):
-        d_s = operator_rows(lambda f, s=s: f.diff(s), nv, p, p - 1)
-        c_s = [
-            slot_row([(1, (x, y, al, be)) for d, x, y in _cyclic(*t) if d == s])
-            for t in triples
-            for al, be in index_pairs(nv)
-        ]
-        bianchi2.append((d_s, c_s))
-    rows += kron_rows(bianchi2, len(slots))
-    kernel = nullspace(rows, nmonos * len(slots))
-    if len(kernel) != dim_Wp(n, p):
-        raise AssertionError(f"dim W_{p} mismatch for n={n}: {len(kernel)}")
-    return tuple(PolyTensor4(nv, _coords_to_tensor(v, slots, nv, p)) for v in kernel)
+    monos, slots = monomials_of_degree(nv, p), tensor4_layout(nv)
+    units = [PolyTensor4(nv, {key: ExactPoly.monomial(nv, e)}) for e in monos for key in slots]
+    basis = _combinations(PolyTensor4(nv, {}), units, joint_kernel(units, [PolyTensor4.residuals]))
+    if len(basis) != dim_Wp(n, p):
+        raise AssertionError(f"dim W_{p} mismatch for n={n}: {len(basis)}")
+    return tuple(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +511,12 @@ def signature_Wp(n: int, p: int) -> Tuple[int, int]:
     The form is canonical only up to a global sign; the convention here
     reports the larger count first (for n = 3 the two counts coincide).
     Infinitesimal invariance of the form is asserted on sampled basis
-    pairs, through the same weights, before diagonalizing.
+    pairs, through the same weights, before diagonalizing; an empty W_p
+    (n = 2) has signature (0, 0).
     """
     space = build_Wp(n, p)
-    _assert_form_invariance(space)
+    if space.basis:
+        _assert_form_invariance(space)
     plus, minus = form_signature(space.basis, _tensor4_weight)
     return max(plus, minus), min(plus, minus)
 
@@ -574,8 +565,19 @@ def algebra_action_tensor4(mat, w: PolyTensor4) -> PolyTensor4:
 
 
 def _combinations(zero: PolyTensor, basis: Sequence[PolyTensor], rows: List[Row]) -> list:
-    """The tensors zero + sum_j c_j basis[j], one per coefficient row c."""
-    return [sum((basis[j] * c for j, c in row.items()), zero) for row in rows]
+    """The tensors sum_j c_j basis[j], one per coefficient row c, of the type and fields of the empty ``zero``.
+
+    Term-level: c times the terms of each basis tensor are added into one
+    term map per stored key, and each sum becomes a polynomial once.
+    """
+    out = []
+    for row in rows:
+        acc = {}
+        for j, c in row.items():
+            for key, p in basis[j].comp.items():
+                _add_scaled(acc.setdefault(key, {}), p.terms, c)
+        out.append(replace(zero, comp={key: _poly(zero.nvars, terms) for key, terms in acc.items()}))
+    return out
 
 
 def _weight_units(null: Mapping, degree: int, weight: Sequence) -> List[Tuple[Tuple[int, ...], int, int]]:
@@ -651,8 +653,10 @@ def hw_vectors_sym2(
     The solve runs once per (n, degree, weight) with the weight entries
     made exact (:func:`ahmass.gaussian._exact`, :func:`_hw_solve`); every
     call returns a new list over the same tensors, which are shared and
-    must not be mutated.
+    must not be mutated.  ``n`` and ``degree`` must be ``int``s (not
+    ``bool``s), checked before the cache is read, else ``ValueError``.
     """
+    _check_ints(n=n, degree=degree)
     return list(_hw_solve(n, degree, tuple(map(_exact, weight))))
 
 
@@ -900,8 +904,11 @@ def _one_transverse(vecs: List[PolySym2], label: str) -> PolySym2:
 def chiral_hw_vector(p: int, sign: int) -> PolySym2:
     """n = 3 chiral highest-weight solution of degree p+2, transverse.
 
-    ``sign`` +1 selects weight (p+2, +2), -1 the conjugate family.
+    ``sign`` +1 selects weight (p+2, +2), -1 the conjugate family; any
+    other sign raises ``ValueError``.
     """
+    if sign not in (1, -1):
+        raise ValueError(f"chiral sign must be +1 or -1, got {sign}")
     return _one_transverse(hw_vectors_sym2(3, p + 2, (F(p + 2), F(2 * sign))), "chiral highest-weight")
 
 

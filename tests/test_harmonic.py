@@ -21,7 +21,7 @@ from ahmass.lorentz import (
 )
 from ahmass.linalg import SpanSolver
 from ahmass.poly import ExactPoly, minkowski_norm_poly, monomials_of_degree, to_coords, wave_operator
-from space_oracles import harmonic_decompose
+from space_oracles import build_Hp_rows, harmonic_decompose
 
 F = Fraction
 
@@ -218,3 +218,13 @@ def test_restriction_of_quadric_is_not_an_eigenfunction():
 def test_restriction_rejects_inhomogeneous_input():
     with pytest.raises(ValueError):
         check_restriction_eigenfunction(X(4, 0) + 1)
+
+
+def test_build_hp_is_the_rows_route():
+    # the kernel of Box on the unit monomials is the echelon basis of its
+    # matrix on monomial coordinates, coefficient types and term order included
+    for n in (3, 4, 5):
+        for p in range(5):
+            got, want = build_Hp(n, p).basis, build_Hp_rows(n, p).basis
+            assert [list(b.terms.items()) for b in got] == [list(b.terms.items()) for b in want]
+            assert all(type(c) is Fraction for b in got for c in b.terms.values())

@@ -39,6 +39,7 @@ from ahmass.lorentz import (
 from ahmass.massaspect import SphereTensor, _project_slots, algebra_action_aspect
 from ahmass.poly import ExactPoly, coordinates, monomials_of_degree, sphere_integral, sphere_pairing, sphere_restrict
 from ahmass.weyl import PolyTensor4, algebra_action_tensor4, build_Wp, tensor4_layout
+from space_oracles import operator_rows
 from sphere_oracles import (
     act_on_dual,
     equivariance_oracle,
@@ -150,6 +151,17 @@ def _commutator(a, b):
             row[k] = row.get(k, 0) - y
         out.append({k: v for k, v in row.items() if v})
     return out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_symmetric_power_action_is_the_rows_route(n):
+    # the image rows of the unit monomials, read in monomial order, are the
+    # matrix of the derivation -(bX).d, b = -a^T, on monomial coordinates
+    for _, g in all_generators(n):
+        b = [[-g.matrix[j][i] for j in range(n + 1)] for i in range(n + 1)]
+        for power in range(3):
+            want = operator_rows(lambda p: algebra_act_on_poly(b, p), n + 1, power, power)
+            assert symmetric_power_action(g, n + 1, power) == want
 
 
 @pytest.mark.parametrize("power", [0, 1, 2, 3])

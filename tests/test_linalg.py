@@ -14,15 +14,15 @@ from ahmass.linalg import (
     _image_rows,
     joint_kernel,
     joint_solve,
-    kron_rows,
     matvec,
     nullspace,
     rank,
     signature_of_form,
     solve_min_support,
 )
-from ahmass.poly import ExactPoly, coordinates, monomials_of_degree, operator_rows, wave_operator
+from ahmass.poly import ExactPoly, coordinates, monomials_of_degree, wave_operator
 from linalg_oracles import FractionEchelon, on_oracle
+from space_oracles import kron_rows, operator_rows
 
 
 def test_kron_rows_rejects_terms_of_different_shapes():

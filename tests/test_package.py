@@ -253,6 +253,91 @@ def test_every_oracle_is_reached_by_a_test():
     assert oracles and unreached_oracles(oracles, tests) == []
 
 
+DOC_REFERENCE = re.compile(r":(func|meth|class|attr):`~?([\w.]+)`")
+
+
+def namespace(source: str) -> tuple:
+    """(defined, imported) of a module: the qualified names it defines at top
+    level and in its classes ("f", "C", "C.m"), and each name it imports
+    from a sibling module (``from .x import f``), mapped to that module."""
+    defined, imported = set(), {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.update({alias.asname or alias.name: node.module for alias in node.names})
+            continue
+        members = [(None, node)]
+        if isinstance(node, ast.ClassDef):
+            members += [(node.name, member) for member in node.body]
+        for owner, member in members:
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [member.name]
+            elif isinstance(member, (ast.Assign, ast.AnnAssign)):
+                targets = member.targets if isinstance(member, ast.Assign) else [member.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined.update(f"{owner}.{name}" if owner else name for name in names)
+    return defined, imported
+
+
+def stale_doc_references(sources: dict, package: str) -> list:
+    """``:func:``, ``:meth:``, ``:class:`` and ``:attr:`` references in the
+    docstrings of ``sources`` (module name -> text) that name no definition.
+
+    A reference ``package.module.name`` resolves in that module.  A bare
+    one resolves, in turn, as a member of the class whose docstrings hold
+    it, as a definition of its own module, or, through the sibling import
+    of its first part, in the module that part comes from.
+    """
+    spaces = {name: namespace(text) for name, text in sources.items()}
+
+    def defines(module, qualname) -> bool:
+        return module in spaces and qualname in spaces[module][0]
+
+    def resolves(module, owner, target) -> bool:
+        if target.startswith(package + "."):
+            _, module, qualname = target.split(".", 2)
+            return defines(module, qualname)
+        source = spaces[module][1].get(target.split(".")[0])
+        return (owner is not None and defines(module, f"{owner}.{target}")) or defines(module, target) or defines(source, target)
+
+    stale = []
+
+    def visit(module, node, owner):
+        doc = ast.get_docstring(node, clean=False) if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for role, target in DOC_REFERENCE.findall(doc or ""):
+            if not resolves(module, owner, target):
+                stale.append(f"{module}: :{role}:`{target}`")
+        for child in ast.iter_child_nodes(node):
+            visit(module, child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    for module, text in sources.items():
+        visit(module, ast.parse(text), None)
+    return sorted(stale)
+
+
+def test_stale_doc_references_detects_missing_definitions():
+    lib = (
+        '"""Uses :func:`helper`, :class:`C`, :meth:`C.run`, :attr:`C.size`, :func:`pkg.other.tool`,\n'
+        ':func:`~pkg.other.tool`, :func:`tool`, :meth:`Base.go` and :func:`pkg.other.gone`."""\n'
+        "from .other import tool, Base\n\n\n"
+        'def helper():\n    """Not :func:`missing`."""\n\n\n'
+        'class C:\n    """Sized by :attr:`size`; :meth:`run` and :meth:`walk`."""\n\n'
+        "    size: int = 0\n\n"
+        '    def run(self):\n        """Calls :meth:`C.stop`."""\n'
+    )
+    other = "def tool():\n    pass\n\n\nclass Base:\n    def go(self):\n        pass\n"
+    assert stale_doc_references({"lib": lib, "other": other}, "pkg") == [
+        "lib: :func:`missing`", "lib: :func:`pkg.other.gone`", "lib: :meth:`C.stop`", "lib: :meth:`walk`"
+    ]
+
+
+def test_doc_references_name_existing_definitions():
+    package = Path(ahmass.__file__).parent
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert stale_doc_references(sources, "ahmass") == []
+
+
 # Definitions that no route of the package or of the benchmark reaches,
 # each kept on purpose: a paper object or closed form the tests check, or
 # a utility the tests build their data with.

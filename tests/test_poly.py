@@ -21,12 +21,10 @@ from ahmass.poly import (
     _over,
     coordinates,
     euler_degree,
-    from_coords,
     hyperboloid_normal_form,
     minkowski_norm_poly,
     monomial_index,
     monomials_of_degree,
-    operator_rows,
     quadric_normal_form,
     sphere_integral,
     sphere_moments,
@@ -38,6 +36,7 @@ from ahmass.poly import (
     wave_operator,
 )
 from ahmass.weyl import PolyForm, PolySym2, PolyTensor4
+from space_oracles import from_coords, operator_rows
 from sphere_oracles import (
     coefficients,
     points_on_sphere,
@@ -85,6 +84,14 @@ def test_exact_poly_rejects_bad_exponents_and_powers():
             ExactPoly(2, {bad: 1})
     with pytest.raises(ValueError, match="negative power"):
         X(3, 0) ** -1
+
+
+@pytest.mark.parametrize("nvars", [-2, -1, True, 3.0, Fraction(3), "3", None])
+def test_exact_poly_needs_an_int_variable_count(nvars):
+    with pytest.raises(ValueError, match="variable count"):
+        ExactPoly(nvars)
+    # zero variables stay allowed: the constants of no variable
+    assert ExactPoly.constant(0, 2).terms == {(): Fraction(2)}
 
 
 @pytest.mark.parametrize(

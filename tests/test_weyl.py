@@ -8,6 +8,7 @@ import pytest
 
 from ahmass import poly, weyl
 from ahmass.gaussian import GaussianRational, I
+from ahmass.harmonic import build_Hp, dim_Hp, signature_Hp
 from ahmass.linalg import joint_kernel
 from ahmass.lorentz import (
     algebra_act_on_poly,
@@ -57,7 +58,7 @@ from ahmass.weyl import (
     weyl_to_potential,
     weyl_type_hw_vector,
 )
-from space_oracles import transverse_solution_space
+from space_oracles import build_Wp_rows, transverse_solution_space, weyl_residuals_oracle
 from sphere_oracles import (
     hw_vectors_sym2_oracle,
     linearized_riemann_oracle,
@@ -229,12 +230,41 @@ def test_wp_dimensions(n, p, dim):
 
 @pytest.mark.parametrize("n,p", [(3, 0), (3, 1), (4, 0), (3, 2)])
 def test_wp_basis_satisfies_constraints(n, p):
-    # the element-wise residuals are the oracle for the assembled rows;
-    # no combination of the basis tensors vanishes
+    # the gathered residuals vanish on every basis tensor, and no
+    # combination of the basis tensors vanishes
     sp = build_Wp(n, p)
     for w in sp.basis:
-        assert w.satisfies_weyl_constraints()
+        assert w.satisfies_weyl_constraints() and weyl_residuals_oracle(w) == {}
     assert joint_kernel(sp.basis, [lambda w: w]) == []
+
+
+@pytest.mark.parametrize("n,p", [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1)])
+def test_build_wp_is_the_rows_route(n, p):
+    """The kernel of the residuals on unit tensors is the echelon basis of the
+    Kronecker-assembled rows: equal tensors in equal order, with equal
+    coefficient types, keys and terms in equal order."""
+    assert [typed_in_order(w) for w in build_Wp(n, p).basis] == [typed_in_order(w) for w in build_Wp_rows(n, p).basis]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_residuals_equal_the_gather_oracle(n, gaussian):
+    """The scatter residuals of dense, half-filled and single-slot tensors
+    equal the three gathered families, key by key, coefficient types
+    included."""
+    rng = random.Random(900 * n + gaussian)
+    nv = n + 1
+    slots = list(tensor4_layout(nv))
+    tensors = [random_tensor(PolyTensor4, slots, nv, 2, rng, gaussian, sparse) for sparse in (False, True)]
+    tensors += [PolyTensor4(nv, random_comp([slot], nv, 2, rng, gaussian)) for slot in slots]
+    tensors.append(PolyTensor4(nv, {}))
+    for w in tensors:
+        got = w.residuals()
+        want = weyl_residuals_oracle(w)
+        assert got.keys() == want.keys()
+        assert all(typed_terms(r) == typed_terms(want[key]) for key, r in got.items())
+        assert w.satisfies_weyl_constraints() == (not want)
+    assert not tensors[0].satisfies_weyl_constraints()
 
 
 def test_wp_closed_under_algebra_action():
@@ -252,6 +282,13 @@ def test_wp_closed_under_algebra_action():
 )
 def test_wp_signatures_small(n, p):
     assert signature_Wp(n, p) == signature_Wp_expected(n, p)
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_wp_at_n2_is_empty_with_signature_zero(p):
+    # the Weyl tensor vanishes in three dimensions
+    assert build_Wp(2, p).dim == dim_Wp(2, p) == 0
+    assert signature_Wp(2, p) == signature_Wp_expected(2, p) == (0, 0)
 
 
 def test_signature_diff_p0_formula():
@@ -352,6 +389,14 @@ def test_hw_reports_n3_flags_catalog_mismatch():
         assert r.catalog_match == "mismatch"
         assert any("authoritative" in f for f in r.flags)
         assert any("replaced by Z^{-1}" in f for f in r.flags)
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2])
+def test_chiral_hw_vector_rejects_a_bad_sign_before_the_solve(monkeypatch, sign):
+    solves = counted(monkeypatch, "_hw_solve")
+    with pytest.raises(ValueError, match="chiral sign"):
+        chiral_hw_vector(0, sign)
+    assert solves == []
 
 
 def test_chiral_hw_vectors_are_conjugate_and_transverse():
@@ -771,6 +816,23 @@ def test_cached_builders_raise_on_every_call():
             build_Wp(3, -1)
         with pytest.raises(ValueError, match="entries"):
             hw_vectors_sym2(3, 2, [Fraction(2)])
+
+
+@pytest.mark.parametrize("bad", [1.0, True, F(1)])
+@pytest.mark.parametrize("bad_first", [True, False])
+def test_degrees_are_ints_checked_before_any_cache(monkeypatch, bad, bad_first):
+    """A degree equal to 1 but not an int raises ValueError, before and after
+    the builders cache the degree-1 answer, starting from fresh caches."""
+    for name in ("_Wp_basis", "_hw_solve"):
+        monkeypatch.setattr(weyl, name, lru_cache(maxsize=None)(getattr(weyl, name).__wrapped__))
+    calls = [build_Wp, signature_Wp, dim_Wp, build_Hp, signature_Hp, dim_Hp, lambda n, p: hw_vectors_sym2(n, p, [F(3), F(2)])]
+    for call in calls:
+        for p in (bad, 1) if bad_first else (1, bad):
+            if p is bad:
+                with pytest.raises(ValueError, match="must be an int"):
+                    call(3, p)
+            else:
+                call(3, p)
 
 
 def test_highest_weight_pass_builds_each_space_and_solve_once(monkeypatch):
