@@ -72,11 +72,10 @@ def build_Hp(n: int, p: int) -> Space:
 
     The kernel of Box on the unit monomials of degree p, in the order of
     :func:`ahmass.poly.monomials_of_degree` (:func:`ahmass.linalg.joint_kernel`).
-    ``ValueError`` unless n >= 3 and p >= 0 are ``int``s.
+    ``ValueError`` unless n >= 2 and p >= 0 are ``int``s, the range of
+    the closed forms.
     """
-    _check_ints(n=n, p=p)
-    if n < 3 or p < 0:
-        raise ValueError("need n >= 3 and p >= 0")
+    _check_closed_form_args(n, p)
     nv = n + 1
     monos = monomials_of_degree(nv, p)
     units = [ExactPoly.monomial(nv, e) for e in monos]

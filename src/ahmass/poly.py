@@ -31,15 +31,20 @@ it on its ``int`` numerators over their common denominator
 :func:`sphere_pairing`, the one bilinear sphere integral, integrates the
 product of two polynomials without forming it.
 
-The term-map helpers (:func:`_add_shifted`, :func:`_add_flow` and their
-kin) act on the ``terms`` dict of a polynomial in place: a product by
-one coordinate, a first or second derivative and the derivation -(MX).d
-of a matrix become exponent shifts.  They are the one set behind the
-term-level actions of the package: the tensor slot action, the aspect
-action of :mod:`ahmass.massaspect`, the linearized Riemann tensor, the
-radial contraction, the Weyl constraint residuals and the linear
-combinations of tensors of :mod:`ahmass.weyl`, and
-:func:`ahmass.lorentz.algebra_act_on_poly`.
+The term-map helpers (:func:`_add`, :func:`_add_scaled`,
+:func:`_add_shifted`, :func:`_add_flow` and their kin) add into a
+``Terms`` dict in place: a sum, a product by one coordinate, a first or
+second derivative and the derivation -(MX).d of a matrix become exponent
+shifts.  They are the one way the package sums terms: the arithmetic of
+:class:`ExactPoly` itself (sums, products, derivatives, substitution,
+the wave and Euler operators, the quadric reduction and the sphere
+restriction), the tensor slot action, the aspect action of
+:mod:`ahmass.massaspect`, the linearized Riemann tensor, the radial
+contraction, the Weyl constraint residuals and the linear combinations
+of tensors of :mod:`ahmass.weyl`, and
+:func:`ahmass.lorentz.algebra_act_on_poly`.  A helper leaves a cancelled
+term in place as a zero; the term map becomes a polynomial once, through
+:func:`_poly`, the one place cancelled terms are dropped.
 :func:`_cleared` and :func:`_over` carry rational term maps to integer
 numerators over one common denominator and back, so that such a pass can
 run on ints.
@@ -79,12 +84,9 @@ from typing import Dict, Mapping, Sequence, Tuple
 from .gaussian import GaussianRational, _exact, conj
 
 Exponents = Tuple[int, ...]
+Terms = Dict[Exponents, object]
 
 _ZERO = Fraction(0)
-
-
-def _is_zero(c) -> bool:
-    return not c
 
 
 class ExactPoly:
@@ -95,21 +97,28 @@ class ExactPoly:
     becomes a ``Fraction``, and a float or a ``bool`` raises ``ValueError``;
     each exponent vector given to a constructor passes through
     :func:`_check_exponents`.  The variable count must be an ``int``
-    (not a ``bool``) and at least 0, else ``ValueError``.
+    (not a ``bool``) and at least 0, else ``ValueError``; so must a power,
+    and a variable index of :meth:`diff` must lie in ``range(nvars)``.
+
+    Every operation that sums terms adds them into one term map with the
+    term-map helpers and builds its result once, through :func:`_poly`,
+    so the stored terms are canonical: nonzero, each of the one type of
+    its value.  ``==`` is therefore structural (equal ``nvars`` and equal
+    ``terms``) and agrees with the hash.
     """
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Dict[Exponents, object] | None = None):
+    def __init__(self, nvars: int, terms: Terms | None = None):
         if type(nvars) is not int or nvars < 0:
             raise ValueError(f"variable count must be an int >= 0, got {nvars!r}")
         self.nvars = nvars
-        self.terms: Dict[Exponents, object] = {}
+        self.terms: Terms = {}
         if terms:
             for e, c in terms.items():
                 _check_exponents(e, nvars)
                 c = _exact(c)
-                if not _is_zero(c):
+                if c:
                     self.terms[tuple(e)] = c
 
     # -- constructors -------------------------------------------------
@@ -138,20 +147,17 @@ class ExactPoly:
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch")
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int) -> "ExactPoly":
+        """self + sign * other, for sign = +-1 and a polynomial or scalar ``other``."""
         if not isinstance(other, ExactPoly):
             other = ExactPoly.constant(self.nvars, other)
         self._check(other)
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, _ZERO) + c
-            if _is_zero(s):
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        out = ExactPoly(self.nvars)
-        out.terms = terms
-        return out
+        _add_scaled(terms, other.terms, sign)
+        return _poly(self.nvars, terms)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -161,34 +167,25 @@ class ExactPoly:
         return out
 
     def __sub__(self, other):
-        if not isinstance(other, ExactPoly):
-            other = ExactPoly.constant(self.nvars, other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return ExactPoly.constant(self.nvars, other) - self
 
     def __mul__(self, other):
         if not isinstance(other, ExactPoly):
             other = _exact(other)
-            if _is_zero(other):
+            if not other:
                 return ExactPoly(self.nvars)
             out = ExactPoly(self.nvars)
             out.terms = {e: c * other for e, c in self.terms.items()}
             return out
         self._check(other)
-        prod: Dict[Exponents, object] = {}
+        prod: Terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = prod.get(e, _ZERO) + c1 * c2
-                if _is_zero(s):
-                    prod.pop(e, None)
-                else:
-                    prod[e] = s
-        out = ExactPoly(self.nvars)
-        out.terms = prod
-        return out
+                _add(prod, tuple(map(add, e1, e2)), c1 * c2)
+        return _poly(self.nvars, prod)
 
     __rmul__ = __mul__
 
@@ -199,6 +196,8 @@ class ExactPoly:
         return out
 
     def __pow__(self, k: int):
+        if type(k) is not int:
+            raise ValueError(f"power {k!r} is not an int")
         if k < 0:
             raise ValueError("negative power")
         result = ExactPoly.constant(self.nvars, 1)
@@ -216,7 +215,7 @@ class ExactPoly:
             other = ExactPoly.constant(self.nvars, other)
         if not isinstance(other, ExactPoly):
             return NotImplemented
-        return self.nvars == other.nvars and (self - other).is_zero()
+        return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
@@ -230,22 +229,12 @@ class ExactPoly:
     # -- calculus ------------------------------------------------------
 
     def diff(self, index: int) -> "ExactPoly":
-        terms: Dict[Exponents, object] = {}
-        for e, c in self.terms.items():
-            k = e[index]
-            if k == 0:
-                continue
-            e2 = list(e)
-            e2[index] = k - 1
-            key = tuple(e2)
-            s = terms.get(key, _ZERO) + c * k
-            if _is_zero(s):
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        out = ExactPoly(self.nvars)
-        out.terms = terms
-        return out
+        """d/dX^index; ``ValueError`` unless index is an ``int`` in ``range(nvars)``."""
+        if type(index) is not int or not 0 <= index < self.nvars:
+            raise ValueError(f"variable index {index!r} is outside range({self.nvars})")
+        terms: Terms = {}
+        _add_derivative(terms, self.terms, index, 1)
+        return _poly(self.nvars, terms)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -261,25 +250,26 @@ class ExactPoly:
         """Plug a polynomial in for every variable.
 
         ``values[i]`` replaces variable ``i``; all must share one variable
-        count, which becomes the variable count of the result.
+        count, which becomes the variable count of the result.  Raises
+        ``ValueError`` unless there is one value per variable, and at
+        least one.
         """
+        if not 1 <= len(values) == self.nvars:
+            raise ValueError(f"need one value for each of {self.nvars} variables, and at least one, got {len(values)}")
         nv = values[0].nvars
-        result = ExactPoly(nv)
-        cache: Dict[Tuple[int, int], ExactPoly] = {}
-
-        def power(i: int, k: int) -> ExactPoly:
-            key = (i, k)
-            if key not in cache:
-                cache[key] = values[i] ** k
-            return cache[key]
-
+        one = ExactPoly.constant(nv, 1)
+        powers: Dict[Tuple[int, int], ExactPoly] = {}
+        terms: Terms = {}
         for e, c in self.terms.items():
-            term = ExactPoly.constant(nv, c)
+            monomial = one
             for i, k in enumerate(e):
                 if k:
-                    term = term * power(i, k)
-            result = result + term
-        return result
+                    power = powers.get((i, k))
+                    if power is None:
+                        power = powers[i, k] = values[i] ** k
+                    monomial = monomial * power
+            _add_scaled(terms, monomial.terms, c)
+        return _poly(nv, terms)
 
     def evaluate(self, point: Sequence) -> object:
         """Exact evaluation at a point of scalars (Fraction/Gaussian)."""
@@ -321,15 +311,15 @@ def wave_operator(p: ExactPoly) -> ExactPoly:
     """Apply -d0^2 + d1^2 + ... + dn^2 (ambient Minkowski variables)."""
     if p.nvars < 2:
         raise ValueError("variable-count mismatch: need at least 2 Minkowski variables")
-    out = -p.diff(0).diff(0)
-    for i in range(1, p.nvars):
-        out = out + p.diff(i).diff(i)
-    return out
+    terms: Terms = {}
+    for i in range(p.nvars):
+        _add_second_derivative(terms, p.terms, i, i, -1 if i == 0 else 1)
+    return _poly(p.nvars, terms)
 
 
 def minkowski_norm_poly(nvars: int) -> ExactPoly:
     """The quadric X^mu X_mu = -(X^0)^2 + sum_i (X^i)^2."""
-    terms: Dict[Exponents, object] = {}
+    terms: Terms = {}
     for i in range(nvars):
         e = [0] * nvars
         e[i] = 2
@@ -339,10 +329,7 @@ def minkowski_norm_poly(nvars: int) -> ExactPoly:
 
 def euler_degree(p: ExactPoly) -> ExactPoly:
     """The Euler operator X^mu d_mu P (equals deg * P on homogeneous P)."""
-    out = ExactPoly(p.nvars)
-    for i in range(p.nvars):
-        out = out + ExactPoly.variable(p.nvars, i) * p.diff(i)
-    return out
+    return _poly(p.nvars, {e: c * sum(e) for e, c in p.terms.items()})
 
 
 @lru_cache(maxsize=256)
@@ -369,22 +356,16 @@ def quadric_normal_form(p: ExactPoly, var: int = -1, sign: int = -1) -> ExactPol
     var %= nv
     if all(e[var] < 2 for e in p.terms):
         return p
-    terms: Dict[Exponents, object] = {}
+    terms: Terms = {}
     for e, c in p.terms.items():
         k = e[var]
         if k < 2:
-            old = terms.get(e)
-            terms[e] = c if old is None else old + c
+            _add(terms, e, c)
             continue
         base = e[:var] + (k & 1,) + e[var + 1:]
         for er, cr in _remainder_power(nv, var, sign, k >> 1):
-            key = tuple(map(add, base, er))
-            v = c if cr == 1 else -c if cr == -1 else c * cr
-            old = terms.get(key)
-            terms[key] = v if old is None else old + v
-    out = ExactPoly(nv)
-    out.terms = {e: c for e, c in terms.items() if not _is_zero(c)}
-    return out
+            _add(terms, tuple(map(add, base, er)), c, cr)
+    return _poly(nv, terms)
 
 
 def hyperboloid_normal_form(p: ExactPoly) -> ExactPoly:
@@ -559,17 +540,10 @@ def sphere_restrict(p: ExactPoly) -> ExactPoly:
     The result is Euclidean, in one fewer variable: each term drops its
     X^0 exponent.
     """
-    terms: Dict[Exponents, object] = {}
+    terms: Terms = {}
     for e, c in p.terms.items():
-        key = e[1:]
-        s = terms.get(key, _ZERO) + c
-        if _is_zero(s):
-            terms.pop(key, None)
-        else:
-            terms[key] = s
-    out = ExactPoly(p.nvars - 1)
-    out.terms = terms
-    return out
+        _add(terms, e[1:], c)
+    return _poly(p.nvars - 1, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +591,6 @@ def to_coords(p: ExactPoly, degree: int) -> Dict[int, object]:
 # ---------------------------------------------------------------------------
 # Term maps: products by one coordinate and derivations as exponent shifts
 # ---------------------------------------------------------------------------
-
-Terms = Dict[Exponents, object]
 
 
 def _small(v):

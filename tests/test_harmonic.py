@@ -96,7 +96,7 @@ def test_harmonic_decompose_reconstructs_and_cross_checks_nullspace():
 @pytest.mark.parametrize(
     "call,match",
     [
-        (lambda: build_Hp(2, 1), "need n >= 3"),
+        (lambda: build_Hp(1, 1), "closed forms need n >= 2 and p >= 0, got n=1, p=1"),
         (lambda: invariant_form_q(X(4, 0) + X(4, 1) ** 2, X(4, 0)), "must be homogeneous"),
         (lambda: invariant_form_q(X(4, 0), X(4, 1) ** 2), "not in the same homogeneous space"),
         (lambda: metric_multiplication_scaling(ExactPoly.zero(4), 1), "nonzero homogeneous"),
@@ -140,6 +140,17 @@ def test_decompose_rejects_inhomogeneous():
 def test_signatures_small(n, p, expected):
     assert signature_Hp_expected(n, p) == expected
     assert signature_Hp(n, p) == expected
+
+
+@pytest.mark.parametrize(
+    "p,expected",
+    [(0, (1, 0)), (1, (2, 1)), (2, (3, 2)), (3, (4, 3))],
+)
+def test_hp_in_two_space_dimensions(p, expected):
+    # n = 2 is in the range of the closed forms; the builder once refused it
+    assert build_Hp(2, p).dim == 2 * p + 1 == dim_Hp(2, p)
+    assert signature_Hp_expected(2, p) == expected
+    assert signature_Hp(2, p) == expected
 
 
 def test_signature_components_sum_to_dim():

@@ -84,6 +84,13 @@ def test_inverse_is_built_once_per_element(monkeypatch):
     assert act_on_poly(a.inverse(), moved[0]) == p
 
 
+@pytest.mark.parametrize("nvars", [3, 5])
+def test_act_on_poly_needs_one_variable_per_coordinate(nvars):
+    # 3 variables were once moved by the first three rows, 5 raised an IndexError
+    with pytest.raises(ValueError, match="one value for each"):
+        act_on_poly(boost_from_parameter(3, 1, F(1, 3)), ExactPoly.variable(nvars, 0))
+
+
 def test_invalid_boost_parameters():
     with pytest.raises(ValueError):
         rational_boost(3, 1, F(2), F(1))

@@ -41,6 +41,7 @@ from sphere_oracles import (
     coefficients,
     points_on_sphere,
     polys,
+    rationals,
     sphere_ideal,
     sphere_moments_oracle,
     sphere_polys,
@@ -84,6 +85,27 @@ def test_exact_poly_rejects_bad_exponents_and_powers():
             ExactPoly(2, {bad: 1})
     with pytest.raises(ValueError, match="negative power"):
         X(3, 0) ** -1
+    # True once returned the base, and 1.5 raised a TypeError
+    for bad in (True, 1.5, Fraction(2)):
+        with pytest.raises(ValueError, match="not an int"):
+            X(3, 0) ** bad
+    # -1 once differentiated the last variable, and 3 raised an IndexError
+    for bad in (-1, 3, 5, True, 1.0):
+        with pytest.raises(ValueError, match=r"outside range\(3\)"):
+            X(3, 0).diff(bad)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 4])
+def test_substitute_takes_one_value_per_variable(count):
+    # one value once returned v1, and four were accepted
+    with pytest.raises(ValueError, match="one value for each of 3 variables"):
+        X(3, 0).substitute([X(2, 1)] * count)
+    assert X(3, 0).substitute([X(2, 1)] * 3) == X(2, 1)
+
+
+def test_substitute_needs_a_variable():
+    with pytest.raises(ValueError, match="at least one"):
+        ExactPoly.constant(0, 1).substitute([])
 
 
 @pytest.mark.parametrize("nvars", [-2, -1, True, 3.0, Fraction(3), "3", None])
@@ -497,6 +519,76 @@ def test_evaluate_exact():
     p = X(3, 0) ** 2 + 2 * X(3, 1)
     val = p.evaluate([Fraction(1, 2), Fraction(3), Fraction(0)])
     assert val == Fraction(1, 4) + 6
+
+
+def assert_canonical(p: ExactPoly):
+    """Every stored coefficient is nonzero and a Fraction or a (never real) Gaussian."""
+    for c in p.terms.values():
+        assert c and type(c) in (Fraction, GaussianRational), (p, c)
+
+
+def euler_degree_oracle(p: ExactPoly) -> ExactPoly:
+    out = ExactPoly(p.nvars)
+    for i in range(p.nvars):
+        out = out + X(p.nvars, i) * p.diff(i)
+    return out
+
+
+def wave_operator_oracle(p: ExactPoly) -> ExactPoly:
+    out = -p.diff(0).diff(0)
+    for i in range(1, p.nvars):
+        out = out + p.diff(i).diff(i)
+    return out
+
+
+@st.composite
+def accumulator_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    gaussian = draw(st.booleans())
+    p, q = draw(polys(n, gaussian)), draw(polys(n, gaussian))
+    # rational values: evaluate takes no power of a Gaussian point
+    values = [draw(polys(n, False, max_degree=2, max_terms=3)) for _ in range(n)]
+    point = draw(st.lists(rationals, min_size=n, max_size=n))
+    return p, q, values, point, draw(coefficients(gaussian))
+
+
+@given(accumulator_cases())
+@settings(max_examples=60, deadline=None)
+def test_every_sum_of_terms_agrees_with_evaluation_and_is_canonical(case):
+    p, q, values, point, c = case
+    n = p.nvars
+
+    def at(r):
+        return r.evaluate(point)
+
+    assert at(p + q) == at(p) + at(q)
+    assert at(p - q) == at(p) - at(q)
+    assert at(c - p) == c - at(p)
+    assert at(p * q) == at(p) * at(q)
+    moved = p.substitute(values)
+    assert at(moved) == p.evaluate([at(v) for v in values])
+    assert euler_degree(p) == euler_degree_oracle(p)
+    assert wave_operator(p) == wave_operator_oracle(p)
+    assert (p - p).terms == {}
+    for r in (p + q, p - q, c - p, p * q, moved, p.diff(n - 1), euler_degree(p), wave_operator(p),
+              quadric_normal_form(p), sphere_restrict(p)):
+        assert_canonical(r)
+    # == is structural, and agrees with the difference and the hash
+    reordered = ExactPoly(n, dict(reversed(p.terms.items())))
+    for a, b in ((p, q), (p, reordered), (p, p + q - q), (p * q, q * p), (p, p + 1)):
+        assert (a == b) == (a - b).is_zero()
+        if a == b:
+            assert hash(a) == hash(b)
+    assert p == reordered == p + q - q
+
+
+def test_cancelled_terms_are_dropped_and_real_values_are_fractions():
+    x, y = X(2, 0), X(2, 1)
+    r = (x + I * y) * (x - I * y)
+    assert r.terms == {(2, 0): 1, (0, 2): 1}
+    assert_canonical(r)
+    assert (r - r).terms == {} and (x - x).terms == {}
+    assert r != x ** 2 and r - y ** 2 == x ** 2
 
 
 def test_monomial_enumeration_is_cached_and_read_only():
